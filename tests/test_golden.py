@@ -1,0 +1,162 @@
+"""Golden outputs: sha256 pins of what the constructions and oracles return.
+
+Every certificate the lab emits is meant to be reproducible bit for bit, so a
+refactor of the graph plumbing must leave these hashes alone.  The corpus is
+small and seeded: mostly n <= 60, plus one n = 300 instance per construction.
+Each family hashes the repr of a canonical form of its outputs (dicts and sets
+sorted, dataclasses flattened field by field).
+
+``python tests/test_golden.py`` prints the current table, for review when an
+output is meant to change.
+"""
+
+import hashlib
+from dataclasses import fields, is_dataclass
+
+import pytest
+
+from fasdlab.coloring import fasd_exact
+from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
+from fasdlab.digraph import MultiDigraph, eulerian_orient, girth, strong_components
+from fasdlab.generators import (
+    circulant_digraph,
+    circulant_graph,
+    directed_cycle,
+    gadget_co,
+    gadget_dg,
+    gadget_h4,
+    gadget_h5,
+    random_orgraph,
+    random_two_regular_orgraph,
+)
+from fasdlab.triples import decompose3
+
+SMALL = (8, 12, 17, 24, 31, 40, 52, 60)
+
+# seeded instances that reach the rarer proof cases: the g = 5 forcing and
+# cross-link moves, and the FVS-contraction terminal of fas_sixth
+RARE = {
+    5: ((10, 1), (10, 3), (10, 5), (10, 11), (10, 13), (12, 8)),
+    6: ((32, 9), (56, 1)),
+}
+
+
+def canon(x):
+    if hasattr(x, "arcs") and hasattr(x, "n"):
+        return (type(x).__name__, x.n, tuple(x.arcs))
+    if isinstance(x, dict):
+        return tuple(sorted((canon(k), canon(v)) for k, v in x.items()))
+    if isinstance(x, (set, frozenset)):
+        return tuple(sorted(canon(v) for v in x))
+    if isinstance(x, (list, tuple)):
+        return tuple(canon(v) for v in x)
+    if is_dataclass(x):
+        return (type(x).__name__,) + tuple(canon(getattr(x, f.name)) for f in fields(x))
+    return x
+
+
+def digest(values) -> str:
+    return hashlib.sha256(repr(canon(values)).encode()).hexdigest()
+
+
+def deg4_corpus():
+    out = [random_orgraph(n, 4, 3, seed=s, arc_target=2 * n) for s, n in enumerate(SMALL)]
+    out += [random_two_regular_orgraph(n, seed=s) for s, n in enumerate(SMALL)]
+    out += [circulant_digraph(9, [1, 2]), circulant_digraph(11, [1, 3]), directed_cycle(7)]
+    out.append(random_orgraph(300, 4, 3, seed=300, arc_target=600))
+    return out
+
+
+def deg3_corpus(g: int):
+    target = (lambda n: (4 * n) // 3) if g == 6 else (lambda n: (3 * n) // 2)
+    out = [random_orgraph(n, 3, g, seed=10 * g + s, arc_target=target(n)) for s, n in enumerate(SMALL)]
+    out += [random_orgraph(n, 3, g, seed=s, arc_target=target(n)) for n, s in RARE.get(g, ())]
+    out.append(random_orgraph(300, 3, g, seed=g, arc_target=target(300)))
+    return out
+
+
+def fvs_corpus():
+    out = [
+        directed_cycle(7),
+        gadget_co(5),
+        gadget_h5(),
+        circulant_digraph(10, [1, 3]),
+        circulant_digraph(14, [1, 4]),
+        eulerian_orient(circulant_graph(12, [1, 2])),
+        MultiDigraph(5, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 0)]),
+    ]
+    out += [random_two_regular_orgraph(n, seed=s) for s, n in enumerate((10, 12, 14, 16))]
+    out += [random_orgraph(n, 4, 3, seed=s, arc_target=2 * n) for s, n in enumerate((12, 16, 20))]
+    return out
+
+
+def fasd_corpus():
+    out = [gadget_dg(6), gadget_dg(8), gadget_h5(), gadget_h4(), directed_cycle(5)]
+    out += [random_orgraph(n, 3, 3, seed=s, arc_target=n + 3) for s, n in enumerate((6, 7, 8, 9))]
+    out += [random_orgraph(7, 4, 3, seed=s, arc_target=11) for s in range(3)]
+    return out
+
+
+def structure_corpus():
+    out = deg4_corpus() + fvs_corpus() + fasd_corpus()
+    out += [random_orgraph(n, 5, 3, seed=s, arc_target=2 * n, backbone=False) for s, n in enumerate(SMALL)]
+    return out
+
+
+def out_decompose3():
+    return [decompose3(d).orderings for d in deg4_corpus()]
+
+
+def out_coloring(g):
+    return [good_g_coloring(d, g) for d in deg3_corpus(g)]
+
+
+def out_fas_sixth():
+    return [fas_sixth(d) for d in deg3_corpus(6)]
+
+
+def out_fvs():
+    return [fvs_exact(d) for d in fvs_corpus()]
+
+
+def out_fasd():
+    # without clique refutations the girth-8 gadget is refuted by an exhausted search
+    exhausted = fasd_exact(gadget_dg(8), use_clique_refutation=False)
+    return [fasd_exact(d) for d in fasd_corpus()] + [exhausted]
+
+
+def out_structure():
+    return [(strong_components(d), girth(d)) for d in structure_corpus()]
+
+
+FAMILIES = {
+    "decompose3": out_decompose3,
+    "good_g_coloring_3": lambda: out_coloring(3),
+    "good_g_coloring_4": lambda: out_coloring(4),
+    "good_g_coloring_5": lambda: out_coloring(5),
+    "fas_sixth": out_fas_sixth,
+    "fvs_exact": out_fvs,
+    "fasd_exact": out_fasd,
+    "scc_girth": out_structure,
+}
+
+GOLDEN = {
+    "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
+    "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
+    "fasd_exact": "78091caa01e84d2ac6efaa4e875e2b854c9ab9c56408295c6aa29d01358930b4",
+    "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
+    "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
+    "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
+    "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
+    "scc_girth": "38538e4ab6563e2fef743525c6c26294e84f1c0f9af8fe16ecf6b58bcfca768d",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_golden(family):
+    assert digest(FAMILIES[family]()) == GOLDEN[family]
+
+
+if __name__ == "__main__":
+    for name in sorted(FAMILIES):
+        print(f'    "{name}": "{digest(FAMILIES[name]())}",')
