@@ -282,10 +282,10 @@ def check_counting(seed: int = 0) -> CheckResult:
         if cb.bound != g - (g // 4 - 1):
             ok = False
     cert = fasd_exact(gadget_dg(8), use_clique_refutation=False)
-    ok = ok and cert.value is not INFINITE and cert.value <= 7
+    ok = ok and cert.value == 7
     return _result(
         "counting",
-        "three-path gadget bounds match g - floor(g/4 - 1); exhaustive value <= 7",
+        "three-path gadget bounds match g - floor(g/4 - 1); exhaustive value = 7",
         ok,
         t0,
         bounds=bounds,

@@ -200,7 +200,7 @@ def cmd_fvs(args) -> int:
     d = read_digraph(args.file)
     try:
         cert = fvs_exact(d)
-    except Exception as exc:
+    except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     print("vertices " + " ".join(map(str, cert.vertices)))
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fas", help="minimum feedback arc set")
     f.add_argument("file")
     f.add_argument("--weighted", action="store_true")
-    f.add_argument("--exact", action="store_true", default=True)
     f.add_argument("--heuristic", action="store_true")
     f.add_argument("--seed", type=int, default=0)
     f.set_defaults(func=cmd_fas)

@@ -24,6 +24,7 @@ from .digraph import (
     enumerate_cycles,
     girth,
     is_acyclic,
+    shortest_cycle,
 )
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -34,7 +35,7 @@ def verify_good_coloring(d: Digraph, coloring: dict, t: int):
     """Check that every color class is a feedback arc set.
 
     Returns (True, None) or (False, (color, cycle)) where ``cycle`` is a
-    directed cycle avoiding the offending color.  Partial colorings are
+    shortest directed cycle avoiding the offending color.  Partial colorings are
     rejected outright.
     """
     if set(coloring.keys()) != set(range(d.m)):
@@ -45,42 +46,9 @@ def verify_good_coloring(d: Digraph, coloring: dict, t: int):
     for c in range(1, t + 1):
         keep = [uv for a, uv in enumerate(d.arcs) if coloring[a] != c]
         rest = Digraph(d.n, keep)
-        ok, _ = is_acyclic(rest)
-        if not ok:
-            cyc = _some_cycle(rest)
-            return False, (c, cyc)
+        if not is_acyclic(rest)[0]:
+            return False, (c, tuple(shortest_cycle(rest)))
     return True, None
-
-
-def _some_cycle(d: Digraph):
-    """Any directed cycle of a non-acyclic digraph, as a vertex tuple."""
-    color = [0] * d.n
-    parent = {}
-    for root in range(d.n):
-        if color[root]:
-            continue
-        stack = [(root, iter(d.out_neighbors(root)))]
-        color[root] = 1
-        while stack:
-            u, it = stack[-1]
-            found = False
-            for v in it:
-                if color[v] == 0:
-                    color[v] = 1
-                    parent[v] = u
-                    stack.append((v, iter(d.out_neighbors(v))))
-                    found = True
-                    break
-                if color[v] == 1:
-                    cyc = [u]
-                    while cyc[-1] != v:
-                        cyc.append(parent[cyc[-1]])
-                    cyc.reverse()
-                    return tuple(cyc)
-            if not found:
-                color[u] = 2
-                stack.pop()
-    return None
 
 
 class _PKOrder:
@@ -528,9 +496,9 @@ def fasd_exact(
         total_nodes += res.nodes
         if res.status == "sat":
             if t == g:
-                refutation = ShortCycleRefutation(
-                    g + 1, _shortest_cycle(d, g)
-                )
+                # the lexicographically least girth cycle
+                cycle = enumerate_cycles(d, g, cap=1).cycles[0]
+                refutation = ShortCycleRefutation(g + 1, cycle)
             else:
                 refutation = refutations.get(t + 1, EXHAUSTED)
             return FasdCertificate(t, res.coloring, refutation, nodes=total_nodes)
@@ -542,10 +510,6 @@ def fasd_exact(
     raise AssertionError(
         "no good 2-coloring found for a non-acyclic digraph"
     )  # pragma: no cover
-
-
-def _shortest_cycle(d: Digraph, g: int):
-    return enumerate_cycles(d, g, cap=1).cycles[0]
 
 
 def coloring_classes(coloring: dict, t: int):

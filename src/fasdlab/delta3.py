@@ -23,12 +23,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from .digraph import (
+    BudgetError,
     Digraph,
     GraphError,
     MultiDigraph,
+    View,
     girth,
     is_acyclic,
     max_degree,
+    shortest_cycle,
     strong_components,
 )
 from .generators import is_digon_odd_cycle
@@ -69,46 +72,6 @@ def degree_classes(d: Digraph) -> DegreeClasses:
 # good g-arc-colorings for g in {3, 4, 5}
 
 
-class _Sub:
-    """Mutable vertex-subset view of a fixed digraph."""
-
-    __slots__ = ("d", "active")
-
-    def __init__(self, d: Digraph, active):
-        self.d = d
-        self.active = frozenset(active)
-
-    def out_arcs(self, v):
-        return [(u, a) for u, a in self.d.out_arcs(v) if u in self.active]
-
-    def in_arcs(self, v):
-        return [(u, a) for u, a in self.d.in_arcs(v) if u in self.active]
-
-    def outdeg(self, v):
-        return len(self.out_arcs(v))
-
-    def indeg(self, v):
-        return len(self.in_arcs(v))
-
-    def arc_ids(self):
-        act = self.active
-        return [a for a, (u, v) in enumerate(self.d.arcs) if u in act and v in act]
-
-    def without(self, drop):
-        return _Sub(self.d, self.active - set(drop))
-
-    def strong_comps(self):
-        act = sorted(self.active)
-        idx = {v: i for i, v in enumerate(act)}
-        arcs = [
-            (idx[u], idx[v])
-            for u, v in self.d.arcs
-            if u in self.active and v in self.active
-        ]
-        comps = strong_components(Digraph(len(act), arcs))
-        return [[act[i] for i in comp] for comp in comps]
-
-
 def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     """Good g-arc-coloring of a digon-free max-degree-3 digraph, g in {3, 4, 5}.
 
@@ -128,7 +91,7 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     if gg is not INFINITE and gg < g:
         raise GraphError(f"girth {gg} below requested g={g}")
     coloring = {}
-    _color_subgraph(_Sub(d, range(d.n)), g, coloring)
+    _color_subgraph(View(d), g, coloring)
     if len(coloring) != d.m:  # pragma: no cover - would witness a gap
         raise AssertionError("construction left arcs uncolored")
     if check:
@@ -140,9 +103,9 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     return coloring
 
 
-def _color_subgraph(sub: _Sub, g: int, coloring: dict) -> None:
+def _color_subgraph(sub: View, g: int, coloring: dict) -> None:
     """Color all arcs inside the view; arcs between strong parts get color 1."""
-    comps = sub.strong_comps()
+    comps = strong_components(sub)
     comp_of = {}
     for i, comp in enumerate(comps):
         for v in comp:
@@ -153,10 +116,10 @@ def _color_subgraph(sub: _Sub, g: int, coloring: dict) -> None:
             coloring[a] = 1
     for comp in comps:
         if len(comp) >= 2:
-            _color_strong(_Sub(sub.d, comp), g, coloring)
+            _color_strong(View(sub.d, comp), g, coloring)
 
 
-def _color_strong(sub: _Sub, g: int, coloring: dict) -> None:
+def _color_strong(sub: View, g: int, coloring: dict) -> None:
     """Strongly connected piece: peel a shortest (in-heavy, out-heavy)-path."""
     x12 = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (1, 2))
     x21 = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (2, 1))
@@ -177,7 +140,7 @@ def _color_strong(sub: _Sub, g: int, coloring: dict) -> None:
         _special_five(sub, coloring, path)
 
 
-def _color_single_cycle(sub: _Sub, g: int, coloring: dict) -> None:
+def _color_single_cycle(sub: View, g: int, coloring: dict) -> None:
     # all degrees (1,1): the component is one directed cycle of length >= g
     start = min(sub.active)
     v = start
@@ -194,7 +157,7 @@ def _color_single_cycle(sub: _Sub, g: int, coloring: dict) -> None:
         coloring[a] = (i % g) + 1
 
 
-def _shortest_class_path(sub: _Sub, sources, targets):
+def _shortest_class_path(sub: View, sources, targets):
     """Multi-source BFS from x12 to the first x21 vertex; interior stays x11."""
     dist = {v: 0 for v in sources}
     parent = {}
@@ -214,14 +177,7 @@ def _shortest_class_path(sub: _Sub, sources, targets):
     return None
 
 
-def _arc(sub: _Sub, u, v):
-    for w, a in sub.d.out_arcs(u):
-        if w == v:
-            return a
-    raise KeyError((u, v))
-
-
-def _peel_long_path(sub: _Sub, g: int, coloring: dict, path) -> None:
+def _peel_long_path(sub: View, g: int, coloring: dict, path) -> None:
     """Path length >= g-1: remove it and wrap colors 1..g around it.
 
     Every cycle meeting the path is funnelled through all of it, entering p1
@@ -232,13 +188,13 @@ def _peel_long_path(sub: _Sub, g: int, coloring: dict, path) -> None:
     for _, a in sub.in_arcs(path[0]):
         coloring[a] = 1
     for i in range(1, len(path)):
-        a = _arc(sub, path[i - 1], path[i])
+        a = sub.d.arc_id(path[i - 1], path[i])
         coloring[a] = i + 1 if i + 1 <= g - 1 else 1
     for _, a in sub.out_arcs(path[-1]):
         coloring[a] = g
 
 
-def _peel_short_path(sub: _Sub, g: int, coloring: dict, path) -> None:
+def _peel_short_path(sub: View, g: int, coloring: dict, path) -> None:
     """Path length g-2: three cases on the classes of the two in-neighbors of p1."""
     p1 = path[0]
     w_in = sorted(u for u, _ in sub.in_arcs(p1))
@@ -259,9 +215,9 @@ def _peel_short_path(sub: _Sub, g: int, coloring: dict, path) -> None:
         _short_case_mixed(sub, g, coloring, path, light, heavy[0])
 
 
-def _tail_colors(sub: _Sub, g: int, coloring: dict, path) -> None:
+def _tail_colors(sub: View, g: int, coloring: dict, path) -> None:
     # p1p2 takes 3, arcs out of p2 take 4, arcs out of p3 take 5 when present
-    coloring[_arc(sub, path[0], path[1])] = 3
+    coloring[sub.d.arc_id(path[0], path[1])] = 3
     for _, a in sub.out_arcs(path[1]):
         coloring[a] = 4
     if len(path) == 3:
@@ -276,7 +232,7 @@ def _short_case_light(sub, g, coloring, path, w1, w2) -> None:
     for w in (w1, w2):
         for _, a in sub.in_arcs(w):
             coloring[a] = 1
-        coloring[_arc(sub, w, path[0])] = 2
+        coloring[sub.d.arc_id(w, path[0])] = 2
     _tail_colors(sub, g, coloring, path)
 
 
@@ -291,8 +247,8 @@ def _short_case_heavy(sub, g, coloring, path, w1, w2) -> None:
     z2_arc = sub.in_arcs(w2)[0][1]
     _permute_colors(coloring, rest.arc_ids(), {z1_arc: 1}, g, soft={z2_arc: (1, 2)})
     c2 = coloring[z2_arc]
-    coloring[_arc(sub, w1, path[0])] = 2
-    coloring[_arc(sub, w2, path[0])] = 3 - c2
+    coloring[sub.d.arc_id(w1, path[0])] = 2
+    coloring[sub.d.arc_id(w2, path[0])] = 3 - c2
     _tail_colors(sub, g, coloring, path)
 
 
@@ -304,8 +260,8 @@ def _short_case_mixed(sub, g, coloring, path, w1, w2) -> None:
     _permute_colors(coloring, rest.arc_ids(), {z2_arc: 1}, g)
     for _, a in sub.in_arcs(w1):
         coloring[a] = 1
-    coloring[_arc(sub, w1, path[0])] = 2
-    coloring[_arc(sub, w2, path[0])] = 2
+    coloring[sub.d.arc_id(w1, path[0])] = 2
+    coloring[sub.d.arc_id(w2, path[0])] = 2
     _tail_colors(sub, g, coloring, path)
 
 
@@ -352,7 +308,7 @@ class _Special:
     monochromatic through every transformation.
     """
 
-    def __init__(self, sub: _Sub, coloring: dict, p1, p2, ws, qs):
+    def __init__(self, sub: View, coloring: dict, p1, p2, ws, qs):
         self.sub = sub
         self.coloring = coloring
         self.p1 = p1
@@ -363,7 +319,7 @@ class _Special:
         self.on_cycle = self._on_cycle_map()
 
     def _on_cycle_map(self):
-        comps = self.star.strong_comps()
+        comps = strong_components(self.star)
         big = {v for comp in comps if len(comp) >= 2 for v in comp}
         return {x: (x in big) for x in self.ws + self.qs}
 
@@ -448,7 +404,7 @@ class _Special:
         return sorted(pairs, key=lambda p: (p != (ci, co), p))
 
 
-def _special_five(sub: _Sub, coloring: dict, path) -> None:
+def _special_five(sub: View, coloring: dict, path) -> None:
     """g = 5 with an adjacent (1,2) -> (2,1) pair: thread five colors through it."""
     p1, p2 = path
     ws = sorted(u for u, _ in sub.in_arcs(p1))
@@ -464,23 +420,22 @@ def _special_five(sub: _Sub, coloring: dict, path) -> None:
 
     w1, w2 = ws
     q1, q2 = qs
-    has = lambda u, v: any(w == v for w, _ in sub.out_arcs(u))
 
-    w_adj = has(w1, w2) or has(w2, w1)
-    q_adj = has(q1, q2) or has(q2, q1)
+    w_adj = sub.has_arc(w1, w2) or sub.has_arc(w2, w1)
+    q_adj = sub.has_arc(q1, q2) or sub.has_arc(q2, q1)
     if w_adj and q_adj:
-        if has(w2, w1):
+        if sub.has_arc(w2, w1):
             w1, w2 = w2, w1
-        if has(q1, q2):
+        if sub.has_arc(q1, q2):
             q1, q2 = q2, q1
         _force_both_sides(sp, w1, w2, q1, q2)
     elif w_adj:
-        if has(w2, w1):
+        if sub.has_arc(w2, w1):
             w1, w2 = w2, w1
         _force_w_side(sp, w1, w2, q1, q2, adjacent=True)
     elif q_adj:
         _force_q_side(sp, w1, w2, q1, q2)
-    elif any(has(w, q) for w in ws for q in qs):
+    elif any(sub.has_arc(w, q) for w in ws for q in qs):
         _crosslink_path(sp, w1, w2, q1, q2)
     else:
         _normalize_and_finish(sp, w1, w2, q1, q2)
@@ -488,11 +443,11 @@ def _special_five(sub: _Sub, coloring: dict, path) -> None:
 
 def _bridge(sp: _Special, w1, w2, q1, q2, cw1, cw2, c3, cq1, cq2) -> None:
     sub = sp.sub
-    sp.coloring[_arc(sub, w1, sp.p1)] = cw1
-    sp.coloring[_arc(sub, w2, sp.p1)] = cw2
-    sp.coloring[_arc(sub, sp.p1, sp.p2)] = c3
-    sp.coloring[_arc(sub, sp.p2, q1)] = cq1
-    sp.coloring[_arc(sub, sp.p2, q2)] = cq2
+    sp.coloring[sub.d.arc_id(w1, sp.p1)] = cw1
+    sp.coloring[sub.d.arc_id(w2, sp.p1)] = cw2
+    sp.coloring[sub.d.arc_id(sp.p1, sp.p2)] = c3
+    sp.coloring[sub.d.arc_id(sp.p2, q1)] = cq1
+    sp.coloring[sub.d.arc_id(sp.p2, q2)] = cq2
 
 
 def _force_both_sides(sp: _Special, w1, w2, q1, q2) -> None:
@@ -533,8 +488,7 @@ def _force_w_side(sp: _Special, w1, w2, q1, q2, adjacent: bool) -> None:
     non-adjacent here, so steering one never disturbs the other.
     """
     sub = sp.sub
-    has = lambda u, v: any(w == v for w, _ in sub.out_arcs(u))
-    if has(q1, q2) or has(q2, q1):  # pragma: no cover - driver dispatch order
+    if sub.has_arc(q1, q2) or sub.has_arc(q2, q1):  # pragma: no cover - driver dispatch order
         raise AssertionError("q adjacency must be dispatched before w forcing")
     c1 = sp.col_in(w1)
     if adjacent and sub.indeg(w2) == 2:
@@ -591,12 +545,11 @@ def _force_q_side(sp: _Special, w1, w2, q1, q2) -> None:
     non-adjacent here.
     """
     sub = sp.sub
-    has = lambda u, v: any(w == v for w, _ in sub.out_arcs(u))
-    if has(w1, w2) or has(w2, w1):  # pragma: no cover - driver dispatch order
+    if sub.has_arc(w1, w2) or sub.has_arc(w2, w1):  # pragma: no cover - driver dispatch order
         raise AssertionError("w adjacency must be dispatched before q forcing")
-    if has(q1, q2):
+    if sub.has_arc(q1, q2):
         q1, q2 = q2, q1
-    adjacent = has(q2, q1)
+    adjacent = sub.has_arc(q2, q1)
     c1 = sp.col_out(q1)
     if adjacent and sub.outdeg(q2) == 2:
         sp.set_out(q2, c1)
@@ -617,10 +570,9 @@ def _force_q_side(sp: _Special, w1, w2, q1, q2) -> None:
 def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
     """Some w -> q arc exists: recolor along the path s1 w q s2 and finish."""
     sub = sp.sub
-    has = lambda u, v: any(w == v for w, _ in sub.out_arcs(u))
     found = None
     for w, q in ((w1, q1), (w1, q2), (w2, q1), (w2, q2)):
-        if has(w, q):
+        if sub.has_arc(w, q):
             found = (w, q)
             break
     w, q = found
@@ -630,7 +582,7 @@ def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
         q1, q2 = q2, q1
     # the three path arcs: into w1, w1 -> q1, out of q1
     a_in = sp.in_ids(w1)
-    a_mid = [_arc(sub, w1, q1)]
+    a_mid = [sub.d.arc_id(w1, q1)]
     a_out = sp.out_ids(q1)
     if len(a_in) != 1 or len(a_out) != 1:  # pragma: no cover - degree forced
         raise AssertionError("attachment path degrees broken")
@@ -673,55 +625,42 @@ def _rotate_route(sp: _Special, route, first=None, last=None) -> None:
         sp.coloring[a] = c
 
 
-def _normalize_and_finish(sp: _Special, w1, w2, q1, q2) -> None:
-    """No adjacencies: enumerate per-vertex moves to reach four distinct colors.
+def _reshape_moves(sp: _Special, w1, w2, q1, q2):
+    """Search per-vertex moves for four distinct attachment colors or a forced side.
 
-    Falls back to the one-sided forcing pipelines when a coincidence
-    (equal in-classes or equal out-classes) is reachable instead.  The
-    underlying argument guarantees one of the three outcomes is reachable;
-    anything else is a hard diagnostic.
+    Returns ("ok", moves) when the in-colors of the w's and the out-colors of
+    the q's can become pairwise distinct, else "w" or "q" when that side's pair
+    can be made to coincide.  ``moves`` lists (vertex, (in, out)) actions for
+    ``_Special.apply_action``.  The underlying argument guarantees one of the
+    three outcomes; anything else is a hard diagnostic.
     """
-    cand = {
-        x: sp.candidate_pairs(x) for x in (w1, w2, q1, q2)
-    }
-    best = None
-    for pw1, pw2, pq1, pq2 in itertools.product(
-        cand[w1], cand[w2], cand[q1], cand[q2]
-    ):
-        a1, a2 = pw1[0], pw2[0]
-        b1, b2 = pq1[1], pq2[1]
-        if None in (a1, a2, b1, b2):  # pragma: no cover - classes nonempty
-            continue
-        if len({a1, a2, b1, b2}) == 4:
-            best = ("ok", (pw1, pw2, pq1, pq2))
-            break
-    if best is None:
-        for pw1, pw2 in itertools.product(cand[w1], cand[w2]):
-            if pw1[0] is not None and pw1[0] == pw2[0]:
-                best = ("w", (pw1, pw2))
-                break
-    if best is None:
-        for pq1, pq2 in itertools.product(cand[q1], cand[q2]):
-            if pq1[1] is not None and pq1[1] == pq2[1]:
-                best = ("q", (pq1, pq2))
-                break
-    if best is None:  # pragma: no cover - contradicts the case analysis
-        raise AssertionError("no reshaping reaches distinct or forced colors")
-    kind, actions = best
+    cand = {x: sp.candidate_pairs(x) for x in (w1, w2, q1, q2)}
+    for acts in itertools.product(cand[w1], cand[w2], cand[q1], cand[q2]):
+        cols = (acts[0][0], acts[1][0], acts[2][1], acts[3][1])
+        if None not in cols and len(set(cols)) == 4:
+            return "ok", list(zip((w1, w2, q1, q2), acts))
+    for pw1, pw2 in itertools.product(cand[w1], cand[w2]):
+        if pw1[0] is not None and pw1[0] == pw2[0]:
+            return "w", [(w1, pw1), (w2, pw2)]
+    for pq1, pq2 in itertools.product(cand[q1], cand[q2]):
+        if pq1[1] is not None and pq1[1] == pq2[1]:
+            return "q", [(q1, pq1), (q2, pq2)]
+    raise AssertionError("no reshaping reaches distinct or forced colors")
+
+
+def _normalize_and_finish(sp: _Special, w1, w2, q1, q2) -> None:
+    """No adjacencies: reach four distinct colors, or fall back to a forcing pipeline."""
+    kind, moves = _reshape_moves(sp, w1, w2, q1, q2)
+    for x, act in moves:
+        sp.apply_action(x, *act)
     if kind == "ok":
-        for x, act in zip((w1, w2, q1, q2), actions):
-            sp.apply_action(x, *act)
         a1, a2 = sp.col_in(w1), sp.col_in(w2)
         b1, b2 = sp.col_out(q1), sp.col_out(q2)
         mid = [c for c in range(1, 6) if c not in (a1, a2, b1, b2)][0]
         _bridge(sp, w1, w2, q1, q2, a2, a1, mid, b2, b1)
     elif kind == "w":
-        for x, act in zip((w1, w2), actions):
-            sp.apply_action(x, *act)
         _force_w_side(sp, w1, w2, q1, q2, adjacent=False)
     else:
-        for x, act in zip((q1, q2), actions):
-            sp.apply_action(x, *act)
         _force_q_side(sp, w1, w2, q1, q2)
 
 
@@ -737,8 +676,8 @@ class SpecialColoringToolkit:
     """
 
     def __init__(self, d: Digraph, p1: int, p2: int, coloring: dict):
-        sub = _Sub(d, range(d.n))
-        if not any(w == p2 for w, _ in sub.out_arcs(p1)):
+        sub = View(d)
+        if not sub.has_arc(p1, p2):
             raise GraphError("p1 -> p2 must be an arc")
         ws = sorted(u for u, _ in sub.in_arcs(p1))
         qs = sorted(u for u, _ in sub.out_arcs(p2) if u != p1)
@@ -784,29 +723,10 @@ class SpecialColoringToolkit:
         instead make that side's pair coincide (the forcing configurations).
         """
         self._require_special()
-        import itertools as _it
-
-        sp = self._sp
-        w1, w2 = self.ws
-        q1, q2 = self.qs
-        cand = {x: sp.candidate_pairs(x) for x in (w1, w2, q1, q2)}
-        for pw1, pw2, pq1, pq2 in _it.product(cand[w1], cand[w2], cand[q1], cand[q2]):
-            vals = (pw1[0], pw2[0], pq1[1], pq2[1])
-            if None not in vals and len(set(vals)) == 4:
-                for x, act in zip((w1, w2, q1, q2), (pw1, pw2, pq1, pq2)):
-                    sp.apply_action(x, *act)
-                return "ok"
-        for pw1, pw2 in _it.product(cand[w1], cand[w2]):
-            if pw1[0] is not None and pw1[0] == pw2[0]:
-                sp.apply_action(w1, *pw1)
-                sp.apply_action(w2, *pw2)
-                return "w"
-        for pq1, pq2 in _it.product(cand[q1], cand[q2]):
-            if pq1[1] is not None and pq1[1] == pq2[1]:
-                sp.apply_action(q1, *pq1)
-                sp.apply_action(q2, *pq2)
-                return "q"
-        raise AssertionError("no reshaping reaches distinct or forced colors")
+        kind, moves = _reshape_moves(self._sp, *self.ws, *self.qs)
+        for x, act in moves:
+            self._sp.apply_action(x, *act)
+        return kind
 
 
 # ---------------------------------------------------------------------------
@@ -840,43 +760,11 @@ def fvs_exact(d, max_n: int = FVS_EXACT_MAX_N) -> FvsCertificate:
     Refuses n beyond the budget.
     """
     if d.n > max_n:
-        raise BudgetErrorFVS(f"exact FVS refused for n={d.n} > {max_n}")
-    arcs = sorted(set(d.arcs))
-    simple = Digraph(d.n, arcs)
-
-    def shortest_cycle(removed):
-        keep = [uv for uv in arcs if uv[0] not in removed and uv[1] not in removed]
-        sub = Digraph(d.n, keep)
-        best = None
-        for s in range(d.n):
-            if s in removed:
-                continue
-            dist = {s: 0}
-            parent = {}
-            q = deque([s])
-            hit = None
-            while q:
-                u = q.popleft()
-                for v in sub.out_neighbors(u):
-                    if v == s:
-                        hit = u
-                        q.clear()
-                        break
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        q.append(v)
-            if hit is not None:
-                cyc = [hit]
-                while cyc[-1] != s:
-                    cyc.append(parent[cyc[-1]])
-                cyc.reverse()
-                if best is None or len(cyc) < len(best):
-                    best = cyc
-        return best
+        raise BudgetError(f"exact FVS refused for n={d.n} > {max_n}")
+    full = View(Digraph(d.n, sorted(set(d.arcs))))
 
     def solve(removed, budget):
-        cyc = shortest_cycle(removed)
+        cyc = shortest_cycle(full.without(removed))
         if cyc is None:
             return set(removed)
         if budget == 0:
@@ -891,20 +779,16 @@ def fvs_exact(d, max_n: int = FVS_EXACT_MAX_N) -> FvsCertificate:
         res = solve(frozenset(), k)
         if res is not None:
             s = tuple(sorted(res))
-            exceptional = is_digon_odd_cycle(simple)
+            exceptional = is_digon_odd_cycle(full.d)
             within = 2 * len(s) <= d.n
             return FvsCertificate(s, True, within, exceptional)
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 
-class BudgetErrorFVS(RuntimeError):
-    """FVS exact search refused an oversized input."""
-
-
 def fvs_brute(d, max_n: int = 14):
     """Independent oracle: smallest vertex subset whose removal is acyclic."""
     if d.n > max_n:
-        raise BudgetErrorFVS(f"brute force refused for n={d.n} > {max_n}")
+        raise BudgetError(f"brute force refused for n={d.n} > {max_n}")
     arcs = sorted(set(d.arcs))
     for k in range(d.n + 1):
         for combo in itertools.combinations(range(d.n), k):
@@ -939,7 +823,7 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     gg = girth(d)
     if gg is not INFINITE and gg < 6:
         raise GraphError(f"girth {gg} below 6")
-    fas = sorted(_fas6_solve(_Sub(d, range(d.n))))
+    fas = sorted(_fas6_solve(View(d)))
     if check:
         keep = [uv for a, uv in enumerate(d.arcs) if a not in set(fas)]
         ok, _ = is_acyclic(Digraph(d.n, keep))
@@ -950,20 +834,20 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     return tuple(fas)
 
 
-def _fas6_solve(sub: _Sub):
-    comps = sub.strong_comps()
+def _fas6_solve(sub: View):
+    comps = strong_components(sub)
     if len(comps) > 1 or (comps and len(comps[0]) < len(sub.active)):
         out = []
         for comp in comps:
             if len(comp) >= 2:
-                out.extend(_fas6_strong(_Sub(sub.d, comp)))
+                out.extend(_fas6_strong(View(sub.d, comp)))
         return out
     if not comps or len(comps[0]) < 2:
         return []
     return _fas6_strong(sub)
 
 
-def _fas6_strong(sub: _Sub):
+def _fas6_strong(sub: View):
     """One strongly connected piece; apply the first reduction that fits."""
     xplus = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (2, 1))
     xminus = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (1, 2))
@@ -981,15 +865,15 @@ def _fas6_strong(sub: _Sub):
     # rule: attachment in the in-heavy class with a long middle path
     for i, p in enumerate(paths):
         if x_of[i] in xminus_set and len(p) >= 3:
-            a = _arc(sub, x_of[i], p[0])
+            a = sub.d.arc_id(x_of[i], p[0])
             return [a] + _fas6_solve(sub.without(p + [x_of[i]]))
         if y_of[i] in xplus_set and len(p) >= 3:
-            a = _arc(sub, p[-1], y_of[i])
+            a = sub.d.arc_id(p[-1], y_of[i])
             return [a] + _fas6_solve(sub.without(p + [y_of[i]]))
     # rule: both attachments heavy on the wrong side
     for i, p in enumerate(paths):
         if x_of[i] in xminus_set and y_of[i] in xplus_set:
-            a = _arc(sub, x_of[i], p[0])
+            a = sub.d.arc_id(x_of[i], p[0])
             return [a] + _fas6_solve(sub.without(p + [x_of[i], y_of[i]]))
     # rule: the out-heavy class is not independent
     hit = _class_arc(sub, xplus_set)
@@ -1002,7 +886,7 @@ def _fas6_strong(sub: _Sub):
             v1 = pred[0]
         v2 = [u for u, _ in sub.out_arcs(v1) if u in xplus_set][0]
         vp = [u for u, _ in sub.in_arcs(v1)][0]
-        a = _arc(sub, vp, v1)
+        a = sub.d.arc_id(vp, v1)
         return [a] + _fas6_solve(sub.without([v1, v2, vp]))
     # mirror: the in-heavy class is not independent
     hit = _class_arc(sub, xminus_set)
@@ -1015,30 +899,30 @@ def _fas6_strong(sub: _Sub):
             vend = succ[0]
         vprev = [u for u, _ in sub.in_arcs(vend) if u in xminus_set][0]
         vn = [u for u, _ in sub.out_arcs(vend)][0]
-        a = _arc(sub, vend, vn)
+        a = sub.d.arc_id(vend, vn)
         return [a] + _fas6_solve(sub.without([vend, vprev, vn]))
     # rule: both attachments of some path in the out-heavy class
     for i, p in enumerate(paths):
         if x_of[i] in xplus_set and y_of[i] in xplus_set:
             xs = x_of[i]
             pre = [u for u, _ in sub.in_arcs(xs)][0]
-            a = _arc(sub, pre, xs)
+            a = sub.d.arc_id(pre, xs)
             return [a] + _fas6_solve(sub.without(p + [xs, y_of[i], pre]))
         if x_of[i] in xminus_set and y_of[i] in xminus_set:
             ys = y_of[i]
             nxt = [u for u, _ in sub.out_arcs(ys)][0]
-            a = _arc(sub, ys, nxt)
+            a = sub.d.arc_id(ys, nxt)
             return [a] + _fas6_solve(sub.without(p + [x_of[i], ys, nxt]))
     # rule: a path's exit arcs back into its entry
     for i, p in enumerate(paths):
         yv, xv = y_of[i], x_of[i]
-        if any(u == xv for u, _ in sub.out_arcs(yv)):
-            a = _arc(sub, yv, xv)
+        if sub.has_arc(yv, xv):
+            a = sub.d.arc_id(yv, xv)
             return [a] + _fas6_solve(sub.without(p + [xv, yv]))
     return _fas6_terminal(sub, xplus, xminus, paths, x_of, y_of)
 
 
-def _x0_paths(sub: _Sub, xplus: set, xminus: set):
+def _x0_paths(sub: View, xplus: set, xminus: set):
     """Maximal balanced-class paths with their entry and exit attachments."""
     x0 = [v for v in sorted(sub.active) if (sub.outdeg(v), sub.indeg(v)) == (1, 1)]
     x0set = set(x0)
@@ -1071,7 +955,7 @@ def _x0_paths(sub: _Sub, xplus: set, xminus: set):
     return paths, x_of, y_of
 
 
-def _class_arc(sub: _Sub, cls: set):
+def _class_arc(sub: View, cls: set):
     for u in sorted(cls):
         for v, _ in sorted(sub.out_arcs(u)):
             if v in cls:
@@ -1079,7 +963,7 @@ def _class_arc(sub: _Sub, cls: set):
     return None
 
 
-def _fas6_terminal(sub: _Sub, xplus, xminus, paths, x_of, y_of):
+def _fas6_terminal(sub: View, xplus, xminus, paths, x_of, y_of):
     """Irreducible core: contract the matching and take an exact FVS."""
     verts = sorted(set(xplus) | set(xminus))
     idx = {v: i for i, v in enumerate(verts)}

@@ -50,7 +50,8 @@ class GraphError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Raised when an exact operation refuses an input beyond its size budget."""
+    """Raised when an operation refuses an input beyond its size budget or
+    exhausts its search budget without an answer."""
 
 
 class _BaseDigraph:
@@ -233,6 +234,64 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+class View:
+    """Vertex-subset view of a fixed digraph.
+
+    Recursions delete vertices by shrinking the active set, never by copying
+    the graph.  Arc lists keep the digraph's arc order and arc ids, filtered to
+    the active set; the converse view swaps out- and in-arcs in O(1).
+    """
+
+    __slots__ = ("d", "active", "_out", "_in")
+
+    def __init__(self, d: _BaseDigraph, vertices=None):
+        self.d = d
+        self.active = frozenset(range(d.n) if vertices is None else vertices)
+        self._out = d._out
+        self._in = d._in
+
+    def _derive(self, active, out, inn) -> "View":
+        view = object.__new__(View)
+        view.d, view.active, view._out, view._in = self.d, active, out, inn
+        return view
+
+    def out_arcs(self, v: int):
+        """List of (head, arc_id) pairs for arcs leaving v inside the view."""
+        act = self.active
+        return [(u, a) for u, a in self._out[v] if u in act]
+
+    def in_arcs(self, v: int):
+        act = self.active
+        return [(u, a) for u, a in self._in[v] if u in act]
+
+    def out_neighbors(self, v: int):
+        return [u for u, _ in self.out_arcs(v)]
+
+    def in_neighbors(self, v: int):
+        return [u for u, _ in self.in_arcs(v)]
+
+    def outdeg(self, v: int) -> int:
+        return len(self.out_arcs(v))
+
+    def indeg(self, v: int) -> int:
+        return len(self.in_arcs(v))
+
+    def has_arc(self, u: int, v: int) -> bool:
+        act = self.active
+        return u in act and v in act and any(w == v for w, _ in self._out[u])
+
+    def arc_ids(self):
+        """Ids of the arcs with both ends in the view, in increasing order."""
+        act = self.active
+        return sorted(a for v in act for w, a in self._out[v] if w in act)
+
+    def without(self, vs) -> "View":
+        return self._derive(self.active.difference(vs), self._out, self._in)
+
+    def converse(self) -> "View":
+        return self._derive(self.active, self._in, self._out)
+
+
 # ---------------------------------------------------------------------------
 # structural queries
 
@@ -248,30 +307,43 @@ def max_degree(d: _BaseDigraph) -> int:
     return degrees(d)[1]
 
 
-def girth(d: _BaseDigraph):
-    """Length of a shortest directed cycle, or INFINITE when acyclic.
+def shortest_cycle(d):
+    """A shortest directed cycle of a digraph or View, as a vertex list, or None.
 
-    BFS from every vertex; a digon counts as a cycle of length 2.  Parallel
-    arcs never shorten a cycle, so the multi variant reuses the same search.
+    BFS from every vertex in increasing id over arcs in arc order; a strictly
+    shorter cycle replaces the best so far, so the answer starts at the
+    smallest vertex on any shortest cycle and closes with the first arc back
+    to it in BFS order.  A digon counts as a cycle of length 2; parallel arcs
+    never shorten a cycle.
     """
+    view = d if isinstance(d, View) else View(d)
+    act, out = view.active, view._out
     best = None
-    for s in range(d.n):
-        dist = [-1] * d.n
-        dist[s] = 0
-        q = deque([s])
+    for s in sorted(act):
+        parent = {s: None}
+        q = deque([(s, 0)])
         while q:
-            u = q.popleft()
-            du = dist[u]
-            if best is not None and du + 1 >= best:
-                continue
-            for v, _ in d.out_arcs(u):
+            u, du = q.popleft()
+            if best is not None and du + 1 >= len(best):
+                break
+            for v, _ in out[u]:
                 if v == s:
-                    if best is None or du + 1 < best:
-                        best = du + 1
-                elif dist[v] == -1:
-                    dist[v] = du + 1
-                    q.append(v)
-    return best if best is not None else INFINITE
+                    best = [u]
+                    while best[-1] != s:
+                        best.append(parent[best[-1]])
+                    best.reverse()
+                    q.clear()
+                    break
+                if v in act and v not in parent:
+                    parent[v] = u
+                    q.append((v, du + 1))
+    return best
+
+
+def girth(d: _BaseDigraph):
+    """Length of a shortest directed cycle, or INFINITE when acyclic."""
+    cycle = shortest_cycle(d)
+    return INFINITE if cycle is None else len(cycle)
 
 
 def is_acyclic(d: _BaseDigraph):
@@ -291,41 +363,43 @@ def is_acyclic(d: _BaseDigraph):
     return False, None
 
 
-def strong_components(d: _BaseDigraph):
-    """SCC partition in topological order of the condensation (sources first).
+def strong_components(d):
+    """SCC partition of a digraph or View, in topological order of the condensation.
 
-    Iterative Tarjan.  Components are sorted vertex lists; the component list
-    as a whole is emitted so that every arc between components goes forward.
+    Iterative Tarjan with roots in increasing vertex id and arcs in arc order.
+    Components are sorted vertex lists; the component list as a whole is
+    emitted sources first, so every arc between components goes forward.
     """
-    n = d.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    view = d if isinstance(d, View) else View(d)
+    act, out_arcs = view.active, view._out
+    index = {}
+    low = {}
+    on_stack = set()
     stack = []
     comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
+    for root in sorted(act):
+        if root in index:
             continue
         work = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
+                index[v] = low[v] = len(index)
                 stack.append(v)
-                on_stack[v] = True
+                on_stack.add(v)
             advanced = False
-            out = d.out_arcs(v)
+            out = out_arcs[v]
             while pi < len(out):
                 w = out[pi][0]
                 pi += 1
-                if index[w] == -1:
+                if w not in act:
+                    continue
+                if w not in index:
                     work[-1] = (v, pi)
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
+                if w in on_stack:
                     low[v] = min(low[v], index[w])
             if advanced:
                 continue
@@ -334,7 +408,7 @@ def strong_components(d: _BaseDigraph):
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
+                    on_stack.discard(w)
                     comp.append(w)
                     if w == v:
                         break

@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import random
 
-from .digraph import INFINITE, Digraph, Graph, GraphError, girth
+from .digraph import INFINITE, BudgetError, Digraph, Graph, GraphError, girth
 
 
 class GenerationError(RuntimeError):
     """Raised when a random instance cannot be produced within the attempt budget."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Search budget exhausted without an answer."""
 
 
 def directed_cycle(n: int) -> Digraph:
@@ -398,4 +394,4 @@ def prime_in_progression(p: int, k: int, budget: int = 10**6) -> int:
         if x > 1 and _is_prime(x):
             return x
         x += step
-    raise BudgetExceeded(f"no prime found within {budget} steps")
+    raise BudgetError(f"no prime found within {budget} steps")

@@ -17,6 +17,7 @@ measurements.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import deque
@@ -306,8 +307,8 @@ def random_orientation_experiment(
     """Sample orientations of g and evaluate the halving statistic.
 
     ``g`` must have order divisible by 8 so all three halving levels come out
-    even.  Per-trial RNG streams derive from the master seed, so runs are
-    reproducible and parallelizable in principle.
+    even.  Per-trial RNG streams derive from the master seed and the trial
+    index alone, so runs reproduce across processes and hash seeds.
     """
     if g.n % 8 != 0:
         raise GraphError("order must be divisible by 8 for three-level halving")
@@ -324,7 +325,9 @@ def random_orientation_experiment(
     from .ordering import bas
 
     for trial in range(trials):
-        rng = random.Random((seed, trial, "orient").__hash__())
+        # an integer seed: str hashing is salted per process
+        digest = hashlib.sha256(f"orient:{seed}:{trial}".encode()).digest()
+        rng = random.Random(int.from_bytes(digest[:8], "big"))
         arcs = []
         for u, v in g.edges:
             arcs.append((u, v) if rng.random() < 0.5 else (v, u))

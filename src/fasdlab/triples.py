@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, GraphError, connected_components
+from .digraph import Digraph, GraphError, View, connected_components
 
 
 @dataclass(frozen=True)
@@ -102,43 +102,17 @@ def insert_no_backward(order, x: int, d: Digraph):
 
 
 # ---------------------------------------------------------------------------
-# internal adjacency view: the recursion deletes vertices by shrinking an
-# active set, never copying the graph
+# the recursion deletes vertices by shrinking a View's active set, never
+# copying the graph
 
 
-class _Adj:
-    __slots__ = ("out", "inn")
-
-    def __init__(self, d: Digraph):
-        self.out = [set(d.out_neighbors(v)) for v in range(d.n)]
-        self.inn = [set(d.in_neighbors(v)) for v in range(d.n)]
-
-    def out_nb(self, v, active):
-        return [u for u in self.out[v] if u in active]
-
-    def in_nb(self, v, active):
-        return [u for u in self.inn[v] if u in active]
-
-    def outdeg(self, v, active):
-        return sum(1 for u in self.out[v] if u in active)
-
-    def indeg(self, v, active):
-        return sum(1 for u in self.inn[v] if u in active)
-
-    def flipped(self):
-        conv = _Adj.__new__(_Adj)
-        conv.out = self.inn
-        conv.inn = self.out
-        return conv
+def _unbalanced(sub: View, v) -> bool:
+    return min(sub.outdeg(v), sub.indeg(v)) <= 1
 
 
-def _unbalanced(adj: _Adj, active, v) -> bool:
-    return min(adj.outdeg(v, active), adj.indeg(v, active)) <= 1
-
-
-def _lowest_unbalanced(adj: _Adj, active):
-    for v in sorted(active):
-        if _unbalanced(adj, active, v):
+def _lowest_unbalanced(sub: View):
+    for v in sorted(sub.active):
+        if _unbalanced(sub, v):
             return v
     return None
 
@@ -157,30 +131,30 @@ def _rev(order):
     return list(reversed(order))
 
 
-def _vtriple(adj: _Adj, active: frozenset, v: int):
+def _vtriple(sub: View, v: int):
     """Good v-triple (v first in #1, last in #2) for graphs with no 2-regular component."""
-    if len(active) == 1:
+    if len(sub.active) == 1:
         return [v], [v], [v]
-    if adj.indeg(v, active) <= 1:
-        return _vtriple_direct(adj, active, v)
+    if sub.indeg(v) <= 1:
+        return _vtriple_direct(sub, v)
     # take the converse, solve, and reverse each ordering back
-    a, b, c = _vtriple_direct(adj.flipped(), active, v)
+    a, b, c = _vtriple_direct(sub.converse(), v)
     return _rev(b), _rev(a), _rev(c)
 
 
-def _vtriple_direct(adj: _Adj, active, v):
-    rest = active - {v}
-    ins = adj.in_nb(v, rest)
+def _vtriple_direct(sub: View, v):
+    rest = sub.without([v])
+    ins = rest.in_neighbors(v)
     if not ins:
-        u2 = _lowest_unbalanced(adj, rest)
+        u2 = _lowest_unbalanced(rest)
         if u2 is None:  # pragma: no cover - would witness a precondition break
             raise GraphError("no unbalanced vertex available in recursion")
-        s1, s2, s3 = _vtriple(adj, rest, u2)
+        s1, s2, s3 = _vtriple(rest, u2)
         return [v] + s1, s2 + [v], [v] + s3
     (u,) = ins
-    if not _unbalanced(adj, rest, u):  # pragma: no cover - degree <= 3 after deletion
+    if not _unbalanced(rest, u):  # pragma: no cover - degree <= 3 after deletion
         raise GraphError("in-neighbor not unbalanced after deletion")
-    u_first, u_last, s = _vtriple(adj, rest, u)
+    u_first, u_last, s = _vtriple(rest, u)
     s_uv = _insert_after(u_first, v, u)
     return [v] + u_last, s + [v], s_uv
 
@@ -192,33 +166,31 @@ def good_vtriple_nonregular(d: Digraph, v: int) -> OrderingTriple:
     ordering and last in the second.
     """
     _validate_input(d)
-    adj = _Adj(d)
-    active = frozenset(range(d.n))
     for comp in connected_components(d):
-        if all(adj.outdeg(u, active) == adj.indeg(u, active) == 2 for u in comp):
+        if all(d.out_degree(u) == d.in_degree(u) == 2 for u in comp):
             raise GraphError("a 2-regular component is out of scope for this routine")
-    if not _unbalanced(adj, active, v):
+    sub = View(d)
+    if not _unbalanced(sub, v):
         raise GraphError(f"vertex {v} is not unbalanced")
-    t = _vtriple(adj, active, v)
+    t = _vtriple(sub, v)
     return OrderingTriple(tuple(tuple(o) for o in t))
 
 
-def _find_transitive_triangle(adj: _Adj, active):
-    for a1 in sorted(active):
-        for a2 in sorted(adj.out_nb(a1, active)):
-            for x in sorted(adj.out_nb(a1, active)):
-                if x != a2 and x in adj.out[a2]:
+def _find_transitive_triangle(sub: View):
+    for a1 in sorted(sub.active):
+        for a2 in sorted(sub.out_neighbors(a1)):
+            for x in sorted(sub.out_neighbors(a1)):
+                if x != a2 and sub.d.has_arc(a2, x):
                     return a1, a2, x
     return None
 
 
-def _triple_transitive(adj: _Adj, active):
-    found = _find_transitive_triangle(adj, active)
+def _triple_transitive(sub: View):
+    found = _find_transitive_triangle(sub)
     if found is None:
         raise GraphError("no transitive triangle present")
     a1, a2, x = found
-    rest = active - {a1, x}
-    s_first, s_last, s = _vtriple(adj, rest, a2)
+    s_first, s_last, s = _vtriple(sub.without([a1, x]), a2)
     s_a1a2 = _insert_before(s_last, a1, a2)
     pi = [a1] + s_first
     pi = pi[:2] + [x] + pi[2:]  # x right after a1 and a2
@@ -228,30 +200,28 @@ def _triple_transitive(adj: _Adj, active):
 def good_triple_transitive(d: Digraph) -> OrderingTriple:
     """Good triple of a connected 2-regular orgraph containing a transitive triangle."""
     _validate_input(d)
-    adj = _Adj(d)
-    active = frozenset(range(d.n))
-    if any(adj.outdeg(v, active) != 2 or adj.indeg(v, active) != 2 for v in active):
+    if any(d.out_degree(v) != 2 or d.in_degree(v) != 2 for v in range(d.n)):
         raise GraphError("input must be 2-regular")
-    t = _triple_transitive(adj, active)
+    t = _triple_transitive(View(d))
     return OrderingTriple(tuple(tuple(o) for o in t))
 
 
-def _extend_antidirected(adj: _Adj, active, path, triple, pi_idx: int, variant: int):
+def _extend_antidirected(sub: View, path, triple, pi_idx: int, variant: int):
     """Extension engine: grow an x1-triple from an x_l-triple along an anti-directed path.
 
-    ``triple`` is a good x_l-triple of active - path[:-1]; ``pi_idx`` picks
-    pi* as its first (0) or second (1) ordering; ``variant`` 1 demands
+    ``triple`` is a good x_l-triple of the view minus path[:-1]; ``pi_idx``
+    picks pi* as its first (0) or second (1) ordering; ``variant`` 1 demands
     pi* <= first ordering of the result, variant 2 demands pi* <= second.
     """
     x1, x2 = path[0], path[1]
-    outs = adj.out_nb(x1, active)
-    ins = adj.in_nb(x1, active)
+    outs = sub.out_neighbors(x1)
+    ins = sub.in_neighbors(x1)
     if outs == [x2] and len(outs) == 1:
         pass
     elif ins == [x2] and len(ins) == 1:
         flipped_triple = (_rev(triple[1]), _rev(triple[0]), _rev(triple[2]))
         res = _extend_antidirected(
-            adj.flipped(), active, path, flipped_triple, 1 - pi_idx, 3 - variant
+            sub.converse(), path, flipped_triple, 1 - pi_idx, 3 - variant
         )
         return _rev(res[1]), _rev(res[0]), _rev(res[2])
     else:
@@ -266,8 +236,7 @@ def _extend_antidirected(adj: _Adj, active, path, triple, pi_idx: int, variant: 
         first, second = (t_prime, t_dprime) if pi_idx == 0 else (t_dprime, t_prime)
         return first if variant == 1 else second
 
-    sub = _extend_antidirected(adj, active - {x1}, path[1:], triple, pi_idx, 1)
-    s_first, s_last, s = sub
+    s_first, s_last, s = _extend_antidirected(sub.without([x1]), path[1:], triple, pi_idx, 1)
     s_x1x2 = _insert_before(s_last, x1, x2)
     if variant == 1:
         return [x1] + s_first, s + [x1], s_x1x2
@@ -293,26 +262,25 @@ def extend_along_antidirected(
         raise ValueError("pi_star must be 'first' or 'last'")
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    adj = _Adj(d)
-    active = frozenset(range(d.n))
     tri = triple.orderings if isinstance(triple, OrderingTriple) else triple
     tri = tuple(list(o) for o in tri)
     res = _extend_antidirected(
-        adj, active, list(path), tri, 0 if pi_star == "first" else 1, variant
+        View(d), list(path), tri, 0 if pi_star == "first" else 1, variant
     )
     return OrderingTriple(tuple(tuple(o) for o in res))
 
 
-def _two_regular_triple(adj: _Adj, active):
+def _two_regular_triple(sub: View):
     """The 2-regular transitive-triangle-free case: x-removal plus path growth."""
-    x = min(active)
-    a_nb = sorted(adj.in_nb(x, active))
-    b_nb = sorted(adj.out_nb(x, active))
+    d = sub.d
+    x = min(sub.active)
+    a_nb = sorted(sub.in_neighbors(x))
+    b_nb = sorted(sub.out_neighbors(x))
     a1, a2 = a_nb
     b1, b2 = b_nb
-    d_act = active - {x}
+    d_act = sub.without([x])
 
-    outs = adj.out_nb(a2, d_act)
+    outs = d_act.out_neighbors(a2)
     if len(outs) != 1:  # pragma: no cover - forced by 2-regularity
         raise GraphError("expected a unique out-neighbor after deleting x")
     x1 = outs[0]
@@ -329,11 +297,10 @@ def _two_regular_triple(adj: _Adj, active):
         if tail in (b1, b2):
             case = "b"
             break
-        into_tail = path[-1] in adj.out[path[-2]]
-        if into_tail:
-            cands = [u for u in adj.in_nb(tail, d_act) if u not in path]
+        if d.has_arc(path[-2], tail):
+            cands = [u for u in d_act.in_neighbors(tail) if u not in path]
         else:
-            cands = [u for u in adj.out_nb(tail, d_act) if u not in path]
+            cands = [u for u in d_act.out_neighbors(tail) if u not in path]
         if not cands:
             case = "stuck"
             break
@@ -341,22 +308,20 @@ def _two_regular_triple(adj: _Adj, active):
 
     pset = set(path)
     if case == "stuck":
-        rest = frozenset(d_act - pset)
-        pa1_first, pa1_last, p = _vtriple(adj, rest, a1)
+        pa1_first, pa1_last, p = _vtriple(d_act.without(pset), a1)
         xl = path[-1]
-        if xl in adj.out[path[-2]]:
+        if d.has_arc(path[-2], xl):
             t = ([xl] + pa1_first, pa1_last + [xl], [xl] + p)
         else:
             t = ([xl] + pa1_first, pa1_last + [xl], p + [xl])
-        a2_triple = _extend_antidirected(adj, d_act, path, t, 0, 1)
+        a2_triple = _extend_antidirected(d_act, path, t, 0, 1)
     elif case == "a1":
-        rest = frozenset(d_act - (pset - {a1}))
-        t = _vtriple(adj, rest, a1)
-        a2_triple = _extend_antidirected(adj, d_act, path, t, 0, 1)
+        t = _vtriple(d_act.without(pset - {a1}), a1)
+        a2_triple = _extend_antidirected(d_act, path, t, 0, 1)
     else:
         if path[-1] == b1:
             b1, b2 = b2, b1
-        a2_triple = _case_b2(adj, d_act, path, a1, b1, b2)
+        a2_triple = _case_b2(d_act, path, a1, b1, b2)
 
     pa2_first, pa2_last, p = a2_triple
     pos = {v: i for i, v in enumerate(pa2_first)}
@@ -367,24 +332,22 @@ def _two_regular_triple(adj: _Adj, active):
     return [x] + p, pa2_last + [x], sigma
 
 
-def _case_b2(adj: _Adj, d_act, path, a1, b1, b2):
+def _case_b2(d_act: View, path, a1, b1, b2):
     """Path hit b2: the three subcases on the arcs at b2."""
+    d = d_act.d
     pset = set(path)
-    into_b2 = b2 in adj.out[path[-2]]
-    if into_b2:
-        rest = frozenset(d_act - pset)
-        pa1_first, pa1_last, p = _vtriple(adj, rest, a1)
+    if d.has_arc(path[-2], b2):
+        pa1_first, pa1_last, p = _vtriple(d_act.without(pset), a1)
         t = ([b2] + pa1_last, pa1_first + [b2], [b2] + p)
-        return _extend_antidirected(adj, d_act, path, t, 1, 1)
+        return _extend_antidirected(d_act, path, t, 1, 1)
 
-    d_prime = d_act - (pset - {b2})
-    s_out = [u for u in adj.out_nb(b2, d_prime) if u != a1 and u != b2]
+    d_prime = d_act.without(pset - {b2})
+    s_out = [u for u in d_prime.out_neighbors(b2) if u != a1 and u != b2]
     if not s_out:
-        rest = frozenset(d_act - pset)
-        pa1_first, pa1_last, p = _vtriple(adj, rest, a1)
+        pa1_first, pa1_last, p = _vtriple(d_act.without(pset), a1)
         pi_b2a1 = _insert_before(pa1_last, b2, a1)
         t = ([b2] + p, pa1_first + [b2], pi_b2a1)
-        return _extend_antidirected(adj, d_act, path, t, 1, 1)
+        return _extend_antidirected(d_act, path, t, 1, 1)
 
     s1 = min(s_out)
     if s1 == b1:  # pragma: no cover - excluded by triangle-freeness
@@ -395,37 +358,33 @@ def _case_b2(adj: _Adj, d_act, path, a1, b1, b2):
         if tail in (a1, b1):
             qcase = "hit"
             break
-        into_tail = tail in adj.out[q[-2]]
-        if into_tail:
-            cands = [u for u in adj.in_nb(tail, d_prime) if u not in q]
+        if d.has_arc(q[-2], tail):
+            cands = [u for u in d_prime.in_neighbors(tail) if u not in q]
         else:
-            cands = [u for u in adj.out_nb(tail, d_prime) if u not in q]
+            cands = [u for u in d_prime.out_neighbors(tail) if u not in q]
         if not cands:
             qcase = "stuck"
             break
         q.append(min(cands))
 
     qset = set(q)
-    d_dprime = d_prime - (qset - {q[-1]})
+    sk = q[-1]
     if qcase == "stuck":
-        sk = q[-1]
-        rest2 = frozenset(d_prime - qset)
-        pa1_first, pa1_last, p = _vtriple(adj, rest2, a1)
+        pa1_first, pa1_last, p = _vtriple(d_prime.without(qset), a1)
         if len(q) >= 3:
-            if sk in adj.out[q[-2]]:
+            if d.has_arc(q[-2], sk):
                 t = ([sk] + pa1_first, pa1_last + [sk], [sk] + p)
             else:
                 t = ([sk] + pa1_first, pa1_last + [sk], p + [sk])
-            t_b2 = _extend_antidirected(adj, d_prime, q, t, 0, 2)
+            t_b2 = _extend_antidirected(d_prime, q, t, 0, 2)
         else:
             t_b2 = ([b2, s1] + p, [s1] + pa1_first + [b2], pa1_last + [b2, s1])
     else:
-        sk = q[-1]
         if len(q) < 3:  # pragma: no cover - s1 differs from a1 and b1
             raise GraphError("hit path too short")
-        t = _vtriple(adj, frozenset(d_dprime), sk)
-        t_b2 = _extend_antidirected(adj, d_prime, q, t, 0 if sk == a1 else 1, 2)
-    return _extend_antidirected(adj, d_act, path, t_b2, 1, 1)
+        t = _vtriple(d_prime.without(qset - {sk}), sk)
+        t_b2 = _extend_antidirected(d_prime, q, t, 0 if sk == a1 else 1, 2)
+    return _extend_antidirected(d_act, path, t_b2, 1, 1)
 
 
 def _validate_input(d: Digraph) -> None:
@@ -446,19 +405,15 @@ def decompose3(h: Digraph, verify: bool = True) -> OrderingTriple:
     hard diagnostic, never silently patched.
     """
     _validate_input(h)
-    adj = _Adj(h)
     parts = [[], [], []]
     for comp in connected_components(h):
-        active = frozenset(comp)
-        if any(
-            adj.outdeg(v, active) != 2 or adj.indeg(v, active) != 2 for v in comp
-        ):
-            v = _lowest_unbalanced(adj, active)
-            t = _vtriple(adj, active, v)
-        elif _find_transitive_triangle(adj, active) is not None:
-            t = _triple_transitive(adj, active)
+        sub = View(h, comp)
+        if any(sub.outdeg(v) != 2 or sub.indeg(v) != 2 for v in comp):
+            t = _vtriple(sub, _lowest_unbalanced(sub))
+        elif _find_transitive_triangle(sub) is not None:
+            t = _triple_transitive(sub)
         else:
-            t = _two_regular_triple(adj, active)
+            t = _two_regular_triple(sub)
         for i in range(3):
             parts[i].extend(t[i])
     triple = OrderingTriple(tuple(tuple(o) for o in parts))

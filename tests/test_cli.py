@@ -52,6 +52,20 @@ class TestSolvers:
         code, _, err = run(["fas", str(f)], capsys)
         assert code == 3 and "refused" in err
 
+    def test_fvs_budget_exit_3(self, tmp_path, capsys):
+        f = tmp_path / "big.txt"
+        run(["gen", "cycle", "-n", "30", "-o", str(f)], capsys)
+        code, _, err = run(["fvs", str(f)], capsys)
+        assert code == 3 and "refused" in err
+
+    def test_fvs_failure_is_not_a_budget_exit(self, d8_file, monkeypatch):
+        def broken(d):
+            raise AssertionError("internal failure")
+
+        monkeypatch.setattr("fasdlab.cli.fvs_exact", broken)
+        with pytest.raises(AssertionError, match="internal failure"):
+            main(["fvs", d8_file])
+
     def test_fasd_with_certificate(self, d8_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         code, out, _ = run(["fasd", d8_file, "--certificate", str(cert)], capsys)

@@ -39,6 +39,17 @@ class TestVerifyGoodColoring:
         color, cycle = info
         assert color == 5 and len(cycle) == 5
 
+    def test_failure_witness_is_a_shortest_avoiding_cycle(self):
+        # a 5-cycle listed before a 3-cycle through the same arc 0 -> 1; the
+        # only color-2 arc (2, 3) lies on neither
+        arcs = [(0, 1), (1, 3), (3, 4), (4, 5), (5, 0), (1, 2), (2, 0), (2, 3)]
+        d = Digraph(6, arcs)
+        coloring = {a: 1 for a in range(d.m)}
+        coloring[7] = 2
+        ok, (color, cycle) = verify_good_coloring(d, coloring, 2)
+        assert not ok and color == 2
+        assert cycle == (0, 1, 2)
+
     def test_partial_coloring_rejected(self):
         with pytest.raises(ValueError):
             verify_good_coloring(directed_cycle(3), {0: 1}, 3)

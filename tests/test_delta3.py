@@ -8,7 +8,14 @@ from fasdlab.delta3 import (
     fvs_exact,
     good_g_coloring,
 )
-from fasdlab.digraph import Digraph, GraphError, girth, is_acyclic, strong_components
+from fasdlab.digraph import (
+    BudgetError,
+    Digraph,
+    GraphError,
+    girth,
+    is_acyclic,
+    strong_components,
+)
 from fasdlab.generators import (
     directed_cycle,
     gadget_co,
@@ -152,7 +159,7 @@ class TestFvsExact:
             assert is_acyclic(Digraph(d.n, keep))[0]
 
     def test_budget_refusal(self):
-        with pytest.raises(Exception):
+        with pytest.raises(BudgetError):
             fvs_exact(directed_cycle(30))
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fasdlab.digraph import (
@@ -6,13 +8,16 @@ from fasdlab.digraph import (
     Graph,
     GraphError,
     MultiDigraph,
+    View,
     connected_components,
     degrees,
     enumerate_cycles,
     eulerian_orient,
     girth,
     is_acyclic,
+    induced_subgraph,
     reduce_digons,
+    shortest_cycle,
     strong_components,
 )
 from fasdlab.generators import (
@@ -159,6 +164,82 @@ class TestStrongComponents:
             # every cross-component arc must point forward in emitted order
             for u, v in d.arcs:
                 assert idx[u] <= idx[v]
+
+
+class TestView:
+    ARCS = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (0, 3)]
+
+    def test_arcs_filtered_in_arc_order(self):
+        d = Digraph(5, self.ARCS)
+        v = View(d, [0, 1, 2, 3])
+        assert v.out_arcs(1) == [(2, 1), (3, 3)]
+        assert v.out_arcs(3) == []
+        assert v.in_arcs(3) == [(1, 3), (0, 5)]
+        assert (v.outdeg(0), v.indeg(0)) == (2, 1)
+        assert v.arc_ids() == [0, 1, 2, 3, 5]
+        assert View(d).arc_ids() == list(range(d.m))
+
+    def test_has_arc_restricted_to_view(self):
+        d = Digraph(5, self.ARCS)
+        v = View(d).without([4])
+        assert v.has_arc(1, 3) and not v.has_arc(3, 4) and d.has_arc(3, 4)
+        assert not v.has_arc(3, 1)
+
+    def test_without_leaves_the_original(self):
+        v = View(Digraph(5, self.ARCS))
+        w = v.without([0, 2])
+        assert w.active == {1, 3, 4} and v.active == set(range(5))
+        assert w.in_neighbors(1) == [] and v.in_neighbors(1) == [0]
+
+    def test_converse_swaps_directions(self):
+        d = Digraph(5, self.ARCS)
+        v = View(d, [0, 1, 3])
+        c = v.converse()
+        for x in range(5):
+            assert c.out_arcs(x) == v.in_arcs(x) and c.in_arcs(x) == v.out_arcs(x)
+        assert c.has_arc(3, 0) and not c.has_arc(0, 3)
+        assert c.without([1]).out_arcs(3) == [(0, 5)]
+        assert c.converse().out_arcs(0) == v.out_arcs(0)
+
+    def test_scc_on_view_matches_induced_subgraph(self):
+        rng = random.Random(7)
+        for seed in range(40):
+            d = random_orgraph(18, 5, 3, seed=seed, arc_target=30, backbone=seed % 2 == 0)
+            keep = sorted(rng.sample(range(d.n), rng.randrange(1, d.n + 1)))
+            want = [[keep[i] for i in c] for c in strong_components(induced_subgraph(d, keep))]
+            assert strong_components(View(d, keep)) == want
+
+
+class TestShortestCycle:
+    def test_acyclic_gives_none(self):
+        assert shortest_cycle(Digraph(3, [(0, 1), (1, 2)])) is None
+        assert shortest_cycle(Digraph(0, [])) is None
+
+    def test_is_a_cycle_of_girth_length(self):
+        for seed in range(40):
+            d = random_orgraph(9, 4, 3, seed=seed, arc_target=14, backbone=seed % 3 != 0)
+            cyc = shortest_cycle(d)
+            lengths = [len(c) for c in brute_cycles(d, d.n)]
+            if not lengths:
+                assert cyc is None and girth(d) is INFINITE
+                continue
+            assert len(cyc) == min(lengths) == girth(d)
+            assert len(set(cyc)) == len(cyc)
+            assert all(d.has_arc(u, w) for u, w in zip(cyc, cyc[1:] + cyc[:1]))
+
+    def test_ties_go_to_the_smallest_root(self):
+        # two triangles, the later one through vertex 0
+        d = Digraph(6, [(3, 4), (4, 5), (5, 3), (1, 2), (2, 0), (0, 1)])
+        assert shortest_cycle(d) == [0, 1, 2]
+
+    def test_digon_and_parallel_arcs(self):
+        assert shortest_cycle(Digraph(2, [(0, 1), (1, 0)])) == [0, 1]
+        assert shortest_cycle(MultiDigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])) == [0, 1, 2]
+
+    def test_view_hides_removed_vertices(self):
+        d = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4)])
+        assert shortest_cycle(View(d).without([0])) == [1, 2, 3]
+        assert shortest_cycle(View(d).without([0, 2])) is None
 
 
 class TestEnumerateCycles:

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +187,22 @@ class TestOrientationExperiment:
             if total:
                 # alpha = sqrt(e) gives tail bound exp(-2) ~ 0.135
                 assert violations / total <= math.exp(-2) + 0.12
+
+    def test_same_result_under_any_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "from fasdlab.generators import circulant_graph\n"
+            "from fasdlab.spectral import random_orientation_experiment\n"
+            "print(random_orientation_experiment(circulant_graph(16, [1, 2, 3]), 20, 2, seed=0))"
+        )
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and "hoeffding" in outs[0]
 
     def test_statistic_reversal_symmetry(self):
         g = circulant_graph(8, [1, 2])
