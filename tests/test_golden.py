@@ -15,6 +15,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
+from fasdlab.checks import inequality_instances, oracle_corpus_fas, oracle_corpus_fasd, triples_corpus
 from fasdlab.coloring import fasd_exact
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import MultiDigraph, eulerian_orient, girth, strong_components
@@ -59,6 +60,12 @@ def digest(values) -> str:
     return hashlib.sha256(repr(canon(values)).encode()).hexdigest()
 
 
+def instance_digest(digraphs) -> str:
+    """Hash of (n, arcs, repr of each weight) per instance; ``canon`` drops weights."""
+    rows = [(d.n, tuple(d.arcs), None if d.weights is None else tuple(map(repr, d.weights))) for d in digraphs]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 def deg4_corpus():
     out = [random_orgraph(n, 4, 3, seed=s, arc_target=2 * n) for s, n in enumerate(SMALL)]
     out += [random_two_regular_orgraph(n, seed=s) for s, n in enumerate(SMALL)]
@@ -100,6 +107,24 @@ def fasd_corpus():
 def structure_corpus():
     out = deg4_corpus() + fvs_corpus() + fasd_corpus()
     out += [random_orgraph(n, 5, 3, seed=s, arc_target=2 * n, backbone=False) for s, n in enumerate(SMALL)]
+    return out
+
+
+def check_corpora():
+    """Every random instance checks.py builds at its default seed and count, in check order."""
+    out = triples_corpus(500, 0)
+    for i in range(200):  # check_weighted
+        n = (6 + i % 9) if i % 5 == 0 else (17 + i % 32)
+        out.append(random_orgraph(n, 4, 3, seed=i, weighted=True, arc_target=2 * n))
+    for g in (3, 4, 5):  # check_colorings
+        for i in range(300):
+            n = 6 + (i % 40)
+            out.append(random_orgraph(n, 3, g, seed=i * 3 + g, arc_target=(3 * n) // 2))
+    for i in range(200):  # check_sixth
+        n = (8 + i % 7) if i % 3 == 0 else (22 + i % 23)
+        out.append(random_orgraph(n, 3, 6, seed=i, arc_target=(4 * n) // 3))
+    out += [d for name, d in inequality_instances(0) if name.startswith("rand-")]
+    out += oracle_corpus_fas(0, 200) + oracle_corpus_fasd(0, 100)
     return out
 
 
@@ -152,11 +177,22 @@ GOLDEN = {
 }
 
 
+# the random corpora of verify-paper, weights included
+CORPORA_GOLDEN = "428d08076ad3170bdbacd35cf138ff3ebdfae908f2ca457edbbd8ae7bd510b1f"
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_golden(family):
     assert digest(FAMILIES[family]()) == GOLDEN[family]
 
 
+def test_check_corpora():
+    corpora = check_corpora()
+    assert len(corpora) == 2120
+    assert instance_digest(corpora) == CORPORA_GOLDEN
+
+
 if __name__ == "__main__":
     for name in sorted(FAMILIES):
         print(f'    "{name}": "{digest(FAMILIES[name]())}",')
+    print(f'    check corpora: "{instance_digest(check_corpora())}"')
