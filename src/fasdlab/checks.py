@@ -22,6 +22,7 @@ from .coloring import (
 from .delta3 import fas_sixth, good_g_coloring
 from .digraph import INFINITE, Digraph, eulerian_orient, girth, is_acyclic
 from .generators import (
+    GenerationError,
     circulant_digraph,
     directed_cycle,
     gadget_co,
@@ -144,7 +145,7 @@ def triples_corpus(count: int, seed: int):
             n = 9 + (i % 20)
             try:
                 out.append(random_two_regular_orgraph(n, seed=s))
-            except Exception:
+            except GenerationError:
                 pass
         elif kind == 2:
             n = 9 + 2 * (i % 9)
@@ -251,7 +252,8 @@ def check_sixth(seed: int = 0, count: int = 200) -> CheckResult:
         n = (8 + i % 7) if small else (22 + i % 23)
         d = random_orgraph(n, 3, 6, seed=seed * 13 + i, arc_target=(4 * n) // 3)
         fas = fas_sixth(d, check=False)
-        keep = [uv for a, uv in enumerate(d.arcs) if a not in set(fas)]
+        removed = set(fas)
+        keep = [uv for a, uv in enumerate(d.arcs) if a not in removed]
         if not is_acyclic(Digraph(d.n, keep))[0] or 6 * len(fas) > d.m:
             failures += 1
         if d.n <= 20:

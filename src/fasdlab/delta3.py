@@ -825,7 +825,8 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
         raise GraphError(f"girth {gg} below 6")
     fas = sorted(_fas6_solve(View(d)))
     if check:
-        keep = [uv for a, uv in enumerate(d.arcs) if a not in set(fas)]
+        removed = set(fas)
+        keep = [uv for a, uv in enumerate(d.arcs) if a not in removed]
         ok, _ = is_acyclic(Digraph(d.n, keep))
         if not ok:
             raise AssertionError("constructed arc set is not a feedback arc set")

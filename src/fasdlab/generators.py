@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import random
 
-from .digraph import INFINITE, BudgetError, Digraph, Graph, GraphError, girth
+from .digraph import (
+    INFINITE,
+    BudgetError,
+    Digraph,
+    Graph,
+    GraphError,
+    connected_components,
+    girth,
+)
 
 
 class GenerationError(RuntimeError):
@@ -233,9 +241,10 @@ def random_orgraph(
 
     Starts (optionally) from a directed cycle backbone of length >= min_girth
     so the instance actually contains cycles, then adds random arcs, rejecting
-    any that would exceed ``max_deg``, create a digon, or close a cycle
-    shorter than ``min_girth``.  Deterministic for a fixed seed.  Weights, when
-    requested, are drawn as exact multiples of 1/100.
+    any that would exceed ``max_deg``, create a digon, or close a cycle of
+    length <= ``min_girth``.  Deterministic for a fixed seed.  Weights, when
+    requested, are floats ``k / 100`` for k in 1..1000, so their repr has at
+    most two decimals.
     """
     if min_girth < 3:
         raise GraphError("orgraphs need min_girth >= 3")
@@ -244,14 +253,36 @@ def random_orgraph(
     rng = random.Random(seed)
     arcs = []
     arcset = set()
-    outd = [0] * n
-    ind = [0] * n
+    deg = [0] * n
+    out = [[] for _ in range(n)]
+    limit = min_girth - 1
 
     def add(u, v):
         arcs.append((u, v))
         arcset.add((u, v))
-        outd[u] += 1
-        ind[v] += 1
+        deg[u] += 1
+        deg[v] += 1
+        out[u].append(v)
+
+    def near(src):
+        """Vertices reachable from src by a path of at most ``limit`` arcs."""
+        seen = {src}
+        frontier = [src]
+        for _ in range(limit):
+            nxt = [y for x in frontier for y in out[x] if y not in seen]
+            seen.update(nxt)
+            frontier = nxt
+        return seen
+
+    def saturated():
+        """Whether no ordered pair can take an arc any more, so every draw is rejected."""
+        free = [v for v in range(n) if deg[v] < max_deg]
+        for v in free:
+            blocked = near(v)
+            for u in free:
+                if u not in blocked and (u, v) not in arcset:
+                    return False
+        return True
 
     if backbone and n >= min_girth:
         cyc = list(range(n))
@@ -262,19 +293,38 @@ def random_orgraph(
 
     if arc_target is None:
         arc_target = max(len(arcs), min(n * max_deg // 2, int(1.5 * n)))
-    attempts = 0
-    max_attempts = 200 * max(arc_target, 1) + 500
-    while len(arcs) < arc_target and attempts < max_attempts:
-        attempts += 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v or (u, v) in arcset or (v, u) in arcset:
-            continue
-        if outd[u] + ind[u] >= max_deg or outd[v] + ind[v] >= max_deg:
-            continue
-        if _dist(arcset, n, v, u, min_girth - 1) is not None:
+    # randrange(n) draws exactly this way (rejection over bit_length(n) bits)
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    attempts = range(200 * max(arc_target, 1) + 500) if len(arcs) < arc_target else ()
+    if attempts and n == 0:  # getrandbits(0) is always 0: the draw would never end
+        raise ValueError("empty range for randrange()")
+    # unweighted instances draw nothing after the loop, so once no pair can
+    # take an arc the remaining draws cannot change the result; the test runs
+    # at the n-th rejection in a row, at most once per added arc
+    check_at = n - 1
+    for attempt in attempts:
+        u = getrandbits(k)
+        while u >= n:
+            u = getrandbits(k)
+        v = getrandbits(k)
+        while v >= n:
+            v = getrandbits(k)
+        if (
+            deg[u] >= max_deg
+            or deg[v] >= max_deg
+            or u == v
+            or (u, v) in arcset
+            or (v, u) in arcset
+            or u in near(v)
+        ):
+            if attempt == check_at and not weighted and saturated():
+                break
             continue
         add(u, v)
+        if len(arcs) >= arc_target:
+            break
+        check_at = attempt + n
     if backbone and n >= min_girth and not arcs:
         raise GenerationError(f"could not build any arcs for n={n}, max_deg={max_deg}")
     weights = None
@@ -285,31 +335,6 @@ def random_orgraph(
     if g is not INFINITE and g < min_girth:  # pragma: no cover - defensive
         raise GenerationError("girth postcondition violated")
     return d
-
-
-def _dist(arcset, n, src, dst, limit):
-    """BFS distance src -> dst over an arc set, None when > limit."""
-    if src == dst:
-        return 0
-    out = {}
-    for u, v in arcset:
-        out.setdefault(u, []).append(v)
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u]
-            if du >= limit:
-                continue
-            for v in out.get(u, ()):
-                if v not in dist:
-                    dist[v] = du + 1
-                    if v == dst:
-                        return du + 1
-                    nxt.append(v)
-        frontier = nxt
-    return None
 
 
 def random_two_regular_orgraph(n: int, seed: int = 0, attempts: int = 400) -> Digraph:
@@ -336,8 +361,6 @@ def random_two_regular_orgraph(n: int, seed: int = 0, attempts: int = 400) -> Di
         if not ok:
             continue
         d = Digraph(n, arcs)
-        from .digraph import connected_components
-
         if len(connected_components(d)) == 1:
             return d
     raise GenerationError(f"no simple connected 2-regular instance found for n={n}")

@@ -1,7 +1,12 @@
+import itertools
+import random
+
 import pytest
 
-from fasdlab.digraph import INFINITE, GraphError, girth, is_acyclic, max_degree
+from fasdlab import generators
+from fasdlab.digraph import INFINITE, Digraph, GraphError, girth, is_acyclic, max_degree
 from fasdlab.generators import (
+    GenerationError,
     directed_cycle,
     gadget_co,
     gadget_co_prime,
@@ -140,6 +145,129 @@ class TestPaley:
             paley_graph(21)  # 21 = 1 mod 4 but composite
 
 
+# A verbatim copy of random_orgraph as it was before it kept adjacency
+# incrementally, stopped at saturation and drew bits directly; the current
+# generator must return the same arcs and weights for every argument tuple.
+def reference_random_orgraph(
+    n: int,
+    max_deg: int,
+    min_girth: int = 3,
+    seed: int = 0,
+    arc_target: int | None = None,
+    backbone: bool = True,
+    weighted: bool = False,
+) -> Digraph:
+    """Seeded random digon-free digraph with degree and girth guarantees.
+
+    Starts (optionally) from a directed cycle backbone of length >= min_girth
+    so the instance actually contains cycles, then adds random arcs, rejecting
+    any that would exceed ``max_deg``, create a digon, or close a cycle
+    shorter than ``min_girth``.  Deterministic for a fixed seed.  Weights, when
+    requested, are drawn as exact multiples of 1/100.
+    """
+    if min_girth < 3:
+        raise GraphError("orgraphs need min_girth >= 3")
+    if max_deg < 2 and n > 0 and backbone:
+        raise GraphError("max_deg < 2 cannot carry a cycle backbone")
+    rng = random.Random(seed)
+    arcs = []
+    arcset = set()
+    outd = [0] * n
+    ind = [0] * n
+
+    def add(u, v):
+        arcs.append((u, v))
+        arcset.add((u, v))
+        outd[u] += 1
+        ind[v] += 1
+
+    if backbone and n >= min_girth:
+        cyc = list(range(n))
+        rng.shuffle(cyc)
+        length = rng.randrange(min_girth, n + 1)
+        for i in range(length):
+            add(cyc[i], cyc[(i + 1) % length])
+
+    if arc_target is None:
+        arc_target = max(len(arcs), min(n * max_deg // 2, int(1.5 * n)))
+    attempts = 0
+    max_attempts = 200 * max(arc_target, 1) + 500
+    while len(arcs) < arc_target and attempts < max_attempts:
+        attempts += 1
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v or (u, v) in arcset or (v, u) in arcset:
+            continue
+        if outd[u] + ind[u] >= max_deg or outd[v] + ind[v] >= max_deg:
+            continue
+        if reference_dist(arcset, n, v, u, min_girth - 1) is not None:
+            continue
+        add(u, v)
+    if backbone and n >= min_girth and not arcs:
+        raise GenerationError(f"could not build any arcs for n={n}, max_deg={max_deg}")
+    weights = None
+    if weighted:
+        weights = [rng.randrange(1, 1001) / 100 for _ in arcs]
+    d = Digraph(n, arcs, weights)
+    g = girth(d)
+    if g is not INFINITE and g < min_girth:  # pragma: no cover - defensive
+        raise GenerationError("girth postcondition violated")
+    return d
+
+
+def reference_dist(arcset, n, src, dst, limit):
+    """BFS distance src -> dst over an arc set, None when > limit."""
+    if src == dst:
+        return 0
+    out = {}
+    for u, v in arcset:
+        out.setdefault(u, []).append(v)
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            du = dist[u]
+            if du >= limit:
+                continue
+            for v in out.get(u, ()):
+                if v not in dist:
+                    dist[v] = du + 1
+                    if v == dst:
+                        return du + 1
+                    nxt.append(v)
+        frontier = nxt
+    return None
+
+
+def orgraph_grid():
+    """Seeded argument tuples: n = 1..40 and a few at 200, every degree, girth and flag."""
+    flags = list(itertools.product((False, True), (False, True), (False, True)))
+    out = []
+    for n in range(1, 41):
+        for max_deg in range(2, 7):
+            for min_girth in range(3, 8):
+                weighted, backbone, explicit = flags[(n + 3 * max_deg + min_girth) % 8]
+                target = (n * max_deg) // 2 + n % 3 if explicit else None
+                out.append((n, max_deg, min_girth, len(out), target, backbone, weighted))
+    out += [
+        (200, 3, 4, 1, None, True, False),
+        (200, 4, 3, 2, 400, True, True),
+        (200, 3, 6, 3, 266, True, False),
+        (200, 6, 7, 4, None, False, True),
+        (200, 2, 5, 5, 200, False, False),
+    ]
+    return out
+
+
+def build(generator, args):
+    try:
+        d = generator(*args)
+    except (GenerationError, GraphError, ValueError) as exc:
+        return type(exc)
+    return d.n, d.arcs, d.weights
+
+
 class TestRandomOrgraph:
     def test_respects_declared_bounds(self):
         for seed in range(25):
@@ -167,6 +295,38 @@ class TestRandomOrgraph:
             d = random_two_regular_orgraph(9, seed=seed)
             assert all(d.out_degree(v) == d.in_degree(v) == 2 for v in range(9))
             assert not d.has_digon()
+
+
+    def test_matches_reference_on_grid(self):
+        for args in orgraph_grid():
+            assert build(random_orgraph, args) == build(reference_random_orgraph, args), args
+
+    def test_saturation_stops_unweighted_draws_only(self, monkeypatch):
+        draws = []
+
+        class Counting(random.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(generators.random, "Random", Counting)
+        # the girth-7 backbone leaves at most one vertex below degree 2
+        budget = 200 * 12 + 500
+        d = random_orgraph(8, 2, 7, seed=3, arc_target=12)
+        assert len(draws) < budget // 20
+        draws.clear()
+        w = random_orgraph(8, 2, 7, seed=3, arc_target=12, weighted=True)
+        assert len(draws) > 2 * budget
+        ref = reference_random_orgraph(8, 2, 7, seed=3, arc_target=12, weighted=True)
+        assert w.arcs == d.arcs == ref.arcs and w.weights == ref.weights
+
+    def test_no_vertices_with_a_target_raises(self):
+        with pytest.raises(ValueError):
+            random_orgraph(0, 3, arc_target=3)
+
+    def test_single_vertex_has_no_arcs(self):
+        d = random_orgraph(1, 3, arc_target=2)
+        assert d.n == 1 and d.arcs == ()
 
 
 def sieve_oracle(p, k, limit=2_000_000):

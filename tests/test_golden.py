@@ -15,7 +15,12 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from fasdlab.checks import inequality_instances, oracle_corpus_fas, oracle_corpus_fasd, triples_corpus
+from fasdlab.checks import (
+    inequality_instances,
+    oracle_corpus_fas,
+    oracle_corpus_fasd,
+    triples_corpus,
+)
 from fasdlab.coloring import fasd_exact
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import MultiDigraph, eulerian_orient, girth, strong_components
@@ -62,7 +67,10 @@ def digest(values) -> str:
 
 def instance_digest(digraphs) -> str:
     """Hash of (n, arcs, repr of each weight) per instance; ``canon`` drops weights."""
-    rows = [(d.n, tuple(d.arcs), None if d.weights is None else tuple(map(repr, d.weights))) for d in digraphs]
+    rows = [
+        (d.n, tuple(d.arcs), None if d.weights is None else tuple(map(repr, d.weights)))
+        for d in digraphs
+    ]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
