@@ -34,7 +34,9 @@ from fasdlab.generators import (
     gadget_h5,
     random_orgraph,
     random_two_regular_orgraph,
+    rotational_tournament,
 )
+from fasdlab.ordering import fas_exact, fas_weighted_exact
 from fasdlab.triples import decompose3
 
 SMALL = (8, 12, 17, 24, 31, 40, 52, 60)
@@ -112,6 +114,12 @@ def fasd_corpus():
     return out
 
 
+def fas_corpus():
+    out = [random_orgraph(n, 2 + n % 5, 3, seed=n, weighted=w) for n in range(17) for w in (False, True)]
+    out += [gadget_dg(8), rotational_tournament(7)]
+    return out
+
+
 def structure_corpus():
     out = deg4_corpus() + fvs_corpus() + fasd_corpus()
     out += [random_orgraph(n, 5, 3, seed=s, arc_target=2 * n, backbone=False) for s, n in enumerate(SMALL)]
@@ -158,6 +166,14 @@ def out_fasd():
     return [fasd_exact(d) for d in fasd_corpus()] + [exhausted]
 
 
+def out_fas():
+    out = []
+    for d in fas_corpus():
+        certs = [fas_exact(d)] + ([fas_weighted_exact(d)] if d.weighted else [])
+        out += [(c.value, c.order, c.arc_ids) for c in certs]
+    return out
+
+
 def out_structure():
     return [(strong_components(d), girth(d)) for d in structure_corpus()]
 
@@ -170,12 +186,14 @@ FAMILIES = {
     "fas_sixth": out_fas_sixth,
     "fvs_exact": out_fvs,
     "fasd_exact": out_fasd,
+    "fas_exact": out_fas,
     "scc_girth": out_structure,
 }
 
 GOLDEN = {
     "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
     "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
+    "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
     "fasd_exact": "78091caa01e84d2ac6efaa4e875e2b854c9ab9c56408295c6aa29d01358930b4",
     "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
