@@ -3,8 +3,10 @@
 An ordering is a tuple permutation of [0, n).  Its backward arcs (head placed
 before tail) always form a feedback arc set, and the minimum of bas(D, order)
 over all orderings is exactly fas(D), which is what the subset dynamic program
-computes.  Weighted values are carried as exact Fractions: decimal weights
-with at most six fraction digits are scaled to integers first, so optimality
+computes.  The program runs in numpy, one popcount layer of vertex subsets at
+a time.  Weighted values are carried as exact Fractions: each weight is read
+as the decimal its repr shows and scaled by 10^6 to an integer, and a weight
+with more than six fraction digits is rejected, never rounded, so optimality
 claims never depend on float tolerance.
 """
 
@@ -15,11 +17,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import BudgetError, Digraph
+import numpy as np
+
+from .digraph import BudgetError, Digraph, GraphError
 
 WEIGHT_SCALE = 10**6
 
-FAS_EXACT_MAX_N = 20
+FAS_EXACT_MAX_N = 22
+
+_INT64_MAX = 2**63 - 1
 
 
 def _check_permutation(d: Digraph, order) -> None:
@@ -64,8 +70,26 @@ class FasCertificate:
         return float(self.value)
 
 
-def _scaled_weights(d: Digraph):
-    return [round(w * WEIGHT_SCALE) for w in d.weights]
+def _scaled_weights(d: Digraph) -> list:
+    """Weights as exact integers in units of 1/WEIGHT_SCALE.
+
+    Each weight is the decimal its repr shows.  Raises GraphError, naming the
+    arc, when that decimal is not a whole number of units, and when the total
+    does not fit the int64 sums of the DP and the brute-force oracle.
+    """
+    scaled = []
+    for a, w in enumerate(d.weights):
+        q = Fraction(repr(w)) * WEIGHT_SCALE
+        if q.denominator != 1:
+            u, v = d.arcs[a]
+            raise GraphError(
+                f"weight {w!r} of arc {a} ({u},{v}) is not a multiple of 1/{WEIGHT_SCALE}; "
+                "exact search does not round weights"
+            )
+        scaled.append(q.numerator)
+    if sum(scaled) >= _INT64_MAX:
+        raise GraphError(f"total weight {d.total_weight()!r} is too large for exact search")
+    return scaled
 
 
 def fas_exact(d: Digraph, max_n: int = FAS_EXACT_MAX_N) -> FasCertificate:
@@ -94,52 +118,58 @@ def _fas_dp(d: Digraph, weighted: bool, max_n: int):
     n = d.n
     if n > max_n:
         raise BudgetError(f"exact search refused for n={n} > {max_n}")
-    if n == 0:
-        return 0, ()
-    if weighted:
-        w = _scaled_weights(d)
-        out_items = [[] for _ in range(n)]
-        for a, (u, v) in enumerate(d.arcs):
-            out_items[u].append((1 << v, w[a]))
-    else:
-        outmask = [0] * n
-        for u, v in d.arcs:
-            outmask[u] |= 1 << v
+    w = _scaled_weights(d) if weighted else [1] * d.m
+    # iinfo.max marks a set not scored yet, so it must exceed every cost,
+    # and no cost exceeds sum(w)
+    dt = np.int32 if sum(w) < np.iinfo(np.int32).max else np.int64
+    outmask = [0] * n
+    out_items = [[] for _ in range(n)]
+    for a, (u, v) in enumerate(d.arcs):
+        outmask[u] |= 1 << v
+        out_items[u].append((1 << v, w[a]))
 
+    def cost(v, s):
+        """Weight of the arcs from v into the vertex set s."""
+        if weighted:
+            return sum(hw for hbit, hw in out_items[v] if hbit & s)
+        return (outmask[v] & s).bit_count()
+
+    # f[S] is the least cost of placing the vertex set S first; layer k holds
+    # the sets of pc[S] = k vertices
     size = 1 << n
-    inf = float("inf")
-    f = [0] * size
-    choice = bytearray(size)
-    for mask in range(1, size):
-        best = inf
-        best_v = 0
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-            rest ^= bit
-            prev = mask ^ bit
+    pc = np.zeros(size, dtype=np.uint8)
+    for b in range(n):
+        pc[1 << b : 2 << b] = pc[: 1 << b] + 1
+    f = np.full(size, np.iinfo(dt).max, dtype=dt)
+    f[0] = 0
+    for k in range(1, n + 1):
+        # the (k-1)-subsets of n-1 vertices; moving the bits >= v of each up
+        # by one gives the sets S - v, and setting bit v the sets S of layer
+        # k that contain v
+        rest = np.flatnonzero(pc[: size >> 1] == k - 1)
+        for v in range(n):
+            bit = 1 << v
+            prev = rest & -bit
+            prev += rest
+            masks = prev | bit
+            score = f[prev]
             if weighted:
-                cost = f[prev]
-                for nbit, nw in out_items[v]:
-                    if nbit & prev:
-                        cost += nw
+                for hbit, hw in out_items[v]:
+                    np.add(score, hw, out=score, where=(masks & hbit) != 0)
             else:
-                cost = f[prev] + (outmask[v] & prev).bit_count()
-            # lowest vertex id wins ties, and bits are scanned low-to-high
-            if cost < best:
-                best = cost
-                best_v = v
-        f[mask] = best
-        choice[mask] = best_v
+                score += pc[masks & outmask[v]]
+            best = f[masks]
+            np.minimum(best, score, out=best)
+            f[masks] = best
+    # the last vertex of each prefix is the lowest id that attains its f
     order = []
-    mask = size - 1
-    while mask:
-        v = choice[mask]
+    s = size - 1
+    while s:
+        v = next(v for v in range(n) if s >> v & 1 and int(f[s ^ (1 << v)]) + cost(v, s) == f[s])
         order.append(v)
-        mask ^= 1 << v
+        s ^= 1 << v
     order.reverse()
-    return f[size - 1], order
+    return int(f[size - 1]), order
 
 
 def fas_brute(d: Digraph, max_n: int = 9):
@@ -149,8 +179,6 @@ def fas_brute(d: Digraph, max_n: int = 9):
     DP.  Returns (value, order).  Weighted inputs are scored by exact scaled
     integers like the DP, and the value comes back as an int or Fraction.
     """
-    import numpy as np
-
     n = d.n
     if n > max_n:
         raise BudgetError(f"brute force refused for n={n} > {max_n}")

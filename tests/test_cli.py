@@ -52,6 +52,13 @@ class TestSolvers:
         code, _, err = run(["fas", str(f)], capsys)
         assert code == 3 and "refused" in err
 
+    def test_fas_weighted_rejects_inexact_weight_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "w.txt"
+        f.write_text("3 3\n0 1 0.0000001\n1 2 5\n2 0 5\n")
+        code, out, err = run(["fas", "--weighted", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert "error" in err and "arc 0 (0,1)" in err
+
     def test_fvs_budget_exit_3(self, tmp_path, capsys):
         f = tmp_path / "big.txt"
         run(["gen", "cycle", "-n", "30", "-o", str(f)], capsys)

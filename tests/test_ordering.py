@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fasdlab.digraph import BudgetError, Digraph, is_acyclic
+from fasdlab.digraph import BudgetError, Digraph, GraphError, is_acyclic, reduce_digons
 from fasdlab.generators import (
     directed_cycle,
     gadget_dg,
@@ -11,6 +11,9 @@ from fasdlab.generators import (
     rotational_tournament,
 )
 from fasdlab.ordering import (
+    FAS_EXACT_MAX_N,
+    WEIGHT_SCALE,
+    _fas_dp,
     backward_arc_ids,
     bas,
     fas_brute,
@@ -18,6 +21,72 @@ from fasdlab.ordering import (
     fas_upper_heuristic,
     fas_weighted_exact,
 )
+
+
+# Test-only copies of the pure-Python subset DP and its weight scaling that
+# the numpy DP replaced; the numpy DP must return the same value and order.
+def _reference_scaled_weights(d: Digraph):
+    return [round(w * WEIGHT_SCALE) for w in d.weights]
+
+
+def _reference_fas_dp(d: Digraph, weighted: bool, max_n: int):
+    n = d.n
+    if n > max_n:
+        raise BudgetError(f"exact search refused for n={n} > {max_n}")
+    if n == 0:
+        return 0, ()
+    if weighted:
+        w = _reference_scaled_weights(d)
+        out_items = [[] for _ in range(n)]
+        for a, (u, v) in enumerate(d.arcs):
+            out_items[u].append((1 << v, w[a]))
+    else:
+        outmask = [0] * n
+        for u, v in d.arcs:
+            outmask[u] |= 1 << v
+
+    size = 1 << n
+    inf = float("inf")
+    f = [0] * size
+    choice = bytearray(size)
+    for mask in range(1, size):
+        best = inf
+        best_v = 0
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            rest ^= bit
+            prev = mask ^ bit
+            if weighted:
+                cost = f[prev]
+                for nbit, nw in out_items[v]:
+                    if nbit & prev:
+                        cost += nw
+            else:
+                cost = f[prev] + (outmask[v] & prev).bit_count()
+            # lowest vertex id wins ties, and bits are scanned low-to-high
+            if cost < best:
+                best = cost
+                best_v = v
+        f[mask] = best
+        choice[mask] = best_v
+    order = []
+    mask = size - 1
+    while mask:
+        v = choice[mask]
+        order.append(v)
+        mask ^= 1 << v
+    order.reverse()
+    return f[size - 1], order
+
+
+def assert_dp_matches_reference(d: Digraph):
+    for weighted in (False, True) if d.weighted else (False,):
+        value, order = _fas_dp(d, weighted, max_n=FAS_EXACT_MAX_N)
+        ref_value, ref_order = _reference_fas_dp(d, weighted, max_n=FAS_EXACT_MAX_N)
+        assert type(value) is int and all(type(v) is int for v in order)
+        assert (value, list(order)) == (ref_value, list(ref_order))
 
 
 class TestBas:
@@ -97,6 +166,39 @@ class TestFasExact:
         with pytest.raises(BudgetError):
             fas_exact(directed_cycle(25))
 
+    def test_refuses_just_above_the_cap(self):
+        assert FAS_EXACT_MAX_N == 22
+        with pytest.raises(BudgetError):
+            fas_exact(directed_cycle(23))
+
+    def test_directed_cycle_at_the_cap(self):
+        d = directed_cycle(22)
+        cert = fas_exact(d)
+        assert cert.value == 1 and len(cert.arc_ids) == 1
+        assert bas(d, cert.order) == 1
+
+
+class TestFasDpReference:
+    def test_matches_reference_on_grid(self):
+        for n in range(15):
+            for max_deg in range(2, 7):
+                for weighted in (False, True):
+                    d = random_orgraph(n, max_deg, 3, seed=100 * n + max_deg, weighted=weighted)
+                    assert_dp_matches_reference(d)
+
+    def test_matches_reference_at_n16(self):
+        assert_dp_matches_reference(random_orgraph(16, 4, 3, seed=16, arc_target=32))
+        assert_dp_matches_reference(random_orgraph(16, 5, 3, seed=61, weighted=True))
+
+    def test_int64_path_matches_reference(self):
+        # integer weights near 10^9 push the scaled total past int32
+        rng = random.Random(5)
+        for seed in range(3):
+            d = random_orgraph(12, 4, 3, seed=seed)
+            heavy = Digraph(d.n, d.arcs, [float(rng.randint(1, 10**9)) for _ in d.arcs])
+            assert sum(w * WEIGHT_SCALE for w in heavy.weights) > 2**31
+            assert_dp_matches_reference(heavy)
+
 
 class TestFasWeighted:
     def test_digon_reduction_consistency(self):
@@ -132,6 +234,37 @@ class TestFasWeighted:
     def test_rejects_unweighted(self):
         with pytest.raises(ValueError):
             fas_weighted_exact(directed_cycle(4))
+
+    def test_int64_values_are_exact(self):
+        d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [5000.0, 3000.25, 4000.0])
+        assert fas_weighted_exact(d).value == Fraction(300025, 100)
+        for seed in range(4):
+            small = random_orgraph(7, 4, 3, seed=seed, weighted=True)
+            heavy = Digraph(small.n, small.arcs, [1000.0 * round(100 * w) for w in small.weights])
+            assert fas_weighted_exact(heavy).value == fas_brute(heavy)[0]
+
+
+class TestExactWeights:
+    def test_weight_below_the_scale_is_rejected(self):
+        d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [1e-7, 5.0, 5.0])
+        for oracle in (fas_weighted_exact, fas_brute):
+            with pytest.raises(GraphError, match=r"arc 0 \(0,1\)"):
+                oracle(d)
+
+    def test_float_residue_of_a_digon_is_rejected(self):
+        reduced, _ = reduce_digons(Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0.3, 0.1, 1.0, 1.0]))
+        assert 0.3 - 0.1 in reduced.weights
+        with pytest.raises(GraphError, match="0.19999999999999998"):
+            fas_weighted_exact(reduced)
+
+    def test_six_decimals_are_exact(self):
+        d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [0.000001, 2.5, 1e-6 * 3])
+        assert fas_weighted_exact(d).value == Fraction(1, WEIGHT_SCALE)
+
+    def test_total_beyond_int64_is_rejected(self):
+        d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [1e13, 1e13, 1e13])
+        with pytest.raises(GraphError, match="too large"):
+            fas_weighted_exact(d)
 
 
 class TestHeuristic:
