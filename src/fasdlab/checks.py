@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .coloring import (
     fasd_exact,
@@ -194,14 +195,15 @@ def check_weighted(seed: int = 0, count: int = 200) -> CheckResult:
         n = (6 + i % 9) if small else (17 + i % 32)
         d = random_orgraph(n, 4, 3, seed=seed * 77 + i, weighted=True, arc_target=2 * n)
         triple = decompose3(d, verify=False)
-        classes = triple.backward_classes(d)
-        weights = [sum(d.weights[a] for a in ids) for ids in classes]
-        if min(weights) > d.total_weight() / 3 + 1e-9:
+        # exact decimals of the weights, so a bound is never met by rounding
+        w = [Fraction(repr(x)) for x in d.weights]
+        total = sum(w)
+        if 3 * min(sum(w[a] for a in ids) for ids in triple.backward_classes(d)) > total:
             violations += 1
         if d.n <= 16:
             cert = fas_weighted_exact(d)
             exact_checked += 1
-            if float(cert.value) > d.total_weight() / 3 + 1e-9:
+            if 3 * cert.value > total:
                 violations += 1
     return _result(
         "weighted",
