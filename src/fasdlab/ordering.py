@@ -25,8 +25,6 @@ WEIGHT_SCALE = 10**6
 
 FAS_EXACT_MAX_N = 22
 
-_INT64_MAX = 2**63 - 1
-
 
 def _check_permutation(d: Digraph, order) -> None:
     if len(order) != d.n or sorted(order) != list(range(d.n)):
@@ -87,7 +85,7 @@ def _scaled_weights(d: Digraph) -> list:
                 "exact search does not round weights"
             )
         scaled.append(q.numerator)
-    if sum(scaled) >= _INT64_MAX:
+    if sum(scaled) >= np.iinfo(np.int64).max:
         raise GraphError(f"total weight {d.total_weight()!r} is too large for exact search")
     return scaled
 
