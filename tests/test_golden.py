@@ -21,7 +21,7 @@ from fasdlab.checks import (
     oracle_corpus_fasd,
     triples_corpus,
 )
-from fasdlab.coloring import fasd_exact
+from fasdlab.coloring import fasd_exact, good_coloring_search
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import MultiDigraph, eulerian_orient, girth, strong_components
 from fasdlab.generators import (
@@ -166,6 +166,21 @@ def out_fasd():
     return [fasd_exact(d) for d in fasd_corpus()] + [exhausted]
 
 
+def out_search():
+    # the node counts pin the search order, not just its answers
+    runs = [
+        (gadget_dg(10), 9),
+        (gadget_dg(12), 11),
+        (gadget_dg(12), 10),
+        (gadget_h4(), 5),
+        (gadget_h5(), 3),
+        (gadget_h5(), 4),
+        (rotational_tournament(7), 3),
+    ]
+    out = [good_coloring_search(d, t) for d, t in runs]
+    return out + [good_coloring_search(gadget_dg(12), 11, node_budget=5000)]
+
+
 def out_fas():
     out = []
     for d in fas_corpus():
@@ -187,6 +202,7 @@ FAMILIES = {
     "fvs_exact": out_fvs,
     "fasd_exact": out_fasd,
     "fas_exact": out_fas,
+    "good_coloring_search": out_search,
     "scc_girth": out_structure,
 }
 
@@ -196,6 +212,7 @@ GOLDEN = {
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
     "fasd_exact": "78091caa01e84d2ac6efaa4e875e2b854c9ab9c56408295c6aa29d01358930b4",
     "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
+    "good_coloring_search": "da243cd6e2177a4aa29b3e9aa19841351914591525590d855984a43d33d321f2",
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
     "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
     "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
