@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 check or verification failure, 2 usage error,
 3 budget exceeded.  All randomized commands take --seed (default 0) and are
 deterministic given their flags.  FASDLAB_NODE_BUDGET overrides the default
-search node budget.
+search node budget, which fasd spends as a total over all levels.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     fd = sub.add_parser("fasd", help="FAS decomposition number")
     fd.add_argument("file")
     fd.add_argument("--t", type=int)
-    fd.add_argument("--budget", type=int)
+    fd.add_argument("--budget", type=int, help="total search nodes over all levels")
     fd.add_argument("--certificate")
     fd.set_defaults(func=cmd_fasd)
 

@@ -5,12 +5,13 @@ carries all t colors, equivalently when every color class is a feedback arc
 set.  The decomposition number of a non-acyclic digraph is the largest t
 admitting a good t-coloring; it always lies between 2 and the directed girth.
 
-The searcher keeps one remainder digraph per color (the arcs currently
-assigned any other color).  A good coloring keeps every remainder acyclic, so
-each remainder maintains a topological order with local repair on insertion
-and a branch dies the moment a remainder closes a cycle.  Cycles of length
-exactly t add a second pruning channel: their arcs must take pairwise distinct
-colors, which is also what the clique refutations certify.
+The searcher keeps one adjacency of the assigned arcs, each labelled with its
+color.  The remainder avoiding a color is every arc of another color; a good
+coloring keeps each remainder acyclic, so each keeps its own topological order
+with local repair on insertion, and a branch dies the moment a remainder
+closes a cycle.  Short cycles add a second pruning channel: a cycle must carry
+all t colors, so those of length exactly t take pairwise distinct colors,
+which is also what the clique refutations certify.
 """
 
 from __future__ import annotations
@@ -51,64 +52,38 @@ def verify_good_coloring(d: Digraph, coloring: dict, t: int):
     return True, None
 
 
-class _PKOrder:
-    """Incremental topological order with Pearce-Kelly local repair.
+def _pk_repair(pos: list, out: list, inn: list, skip: int, u: int, v: int) -> bool:
+    """Pearce-Kelly repair of a topological order before arc u -> v joins it.
 
-    Supports arc insertion (rejecting cycle-closing arcs) and arc removal.
-    Removal never invalidates a topological order, so only insertions repair.
+    The digraph is every arc x -> y with ``out[x][y] == inn[y][x] != skip``,
+    and ``pos`` orders it with ``pos[u] > pos[v]``.  Returns False, with
+    ``pos`` untouched, when v reaches u; otherwise moves only the vertices
+    between pos[v] and pos[u] that the new arc forces and returns True.  The
+    caller records the arc itself.
     """
-
-    __slots__ = ("n", "pos", "out", "inn")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.pos = list(range(n))
-        self.out = [set() for _ in range(n)]
-        self.inn = [set() for _ in range(n)]
-
-    def insert(self, u: int, v: int) -> bool:
-        pos = self.pos
-        if pos[u] > pos[v]:
-            # affected region: forward from v up to pos[u], backward from u down to pos[v]
-            fwd = []
-            seen_f = {v}
-            stack = [v]
-            ub = pos[u]
-            while stack:
-                x = stack.pop()
-                fwd.append(x)
-                for y in self.out[x]:
-                    if y not in seen_f and pos[y] <= ub:
-                        if y == u:
-                            return False
-                        seen_f.add(y)
-                        stack.append(y)
-            bwd = []
-            seen_b = {u}
-            stack = [u]
-            lb = pos[v]
-            while stack:
-                x = stack.pop()
-                bwd.append(x)
-                for y in self.inn[x]:
-                    if y not in seen_b and pos[y] >= lb:
-                        seen_b.add(y)
-                        stack.append(y)
-            if seen_f & seen_b:
-                return False
-            region = sorted(bwd + fwd, key=lambda x: pos[x])
-            slots = sorted(pos[x] for x in region)
-            bwd.sort(key=lambda x: pos[x])
-            fwd.sort(key=lambda x: pos[x])
-            for slot, x in zip(slots, bwd + fwd):
-                pos[x] = slot
-        self.out[u].add(v)
-        self.inn[v].add(u)
-        return True
-
-    def remove(self, u: int, v: int) -> None:
-        self.out[u].discard(v)
-        self.inn[v].discard(u)
+    ub, lb = pos[u], pos[v]
+    fwd, stack, seen = [v], [v], {v}
+    while stack:
+        for y, c in out[stack.pop()].items():
+            if c != skip and pos[y] <= ub and y not in seen:
+                if y == u:
+                    return False
+                seen.add(y)
+                stack.append(y)
+                fwd.append(y)
+    bwd, stack, seen = [u], [u], {u}
+    while stack:
+        for y, c in inn[stack.pop()].items():
+            if c != skip and pos[y] >= lb and y not in seen:
+                seen.add(y)
+                stack.append(y)
+                bwd.append(y)
+    bwd.sort(key=pos.__getitem__)
+    fwd.sort(key=pos.__getitem__)
+    moved = bwd + fwd
+    for slot, x in zip(sorted(pos[x] for x in moved), moved):
+        pos[x] = slot
+    return True
 
 
 @dataclass(frozen=True)
@@ -133,9 +108,11 @@ def good_coloring_search(
     budget exhaustion is reported as its own status, never as UNSAT.  Colors
     are canonicalized to appear in first-use order, which fixes the first
     assigned arc to color 1 and removes the t! relabeling symmetry.  Arcs are
-    assigned in descending order of tight-cycle membership (fail-first), and a
-    branch is cut when some remainder digraph closes a cycle or a tight cycle
-    loses its last chance at pairwise-distinct colors.
+    assigned in descending order of membership in cycles of length <= t + 3
+    (fail-first), and a branch is cut when some remainder digraph closes a
+    cycle or one of those cycles can no longer carry all t colors.  Each color
+    tried counts as a node.  The search keeps an explicit stack, so its depth
+    is not bounded by the recursion limit.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -147,114 +124,98 @@ def good_coloring_search(
         return SearchOutcome("unsat", None, 0)
     m = d.m
 
-    # short cycles drive both pruning channels: a cycle of length L needs all
-    # t colors, so once distinct(assigned) + unassigned < t the branch is dead;
-    # for L == t this is exactly pairwise-distinctness, used to filter
-    # candidate colors up front.
+    # short cycles drive both pruning channels.  A watched cycle of length L
+    # needs all t colors, so its slack, distinct colors + unassigned arcs - t,
+    # must stay >= 0; it starts at L - t <= 3 and falls by one exactly when an
+    # arc takes a color the cycle already carries.  slack[k] is the bitmask of
+    # watched cycles with slack >= k.  For L == t a repeat is fatal at once,
+    # so the colors of tight-cycle neighbours are filtered out up front.
     watch = enumerate_cycles(d, t + 3, cap=TIGHT_CYCLE_CAP)
-    watch_ids = [cycle_arc_ids(d, cyc) for cyc in watch.cycles]
-    tight_sets = [frozenset(ids) for cyc, ids in zip(watch.cycles, watch_ids) if len(cyc) == t]
+    on_cycles = [0] * m
     conflict = [set() for _ in range(m)]
-    if not watch.truncated:
-        for s in tight_sets:
-            for a in s:
-                conflict[a].update(s - {a})
-    arc_cycles = [[] for _ in range(m)]
-    for i, ids in enumerate(watch_ids):
+    slack = [0] * 4
+    for i, cyc in enumerate(watch.cycles):
+        ids = cycle_arc_ids(d, cyc)
         for a in ids:
-            arc_cycles[a].append(i)
-    counts = [[0] * (t + 1) for _ in watch_ids]
-    distinct = [0] * len(watch_ids)
-    unassigned = [len(ids) for ids in watch_ids]
+            on_cycles[a] |= 1 << i
+            if len(ids) == t and not watch.truncated:
+                conflict[a].update(ids)  # a itself is unassigned when read
+        for k in range(1, len(ids) - t + 1):
+            slack[k] |= 1 << i
+    _, s1, s2, s3 = slack
 
-    order = sorted(range(m), key=lambda a: (-len(arc_cycles[a]), a))
+    order = sorted(range(m), key=lambda a: (-on_cycles[a].bit_count(), a))
+    others = [tuple(k for k in range(1, t + 1) if k != c) for c in range(t + 1)]
 
-    remainders = [_PKOrder(d.n) for _ in range(t)]
-    color_of = {}
-    nodes = 0
-
-    def assign(a: int, c: int) -> bool:
-        u, v = d.arcs[a]
-        done = []
-        for cc in range(t):
-            if cc == c - 1:
-                continue
-            if not remainders[cc].insert(u, v):
-                for dd in done:
-                    remainders[dd].remove(u, v)
-                return False
-            done.append(cc)
-        ok = True
-        touched = []
-        for i in arc_cycles[a]:
-            counts[i][c] += 1
-            if counts[i][c] == 1:
-                distinct[i] += 1
-            unassigned[i] -= 1
-            touched.append(i)
-            if distinct[i] + unassigned[i] < t:
-                ok = False
-                break
-        if not ok:
-            for i in touched:
-                counts[i][c] -= 1
-                if counts[i][c] == 0:
-                    distinct[i] -= 1
-                unassigned[i] += 1
-            for dd in done:
-                remainders[dd].remove(u, v)
-            return False
-        color_of[a] = c
-        return True
-
-    def unassign(a: int, c: int) -> None:
-        u, v = d.arcs[a]
-        for cc in range(t):
-            if cc != c - 1:
-                remainders[cc].remove(u, v)
-        for i in arc_cycles[a]:
-            counts[i][c] -= 1
-            if counts[i][c] == 0:
-                distinct[i] -= 1
-            unassigned[i] += 1
-        del color_of[a]
+    # all assigned arcs once, out[u][v] = inn[v][u] = color; the remainder
+    # avoiding color k keeps its own topological order pos[k]
+    out = [{} for _ in range(d.n)]
+    inn = [{} for _ in range(d.n)]
+    pos = [list(range(d.n)) for _ in range(t + 1)]
+    present = [0] * (t + 1)  # watched cycles already carrying each color
+    color = [0] * m
+    color_bit = [0] * m
 
     def candidates(a: int, used: int):
-        banned = set()
+        banned = 0
         for b in conflict[a]:
-            cb = color_of.get(b)
-            if cb is not None:
-                banned.add(cb)
-        hi = min(t, used + 1)
-        return [c for c in range(1, hi + 1) if c not in banned]
+            banned |= color_bit[b]
+        return [c for c in range(1, min(t, used + 1) + 1) if not banned >> c & 1]
 
-    def dfs(i: int, used: int):
-        nonlocal nodes
-        if i == m:
-            return "sat"
+    # an explicit stack: depth i tries cands[i][tried[i]:] for arc order[i]
+    cands = [candidates(order[0], 0)] + [None] * (m - 1)
+    tried = [0] * m
+    used = [0] * m
+    undo = [None] * m
+    nodes = 0
+    i = 0
+    status = "unsat"
+    while True:
+        if tried[i] == len(cands[i]):
+            if i == 0:
+                break
+            i -= 1
+            a = order[i]
+            u, v = d.arcs[a]
+            del out[u][v], inn[v][u]
+            s1, s2, s3, present[color[a]] = undo[i]
+            color[a] = color_bit[a] = 0
+            continue
         a = order[i]
-        for c in candidates(a, used):
-            nodes += 1
-            if nodes > node_budget:
-                return "budget"
-            if not assign(a, c):
-                continue
-            res = dfs(i + 1, max(used, c))
-            if res != "unsat":
-                if res == "budget":
-                    unassign(a, c)
-                return res
-            unassign(a, c)
-        return "unsat"
-
-    res = dfs(0, 0)
-    if res == "sat":
-        coloring = dict(color_of)
+        c = cands[i][tried[i]]
+        tried[i] += 1
+        nodes += 1
+        if nodes > node_budget:
+            status = "budget"
+            break
+        dup = on_cycles[a] & present[c]
+        if dup & ~s1:
+            continue  # a watched cycle can no longer carry all t colors
+        u, v = d.arcs[a]
+        for k in others[c]:
+            p = pos[k]
+            if p[u] > p[v] and not _pk_repair(p, out, inn, k, u, v):
+                break  # the remainder avoiding color k would close a cycle
+        else:
+            undo[i] = (s1, s2, s3, present[c])
+            s1, s2, s3 = s1 & (s2 | ~dup), s2 & (s3 | ~dup), s3 & ~dup
+            present[c] |= on_cycles[a]
+            out[u][v] = inn[v][u] = color[a] = c
+            color_bit[a] = 1 << c
+            i += 1
+            if i == m:
+                status = "sat"
+                break
+            used[i] = max(used[i - 1], c)
+            cands[i] = candidates(order[i], used[i])
+            tried[i] = 0
+    if status == "sat":
+        coloring = {a: color[a] for a in order}
         ok, _ = verify_good_coloring(d, coloring, t)
         if not ok:  # pragma: no cover - would witness a search bug
             raise AssertionError("search produced a bad coloring")
         return SearchOutcome("sat", coloring, nodes)
-    return SearchOutcome(res, None, nodes)
+    return SearchOutcome(status, None, nodes)
 
 
 def fasd_brute(d: Digraph, t: int) -> bool:
@@ -478,7 +439,8 @@ def fasd_exact(
     the level is refuted without touching the branch space.  fasd >= 2 holds
     for every non-acyclic digraph (the backward and forward arcs of any
     ordering are both feedback arc sets), so the loop always terminates with a
-    witness unless the budget is hit first.
+    witness unless the budget is hit first.  ``node_budget`` bounds the total
+    search nodes over all levels: each level gets what the earlier ones left.
     """
     ok, _ = is_acyclic(d)
     if ok:
@@ -492,7 +454,7 @@ def fasd_exact(
             if clique is not None:
                 refutations[t] = clique
                 continue
-        res = good_coloring_search(d, t, node_budget=node_budget)
+        res = good_coloring_search(d, t, node_budget=node_budget - total_nodes)
         total_nodes += res.nodes
         if res.status == "sat":
             if t == g:

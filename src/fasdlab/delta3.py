@@ -755,16 +755,20 @@ def fvs_exact(d, max_n: int = FVS_EXACT_MAX_N) -> FvsCertificate:
     """Minimum feedback vertex set by increasing-size search.
 
     Iterative deepening on the answer size; each level branches on the
-    vertices of a shortest remaining cycle, which is exhaustive.  Works for
+    vertices of a shortest remaining cycle, which is exhaustive.  That cycle
+    is computed once per removed set and reused by later levels.  Works for
     plain and multi digraphs (parallel arcs are irrelevant to vertex sets).
     Refuses n beyond the budget.
     """
     if d.n > max_n:
         raise BudgetError(f"exact FVS refused for n={d.n} > {max_n}")
     full = View(Digraph(d.n, sorted(set(d.arcs))))
+    cycles = {}  # removed set -> its shortest cycle, shared by all levels
 
     def solve(removed, budget):
-        cyc = shortest_cycle(full.without(removed))
+        if removed not in cycles:
+            cycles[removed] = shortest_cycle(full.without(removed))
+        cyc = cycles[removed]
         if cyc is None:
             return set(removed)
         if budget == 0:

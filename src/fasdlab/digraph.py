@@ -471,37 +471,30 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
     if cap <= 0:
         raise ValueError("cap must be positive")
     cycles = []
-    truncated = False
+    if max_len < 2:
+        return CycleEnumeration((), False, cap)
     for s in range(d.n):
-        if truncated:
-            break
         # Only vertices >= s may appear, so every cycle is found exactly once,
-        # rooted at its minimum vertex.
+        # rooted at its minimum vertex.  The depth-first search keeps one
+        # iterator over the sorted out-arcs of each path vertex.
         path = [s]
         on_path = {s}
-
-        def dfs(u):
-            nonlocal truncated
-            if truncated:
-                return
-            for v, _ in sorted(d.out_arcs(u)):
-                if truncated:
-                    return
+        stack = [iter(sorted(d.out_arcs(s)))]
+        while stack:
+            for v, _ in stack[-1]:
                 if v == s and len(path) >= 2:
                     cycles.append(tuple(path))
                     if len(cycles) >= cap:
-                        truncated = True
-                        return
+                        return CycleEnumeration(tuple(cycles), True, cap)
                 elif v > s and v not in on_path and len(path) < max_len:
                     path.append(v)
                     on_path.add(v)
-                    dfs(v)
-                    on_path.discard(v)
-                    path.pop()
-
-        if max_len >= 2:
-            dfs(s)
-    return CycleEnumeration(tuple(cycles), truncated, cap)
+                    stack.append(iter(sorted(d.out_arcs(v))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+    return CycleEnumeration(tuple(cycles), False, cap)
 
 
 def cycle_arc_ids(d: Digraph, cycle) -> tuple:

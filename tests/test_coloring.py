@@ -4,7 +4,7 @@ import pytest
 
 from fasdlab.coloring import (
     ShortCycleRefutation,
-    _PKOrder,
+    _pk_repair,
     coloring_classes,
     fasd_brute,
     fasd_exact,
@@ -61,10 +61,13 @@ class TestVerifyGoodColoring:
 
 class TestPKOrder:
     def test_matches_full_recompute(self):
+        # one remainder of a shared colored adjacency: color 1 arcs, color 2 skipped
         rng = random.Random(0)
         for trial in range(30):
             n = 8
-            pk = _PKOrder(n)
+            pos = list(range(n))
+            out = [{} for _ in range(n)]
+            inn = [{} for _ in range(n)]
             arcs = set()
             for _ in range(40):
                 u, v = rng.randrange(n), rng.randrange(n)
@@ -73,17 +76,21 @@ class TestPKOrder:
                 # oracle: does adding (u, v) keep the arc set acyclic?
                 candidate = arcs | {(u, v)}
                 ok_oracle = is_acyclic(Digraph(n, sorted(candidate)))[0]
-                ok_pk = pk.insert(u, v)
+                ok_pk = pos[u] < pos[v] or _pk_repair(pos, out, inn, 2, u, v)
                 assert ok_pk == ok_oracle
                 if ok_pk:
                     arcs.add((u, v))
+                    out[u][v] = inn[v][u] = 1
                     # the maintained order must topologically sort the arcs
-                    assert all(pk.pos[a] < pk.pos[b] for a, b in arcs)
+                    assert all(pos[a] < pos[b] for a, b in arcs)
+                else:
+                    # it closes a cycle in color 1 only; the repair must not see it
+                    out[u][v] = inn[v][u] = 2
             # removals keep the order valid
             while arcs:
                 u, v = arcs.pop()
-                pk.remove(u, v)
-                assert all(pk.pos[a] < pk.pos[b] for a, b in arcs)
+                del out[u][v], inn[v][u]
+                assert all(pos[a] < pos[b] for a, b in arcs)
 
 
 class TestGoodColoringSearch:
@@ -111,6 +118,14 @@ class TestGoodColoringSearch:
     def test_acyclic_always_sat(self):
         d = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         assert good_coloring_search(d, 3).sat
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # one search level per arc: 1500 arcs of 500 disjoint directed triangles
+        arcs = [(3 * k + i, 3 * k + (i + 1) % 3) for k in range(500) for i in range(3)]
+        d = Digraph(1500, arcs)
+        res = good_coloring_search(d, 3)
+        assert res.sat and res.nodes == 1500
+        assert verify_good_coloring(d, res.coloring, 3)[0]
 
 
 class TestFasdExact:
@@ -159,6 +174,14 @@ class TestFasdExact:
             g = girth(d)
             oracle = max(t for t in range(2, g + 1) if fasd_brute(d, t))
             assert cert.value == oracle
+
+    def test_node_budget_is_total_over_levels(self):
+        # t = 11 is refuted by 114353 nodes, and t = 10 needs 14391 more
+        cert = fasd_exact(gadget_dg(12), node_budget=120_000)
+        assert cert.value is None
+        assert (cert.lo, cert.hi) == (2, 10)
+        assert cert.nodes == 120_001
+        assert fasd_exact(gadget_dg(12), node_budget=128_744).value == 10
 
     def test_fas_fasd_inequality(self):
         # fas(D) <= a(D) / fasd(D) in integer form

@@ -276,6 +276,11 @@ class TestEnumerateCycles:
                     _arc_on_cycle(a, c) and _arc_on_cycle(b, c) for c in cycles
                 )
 
+    def test_cycle_longer_than_the_recursion_limit(self):
+        res = enumerate_cycles(directed_cycle(1100), 1100)
+        assert list(res) == [tuple(range(1100))]
+        assert not res.truncated
+
     def test_high_girth_graph_has_no_short_cycles(self):
         d = random_orgraph(20, 3, 5, seed=7)
         assert len(enumerate_cycles(d, 4).cycles) == 0
