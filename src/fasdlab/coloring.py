@@ -153,13 +153,12 @@ def good_coloring_search(
     inn = [{} for _ in range(d.n)]
     pos = [list(range(d.n)) for _ in range(t + 1)]
     present = [0] * (t + 1)  # watched cycles already carrying each color
-    color = [0] * m
-    color_bit = [0] * m
+    color = [0] * m  # 0 while unassigned
 
     def candidates(a: int, used: int):
-        banned = 0
+        banned = 0  # bit 0, set by unassigned neighbours, is never a color
         for b in conflict[a]:
-            banned |= color_bit[b]
+            banned |= 1 << color[b]
         return [c for c in range(1, min(t, used + 1) + 1) if not banned >> c & 1]
 
     # an explicit stack: depth i tries cands[i][tried[i]:] for arc order[i]
@@ -179,7 +178,7 @@ def good_coloring_search(
             u, v = d.arcs[a]
             del out[u][v], inn[v][u]
             s1, s2, s3, present[color[a]] = undo[i]
-            color[a] = color_bit[a] = 0
+            color[a] = 0
             continue
         a = order[i]
         c = cands[i][tried[i]]
@@ -201,7 +200,6 @@ def good_coloring_search(
             s1, s2, s3 = s1 & (s2 | ~dup), s2 & (s3 | ~dup), s3 & ~dup
             present[c] |= on_cycles[a]
             out[u][v] = inn[v][u] = color[a] = c
-            color_bit[a] = 1 << c
             i += 1
             if i == m:
                 status = "sat"
