@@ -2,7 +2,9 @@
 
 Every certificate the lab emits is meant to be reproducible bit for bit, so a
 refactor of the graph plumbing must leave these hashes alone.  The corpus is
-small and seeded: mostly n <= 60, plus one n = 300 instance per construction.
+small and seeded: mostly n <= 60, plus one n = 300 instance per construction
+and, in the ``large_*`` families, the n = 3000 instances of the benchmark's
+``large`` workload.
 Each family hashes the repr of a canonical form of its outputs (dicts and sets
 sorted, dataclasses flattened field by field).
 
@@ -156,6 +158,15 @@ def out_fas_sixth():
     return [fas_sixth(d) for d in deg3_corpus(6)]
 
 
+def out_large_g():
+    # the benchmark's large g3 .. g6 instances
+    out = []
+    for g in (3, 4, 5, 6):
+        d = random_orgraph(3000, 3, g, seed=g - 3, arc_target=4000 if g == 6 else 4500)
+        out.append(fas_sixth(d) if g == 6 else good_g_coloring(d, g))
+    return out
+
+
 def out_fvs():
     return [fvs_exact(d) for d in fvs_corpus()]
 
@@ -198,6 +209,7 @@ FAMILIES = {
     "good_g_coloring_3": lambda: out_coloring(3),
     "good_g_coloring_4": lambda: out_coloring(4),
     "good_g_coloring_5": lambda: out_coloring(5),
+    "large_g": out_large_g,
     "fas_sixth": out_fas_sixth,
     "fvs_exact": out_fvs,
     "fasd_exact": out_fasd,
@@ -216,6 +228,7 @@ GOLDEN = {
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
     "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
     "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
+    "large_g": "89d4f84356f3606335523f1a3b7c0db47b9eded704bc46e694433d677c99ea80",
     "scc_girth": "38538e4ab6563e2fef743525c6c26294e84f1c0f9af8fe16ecf6b58bcfca768d",
 }
 
