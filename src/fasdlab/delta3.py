@@ -11,6 +11,10 @@ algorithm: reduction rules strip forced configurations one arc at a time, and
 the irreducible core is contracted to a degree-4 multigraph whose exact
 minimum feedback vertex set selects the matching arcs of the answer.
 
+Both recursions run as loops over one ``Peel``: a strong piece is split again
+only where it lost vertices, and the case scans are heaps kept up to date, so
+no input size exhausts the interpreter's stack.
+
 Every constructed object is re-verified before being returned; a failure of a
 case the argument says cannot fail raises a hard diagnostic rather than being
 patched over.
@@ -18,8 +22,8 @@ patched over.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .digraph import (
@@ -27,12 +31,12 @@ from .digraph import (
     Digraph,
     GraphError,
     MultiDigraph,
+    Peel,
     View,
     girth,
     is_acyclic,
     max_degree,
     shortest_cycle,
-    strong_components,
 )
 from .generators import is_digon_odd_cycle
 
@@ -90,8 +94,9 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     gg = girth(d)
     if gg is not INFINITE and gg < g:
         raise GraphError(f"girth {gg} below requested g={g}")
-    coloring = {}
-    _color_subgraph(View(d), g, coloring)
+    colors = _Colors()
+    _color_subgraph(Peel(d), g, colors)
+    coloring = colors.final()
     if len(coloring) != d.m:  # pragma: no cover - would witness a gap
         raise AssertionError("construction left arcs uncolored")
     if check:
@@ -103,174 +108,249 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     return coloring
 
 
-def _color_subgraph(sub: View, g: int, coloring: dict) -> None:
-    """Color all arcs inside the view; arcs between strong parts get color 1."""
-    comps = strong_components(sub)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    for a in sub.arc_ids():
-        u, v = sub.d.arcs[a]
-        if comp_of[u] != comp_of[v]:
+def _color_subgraph(pl: Peel, g: int, coloring) -> None:
+    """Color every live arc; arcs between strong parts get color 1.
+
+    The proof recurses into each strong part; here that recursion is a loop
+    over one Peel.  A strong part's case deletes a few vertices, what is left
+    of the part is split again, and the case's fix-up runs once that rest is
+    colored.  A part is either a sorted vertex list or, for the component
+    ``Peel.split`` certified last, its root with the part's ``_Chains``.
+    ``watch`` maps attachment vertices to whether they lie on a cycle of the
+    part they are split with.
+    """
+    todo = [("split", sorted(pl.out), None, None, None)]
+    while todo:
+        kind, verts, root, chains, watch = todo.pop()
+        if kind == "fix":
+            verts()
+            continue
+        if kind == "strong":
+            if chains is None:
+                chains = _Chains(pl, verts)
+            fix, watch = _color_strong(pl, g, coloring, chains, verts[0] if root is None else root)
+            if fix is not None:
+                todo.append(("fix", fix, None, None, None))
+                todo.append(("split", verts, root, chains, watch))
+            continue
+        new_root, comps, cut, touched = pl.split(verts, root)
+        for a in cut:
             coloring[a] = 1
-    for comp in comps:
-        if len(comp) >= 2:
-            _color_strong(View(sub.d, comp), g, coloring)
+        if watch is not None:
+            for x in watch:
+                watch[x] = x in pl.out
+        todo.extend(("strong", comp, None, None, None) for comp in reversed(comps))
+        if new_root is not None:
+            # the certified part goes last, so it is split again first
+            if new_root == root:
+                chains.update(touched, comps)
+            else:
+                chains = _Chains(pl, touched)
+            todo.append(("strong", None, new_root, chains, None))
 
 
-def _color_strong(sub: View, g: int, coloring: dict) -> None:
-    """Strongly connected piece: peel a shortest (in-heavy, out-heavy)-path."""
-    x12 = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (1, 2))
-    x21 = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (2, 1))
-    if not x12:
-        _color_single_cycle(sub, g, coloring)
-        return
-    path = _shortest_class_path(sub, x12, set(x21))
-    if path is None:  # pragma: no cover - contradicts strong connectivity
-        raise AssertionError("no path between degree classes in a strong digraph")
+def _color_strong(pl: Peel, g: int, coloring, chains, start: int):
+    """Strongly connected piece: peel a shortest (in-heavy, out-heavy)-path.
+
+    Returns the case's fix-up and watch map, or (None, None) when the piece
+    was a single cycle (through ``start``) and is done.
+    """
+    path = chains.best()
+    if path is None:
+        _color_single_cycle(pl, g, coloring, start)
+        return None, None
     l = len(path)
     if l >= g - 1:
-        _peel_long_path(sub, g, coloring, path)
-    elif l == g - 2:
-        _peel_short_path(sub, g, coloring, path)
-    else:
-        if not (g == 5 and l == 2):  # pragma: no cover - l >= 2 always
-            raise AssertionError(f"unexpected path length {l} for g={g}")
-        _special_five(sub, coloring, path)
+        return _peel_long_path(pl, g, coloring, path), None
+    if l == g - 2:
+        return _peel_short_path(pl, g, coloring, path), None
+    if not (g == 5 and l == 2):  # pragma: no cover - l >= 2 always
+        raise AssertionError(f"unexpected path length {l} for g={g}")
+    return _special_five(pl, coloring, path)
 
 
-def _color_single_cycle(sub: View, g: int, coloring: dict) -> None:
-    # all degrees (1,1): the component is one directed cycle of length >= g
-    start = min(sub.active)
+def _color_single_cycle(pl: Peel, g: int, coloring, start: int) -> None:
+    # all degrees (1,1): the component is one directed cycle of length >= g,
+    # colored around from its lowest vertex
     v = start
-    arcs = []
+    steps = []
     while True:
-        ((w, a),) = sub.out_arcs(v)
-        arcs.append(a)
+        if len(pl.out[v]) != 1 or len(pl.inn[v]) != 1:  # pragma: no cover - strong connectivity
+            raise AssertionError("no path between degree classes in a strong digraph")
+        ((w, a),) = pl.out[v]
+        steps.append((v, a))
         v = w
         if v == start:
             break
-    if len(arcs) < g:  # pragma: no cover - girth precondition
+    if len(steps) < g:  # pragma: no cover - girth precondition
         raise AssertionError("cycle shorter than g")
-    for i, a in enumerate(arcs):
+    i0 = steps.index(min(steps))
+    for i, (v, a) in enumerate(steps[i0:] + steps[:i0]):
         coloring[a] = (i % g) + 1
+    for v, _ in steps:
+        pl.delete(v)
 
 
-def _shortest_class_path(sub: View, sources, targets):
-    """Multi-source BFS from x12 to the first x21 vertex; interior stays x11."""
-    dist = {v: 0 for v in sources}
-    parent = {}
-    q = deque(sorted(sources))
-    while q:
-        u = q.popleft()
-        if u in targets:
-            path = [u]
-            while path[-1] in parent:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
-        for w, _ in sorted(sub.out_arcs(u)):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                q.append(w)
-    return None
+class _Chains:
+    """A strong piece's (1,2) vertices by their chains to the (2,1) class.
+
+    The proof takes a shortest path from the (1,2) class to the (2,1) class
+    with interior in the (1,1) class, by a BFS from every (1,2) vertex in
+    increasing id.  In a strong max-degree-3 piece every (1,2) and (1,1)
+    vertex has one out-arc and every (1,1) and (2,1) vertex one in-arc, so
+    the BFS follows one chain of (1,1) vertices per source and returns the
+    shortest chain that ends in the (2,1) class, the lowest source winning
+    ties; chains into the (1,2) class die.  A heap keyed by (length, source)
+    holds every live chain.  After deletions only the chains through vertices
+    whose arcs changed are walked again; an entry is stale once its source
+    is deleted, leaves the class or the piece, or its chain is walked again.
+    """
+
+    __slots__ = ("pl", "heap", "ver")
+
+    def __init__(self, pl: Peel, verts):
+        self.pl = pl
+        self.heap = []
+        self.ver = {}
+        self.update(verts, ())
+
+    def update(self, touched, gone) -> None:
+        """Walk again the chains through ``touched``; ``gone`` lists vertex
+        lists that left the piece."""
+        out, inn, ver = self.pl.out, self.pl.inn, self.ver
+        for comp in gone:
+            for v in comp:
+                ver[v] = ver.get(v, 0) + 1
+        seen = set()
+        for v in touched:
+            start = v
+            # back along (1,1) vertices to the chain's source
+            while v not in seen and len(out[v]) == 1 and len(inn[v]) == 1:
+                seen.add(v)
+                v = inn[v][0][0]
+                if v == start:  # a bare cycle
+                    break
+            if v in seen or len(out[v]) != 1 or len(inn[v]) != 2:
+                continue
+            seen.add(v)
+            ver[v] = k = ver.get(v, 0) + 1
+            path = [v]
+            w = out[v][0][0]
+            while len(out[w]) == 1 and len(inn[w]) == 1:
+                path.append(w)
+                w = out[w][0][0]
+            if len(out[w]) == 2:
+                path.append(w)
+                heapq.heappush(self.heap, (len(path), v, k, path))
+
+    def best(self):
+        """The proof's class path, or None when the (1,2) class is empty."""
+        out, inn, heap = self.pl.out, self.pl.inn, self.heap
+        while heap:
+            _, u, k, path = heap[0]
+            if u in out and self.ver[u] == k and len(out[u]) == 1 and len(inn[u]) == 2:
+                return list(path)
+            heapq.heappop(heap)
+        return None
 
 
-def _peel_long_path(sub: View, g: int, coloring: dict, path) -> None:
+def _arc_ids(arcs):
+    return [a for _, a in arcs]
+
+
+def _peel_long_path(pl: Peel, g: int, coloring, path):
     """Path length >= g-1: remove it and wrap colors 1..g around it.
 
     Every cycle meeting the path is funnelled through all of it, entering p1
     by a color-1 arc and leaving the last vertex by a color-g arc.
     """
-    rest = sub.without(path)
-    _color_subgraph(rest, g, coloring)
-    for _, a in sub.in_arcs(path[0]):
-        coloring[a] = 1
-    for i in range(1, len(path)):
-        a = sub.d.arc_id(path[i - 1], path[i])
-        coloring[a] = i + 1 if i + 1 <= g - 1 else 1
-    for _, a in sub.out_arcs(path[-1]):
-        coloring[a] = g
+    d = pl.d
+    into, outof = _arc_ids(pl.inn[path[0]]), _arc_ids(pl.out[path[-1]])
+    for v in path:
+        pl.delete(v)
+
+    def fix():
+        for a in into:
+            coloring[a] = 1
+        for i in range(1, len(path)):
+            coloring[d.arc_id(path[i - 1], path[i])] = i + 1 if i + 1 <= g - 1 else 1
+        for a in outof:
+            coloring[a] = g
+
+    return fix
 
 
-def _peel_short_path(sub: View, g: int, coloring: dict, path) -> None:
-    """Path length g-2: three cases on the classes of the two in-neighbors of p1."""
+def _peel_short_path(pl: Peel, g: int, coloring, path):
+    """Path length g-2: three cases on the classes of the two in-neighbors of p1.
+
+    Light in-neighbors (out-degree 1) go with the path; both heavy, only p1
+    and p2 go and the colors of the rest are permuted so the unique arcs into
+    w1 and w2 cover {1, 2}; mixed, the light one goes and the heavy one's
+    in-arc takes color 1.  For l = 3 in the heavy case the last path vertex
+    stays behind as a source, so its outgoing arcs lie on no remaining cycle
+    and take color 5 afterwards.
+    """
+    d = pl.d
+    out, inn = pl.out, pl.inn
     p1 = path[0]
-    w_in = sorted(u for u, _ in sub.in_arcs(p1))
+    w_in = sorted(u for u, _ in inn[p1])
     if len(w_in) != 2:  # pragma: no cover - p1 is in the (1,2) class
         raise AssertionError("expected two in-neighbors")
     w1, w2 = w_in
-    sig = {}
-    for w in (w1, w2):
-        sig[w] = (sub.outdeg(w), sub.indeg(w))
-    heavy = [w for w in (w1, w2) if sig[w] == (2, 1)]
+    heavy = [w for w in (w1, w2) if (len(out[w]), len(inn[w])) == (2, 1)]
+    # p1p2 takes 3, arcs out of p2 take 4, arcs out of p3 take 5 when present
+    tail = [(d.arc_id(p1, path[1]), 3)]
+    tail += [(a, 4) for _, a in out[path[1]]]
+    if len(path) == 3:
+        tail += [(a, 5) for _, a in out[path[2]]]
 
     if not heavy:
-        _short_case_light(sub, g, coloring, path, w1, w2)
+        into = {w: _arc_ids(inn[w]) for w in (w1, w2)}
+        drop = list(path) + [w1, w2]
     elif len(heavy) == 2:
-        _short_case_heavy(sub, g, coloring, path, w1, w2)
+        z1_arc, z2_arc = inn[w1][0][1], inn[w2][0][1]
+        drop = path[:2]
+        node = coloring.open()
     else:
-        light = w1 if heavy[0] == w2 else w2
-        _short_case_mixed(sub, g, coloring, path, light, heavy[0])
+        if heavy[0] == w1:
+            w1, w2 = w2, w1
+        # w1 light (out-degree 1), w2 heavy (2,1) with a unique in-arc
+        z2_arc = inn[w2][0][1]
+        into = _arc_ids(inn[w1])
+        drop = [w1] + list(path)
+        node = coloring.open()
+    for v in drop:
+        pl.delete(v)
+
+    def fix():
+        if not heavy:
+            for w in (w1, w2):
+                for a in into[w]:
+                    coloring[a] = 1
+                coloring[d.arc_id(w, p1)] = 2
+        elif len(heavy) == 2:
+            _permute_colors(coloring, node, {z1_arc: 1}, g, soft={z2_arc: (1, 2)})
+            c2 = coloring[z2_arc]
+            coloring[d.arc_id(w1, p1)] = 2
+            coloring[d.arc_id(w2, p1)] = 3 - c2
+        else:
+            _permute_colors(coloring, node, {z2_arc: 1}, g)
+            for a in into:
+                coloring[a] = 1
+            coloring[d.arc_id(w1, p1)] = 2
+            coloring[d.arc_id(w2, p1)] = 2
+        for a, c in tail:
+            coloring[a] = c
+
+    return fix
 
 
-def _tail_colors(sub: View, g: int, coloring: dict, path) -> None:
-    # p1p2 takes 3, arcs out of p2 take 4, arcs out of p3 take 5 when present
-    coloring[sub.d.arc_id(path[0], path[1])] = 3
-    for _, a in sub.out_arcs(path[1]):
-        coloring[a] = 4
-    if len(path) == 3:
-        for _, a in sub.out_arcs(path[2]):
-            coloring[a] = 5
-
-
-def _short_case_light(sub, g, coloring, path, w1, w2) -> None:
-    # both in-neighbors have out-degree 1 (their sole out-arc enters p1)
-    rest = sub.without(list(path) + [w1, w2])
-    _color_subgraph(rest, g, coloring)
-    for w in (w1, w2):
-        for _, a in sub.in_arcs(w):
-            coloring[a] = 1
-        coloring[sub.d.arc_id(w, path[0])] = 2
-    _tail_colors(sub, g, coloring, path)
-
-
-def _short_case_heavy(sub, g, coloring, path, w1, w2) -> None:
-    # both in-neighbors are (2,1): only p1, p2 go; permute the recursive colors
-    # so the unique arcs entering w1 and w2 cover {1, 2} between them.
-    # For l = 3 the last path vertex stays behind as a source, so its
-    # outgoing arcs lie on no remaining cycle and take color 5 afterwards.
-    rest = sub.without(path[:2])
-    _color_subgraph(rest, g, coloring)
-    z1_arc = sub.in_arcs(w1)[0][1]
-    z2_arc = sub.in_arcs(w2)[0][1]
-    _permute_colors(coloring, rest.arc_ids(), {z1_arc: 1}, g, soft={z2_arc: (1, 2)})
-    c2 = coloring[z2_arc]
-    coloring[sub.d.arc_id(w1, path[0])] = 2
-    coloring[sub.d.arc_id(w2, path[0])] = 3 - c2
-    _tail_colors(sub, g, coloring, path)
-
-
-def _short_case_mixed(sub, g, coloring, path, w1, w2) -> None:
-    # w1 light (out-degree 1), w2 heavy (2,1) with a unique in-arc
-    rest = sub.without([w1] + list(path))
-    _color_subgraph(rest, g, coloring)
-    z2_arc = sub.in_arcs(w2)[0][1]
-    _permute_colors(coloring, rest.arc_ids(), {z2_arc: 1}, g)
-    for _, a in sub.in_arcs(w1):
-        coloring[a] = 1
-    coloring[sub.d.arc_id(w1, path[0])] = 2
-    coloring[sub.d.arc_id(w2, path[0])] = 2
-    _tail_colors(sub, g, coloring, path)
-
-
-def _permute_colors(coloring, arc_ids, want: dict, g: int, soft: dict | None = None):
-    """Relabel colors on the given arcs so each want[arc] == color holds.
+def _permute_colors(coloring, node: int, want: dict, g: int, soft: dict | None = None):
+    """Relabel the colors of every arc colored under ``node`` so each
+    want[arc] == color holds, and close the node.
 
     ``soft`` entries may name a pair of acceptable colors; the permutation is
-    extended to a full bijection on [1, g].  Logged permutations keep
-    certificates auditable.
+    extended to a full bijection on [1, g].
     """
     perm = {}
     for a, c in want.items():
@@ -292,9 +372,57 @@ def _permute_colors(coloring, arc_ids, want: dict, g: int, soft: dict | None = N
     rest_dst = [c for c in range(1, g + 1) if c not in used_dst]
     for s, t in zip(rest_src, rest_dst):
         perm[s] = t
-    for a in arc_ids:
-        coloring[a] = perm[coloring[a]]
-    return perm
+    coloring.close(node, perm)
+
+
+class _Colors:
+    """Arc colors where relabelling everything a subtree colored costs O(g).
+
+    Two cases of the proof permute the colors of all arcs their recursion
+    colored.  Such a case ``open``s a node before its recursion and
+    ``close``s it with the permutation after; each write records the
+    innermost open node, and a read applies the permutations of the closed
+    nodes above the write, so a permutation never touches the arcs one by
+    one.  Chains of closed nodes are compressed as they are read.
+    """
+
+    __slots__ = ("raw", "up", "perm", "cur")
+
+    def __init__(self):
+        self.raw = {}  # arc -> (color as written, node open at the write)
+        self.up = [None]  # node -> enclosing node
+        self.perm = [None]  # node -> its permutation once closed
+        self.cur = 0
+
+    def __setitem__(self, a, c):
+        self.raw[a] = (c, self.cur)
+
+    def __getitem__(self, a):
+        c, x = self.raw[a]
+        up, perm = self.up, self.perm
+        path = []
+        while perm[x] is not None:
+            path.append(x)
+            c = perm[x][c]
+            x = up[x]
+        # point every closed node passed at the first open one above it
+        for y in reversed(path[:-1]):
+            perm[y] = {k: perm[up[y]][v] for k, v in perm[y].items()}
+            up[y] = x
+        return c
+
+    def open(self) -> int:
+        self.up.append(self.cur)
+        self.perm.append(None)
+        self.cur = len(self.up) - 1
+        return self.cur
+
+    def close(self, node: int, perm: dict) -> None:
+        self.perm[node] = perm
+        self.cur = self.up[node]
+
+    def final(self) -> dict:
+        return {a: self[a] for a in self.raw}
 
 
 # ------------------------- the g = 5, l = 2 machinery ----------------------
@@ -308,26 +436,22 @@ class _Special:
     monochromatic through every transformation.
     """
 
-    def __init__(self, sub: View, coloring: dict, p1, p2, ws, qs):
-        self.sub = sub
+    def __init__(self, d, coloring, p1, p2, ws, qs, ins, outs, on_cycle):
+        self.d = d
         self.coloring = coloring
         self.p1 = p1
         self.p2 = p2
         self.ws = ws
         self.qs = qs
-        self.star = sub.without([p1, p2])
-        self.on_cycle = self._on_cycle_map()
-
-    def _on_cycle_map(self):
-        comps = strong_components(self.star)
-        big = {v for comp in comps if len(comp) >= 2 for v in comp}
-        return {x: (x in big) for x in self.ws + self.qs}
+        self.ins = ins
+        self.outs = outs
+        self.on_cycle = on_cycle
 
     def in_ids(self, x):
-        return [a for _, a in self.star.in_arcs(x)]
+        return self.ins[x]
 
     def out_ids(self, x):
-        return [a for _, a in self.star.out_arcs(x)]
+        return self.outs[x]
 
     def col_in(self, x):
         ids = self.in_ids(x)
@@ -404,50 +528,61 @@ class _Special:
         return sorted(pairs, key=lambda p: (p != (ci, co), p))
 
 
-def _special_five(sub: View, coloring: dict, path) -> None:
+def _star(pl: Peel, p1, p2, xs):
+    """Delete p1 and p2; the arc ids into and out of each x in xs that remain."""
+    pl.delete(p1)
+    pl.delete(p2)
+    return {x: _arc_ids(pl.inn[x]) for x in xs}, {x: _arc_ids(pl.out[x]) for x in xs}
+
+
+def _special_five(pl: Peel, coloring, path):
     """g = 5 with an adjacent (1,2) -> (2,1) pair: thread five colors through it."""
+    d = pl.d
     p1, p2 = path
-    ws = sorted(u for u, _ in sub.in_arcs(p1))
-    qs = sorted(u for u, _ in sub.out_arcs(p2) if u != p1)
+    ws = sorted(u for u, _ in pl.inn[p1])
+    qs = sorted(u for u, _ in pl.out[p2] if u != p1)
     if len(ws) != 2 or len(qs) != 2:  # pragma: no cover - class signatures
         raise AssertionError("attachment structure broken")
     if set(ws) & set(qs):  # pragma: no cover - would be a short cycle
         raise AssertionError("attachment vertices collide")
-    star = sub.without([p1, p2])
-    _color_subgraph(star, 5, coloring)
-    sp = _Special(sub, coloring, p1, p2, ws, qs)
-    sp.make_special()
+    ins, outs = _star(pl, p1, p2, ws + qs)
+    on_cycle = dict.fromkeys(ws + qs)
 
-    w1, w2 = ws
-    q1, q2 = qs
+    def fix():
+        sp = _Special(d, coloring, p1, p2, ws, qs, ins, outs, on_cycle)
+        sp.make_special()
+        w1, w2 = ws
+        q1, q2 = qs
+        has = d.has_arc
+        w_adj = has(w1, w2) or has(w2, w1)
+        q_adj = has(q1, q2) or has(q2, q1)
+        if w_adj and q_adj:
+            if has(w2, w1):
+                w1, w2 = w2, w1
+            if has(q1, q2):
+                q1, q2 = q2, q1
+            _force_both_sides(sp, w1, w2, q1, q2)
+        elif w_adj:
+            if has(w2, w1):
+                w1, w2 = w2, w1
+            _force_w_side(sp, w1, w2, q1, q2, adjacent=True)
+        elif q_adj:
+            _force_q_side(sp, w1, w2, q1, q2)
+        elif any(has(w, q) for w in ws for q in qs):
+            _crosslink_path(sp, w1, w2, q1, q2)
+        else:
+            _normalize_and_finish(sp, w1, w2, q1, q2)
 
-    w_adj = sub.has_arc(w1, w2) or sub.has_arc(w2, w1)
-    q_adj = sub.has_arc(q1, q2) or sub.has_arc(q2, q1)
-    if w_adj and q_adj:
-        if sub.has_arc(w2, w1):
-            w1, w2 = w2, w1
-        if sub.has_arc(q1, q2):
-            q1, q2 = q2, q1
-        _force_both_sides(sp, w1, w2, q1, q2)
-    elif w_adj:
-        if sub.has_arc(w2, w1):
-            w1, w2 = w2, w1
-        _force_w_side(sp, w1, w2, q1, q2, adjacent=True)
-    elif q_adj:
-        _force_q_side(sp, w1, w2, q1, q2)
-    elif any(sub.has_arc(w, q) for w in ws for q in qs):
-        _crosslink_path(sp, w1, w2, q1, q2)
-    else:
-        _normalize_and_finish(sp, w1, w2, q1, q2)
+    return fix, on_cycle
 
 
 def _bridge(sp: _Special, w1, w2, q1, q2, cw1, cw2, c3, cq1, cq2) -> None:
-    sub = sp.sub
-    sp.coloring[sub.d.arc_id(w1, sp.p1)] = cw1
-    sp.coloring[sub.d.arc_id(w2, sp.p1)] = cw2
-    sp.coloring[sub.d.arc_id(sp.p1, sp.p2)] = c3
-    sp.coloring[sub.d.arc_id(sp.p2, q1)] = cq1
-    sp.coloring[sub.d.arc_id(sp.p2, q2)] = cq2
+    arc_id = sp.d.arc_id
+    sp.coloring[arc_id(w1, sp.p1)] = cw1
+    sp.coloring[arc_id(w2, sp.p1)] = cw2
+    sp.coloring[arc_id(sp.p1, sp.p2)] = c3
+    sp.coloring[arc_id(sp.p2, q1)] = cq1
+    sp.coloring[arc_id(sp.p2, q2)] = cq2
 
 
 def _force_both_sides(sp: _Special, w1, w2, q1, q2) -> None:
@@ -458,12 +593,11 @@ def _force_both_sides(sp: _Special, w1, w2, q1, q2) -> None:
     remaining colors.  When they coincide, the w-side color is moved first by
     a legal swap or duplicate-recolor at w1.
     """
-    sub = sp.sub
     c1 = sp.col_in(w1)
     cq = sp.col_out(q1)
-    if sub.indeg(w2) == 2:
+    if len(sp.ins[w2]) == 2:
         sp.set_in(w2, c1)
-    if sub.outdeg(q2) == 2:
+    if len(sp.outs[q2]) == 2:
         sp.set_out(q2, cq)
     if c1 == cq:
         if sp.col_out(w1) is not None and sp.col_out(w1) != c1:
@@ -472,7 +606,7 @@ def _force_both_sides(sp: _Special, w1, w2, q1, q2) -> None:
             choice = min(c for c in range(1, 6) if c != c1)
             sp.set_in(w1, choice)
         c1 = sp.col_in(w1)
-        if sub.indeg(w2) == 2:
+        if len(sp.ins[w2]) == 2:
             sp.set_in(w2, c1)
     if c1 == cq:  # pragma: no cover - the move above always separates them
         raise AssertionError("could not separate the two forced colors")
@@ -487,11 +621,10 @@ def _force_w_side(sp: _Special, w1, w2, q1, q2, adjacent: bool) -> None:
     to c1) or with both in-classes already sharing c1.  The q's are known to be
     non-adjacent here, so steering one never disturbs the other.
     """
-    sub = sp.sub
-    if sub.has_arc(q1, q2) or sub.has_arc(q2, q1):  # pragma: no cover - driver dispatch order
+    if sp.d.has_arc(q1, q2) or sp.d.has_arc(q2, q1):  # pragma: no cover - driver dispatch order
         raise AssertionError("q adjacency must be dispatched before w forcing")
     c1 = sp.col_in(w1)
-    if adjacent and sub.indeg(w2) == 2:
+    if adjacent and len(sp.ins[w2]) == 2:
         sp.set_in(w2, c1)
     for q in (q1, q2):
         if sp.col_out(q) == c1:
@@ -544,14 +677,14 @@ def _force_q_side(sp: _Special, w1, w2, q1, q2) -> None:
     or along q2's out-class, recolored to match q1's.  The w's are known to be
     non-adjacent here.
     """
-    sub = sp.sub
-    if sub.has_arc(w1, w2) or sub.has_arc(w2, w1):  # pragma: no cover - driver dispatch order
+    has = sp.d.has_arc
+    if has(w1, w2) or has(w2, w1):  # pragma: no cover - driver dispatch order
         raise AssertionError("w adjacency must be dispatched before q forcing")
-    if sub.has_arc(q1, q2):
+    if has(q1, q2):
         q1, q2 = q2, q1
-    adjacent = sub.has_arc(q2, q1)
+    adjacent = has(q2, q1)
     c1 = sp.col_out(q1)
-    if adjacent and sub.outdeg(q2) == 2:
+    if adjacent and len(sp.outs[q2]) == 2:
         sp.set_out(q2, c1)
     for w in (w1, w2):
         if sp.col_in(w) == c1:
@@ -569,10 +702,9 @@ def _force_q_side(sp: _Special, w1, w2, q1, q2) -> None:
 
 def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
     """Some w -> q arc exists: recolor along the path s1 w q s2 and finish."""
-    sub = sp.sub
     found = None
     for w, q in ((w1, q1), (w1, q2), (w2, q1), (w2, q2)):
-        if sub.has_arc(w, q):
+        if sp.d.has_arc(w, q):
             found = (w, q)
             break
     w, q = found
@@ -582,7 +714,7 @@ def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
         q1, q2 = q2, q1
     # the three path arcs: into w1, w1 -> q1, out of q1
     a_in = sp.in_ids(w1)
-    a_mid = [sub.d.arc_id(w1, q1)]
+    a_mid = [sp.d.arc_id(w1, q1)]
     a_out = sp.out_ids(q1)
     if len(a_in) != 1 or len(a_out) != 1:  # pragma: no cover - degree forced
         raise AssertionError("attachment path degrees broken")
@@ -676,14 +808,17 @@ class SpecialColoringToolkit:
     """
 
     def __init__(self, d: Digraph, p1: int, p2: int, coloring: dict):
-        sub = View(d)
-        if not sub.has_arc(p1, p2):
+        if not d.has_arc(p1, p2):
             raise GraphError("p1 -> p2 must be an arc")
-        ws = sorted(u for u, _ in sub.in_arcs(p1))
-        qs = sorted(u for u, _ in sub.out_arcs(p2) if u != p1)
+        ws = sorted(d.in_neighbors(p1))
+        qs = sorted(u for u in d.out_neighbors(p2) if u != p1)
         if len(ws) != 2 or len(qs) != 2 or set(ws) & set(qs):
             raise GraphError("attachment structure must be two in- and two out-vertices")
-        self._sp = _Special(sub, dict(coloring), p1, p2, ws, qs)
+        pl = Peel(d)
+        ins, outs = _star(pl, p1, p2, ws + qs)
+        pl.split(sorted(pl.out))
+        on_cycle = {x: x in pl.out for x in ws + qs}
+        self._sp = _Special(d, dict(coloring), p1, p2, ws, qs, ins, outs, on_cycle)
         self.ws = tuple(ws)
         self.qs = tuple(qs)
 
@@ -827,7 +962,7 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     gg = girth(d)
     if gg is not INFINITE and gg < 6:
         raise GraphError(f"girth {gg} below 6")
-    fas = sorted(_fas6_solve(View(d)))
+    fas = sorted(_fas6_solve(Peel(d)))
     if check:
         removed = set(fas)
         keep = [uv for a, uv in enumerate(d.arcs) if a not in removed]
@@ -839,144 +974,234 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     return tuple(fas)
 
 
-def _fas6_solve(sub: View):
-    comps = strong_components(sub)
-    if len(comps) > 1 or (comps and len(comps[0]) < len(sub.active)):
-        out = []
-        for comp in comps:
-            if len(comp) >= 2:
-                out.extend(_fas6_strong(View(sub.d, comp)))
-        return out
-    if not comps or len(comps[0]) < 2:
-        return []
-    return _fas6_strong(sub)
+def _fas6_solve(pl: Peel):
+    """Answer arcs of every live strong piece.
 
-
-def _fas6_strong(sub: View):
-    """One strongly connected piece; apply the first reduction that fits."""
-    xplus = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (2, 1))
-    xminus = sorted(v for v in sub.active if (sub.outdeg(v), sub.indeg(v)) == (1, 2))
-    if not xplus and not xminus:
-        # a bare directed cycle: one arc suffices
-        return [min(a for a in sub.arc_ids())]
-
-    paths, x_of, y_of = _x0_paths(sub, set(xplus), set(xminus))
-
-    for i, p in enumerate(paths):
-        if x_of[i] == y_of[i]:  # pragma: no cover - breaks strong connectivity
-            raise AssertionError("path closes on its own attachment")
-
-    xplus_set, xminus_set = set(xplus), set(xminus)
-    # rule: attachment in the in-heavy class with a long middle path
-    for i, p in enumerate(paths):
-        if x_of[i] in xminus_set and len(p) >= 3:
-            a = sub.d.arc_id(x_of[i], p[0])
-            return [a] + _fas6_solve(sub.without(p + [x_of[i]]))
-        if y_of[i] in xplus_set and len(p) >= 3:
-            a = sub.d.arc_id(p[-1], y_of[i])
-            return [a] + _fas6_solve(sub.without(p + [y_of[i]]))
-    # rule: both attachments heavy on the wrong side
-    for i, p in enumerate(paths):
-        if x_of[i] in xminus_set and y_of[i] in xplus_set:
-            a = sub.d.arc_id(x_of[i], p[0])
-            return [a] + _fas6_solve(sub.without(p + [x_of[i], y_of[i]]))
-    # rule: the out-heavy class is not independent
-    hit = _class_arc(sub, xplus_set)
-    if hit is not None:
-        v1 = hit[0]
-        while True:
-            pred = [u for u, _ in sub.in_arcs(v1) if u in xplus_set]
-            if not pred:
-                break
-            v1 = pred[0]
-        v2 = [u for u, _ in sub.out_arcs(v1) if u in xplus_set][0]
-        vp = [u for u, _ in sub.in_arcs(v1)][0]
-        a = sub.d.arc_id(vp, v1)
-        return [a] + _fas6_solve(sub.without([v1, v2, vp]))
-    # mirror: the in-heavy class is not independent
-    hit = _class_arc(sub, xminus_set)
-    if hit is not None:
-        vend = hit[1]
-        while True:
-            succ = [u for u, _ in sub.out_arcs(vend) if u in xminus_set]
-            if not succ:
-                break
-            vend = succ[0]
-        vprev = [u for u, _ in sub.in_arcs(vend) if u in xminus_set][0]
-        vn = [u for u, _ in sub.out_arcs(vend)][0]
-        a = sub.d.arc_id(vend, vn)
-        return [a] + _fas6_solve(sub.without([vend, vprev, vn]))
-    # rule: both attachments of some path in the out-heavy class
-    for i, p in enumerate(paths):
-        if x_of[i] in xplus_set and y_of[i] in xplus_set:
-            xs = x_of[i]
-            pre = [u for u, _ in sub.in_arcs(xs)][0]
-            a = sub.d.arc_id(pre, xs)
-            return [a] + _fas6_solve(sub.without(p + [xs, y_of[i], pre]))
-        if x_of[i] in xminus_set and y_of[i] in xminus_set:
-            ys = y_of[i]
-            nxt = [u for u, _ in sub.out_arcs(ys)][0]
-            a = sub.d.arc_id(ys, nxt)
-            return [a] + _fas6_solve(sub.without(p + [x_of[i], ys, nxt]))
-    # rule: a path's exit arcs back into its entry
-    for i, p in enumerate(paths):
-        yv, xv = y_of[i], x_of[i]
-        if sub.has_arc(yv, xv):
-            a = sub.d.arc_id(yv, xv)
-            return [a] + _fas6_solve(sub.without(p + [xv, yv]))
-    return _fas6_terminal(sub, xplus, xminus, paths, x_of, y_of)
-
-
-def _x0_paths(sub: View, xplus: set, xminus: set):
-    """Maximal balanced-class paths with their entry and exit attachments."""
-    x0 = [v for v in sorted(sub.active) if (sub.outdeg(v), sub.indeg(v)) == (1, 1)]
-    x0set = set(x0)
-    seen = set()
-    paths, x_of, y_of = [], [], []
-    for v in x0:
-        if v in seen:
+    The proof recurses into each strong piece; here a stack of pieces does.
+    A piece is a sorted vertex list or, for the component ``Peel.split``
+    certified last, its root with the piece's ``_Reductions``.  A reduction
+    deletes its vertices and what is left of the piece is split again.
+    """
+    fas = []
+    todo = [("split", sorted(pl.out), None, None, ())]
+    while todo:
+        kind, verts, root, red, drop = todo.pop()
+        if kind == "split":
+            new_root, comps, _, touched = pl.split(verts, root)
+            todo.extend(("strong", comp, None, None, ()) for comp in reversed(comps))
+            if new_root is not None:
+                # the certified piece goes last, so it is split again first
+                if new_root == root:
+                    red.update(touched, comps + [drop])
+                else:
+                    red = _Reductions(pl, touched)
+                todo.append(("strong", None, new_root, red, ()))
             continue
-        start = v
+        if red is None:
+            red = _Reductions(pl, verts)
+        arcs, drop = red.first(verts[0] if root is None else root)
+        fas.extend(arcs)
+        if drop:
+            drop = sorted(set(drop))
+            for v in drop:
+                pl.delete(v)
+            todo.append(("split", verts, root, red, drop))
+    return fas
+
+
+class _Reductions:
+    """The first reduction of the proof that fits a strong piece.
+
+    The proof scans, in this order: the balanced-class paths by lowest vertex
+    for a path of three or more with an in-heavy entry or an out-heavy exit,
+    then for an in-heavy entry and out-heavy exit; the out-heavy and then the
+    in-heavy class by lowest vertex for an arc inside the class; the paths
+    again for both attachments in one heavy class, and for an arc from exit
+    back to entry.  Each scan is a heap here, kept up to date as the piece
+    loses vertices: the path scans hold the lowest vertex of every path that
+    passed when last walked, the class scans every vertex with an arc inside
+    its class.  Classes only move to the balanced class, so a class scan never
+    gains an entry; a path changes only through vertices whose arcs changed,
+    and those paths are walked again.  Entries are checked at the top.
+    """
+
+    __slots__ = ("pl", "gone", "heavy", "plus", "minus", "paths")
+
+    def __init__(self, pl: Peel, verts):
+        self.pl = pl
+        self.gone = set()  # live vertices split off into other pieces
+        self.heavy, self.plus, self.minus = [], [], []
+        self.paths = ([], [], [], [])
+        self.update(verts, ())
+
+    def _sig(self, v):
+        return len(self.pl.out[v]), len(self.pl.inn[v])
+
+    def _path(self, w):
+        """The maximal balanced path through w, with its entry and exit."""
+        out, inn = self.pl.out, self.pl.inn
+        s = w
         while True:
-            prev = [u for u, _ in sub.in_arcs(start)][0]
-            if prev in x0set and prev not in seen and prev != v:
-                start = prev
-                if start == v:  # pragma: no cover - pure cycle handled earlier
+            u = inn[s][0][0]
+            if u == w or len(out[u]) != 1 or len(inn[u]) != 1:
+                break
+            s = u
+        path = [s]
+        while True:
+            z = out[path[-1]][0][0]
+            if z == s or len(out[z]) != 1 or len(inn[z]) != 1:
+                break
+            path.append(z)
+        return path, inn[s][0][0], out[path[-1]][0][0]
+
+    def _tests(self, path, x, y):
+        sx, sy = self._sig(x), self._sig(y)
+        return (
+            len(path) >= 3 and (sx == (1, 2) or sy == (2, 1)),
+            sx == (1, 2) and sy == (2, 1),
+            sx == sy and sx in ((2, 1), (1, 2)),
+            self.pl.d.has_arc(y, x),
+        )
+
+    def update(self, touched, gone) -> None:
+        """Walk again the paths at ``touched``; ``gone`` lists vertex lists
+        that left the piece."""
+        out, inn = self.pl.out, self.pl.inn
+        for vs in gone:
+            self.gone.update(vs)
+        seen = set()
+        for v in touched:
+            sig = self._sig(v)
+            if sig in ((2, 1), (1, 2)):
+                heapq.heappush(self.heavy, v)
+                heapq.heappush(self.plus if sig == (2, 1) else self.minus, v)
+            for w in [v] + [u for u, _ in out[v]] + [u for u, _ in inn[v]]:
+                if w in seen or self._sig(w) != (1, 1):
+                    continue
+                path, x, y = self._path(w)
+                seen.update(path)
+                key = min(path)
+                for heap, ok in zip(self.paths, self._tests(path, x, y)):
+                    if ok:
+                        heapq.heappush(heap, key)
+
+    def _live(self, v) -> bool:
+        return v in self.pl.out and v not in self.gone
+
+    def _top_path(self, rule: int):
+        heap = self.paths[rule]
+        while heap:
+            k = heap[0]
+            if self._live(k) and self._sig(k) == (1, 1):
+                path, x, y = self._path(k)
+                if min(path) == k and self._tests(path, x, y)[rule]:
+                    return path, x, y
+            heapq.heappop(heap)
+        return None
+
+    def _top_class(self, heap, sig, inside: bool):
+        out = self.pl.out
+        while heap:
+            u = heap[0]
+            if self._live(u) and self._sig(u) in sig:
+                if not inside or any(self._sig(w) == sig[0] for w, _ in out[u]):
+                    return u
+            heapq.heappop(heap)
+        return None
+
+    def first(self, start: int):
+        """(answer arcs, vertices to remove) of the first reduction that fits;
+        the vertices are None when the piece is finished."""
+        pl = self.pl
+        d, out, inn = pl.d, pl.out, pl.inn
+        plus = lambda v: self._sig(v) == (2, 1)  # noqa: E731
+        minus = lambda v: self._sig(v) == (1, 2)  # noqa: E731
+        if self._top_class(self.heavy, ((2, 1), (1, 2)), False) is None:
+            # a bare directed cycle: one arc suffices
+            arcs, v = [], start
+            while not arcs or v != start:
+                ((v, a),) = out[v]
+                arcs.append(a)
+            return [min(arcs)], None
+        # rule: attachment in the in-heavy class with a long middle path
+        found = self._top_path(0)
+        if found is not None:
+            p, x, y = found
+            if minus(x):
+                return [d.arc_id(x, p[0])], p + [x]
+            return [d.arc_id(p[-1], y)], p + [y]
+        # rule: both attachments heavy on the wrong side
+        found = self._top_path(1)
+        if found is not None:
+            p, x, y = found
+            return [d.arc_id(x, p[0])], p + [x, y]
+        # rule: the out-heavy class is not independent
+        v1 = self._top_class(self.plus, ((2, 1),), True)
+        if v1 is not None:
+            while True:
+                pred = [u for u, _ in inn[v1] if plus(u)]
+                if not pred:
                     break
-            else:
-                break
-        path = [start]
-        seen.add(start)
-        while True:
-            nxt = [u for u, _ in sub.out_arcs(path[-1])][0]
-            if nxt in x0set:
-                path.append(nxt)
-                seen.add(nxt)
-            else:
-                break
-        paths.append(path)
-        x_of.append([u for u, _ in sub.in_arcs(path[0])][0])
-        y_of.append([u for u, _ in sub.out_arcs(path[-1])][0])
-    return paths, x_of, y_of
+                v1 = pred[0]
+            v2 = [u for u, _ in out[v1] if plus(u)][0]
+            vp = inn[v1][0][0]
+            return [d.arc_id(vp, v1)], [v1, v2, vp]
+        # mirror: the in-heavy class is not independent
+        u = self._top_class(self.minus, ((1, 2),), True)
+        if u is not None:
+            vend = out[u][0][0]
+            while True:
+                succ = [w for w, _ in out[vend] if minus(w)]
+                if not succ:
+                    break
+                vend = succ[0]
+            vprev = [w for w, _ in inn[vend] if minus(w)][0]
+            vn = out[vend][0][0]
+            return [d.arc_id(vend, vn)], [vend, vprev, vn]
+        # rule: both attachments of some path in the out-heavy class
+        found = self._top_path(2)
+        if found is not None:
+            p, x, y = found
+            if plus(x):
+                pre = inn[x][0][0]
+                return [d.arc_id(pre, x)], p + [x, y, pre]
+            nxt = out[y][0][0]
+            return [d.arc_id(y, nxt)], p + [x, y, nxt]
+        # rule: a path's exit arcs back into its entry
+        found = self._top_path(3)
+        if found is not None:
+            p, x, y = found
+            return [d.arc_id(y, x)], p + [x, y]
+        # the irreducible core, read off in full once
+        verts, stack = {start}, [start]
+        while stack:
+            for w, _ in out[stack.pop()]:
+                if w not in verts:
+                    verts.add(w)
+                    stack.append(w)
+        verts = sorted(verts)
+        xplus = [v for v in verts if plus(v)]
+        xminus = [v for v in verts if minus(v)]
+        # the balanced paths in order of their lowest vertex
+        seen, paths, x_of, y_of = set(), [], [], []
+        for v in verts:
+            if v not in seen and self._sig(v) == (1, 1):
+                p, x, y = self._path(v)
+                seen.update(p)
+                paths.append(p)
+                x_of.append(x)
+                y_of.append(y)
+        return _fas6_terminal(pl, xplus, xminus, paths, x_of, y_of), None
 
 
-def _class_arc(sub: View, cls: set):
-    for u in sorted(cls):
-        for v, _ in sorted(sub.out_arcs(u)):
-            if v in cls:
-                return (u, v)
-    return None
-
-
-def _fas6_terminal(sub: View, xplus, xminus, paths, x_of, y_of):
+def _fas6_terminal(pl: Peel, xplus, xminus, paths, x_of, y_of):
     """Irreducible core: contract the matching and take an exact FVS."""
     verts = sorted(set(xplus) | set(xminus))
     idx = {v: i for i, v in enumerate(verts)}
     marcs = []
     mids = []
     for u in xminus:
-        outs = [(w, a) for w, a in sub.out_arcs(u)]
-        (w, a) = outs[0]
+        (w, a) = pl.out[u][0]
         if w not in idx or w not in set(xplus):  # pragma: no cover
             raise AssertionError("matching arc misses the out-heavy class")
         marcs.append((u, w))
@@ -989,7 +1214,7 @@ def _fas6_terminal(sub: View, xplus, xminus, paths, x_of, y_of):
         raise AssertionError("matching is not a perfect pairing")
     carcs = []
     for u in verts:
-        for w, a in sub.out_arcs(u):
+        for w, a in pl.out[u]:
             if w in idx and a not in set(mids):
                 carcs.append((pair_of[u], pair_of[w]))
     for i in range(len(paths)):

@@ -9,8 +9,10 @@ but still no loops.  Both are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class _Infinite:
@@ -235,61 +237,242 @@ class Graph:
 
 
 class View:
-    """Vertex-subset view of a fixed digraph.
+    """Vertex-subset view of a fixed digraph, for the structural queries.
 
-    Recursions delete vertices by shrinking the active set, never by copying
-    the graph.  Arc lists keep the digraph's arc order and arc ids, filtered to
-    the active set; the converse view swaps out- and in-arcs in O(1).
+    ``without`` deletes vertices by shrinking the active set, never by copying
+    the graph; ``shortest_cycle`` and ``strong_components`` read the arcs
+    between active vertices in the digraph's arc order.
     """
 
-    __slots__ = ("d", "active", "_out", "_in")
+    __slots__ = ("d", "active", "_out")
 
     def __init__(self, d: _BaseDigraph, vertices=None):
         self.d = d
         self.active = frozenset(range(d.n) if vertices is None else vertices)
         self._out = d._out
-        self._in = d._in
-
-    def _derive(self, active, out, inn) -> "View":
-        view = object.__new__(View)
-        view.d, view.active, view._out, view._in = self.d, active, out, inn
-        return view
-
-    def out_arcs(self, v: int):
-        """List of (head, arc_id) pairs for arcs leaving v inside the view."""
-        act = self.active
-        return [(u, a) for u, a in self._out[v] if u in act]
-
-    def in_arcs(self, v: int):
-        act = self.active
-        return [(u, a) for u, a in self._in[v] if u in act]
-
-    def out_neighbors(self, v: int):
-        return [u for u, _ in self.out_arcs(v)]
-
-    def in_neighbors(self, v: int):
-        return [u for u, _ in self.in_arcs(v)]
-
-    def outdeg(self, v: int) -> int:
-        return len(self.out_arcs(v))
-
-    def indeg(self, v: int) -> int:
-        return len(self.in_arcs(v))
-
-    def has_arc(self, u: int, v: int) -> bool:
-        act = self.active
-        return u in act and v in act and any(w == v for w, _ in self._out[u])
-
-    def arc_ids(self):
-        """Ids of the arcs with both ends in the view, in increasing order."""
-        act = self.active
-        return sorted(a for v in act for w, a in self._out[v] if w in act)
 
     def without(self, vs) -> "View":
-        return self._derive(self.active.difference(vs), self._out, self._in)
+        return View(self.d, self.active.difference(vs))
 
-    def converse(self) -> "View":
-        return self._derive(self.active, self._in, self._out)
+
+class Peel:
+    """Live adjacency of a digraph under vertex and arc deletion.
+
+    The peeling constructions remove a few vertices per step from one mutable
+    structure instead of deriving a smaller view per step.  ``out[v]`` and
+    ``inn[v]`` hold the live arcs at a live vertex v as (neighbour, arc id)
+    pairs in arc order, so they read exactly like the arc lists of the induced
+    subgraph on the live vertices; deleting a vertex or an arc costs
+    O(degree).  ``stamp[v]`` counts the vertices deleted before v: a step
+    that deleted a run of vertices can read, after later steps deleted the
+    rest, the neighbourhood each had when it went (``out_then``/``in_then``).
+    """
+
+    __slots__ = ("d", "out", "inn", "stamp", "_unbalanced", "_trees", "_dead", "_near")
+
+    def __init__(self, d: _BaseDigraph, vertices=None):
+        self.d = d
+        if vertices is None:
+            self.out = {v: list(d._out[v]) for v in range(d.n)}
+            self.inn = {v: list(d._in[v]) for v in range(d.n)}
+        else:
+            keep = set(vertices)
+            self.out = {v: [e for e in d._out[v] if e[0] in keep] for v in sorted(keep)}
+            self.inn = {v: [e for e in d._in[v] if e[0] in keep] for v in sorted(keep)}
+        self.stamp = {}
+        self._unbalanced = None
+        # (parent, children, depth) of a reach-out tree and a reach-in tree of the
+        # strong piece ``split`` certified last; its vertices deleted since,
+        # and the vertices they had arcs to then
+        self._trees = (({}, {}, {}), ({}, {}, {}))
+        self._dead = []
+        self._near = []
+
+    def delete(self, v: int) -> None:
+        out, inn = self.out, self.inn
+        outs, ins = out.pop(v), inn.pop(v)
+        for w, a in outs:
+            inn[w].remove((v, a))
+        for u, a in ins:
+            out[u].remove((v, a))
+        self.stamp[v] = len(self.stamp)
+        if v in self._trees[0][0]:
+            self._dead.append(v)
+            self._near += [w for w, _ in outs + ins]
+        heap = self._unbalanced
+        if heap is not None:
+            for w, _ in outs + ins:
+                if min(len(out[w]), len(inn[w])) <= 1:
+                    heapq.heappush(heap, w)
+
+    def lowest_unbalanced(self):
+        """Smallest live vertex with min(out-degree, in-degree) <= 1, or None.
+
+        The bucket is a heap filled on first use and fed by ``delete``; since
+        degrees only fall, a vertex stays unbalanced until it is deleted.
+        """
+        out, inn = self.out, self.inn
+        heap = self._unbalanced
+        if heap is None:
+            heap = self._unbalanced = [v for v in out if min(len(out[v]), len(inn[v])) <= 1]
+            heapq.heapify(heap)
+        while heap and heap[0] not in out:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def _alive_then(self, v: int, arcs):
+        stamp, s = self.stamp, self.stamp[v]
+        return [w for w, _ in arcs if stamp.get(w, s) >= s]
+
+    def out_then(self, v: int):
+        """Out-neighbours of a deleted vertex among the vertices live when it went."""
+        return self._alive_then(v, self.d._out[v])
+
+    def in_then(self, v: int):
+        return self._alive_then(v, self.d._in[v])
+
+    def split(self, piece, root=None):
+        """Strong components of a piece of the live graph.
+
+        ``piece`` lists the piece's vertices in increasing order (deleted ones
+        may remain in it).  Returns ``(root, comps, cut, touched)``: the
+        component of ``root`` is certified by a reach-out and a reach-in tree
+        from it and returned only through its root (None when it has a single
+        vertex), ``comps`` are the other components as sorted lists, and
+        ``cut`` the ids of the arcs between components in increasing order.
+        Those arcs are cut and one-vertex components deleted, so afterwards
+        the live arcs at a vertex are the arcs of its own component.
+
+        To split what deletions left of the certified component, pass its
+        root back (``piece`` may then be None): only the tree branches that
+        hung below deleted vertices are searched again, Tarjan runs only on
+        the vertices the component lost, and ``touched`` lists the vertices
+        left in it whose arcs changed.  When the trees are grown afresh (no
+        root, or it was deleted) the root changes and ``touched`` lists the
+        whole component.  Between the two calls no other piece may be split.
+        """
+        out, inn = self.out, self.inn
+        ftree, btree = self._trees
+        fpar, bpar = ftree[0], btree[0]
+        dead, near = self._dead, self._near
+        self._dead, self._near = [], []
+        if root is not None and root in out:
+            lost = set(_reattach(dead, out, inn, *ftree))
+            lost.update(_reattach(dead, inn, out, *btree))
+            for par, kids, depth in self._trees:
+                # a lost vertex only has lost vertices below it in either tree
+                for v in lost:
+                    if v in par:
+                        u = par.pop(v)
+                        if u is not None and u not in lost:
+                            kids[u].remove(v)
+                        del kids[v], depth[v]
+            giant = None
+        else:
+            vs = [v for v in (sorted(fpar) if piece is None else piece) if v in out]
+            self._trees = ftree, btree = (({}, {}, {}), ({}, {}, {}))
+            fpar, bpar = ftree[0], btree[0]
+            if not vs:
+                return None, [], [], []
+            root = vs[-1]  # peeling favours low ids, so the root lasts
+            _grow(root, out, *ftree)
+            _grow(root, inn, *btree)
+            giant = [v for v in vs if v in fpar and v in bpar]
+            lost = set(vs).difference(giant)
+            for par, kids, depth in self._trees:
+                for v in lost:
+                    par.pop(v, None)
+                    kids.pop(v, None)
+                    depth.pop(v, None)
+                for kids_v in kids.values():
+                    kids_v[:] = [w for w in kids_v if w not in lost]
+        comps = _tarjan(sorted(lost), {v: [e for e in out[v] if e[0] in lost] for v in lost})
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        cut = sorted(
+            [(a, v, w) for v in lost for w, a in out[v] if comp_of.get(w) != comp_of[v]]
+            + [(a, u, v) for v in lost for u, a in inn[v] if u not in lost]
+        )
+        for a, v, w in cut:
+            out[v].remove((w, a))
+            inn[w].remove((v, a))
+        if giant is None:
+            near += [x for _, v, w in cut for x in (v, w)]
+            touched = sorted({w for w in near if w in out and w not in lost})
+        else:
+            touched = giant
+        for comp in comps:
+            if len(comp) == 1:
+                self.delete(comp[0])
+        if len(fpar) == 1:  # the root alone
+            self._trees = (({}, {}, {}), ({}, {}, {}))
+            self.delete(root)
+            root, touched = None, []
+        return root, [comp for comp in comps if len(comp) > 1], [a for a, _, _ in cut], touched
+
+
+def _grow(root, arcs, par, kids, depth):
+    """BFS tree from ``root`` along ``arcs``."""
+    par[root] = None
+    kids[root] = []
+    depth[root] = 0
+    reach = [root]
+    for x in reach:
+        for w, _ in arcs[x]:
+            if w not in par:
+                par[w] = x
+                kids[w] = []
+                depth[w] = depth[x] + 1
+                kids[x].append(w)
+                reach.append(w)
+
+
+def _reattach(dead, arcs, back, par, kids, depth):
+    """Repair a search tree after deleting ``dead``; returns the vertices out of reach.
+
+    Only the branches below deleted vertices are searched: their vertices
+    hang back on, shallowest first, below the live tree vertex or the vertex
+    already hung back on that gives them the least depth, so the tree stays
+    close to a BFS tree and its branches stay small.
+    """
+    deadset = set(dead)
+    orphans, orph = [], set()
+    stack = [c for v in dead for c in kids.get(v, ())]
+    while stack:
+        c = stack.pop()
+        if c in deadset or c in orph:
+            continue
+        orph.add(c)
+        orphans.append(c)
+        stack.extend(kids[c])
+    for v in dead:
+        u = par.pop(v, None)
+        if u is not None and u not in deadset and u not in orph:
+            kids[u].remove(v)
+        kids.pop(v, None)
+        depth.pop(v, None)
+    queue = []
+    for o in orphans:
+        kids[o] = []
+        for u, _ in back[o]:
+            if u not in orph:
+                queue.append((depth[u] + 1, o, u))
+    heapq.heapify(queue)
+    found = set()
+    while queue:
+        k, o, u = heapq.heappop(queue)
+        if o in found:
+            continue
+        found.add(o)
+        par[o] = u
+        depth[o] = k
+        kids[u].append(o)
+        for w, _ in arcs[o]:
+            if w in orph and w not in found:
+                heapq.heappush(queue, (k + 1, w, o))
+    lost = [o for o in orphans if o not in found]
+    for o in lost:
+        del par[o], kids[o], depth[o]
+    return lost
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +553,23 @@ def strong_components(d):
     Components are sorted vertex lists; the component list as a whole is
     emitted sources first, so every arc between components goes forward.
     """
-    view = d if isinstance(d, View) else View(d)
-    act, out_arcs = view.active, view._out
+    if isinstance(d, View):
+        act = d.active
+        return _tarjan(sorted(act), {v: [e for e in d._out[v] if e[0] in act] for v in act})
+    return _tarjan(range(d.n), d._out)
+
+
+def _tarjan(roots, out):
+    """Tarjan over ``out[v]`` (pairs (head, arc id)) from ``roots`` in order.
+
+    Every head met must lie in the vertex set the roots span.
+    """
     index = {}
     low = {}
     on_stack = set()
     stack = []
     comps = []
-    for root in sorted(act):
+    for root in roots:
         if root in index:
             continue
         work = [(root, 0)]
@@ -388,12 +580,10 @@ def strong_components(d):
                 stack.append(v)
                 on_stack.add(v)
             advanced = False
-            out = out_arcs[v]
-            while pi < len(out):
-                w = out[pi][0]
+            arcs = out[v]
+            while pi < len(arcs):
+                w = arcs[pi][0]
                 pi += 1
-                if w not in act:
-                    continue
                 if w not in index:
                     work[-1] = (v, pi)
                     work.append((w, 0))
@@ -525,21 +715,23 @@ def reduce_digons(d: Digraph):
                 extracted += 1.0
         arcs = [uv for i, uv in enumerate(d.arcs) if i not in drop]
         return Digraph(d.n, arcs), extracted
-    w = list(d.weights)
+    # exact arithmetic on the weights' decimal text: (0.3, 0.1) leaves 0.2
+    w = [Fraction(repr(x)) for x in d.weights]
+    total = Fraction(0)
     for (u, v), a in pair_of.items():
         if u < v and (v, u) in pair_of:
             b = pair_of[(v, u)]
             m = min(w[a], w[b])
             w[a] -= m
             w[b] -= m
-            extracted += m
+            total += m
     arcs, weights = [], []
     for i, uv in enumerate(d.arcs):
-        if (uv[1], uv[0]) in pair_of and w[i] == 0.0:
+        if (uv[1], uv[0]) in pair_of and w[i] == 0:
             continue
         arcs.append(uv)
-        weights.append(w[i])
-    return Digraph(d.n, arcs, weights), extracted
+        weights.append(float(w[i]))
+    return Digraph(d.n, arcs, weights), float(total)
 
 
 def eulerian_orient(g: Graph) -> Digraph:

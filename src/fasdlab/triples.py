@@ -12,13 +12,15 @@ components with a transitive triangle by deleting two triangle vertices, and
 the remaining 2-regular transitive-triangle-free case by removing one vertex
 and growing anti-directed paths between its former neighbors.  Every case
 dispatch is deterministic (lowest eligible id), so certificates reproduce.
+The recursion runs as loops over one ``Peel``, so no input size exhausts the
+interpreter's stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, GraphError, View, connected_components
+from .digraph import Digraph, GraphError, Peel, connected_components
 
 
 @dataclass(frozen=True)
@@ -102,61 +104,129 @@ def insert_no_backward(order, x: int, d: Digraph):
 
 
 # ---------------------------------------------------------------------------
-# the recursion deletes vertices by shrinking a View's active set, never
-# copying the graph
+# the recursions of the proof run as loops over one Peel: a chain of steps each
+# deletes a vertex top-down, then the orderings are built bottom-up in _Orders
 
 
-def _unbalanced(sub: View, v) -> bool:
-    return min(sub.outdeg(v), sub.indeg(v)) <= 1
+class _Orders:
+    """Three vertex orderings built back to front, each step O(1).
+
+    Every ordering is a doubly linked list.  The converse step of the proof
+    (reverse all three, swap the first two) toggles one orientation flag and
+    swaps two slots; ``permute`` moves whole orderings between slots.
+    """
+
+    __slots__ = ("link", "ends", "slot", "rev")
+
+    def __init__(self, lists):
+        # link[L] = [next, prev] of physical list L; ends[L] = [head, tail]
+        self.link = [[{}, {}] for _ in range(3)]
+        self.ends = [[None, None] for _ in range(3)]
+        self.slot = [0, 1, 2]
+        self.rev = 0
+        for k, o in enumerate(lists):
+            for x in o:
+                self._push(k, x, 1)
+
+    def _push(self, k, x, f):
+        # x becomes the first vertex of slot k read in direction f
+        L = self.slot[k]
+        nxt, prv = self.link[L][f], self.link[L][1 - f]
+        ends = self.ends[L]
+        h = ends[f]
+        nxt[x], prv[x] = h, None
+        if h is None:
+            ends[1 - f] = x
+        else:
+            prv[h] = x
+        ends[f] = x
+
+    def _place(self, k, x, u, f):
+        # x goes right after u in slot k read in direction f
+        L = self.slot[k]
+        nxt, prv = self.link[L][f], self.link[L][1 - f]
+        w = nxt[u]
+        nxt[u], prv[x], nxt[x] = x, u, w
+        if w is None:
+            self.ends[L][1 - f] = x
+        else:
+            prv[w] = x
+
+    def push_front(self, k, x):
+        self._push(k, x, self.rev)
+
+    def push_back(self, k, x):
+        self._push(k, x, 1 - self.rev)
+
+    def insert_after(self, k, x, u):
+        self._place(k, x, u, self.rev)
+
+    def insert_before(self, k, x, u):
+        self._place(k, x, u, 1 - self.rev)
+
+    def permute(self, i, j, k):
+        """New slots 0, 1, 2 hold the old slots i, j, k."""
+        s = self.slot
+        self.slot = [s[i], s[j], s[k]]
+
+    def converse(self):
+        self.rev ^= 1
+        self.slot[0], self.slot[1] = self.slot[1], self.slot[0]
+
+    def lists(self):
+        out = []
+        for L in self.slot:
+            nxt, x, o = self.link[L][self.rev], self.ends[L][self.rev], []
+            while x is not None:
+                o.append(x)
+                x = nxt[x]
+            out.append(o)
+        return tuple(out)
 
 
-def _lowest_unbalanced(sub: View):
-    for v in sorted(sub.active):
-        if _unbalanced(sub, v):
-            return v
-    return None
+def _unbalanced(pl: Peel, v) -> bool:
+    return min(len(pl.out[v]), len(pl.inn[v])) <= 1
 
 
-def _insert_after(order, x, anchor):
-    i = order.index(anchor)
-    return order[: i + 1] + [x] + order[i + 1 :]
+def _vtriple(pl: Peel, v: int):
+    """Good v-triple (v first in #1, last in #2) of the live graph, which has no
+    2-regular component; deletes every live vertex.
 
-
-def _insert_before(order, x, anchor):
-    i = order.index(anchor)
-    return order[:i] + [x] + order[i:]
-
-
-def _rev(order):
-    return list(reversed(order))
-
-
-def _vtriple(sub: View, v: int):
-    """Good v-triple (v first in #1, last in #2) for graphs with no 2-regular component."""
-    if len(sub.active) == 1:
-        return [v], [v], [v]
-    if sub.indeg(v) <= 1:
-        return _vtriple_direct(sub, v)
-    # take the converse, solve, and reverse each ordering back
-    a, b, c = _vtriple_direct(sub.converse(), v)
-    return _rev(b), _rev(a), _rev(c)
-
-
-def _vtriple_direct(sub: View, v):
-    rest = sub.without([v])
-    ins = rest.in_neighbors(v)
-    if not ins:
-        u2 = _lowest_unbalanced(rest)
-        if u2 is None:  # pragma: no cover - would witness a precondition break
-            raise GraphError("no unbalanced vertex available in recursion")
-        s1, s2, s3 = _vtriple(rest, u2)
-        return [v] + s1, s2 + [v], [v] + s3
-    (u,) = ins
-    if not _unbalanced(rest, u):  # pragma: no cover - degree <= 3 after deletion
-        raise GraphError("in-neighbor not unbalanced after deletion")
-    u_first, u_last, s = _vtriple(rest, u)
-    s_uv = _insert_after(u_first, v, u)
-    return [v] + u_last, s + [v], s_uv
+    Each step deletes v, working on the converse when v has two in-arcs, and
+    continues at v's in-neighbor or else at the lowest unbalanced vertex.
+    """
+    steps = []
+    frame = 0  # 1 while the steps work on the converse
+    while len(pl.out) > 1:
+        flip = len((pl.out if frame else pl.inn)[v]) > 1
+        frame ^= flip
+        ins = [u for u, _ in (pl.out if frame else pl.inn)[v]]
+        pl.delete(v)
+        if ins:
+            (u,) = ins
+            if not _unbalanced(pl, u):  # pragma: no cover - degree <= 3 after deletion
+                raise GraphError("in-neighbor not unbalanced after deletion")
+        else:
+            u = pl.lowest_unbalanced()
+            if u is None:  # pragma: no cover - would witness a precondition break
+                raise GraphError("no unbalanced vertex available in recursion")
+        steps.append((v, flip, bool(ins), u))
+        v = u
+    pl.delete(v)
+    t = _Orders(([v], [v], [v]))
+    for v, flip, has_in, u in reversed(steps):
+        if has_in:  # (v + B, C + v, A with v right after u)
+            t.insert_after(0, v, u)
+            t.push_front(1, v)
+            t.push_back(2, v)
+            t.permute(1, 2, 0)
+        else:  # (v + A, B + v, v + C)
+            t.push_front(0, v)
+            t.push_back(1, v)
+            t.push_front(2, v)
+        if flip:
+            t.converse()
+    return t.lists()
 
 
 def good_vtriple_nonregular(d: Digraph, v: int) -> OrderingTriple:
@@ -169,32 +239,34 @@ def good_vtriple_nonregular(d: Digraph, v: int) -> OrderingTriple:
     for comp in connected_components(d):
         if all(d.out_degree(u) == d.in_degree(u) == 2 for u in comp):
             raise GraphError("a 2-regular component is out of scope for this routine")
-    sub = View(d)
-    if not _unbalanced(sub, v):
+    pl = Peel(d)
+    if not _unbalanced(pl, v):
         raise GraphError(f"vertex {v} is not unbalanced")
-    t = _vtriple(sub, v)
-    return OrderingTriple(tuple(tuple(o) for o in t))
+    return OrderingTriple(tuple(tuple(o) for o in _vtriple(pl, v)))
 
 
-def _find_transitive_triangle(sub: View):
-    for a1 in sorted(sub.active):
-        for a2 in sorted(sub.out_neighbors(a1)):
-            for x in sorted(sub.out_neighbors(a1)):
-                if x != a2 and sub.d.has_arc(a2, x):
+def _find_transitive_triangle(pl: Peel):
+    for a1 in sorted(pl.out):
+        outs = sorted(w for w, _ in pl.out[a1])
+        for a2 in outs:
+            for x in outs:
+                if x != a2 and pl.d.has_arc(a2, x):
                     return a1, a2, x
     return None
 
 
-def _triple_transitive(sub: View):
-    found = _find_transitive_triangle(sub)
+def _triple_transitive(pl: Peel):
+    found = _find_transitive_triangle(pl)
     if found is None:
         raise GraphError("no transitive triangle present")
     a1, a2, x = found
-    s_first, s_last, s = _vtriple(sub.without([a1, x]), a2)
-    s_a1a2 = _insert_before(s_last, a1, a2)
+    pl.delete(a1)
+    pl.delete(x)
+    s_first, s_last, s = _vtriple(pl, a2)
+    s_last.insert(s_last.index(a2), a1)
     pi = [a1] + s_first
-    pi = pi[:2] + [x] + pi[2:]  # x right after a1 and a2
-    return [x] + s + [a1], s_a1a2 + [x], pi
+    pi.insert(2, x)  # x right after a1 and a2
+    return [x] + s + [a1], s_last + [x], pi
 
 
 def good_triple_transitive(d: Digraph) -> OrderingTriple:
@@ -202,45 +274,62 @@ def good_triple_transitive(d: Digraph) -> OrderingTriple:
     _validate_input(d)
     if any(d.out_degree(v) != 2 or d.in_degree(v) != 2 for v in range(d.n)):
         raise GraphError("input must be 2-regular")
-    t = _triple_transitive(View(d))
+    t = _triple_transitive(Peel(d))
     return OrderingTriple(tuple(tuple(o) for o in t))
 
 
-def _extend_antidirected(sub: View, path, triple, pi_idx: int, variant: int):
+def _extend_antidirected(pl: Peel, path, triple, pi_idx: int, variant: int):
     """Extension engine: grow an x1-triple from an x_l-triple along an anti-directed path.
 
-    ``triple`` is a good x_l-triple of the view minus path[:-1]; ``pi_idx``
-    picks pi* as its first (0) or second (1) ordering; ``variant`` 1 demands
-    pi* <= first ordering of the result, variant 2 demands pi* <= second.
+    ``triple`` is a good x_l-triple of the graph minus path[:-1], which pl
+    deleted in path order before any other vertex of that graph, so each
+    path[i] reads its neighbors in the graph minus path[:i] from its stamp.
+    ``pi_idx`` picks pi* as the triple's first (0) or second (1) ordering;
+    ``variant`` 1 demands pi* <= first ordering of the result, variant 2
+    demands pi* <= second.  A step whose start has its sole in-neighbor on the
+    path works on the converse: the triple is reversed with its first two
+    orderings swapped, pi_idx and variant switch, and the result flips back.
     """
-    x1, x2 = path[0], path[1]
-    outs = sub.out_neighbors(x1)
-    ins = sub.in_neighbors(x1)
-    if outs == [x2] and len(outs) == 1:
-        pass
-    elif ins == [x2] and len(ins) == 1:
-        flipped_triple = (_rev(triple[1]), _rev(triple[0]), _rev(triple[2]))
-        res = _extend_antidirected(
-            sub.converse(), path, flipped_triple, 1 - pi_idx, 3 - variant
-        )
-        return _rev(res[1]), _rev(res[0]), _rev(res[2])
-    else:
-        raise GraphError("path start must have its sole out- or in-neighbor on the path")
-
-    if len(path) == 3:
-        x3 = path[2]
-        t0, t1, t2 = triple
-        pis = _insert_after(t0, x2, x3)
-        t_prime = ([x1] + pis, [x2] + t1 + [x1], t2 + [x1, x2])
-        t_dprime = ([x1, x2] + t1, pis + [x1], t2 + [x1, x2])
-        first, second = (t_prime, t_dprime) if pi_idx == 0 else (t_dprime, t_prime)
-        return first if variant == 1 else second
-
-    s_first, s_last, s = _extend_antidirected(sub.without([x1]), path[1:], triple, pi_idx, 1)
-    s_x1x2 = _insert_before(s_last, x1, x2)
-    if variant == 1:
-        return [x1] + s_first, s + [x1], s_x1x2
-    return [x1] + s, s_first + [x1], s_x1x2
+    steps = []
+    frame = 0
+    for i in range(len(path) - 2):
+        x1, x2 = path[i], path[i + 1]
+        outs, ins = pl.out_then(x1), pl.in_then(x1)
+        if frame:
+            outs, ins = ins, outs
+        flip = outs != [x2]
+        if flip and ins != [x2]:
+            raise GraphError("path start must have its sole out- or in-neighbor on the path")
+        if flip:
+            frame ^= 1
+            pi_idx, variant = 1 - pi_idx, 3 - variant
+        steps.append((flip, variant))
+        variant = 1
+    t0, t1, t2 = triple
+    if frame:
+        t0, t1, t2 = t1[::-1], t0[::-1], t2[::-1]
+    x1, x2, x3 = path[-3:]
+    pis = list(t0)
+    pis.insert(pis.index(x3) + 1, x2)
+    t_prime = ([x1] + pis, [x2] + t1 + [x1], t2 + [x1, x2])
+    t_dprime = ([x1, x2] + t1, pis + [x1], t2 + [x1, x2])
+    first, second = (t_prime, t_dprime) if pi_idx == 0 else (t_dprime, t_prime)
+    flip, variant = steps.pop()
+    t = _Orders(first if variant == 1 else second)
+    if flip:
+        t.converse()
+    for i in range(len(steps) - 1, -1, -1):
+        flip, variant = steps[i]
+        x1, x2 = path[i], path[i + 1]
+        # s_first, s_last, s -> (x1 + s_first, s + x1, x1 before x2 in s_last)
+        # or, for variant 2, (x1 + s, s_first + x1, the same)
+        t.push_front(0 if variant == 1 else 2, x1)
+        t.push_back(2 if variant == 1 else 0, x1)
+        t.insert_before(1, x1, x2)
+        t.permute(*((0, 2, 1) if variant == 1 else (2, 0, 1)))
+        if flip:
+            t.converse()
+    return t.lists()
 
 
 def extend_along_antidirected(
@@ -264,23 +353,41 @@ def extend_along_antidirected(
         raise ValueError("variant must be 1 or 2")
     tri = triple.orderings if isinstance(triple, OrderingTriple) else triple
     tri = tuple(list(o) for o in tri)
-    res = _extend_antidirected(
-        View(d), list(path), tri, 0 if pi_star == "first" else 1, variant
-    )
+    pl = Peel(d)
+    for x in path[:-1]:
+        pl.delete(x)
+    res = _extend_antidirected(pl, list(path), tri, 0 if pi_star == "first" else 1, variant)
     return OrderingTriple(tuple(tuple(o) for o in res))
 
 
-def _two_regular_triple(sub: View):
-    """The 2-regular transitive-triangle-free case: x-removal plus path growth."""
-    d = sub.d
-    x = min(sub.active)
-    a_nb = sorted(sub.in_neighbors(x))
-    b_nb = sorted(sub.out_neighbors(x))
-    a1, a2 = a_nb
-    b1, b2 = b_nb
-    d_act = sub.without([x])
+def _grow_path(pl: Peel, path, stops):
+    """Extend an anti-directed path over live vertices by lowest ids.
 
-    outs = d_act.out_neighbors(a2)
+    Stops at a vertex of ``stops`` (returns "hit") or where no live vertex off
+    the path continues it (returns "stuck").
+    """
+    d = pl.d
+    on_path = set(path)
+    while path[-1] not in stops:
+        tail = path[-1]
+        arcs = pl.inn[tail] if d.has_arc(path[-2], tail) else pl.out[tail]
+        cands = [u for u, _ in arcs if u not in on_path]
+        if not cands:
+            return "stuck"
+        path.append(min(cands))
+        on_path.add(path[-1])
+    return "hit"
+
+
+def _two_regular_triple(pl: Peel):
+    """The 2-regular transitive-triangle-free case: x-removal plus path growth."""
+    d = pl.d
+    x = min(pl.out)
+    a1, a2 = sorted(u for u, _ in pl.inn[x])
+    b1, b2 = sorted(u for u, _ in pl.out[x])
+    pl.delete(x)
+
+    outs = [u for u, _ in pl.out[a2]]
     if len(outs) != 1:  # pragma: no cover - forced by 2-regularity
         raise GraphError("expected a unique out-neighbor after deleting x")
     x1 = outs[0]
@@ -288,40 +395,26 @@ def _two_regular_triple(sub: View):
         raise GraphError("path start collides with a neighbor of x")
 
     path = [a2, x1]
-    case = None
-    while True:
-        tail = path[-1]
-        if tail == a1:
-            case = "a1"
-            break
-        if tail in (b1, b2):
-            case = "b"
-            break
-        if d.has_arc(path[-2], tail):
-            cands = [u for u in d_act.in_neighbors(tail) if u not in path]
-        else:
-            cands = [u for u in d_act.out_neighbors(tail) if u not in path]
-        if not cands:
-            case = "stuck"
-            break
-        path.append(min(cands))
-
-    pset = set(path)
+    case = _grow_path(pl, path, (a1, b1, b2))
     if case == "stuck":
-        pa1_first, pa1_last, p = _vtriple(d_act.without(pset), a1)
+        for y in path:
+            pl.delete(y)
+        pa1_first, pa1_last, p = _vtriple(pl, a1)
         xl = path[-1]
         if d.has_arc(path[-2], xl):
             t = ([xl] + pa1_first, pa1_last + [xl], [xl] + p)
         else:
             t = ([xl] + pa1_first, pa1_last + [xl], p + [xl])
-        a2_triple = _extend_antidirected(d_act, path, t, 0, 1)
-    elif case == "a1":
-        t = _vtriple(d_act.without(pset - {a1}), a1)
-        a2_triple = _extend_antidirected(d_act, path, t, 0, 1)
+        a2_triple = _extend_antidirected(pl, path, t, 0, 1)
+    elif path[-1] == a1:
+        for y in path[:-1]:
+            pl.delete(y)
+        t = _vtriple(pl, a1)
+        a2_triple = _extend_antidirected(pl, path, t, 0, 1)
     else:
         if path[-1] == b1:
             b1, b2 = b2, b1
-        a2_triple = _case_b2(d_act, path, a1, b1, b2)
+        a2_triple = _case_b2(pl, path, a1, b1, b2)
 
     pa2_first, pa2_last, p = a2_triple
     pos = {v: i for i, v in enumerate(pa2_first)}
@@ -332,59 +425,52 @@ def _two_regular_triple(sub: View):
     return [x] + p, pa2_last + [x], sigma
 
 
-def _case_b2(d_act: View, path, a1, b1, b2):
+def _case_b2(pl: Peel, path, a1, b1, b2):
     """Path hit b2: the three subcases on the arcs at b2."""
-    d = d_act.d
-    pset = set(path)
+    d = pl.d
+    for y in path[:-1]:
+        pl.delete(y)
     if d.has_arc(path[-2], b2):
-        pa1_first, pa1_last, p = _vtriple(d_act.without(pset), a1)
+        pl.delete(b2)
+        pa1_first, pa1_last, p = _vtriple(pl, a1)
         t = ([b2] + pa1_last, pa1_first + [b2], [b2] + p)
-        return _extend_antidirected(d_act, path, t, 1, 1)
+        return _extend_antidirected(pl, path, t, 1, 1)
 
-    d_prime = d_act.without(pset - {b2})
-    s_out = [u for u in d_prime.out_neighbors(b2) if u != a1 and u != b2]
+    s_out = [u for u, _ in pl.out[b2] if u != a1 and u != b2]
     if not s_out:
-        pa1_first, pa1_last, p = _vtriple(d_act.without(pset), a1)
-        pi_b2a1 = _insert_before(pa1_last, b2, a1)
-        t = ([b2] + p, pa1_first + [b2], pi_b2a1)
-        return _extend_antidirected(d_act, path, t, 1, 1)
+        pl.delete(b2)
+        pa1_first, pa1_last, p = _vtriple(pl, a1)
+        pa1_last.insert(pa1_last.index(a1), b2)
+        t = ([b2] + p, pa1_first + [b2], pa1_last)
+        return _extend_antidirected(pl, path, t, 1, 1)
 
     s1 = min(s_out)
     if s1 == b1:  # pragma: no cover - excluded by triangle-freeness
         raise GraphError("second path start collides with b1")
     q = [b2, s1]
-    while True:
-        tail = q[-1]
-        if tail in (a1, b1):
-            qcase = "hit"
-            break
-        if d.has_arc(q[-2], tail):
-            cands = [u for u in d_prime.in_neighbors(tail) if u not in q]
-        else:
-            cands = [u for u in d_prime.out_neighbors(tail) if u not in q]
-        if not cands:
-            qcase = "stuck"
-            break
-        q.append(min(cands))
+    qcase = _grow_path(pl, q, (a1, b1))
 
-    qset = set(q)
     sk = q[-1]
     if qcase == "stuck":
-        pa1_first, pa1_last, p = _vtriple(d_prime.without(qset), a1)
+        for y in q:
+            pl.delete(y)
+        pa1_first, pa1_last, p = _vtriple(pl, a1)
         if len(q) >= 3:
             if d.has_arc(q[-2], sk):
                 t = ([sk] + pa1_first, pa1_last + [sk], [sk] + p)
             else:
                 t = ([sk] + pa1_first, pa1_last + [sk], p + [sk])
-            t_b2 = _extend_antidirected(d_prime, q, t, 0, 2)
+            t_b2 = _extend_antidirected(pl, q, t, 0, 2)
         else:
             t_b2 = ([b2, s1] + p, [s1] + pa1_first + [b2], pa1_last + [b2, s1])
     else:
         if len(q) < 3:  # pragma: no cover - s1 differs from a1 and b1
             raise GraphError("hit path too short")
-        t = _vtriple(d_prime.without(qset - {sk}), sk)
-        t_b2 = _extend_antidirected(d_prime, q, t, 0 if sk == a1 else 1, 2)
-    return _extend_antidirected(d_act, path, t_b2, 1, 1)
+        for y in q[:-1]:
+            pl.delete(y)
+        t = _vtriple(pl, sk)
+        t_b2 = _extend_antidirected(pl, q, t, 0 if sk == a1 else 1, 2)
+    return _extend_antidirected(pl, path, t_b2, 1, 1)
 
 
 def _validate_input(d: Digraph) -> None:
@@ -407,13 +493,13 @@ def decompose3(h: Digraph, verify: bool = True) -> OrderingTriple:
     _validate_input(h)
     parts = [[], [], []]
     for comp in connected_components(h):
-        sub = View(h, comp)
-        if any(sub.outdeg(v) != 2 or sub.indeg(v) != 2 for v in comp):
-            t = _vtriple(sub, _lowest_unbalanced(sub))
-        elif _find_transitive_triangle(sub) is not None:
-            t = _triple_transitive(sub)
+        pl = Peel(h, comp)
+        if any(len(pl.out[v]) != 2 or len(pl.inn[v]) != 2 for v in comp):
+            t = _vtriple(pl, pl.lowest_unbalanced())
+        elif _find_transitive_triangle(pl) is not None:
+            t = _triple_transitive(pl)
         else:
-            t = _two_regular_triple(sub)
+            t = _two_regular_triple(pl)
         for i in range(3):
             parts[i].extend(t[i])
     triple = OrderingTriple(tuple(tuple(o) for o in parts))

@@ -8,6 +8,7 @@ from fasdlab.digraph import (
     Graph,
     GraphError,
     MultiDigraph,
+    Peel,
     View,
     connected_components,
     degrees,
@@ -21,6 +22,7 @@ from fasdlab.digraph import (
     strong_components,
 )
 from fasdlab.generators import (
+    circulant_digraph,
     directed_cycle,
     gadget_dg,
     gadget_h3,
@@ -169,37 +171,12 @@ class TestStrongComponents:
 class TestView:
     ARCS = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (0, 3)]
 
-    def test_arcs_filtered_in_arc_order(self):
-        d = Digraph(5, self.ARCS)
-        v = View(d, [0, 1, 2, 3])
-        assert v.out_arcs(1) == [(2, 1), (3, 3)]
-        assert v.out_arcs(3) == []
-        assert v.in_arcs(3) == [(1, 3), (0, 5)]
-        assert (v.outdeg(0), v.indeg(0)) == (2, 1)
-        assert v.arc_ids() == [0, 1, 2, 3, 5]
-        assert View(d).arc_ids() == list(range(d.m))
-
-    def test_has_arc_restricted_to_view(self):
-        d = Digraph(5, self.ARCS)
-        v = View(d).without([4])
-        assert v.has_arc(1, 3) and not v.has_arc(3, 4) and d.has_arc(3, 4)
-        assert not v.has_arc(3, 1)
-
     def test_without_leaves_the_original(self):
         v = View(Digraph(5, self.ARCS))
         w = v.without([0, 2])
         assert w.active == {1, 3, 4} and v.active == set(range(5))
-        assert w.in_neighbors(1) == [] and v.in_neighbors(1) == [0]
-
-    def test_converse_swaps_directions(self):
-        d = Digraph(5, self.ARCS)
-        v = View(d, [0, 1, 3])
-        c = v.converse()
-        for x in range(5):
-            assert c.out_arcs(x) == v.in_arcs(x) and c.in_arcs(x) == v.out_arcs(x)
-        assert c.has_arc(3, 0) and not c.has_arc(0, 3)
-        assert c.without([1]).out_arcs(3) == [(0, 5)]
-        assert c.converse().out_arcs(0) == v.out_arcs(0)
+        assert strong_components(w) == [[1], [3], [4]]
+        assert strong_components(v) == [[0, 1, 2], [3], [4]]
 
     def test_scc_on_view_matches_induced_subgraph(self):
         rng = random.Random(7)
@@ -208,6 +185,80 @@ class TestView:
             keep = sorted(rng.sample(range(d.n), rng.randrange(1, d.n + 1)))
             want = [[keep[i] for i in c] for c in strong_components(induced_subgraph(d, keep))]
             assert strong_components(View(d, keep)) == want
+
+
+class TestPeel:
+    ARCS = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (0, 3)]
+
+    def test_live_arcs_in_arc_order(self):
+        d = Digraph(5, self.ARCS)
+        pl = Peel(d, [0, 1, 2, 3])
+        assert pl.out[1] == [(2, 1), (3, 3)]
+        assert pl.out[3] == []
+        assert pl.inn[3] == [(1, 3), (0, 5)]
+        assert sorted(pl.out) == [0, 1, 2, 3]
+        assert Peel(d).out[3] == [(4, 4)]
+
+    def test_delete_cuts_the_arcs_at_a_vertex(self):
+        d = Digraph(5, self.ARCS)
+        pl = Peel(d)
+        pl.delete(4)
+        pl.delete(1)
+        assert 1 not in pl.out and 1 not in pl.inn
+        assert pl.out[0] == [(3, 5)] and pl.inn[2] == [] and pl.out[3] == []
+        assert pl.stamp == {4: 0, 1: 1}
+
+    def test_neighbourhood_at_removal(self):
+        # each deleted vertex still reads the arcs it had when it went
+        d = Digraph(5, self.ARCS)
+        pl = Peel(d)
+        for v in (3, 0, 1):
+            pl.delete(v)
+        assert pl.in_then(3) == [1, 0] and pl.out_then(3) == [4]
+        assert pl.out_then(0) == [1] and pl.in_then(0) == [2]
+        assert pl.out_then(1) == [2] and pl.in_then(1) == []
+
+    def test_lowest_unbalanced_follows_deletions(self):
+        d = circulant_digraph(7, [1, 2])  # 2-regular: nothing unbalanced
+        pl = Peel(d)
+        assert pl.lowest_unbalanced() is None
+        pl.delete(3)
+        assert pl.lowest_unbalanced() == 1
+        pl.delete(1)
+        assert pl.lowest_unbalanced() == 0
+
+    def test_split_matches_strong_components(self):
+        # a root's component is split again after each round of deletions,
+        # repairing its search trees, and must match Tarjan every time
+        rng = random.Random(11)
+        for seed in range(30):
+            d = random_orgraph(40, 3, 3, seed=seed, arc_target=60, backbone=seed % 2 == 0)
+            pl = Peel(d)
+            piece, root = sorted(pl.out), None
+            while piece:
+                alive = [v for v in piece if v in pl.out]
+                want = strong_components(View(d, alive))
+                old_root = root
+                root, comps, cut, touched = pl.split(piece, root)
+                got = [c for c in comps]
+                if root is not None:
+                    rest = {v for c in comps for v in c}
+                    giant = [v for v in alive if v in pl.out and v not in rest]
+                    assert root in giant
+                    assert touched == giant if root != old_root else set(touched) <= set(giant)
+                    got.append(giant)
+                assert sorted(got) == sorted(c for c in want if len(c) > 1)
+                comp_of = {v: i for i, c in enumerate(want) for v in c}
+                inside = [a for a, (u, v) in enumerate(d.arcs) if u in comp_of and v in comp_of]
+                assert cut == [a for a in inside if comp_of[d.arcs[a][0]] != comp_of[d.arcs[a][1]]]
+                assert [v for v in alive if v in pl.out] == sorted(v for c in got for v in c)
+                for v in comp_of.keys() & pl.out.keys():
+                    assert all(comp_of[w] == comp_of[v] for w, _ in pl.out[v] + pl.inn[v])
+                if root is None:
+                    break
+                piece = giant
+                for v in rng.sample(piece, min(len(piece), rng.randrange(1, 4))):
+                    pl.delete(v)
 
 
 class TestShortestCycle:

@@ -251,11 +251,15 @@ class TestExactWeights:
             with pytest.raises(GraphError, match=r"arc 0 \(0,1\)"):
                 oracle(d)
 
-    def test_float_residue_of_a_digon_is_rejected(self):
-        reduced, _ = reduce_digons(Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0.3, 0.1, 1.0, 1.0]))
-        assert 0.3 - 0.1 in reduced.weights
-        with pytest.raises(GraphError, match="0.19999999999999998"):
-            fas_weighted_exact(reduced)
+    def test_digon_residue_is_exact(self):
+        d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0.3, 0.1, 1.0, 1.0])
+        reduced, extracted = reduce_digons(d)
+        assert reduced.arcs == ((0, 1), (1, 2), (2, 0))
+        assert reduced.weights == (0.2, 1.0, 1.0) and extracted == 0.1
+        assert fas_weighted_exact(reduced).value == Fraction(1, 5)
+        # the extracted amounts sum exactly too
+        stacked = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)], [0.1, 0.7, 0.2, 0.9])
+        assert reduce_digons(stacked)[1] == 0.3
 
     def test_six_decimals_are_exact(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [0.000001, 2.5, 1e-6 * 3])
