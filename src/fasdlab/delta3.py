@@ -191,6 +191,25 @@ def _color_single_cycle(pl: Peel, g: int, coloring, start: int) -> None:
         pl.delete(v)
 
 
+def _balanced_path(pl: Peel, w):
+    """The maximal path of (1,1) vertices through the (1,1) vertex w of a
+    strong piece, with the vertex before it and the vertex after it."""
+    out, inn = pl.out, pl.inn
+    s = w
+    while True:
+        u = inn[s][0][0]
+        if u == w or len(out[u]) != 1 or len(inn[u]) != 1:
+            break
+        s = u
+    path = [s]
+    while True:
+        z = out[path[-1]][0][0]
+        if z == s or len(out[z]) != 1 or len(inn[z]) != 1:
+            break
+        path.append(z)
+    return path, inn[s][0][0], out[path[-1]][0][0]
+
+
 class _Chains:
     """A strong piece's (1,2) vertices by their chains to the (2,1) class.
 
@@ -223,25 +242,23 @@ class _Chains:
                 ver[v] = ver.get(v, 0) + 1
         seen = set()
         for v in touched:
-            start = v
-            # back along (1,1) vertices to the chain's source
-            while v not in seen and len(out[v]) == 1 and len(inn[v]) == 1:
-                seen.add(v)
-                v = inn[v][0][0]
-                if v == start:  # a bare cycle
-                    break
+            if v in seen:
+                continue
+            if len(out[v]) == 1 and len(inn[v]) == 1:  # back to the chain's source
+                path, v, _ = _balanced_path(self.pl, v)
+                seen.update(path)
             if v in seen or len(out[v]) != 1 or len(inn[v]) != 2:
                 continue
             seen.add(v)
             ver[v] = k = ver.get(v, 0) + 1
-            path = [v]
+            chain = [v]
             w = out[v][0][0]
-            while len(out[w]) == 1 and len(inn[w]) == 1:
-                path.append(w)
-                w = out[w][0][0]
+            if len(out[w]) == 1 and len(inn[w]) == 1:
+                path, _, w = _balanced_path(self.pl, w)
+                chain += path
             if len(out[w]) == 2:
-                path.append(w)
-                heapq.heappush(self.heap, (len(path), v, k, path))
+                chain.append(w)
+                heapq.heappush(self.heap, (len(chain), v, k, chain))
 
     def best(self):
         """The proof's class path, or None when the (1,2) class is empty."""
@@ -1037,23 +1054,6 @@ class _Reductions:
     def _sig(self, v):
         return len(self.pl.out[v]), len(self.pl.inn[v])
 
-    def _path(self, w):
-        """The maximal balanced path through w, with its entry and exit."""
-        out, inn = self.pl.out, self.pl.inn
-        s = w
-        while True:
-            u = inn[s][0][0]
-            if u == w or len(out[u]) != 1 or len(inn[u]) != 1:
-                break
-            s = u
-        path = [s]
-        while True:
-            z = out[path[-1]][0][0]
-            if z == s or len(out[z]) != 1 or len(inn[z]) != 1:
-                break
-            path.append(z)
-        return path, inn[s][0][0], out[path[-1]][0][0]
-
     def _tests(self, path, x, y):
         sx, sy = self._sig(x), self._sig(y)
         return (
@@ -1078,7 +1078,7 @@ class _Reductions:
             for w in [v] + [u for u, _ in out[v]] + [u for u, _ in inn[v]]:
                 if w in seen or self._sig(w) != (1, 1):
                     continue
-                path, x, y = self._path(w)
+                path, x, y = _balanced_path(self.pl, w)
                 seen.update(path)
                 key = min(path)
                 for heap, ok in zip(self.paths, self._tests(path, x, y)):
@@ -1093,7 +1093,7 @@ class _Reductions:
         while heap:
             k = heap[0]
             if self._live(k) and self._sig(k) == (1, 1):
-                path, x, y = self._path(k)
+                path, x, y = _balanced_path(self.pl, k)
                 if min(path) == k and self._tests(path, x, y)[rule]:
                     return path, x, y
             heapq.heappop(heap)
@@ -1186,7 +1186,7 @@ class _Reductions:
         seen, paths, x_of, y_of = set(), [], [], []
         for v in verts:
             if v not in seen and self._sig(v) == (1, 1):
-                p, x, y = self._path(v)
+                p, x, y = _balanced_path(self.pl, v)
                 seen.update(p)
                 paths.append(p)
                 x_of.append(x)

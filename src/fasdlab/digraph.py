@@ -5,6 +5,8 @@ arc is its index in the arc list given at construction, and all certificates
 (orderings, colorings, feedback sets) reference arcs by id.  A ``Digraph``
 rejects self-loops and duplicate arcs; ``MultiDigraph`` permits parallel arcs
 but still no loops.  Both are immutable after construction and safe to share.
+The one mutable structure, ``Peel``, is what the peeling constructions delete
+vertices from.
 """
 
 from __future__ import annotations

@@ -126,11 +126,11 @@ class _Orders:
         self.rev = 0
         for k, o in enumerate(lists):
             for x in o:
-                self._push(k, x, 1)
+                self.push(k, x, back=True)
 
-    def _push(self, k, x, f):
-        # x becomes the first vertex of slot k read in direction f
-        L = self.slot[k]
+    def push(self, k, x, back=False):
+        """Put x first (or last) in ordering k."""
+        L, f = self.slot[k], self.rev ^ back
         nxt, prv = self.link[L][f], self.link[L][1 - f]
         ends = self.ends[L]
         h = ends[f]
@@ -141,9 +141,9 @@ class _Orders:
             prv[h] = x
         ends[f] = x
 
-    def _place(self, k, x, u, f):
-        # x goes right after u in slot k read in direction f
-        L = self.slot[k]
+    def place(self, k, x, u, before=False):
+        """Put x right after (or before) u in ordering k."""
+        L, f = self.slot[k], self.rev ^ before
         nxt, prv = self.link[L][f], self.link[L][1 - f]
         w = nxt[u]
         nxt[u], prv[x], nxt[x] = x, u, w
@@ -151,18 +151,6 @@ class _Orders:
             self.ends[L][1 - f] = x
         else:
             prv[w] = x
-
-    def push_front(self, k, x):
-        self._push(k, x, self.rev)
-
-    def push_back(self, k, x):
-        self._push(k, x, 1 - self.rev)
-
-    def insert_after(self, k, x, u):
-        self._place(k, x, u, self.rev)
-
-    def insert_before(self, k, x, u):
-        self._place(k, x, u, 1 - self.rev)
 
     def permute(self, i, j, k):
         """New slots 0, 1, 2 hold the old slots i, j, k."""
@@ -216,14 +204,14 @@ def _vtriple(pl: Peel, v: int):
     t = _Orders(([v], [v], [v]))
     for v, flip, has_in, u in reversed(steps):
         if has_in:  # (v + B, C + v, A with v right after u)
-            t.insert_after(0, v, u)
-            t.push_front(1, v)
-            t.push_back(2, v)
+            t.place(0, v, u)
+            t.push(1, v)
+            t.push(2, v, back=True)
             t.permute(1, 2, 0)
         else:  # (v + A, B + v, v + C)
-            t.push_front(0, v)
-            t.push_back(1, v)
-            t.push_front(2, v)
+            t.push(0, v)
+            t.push(1, v, back=True)
+            t.push(2, v)
         if flip:
             t.converse()
     return t.lists()
@@ -323,9 +311,9 @@ def _extend_antidirected(pl: Peel, path, triple, pi_idx: int, variant: int):
         x1, x2 = path[i], path[i + 1]
         # s_first, s_last, s -> (x1 + s_first, s + x1, x1 before x2 in s_last)
         # or, for variant 2, (x1 + s, s_first + x1, the same)
-        t.push_front(0 if variant == 1 else 2, x1)
-        t.push_back(2 if variant == 1 else 0, x1)
-        t.insert_before(1, x1, x2)
+        t.push(0 if variant == 1 else 2, x1)
+        t.push(2 if variant == 1 else 0, x1, back=True)
+        t.place(1, x1, x2, before=True)
         t.permute(*((0, 2, 1) if variant == 1 else (2, 0, 1)))
         if flip:
             t.converse()
