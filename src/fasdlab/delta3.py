@@ -439,7 +439,8 @@ class _Colors:
         self.cur = self.up[node]
 
     def final(self) -> dict:
-        return {a: self[a] for a in self.raw}
+        """Every arc's color, in increasing arc id."""
+        return {a: self[a] for a in sorted(self.raw)}
 
 
 # ------------------------- the g = 5, l = 2 machinery ----------------------

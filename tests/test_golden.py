@@ -168,7 +168,12 @@ def out_large_g():
 
 
 def out_large_triple():
-    # the benchmark's large deg4 and two instances
+    """decompose3 on the benchmark's large deg4 and two instances.
+
+    Its pin was computed from the earlier recursive construction in a
+    separate process with ``sys.setrecursionlimit(100_000)``; the test runs
+    at the default limit.
+    """
     out = [random_orgraph(3000, 4, 3, seed=4, arc_target=6000), random_two_regular_orgraph(3000, seed=5)]
     return [decompose3(d).orderings for d in out]
 
@@ -236,8 +241,6 @@ GOLDEN = {
     "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
     "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
     "large_g": "89d4f84356f3606335523f1a3b7c0db47b9eded704bc46e694433d677c99ea80",
-    # computed from the earlier recursive construction with the recursion
-    # limit raised to 100 000; the test runs at the default limit
     "large_triple": "d04d4e3ea1f6b710852410fa304c5ef3d5ebe78e20ef300aa161a78107ece9f5",
     "scc_girth": "38538e4ab6563e2fef743525c6c26294e84f1c0f9af8fe16ecf6b58bcfca768d",
 }
