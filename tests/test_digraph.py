@@ -234,18 +234,26 @@ class TestPeel:
         for seed in range(30):
             d = random_orgraph(40, 3, 3, seed=seed, arc_target=60, backbone=seed % 2 == 0)
             pl = Peel(d)
-            piece, root = sorted(pl.out), None
+            piece, root, before = sorted(pl.out), None, set()
             while piece:
                 alive = [v for v in piece if v in pl.out]
                 want = strong_components(View(d, alive))
                 old_root = root
                 root, comps, cut, touched = pl.split(piece, root)
-                got = [c for c in comps]
+                got = list(comps)
                 if root is not None:
                     rest = {v for c in comps for v in c}
                     giant = [v for v in alive if v in pl.out and v not in rest]
                     assert root in giant
-                    assert touched == giant if root != old_root else set(touched) <= set(giant)
+                    if root == old_root:
+                        # every vertex left that lost an arc, and no other
+                        changed = {
+                            v for v in giant
+                            if any(w in before and w not in giant for w in d.out_neighbors(v) + d.in_neighbors(v))
+                        }
+                        assert set(touched) == changed
+                    else:
+                        assert touched == giant
                     got.append(giant)
                 assert sorted(got) == sorted(c for c in want if len(c) > 1)
                 comp_of = {v: i for i, c in enumerate(want) for v in c}
@@ -256,7 +264,7 @@ class TestPeel:
                     assert all(comp_of[w] == comp_of[v] for w, _ in pl.out[v] + pl.inn[v])
                 if root is None:
                     break
-                piece = giant
+                piece, before = giant, set(giant)
                 for v in rng.sample(piece, min(len(piece), rng.randrange(1, 4))):
                     pl.delete(v)
 
