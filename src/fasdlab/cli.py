@@ -38,7 +38,7 @@ EXIT_BUDGET = 3
 
 
 def _node_budget(args) -> int:
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("FASDLAB_NODE_BUDGET")
     return int(env) if env else DEFAULT_NODE_BUDGET

@@ -198,18 +198,15 @@ def fas_brute(d: Digraph, max_n: int = 9):
     if n == 0:
         return 0, ()
     perms, pos = _permutation_table(n)
-    if d.weights is None:
-        total = np.zeros(perms.shape[0], dtype=np.int64)
-        for u, v in d.arcs:
-            total += pos[:, v] < pos[:, u]
-        best = int(total.argmin())
-        return int(total[best]), tuple(int(x) for x in perms[best])
-    scaled = _scaled_weights(d)
+    scaled = [1] * d.m if d.weights is None else _scaled_weights(d)
     total = np.zeros(perms.shape[0], dtype=np.int64)
-    for a, (u, v) in enumerate(d.arcs):
-        total += (pos[:, v] < pos[:, u]) * scaled[a]
+    for w, (u, v) in zip(scaled, d.arcs):
+        total += (pos[:, v] < pos[:, u]) * w
     best = int(total.argmin())
-    return Fraction(int(total[best]), WEIGHT_SCALE), tuple(int(x) for x in perms[best])
+    value = int(total[best])
+    if d.weights is not None:
+        value = Fraction(value, WEIGHT_SCALE)
+    return value, tuple(int(x) for x in perms[best])
 
 
 def fas_upper_heuristic(d: Digraph, seed: int = 0, restarts: int = 3) -> tuple:

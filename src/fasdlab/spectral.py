@@ -48,12 +48,18 @@ class SpectralReport:
 
 
 def _bipartition(g: Graph):
-    """2-coloring of each component; returns (is_bipartite, sign vector)."""
+    """2-coloring of each component, one BFS per component.
+
+    Returns (is_bipartite, sign vector, is_connected); the graph is connected
+    when at most one BFS had to start.
+    """
     color = [0] * g.n
     ok = True
+    starts = 0
     for s in range(g.n):
         if color[s]:
             continue
+        starts += 1
         color[s] = 1
         q = deque([s])
         while q:
@@ -64,21 +70,7 @@ def _bipartition(g: Graph):
                     q.append(v)
                 elif color[v] == color[u]:
                     ok = False
-    return ok, np.array(color, dtype=float)
-
-
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                q.append(v)
-    return len(seen) == g.n
+    return ok, np.array(color, dtype=float), starts <= 1
 
 
 def lambda_extremes(g: Graph, tol: float = 1e-9, max_iter: int = 20000) -> SpectralReport:
@@ -100,8 +92,7 @@ def lambda_extremes(g: Graph, tol: float = 1e-9, max_iter: int = 20000) -> Spect
     for u, v in g.edges:
         a[u, v] = 1.0
         a[v, u] = 1.0
-    bip, sign = _bipartition(g)
-    conn = _is_connected(g)
+    bip, sign, conn = _bipartition(g)
 
     ones = np.ones(n) / math.sqrt(n)
 

@@ -80,6 +80,10 @@ class TestSolvers:
         doc = json.loads(cert.read_text())
         assert doc["schema"] == "fasdlab-cert-v1" and doc["value"] == 7
 
+    def test_fasd_budget_zero_exit_3(self, d8_file, capsys):
+        code, out, _ = run(["fasd", d8_file, "--budget", "0"], capsys)
+        assert code == 3 and out.startswith("budget exceeded")
+
     def test_fasd_fixed_t(self, d8_file, capsys):
         code, out, _ = run(["fasd", d8_file, "--t", "8"], capsys)
         assert code == 0 and "unsat" in out

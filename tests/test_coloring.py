@@ -13,14 +13,16 @@ from fasdlab.coloring import (
     verify_counting_bound,
     verify_good_coloring,
 )
-from fasdlab.digraph import INFINITE, Digraph, girth, is_acyclic
+from fasdlab.digraph import INFINITE, BudgetError, Digraph, girth, is_acyclic
 from fasdlab.generators import (
     directed_cycle,
+    gadget_co,
     gadget_dg,
     gadget_h3,
     gadget_h4,
     gadget_h5,
     random_orgraph,
+    rotational_tournament,
 )
 from fasdlab.ordering import fas_exact
 
@@ -168,12 +170,7 @@ class TestFasdExact:
         rng = random.Random(7)
         for seed in range(12):
             d = random_orgraph(6, 6, 3, seed=seed, arc_target=rng.randrange(5, 9))
-            if is_acyclic(d)[0] or d.m > 9:
-                continue
-            cert = fasd_exact(d)
-            g = girth(d)
-            oracle = max(t for t in range(2, g + 1) if fasd_brute(d, t))
-            assert cert.value == oracle
+            assert fasd_brute(d) == fasd_exact(d).value
 
     def test_node_budget_is_total_over_levels(self):
         # t = 11 is refuted by 114353 nodes, and t = 10 needs 14391 more
@@ -191,6 +188,28 @@ class TestFasdExact:
                 continue
             cert = fasd_exact(d)
             assert fas_exact(d).value <= d.m // cert.value
+
+
+class TestFasdBrute:
+    @pytest.mark.parametrize(
+        "d, want",
+        [(directed_cycle(k), k) for k in range(2, 9)]
+        + [
+            (Digraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), INFINITE),
+            (Digraph(0, []), INFINITE),
+            (Digraph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)]), 3),
+            (gadget_dg(4), 4),
+            (rotational_tournament(5), 3),
+            (gadget_co(3), 2),
+        ],
+    )
+    def test_known_values(self, d, want):
+        assert fasd_brute(d) == want
+
+    def test_arc_limit(self):
+        assert fasd_brute(Digraph(13, [(i, i + 1) for i in range(12)])) is INFINITE
+        with pytest.raises(BudgetError):
+            fasd_brute(directed_cycle(13))
 
 
 class TestConflictClique:

@@ -85,6 +85,14 @@ class TestLambdaExtremes:
         assert abs(rep.lam - 2.0) < 1e-8  # -d is in the spectrum
         assert abs(rep.lam_prime - 0.0) < 1e-7
 
+    def test_disconnected_flag(self):
+        # two disjoint triangles: the second copy of d = 2 is lambda
+        rep = lambda_extremes(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+        assert rep.connected is False
+        assert not rep.bipartite
+        assert abs(rep.lam - 2.0) < 1e-6
+        assert lambda_extremes(complete_graph(4)).connected is True
+
     def test_rejects_non_regular(self):
         with pytest.raises(GraphError):
             lambda_extremes(Graph(3, [(0, 1)]))
