@@ -34,7 +34,7 @@ from .digraph import (
 DEFAULT_NODE_BUDGET = 10**8
 TIGHT_CYCLE_CAP = 20000
 # fasd_brute tabulates 2^m arc subsets and tries up to Bell(m) colourings,
-# 4.2 M at m = 12, where a directed 12-cycle takes about 0.5 s and 100 MiB
+# 4.2 M at m = 12, where a directed 12-cycle takes about 0.5 s and 70 MiB
 FASD_BRUTE_MAX_M = 12
 
 
