@@ -4,7 +4,8 @@ Every certificate the lab emits is meant to be reproducible bit for bit, so a
 refactor of the graph plumbing must leave these hashes alone.  The corpus is
 small and seeded: mostly n <= 60, plus one n = 300 instance per construction
 and, in the ``large_*`` families, the n = 3000 instances of the benchmark's
-``large`` workload.
+``large`` workload.  ``test_scale_instances`` pins the generator's own output
+at n = 3000 and n = 20000, weights included.
 Each family hashes the repr of a canonical form of its outputs (dicts and sets
 sorted, dataclasses flattened field by field).
 
@@ -146,6 +147,16 @@ def check_corpora():
     return out
 
 
+def scale_instances():
+    """random_orgraph at scale: the benchmark's five large instances, a weighted
+    one that saturates below its arc target, and one near its arc ceiling."""
+    out = [random_orgraph(3000, 3, g, seed=g - 3, arc_target=4000 if g == 6 else 4500) for g in (3, 4, 5, 6)]
+    out.append(random_orgraph(3000, 4, 3, seed=4, arc_target=6000))
+    out.append(random_orgraph(3000, 4, 3, seed=7, weighted=True, arc_target=6000))
+    out.append(random_orgraph(20000, 4, 3, seed=1, arc_target=40000))
+    return out
+
+
 def out_decompose3():
     return [decompose3(d).orderings for d in deg4_corpus()]
 
@@ -248,6 +259,7 @@ GOLDEN = {
 
 # the random corpora of verify-paper, weights included
 CORPORA_GOLDEN = "428d08076ad3170bdbacd35cf138ff3ebdfae908f2ca457edbbd8ae7bd510b1f"
+SCALE_GOLDEN = "43af808f1d144118e28c65bd2f20259ea581a0a72980e2cd0ee9dc165315d762"
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -261,7 +273,12 @@ def test_check_corpora():
     assert instance_digest(corpora) == CORPORA_GOLDEN
 
 
+def test_scale_instances():
+    assert instance_digest(scale_instances()) == SCALE_GOLDEN
+
+
 if __name__ == "__main__":
     for name in sorted(FAMILIES):
         print(f'    "{name}": "{digest(FAMILIES[name]())}",')
     print(f'    check corpora: "{instance_digest(check_corpora())}"')
+    print(f'    scale instances: "{instance_digest(scale_instances())}"')
