@@ -59,7 +59,9 @@ class BudgetError(RuntimeError):
 
 
 class _BaseDigraph:
-    __slots__ = ("n", "arcs", "weights", "_out", "_in")
+    # _cycle: the shortest cycle as a tuple, () when acyclic; unset until
+    # shortest_cycle first runs on this digraph
+    __slots__ = ("n", "arcs", "weights", "_out", "_in", "_cycle")
 
     _allow_parallel = False
 
@@ -499,9 +501,20 @@ def shortest_cycle(d):
     shorter cycle replaces the best so far, so the answer starts at the
     smallest vertex on any shortest cycle and closes with the first arc back
     to it in BFS order.  A digon counts as a cycle of length 2; parallel arcs
-    never shorten a cycle.
+    never shorten a cycle.  A digraph keeps its answer, so the search runs
+    once per digraph (not per View); every call returns a fresh list.
     """
-    view = d if isinstance(d, View) else View(d)
+    if isinstance(d, View):
+        return _shortest_cycle(d)
+    kept = getattr(d, "_cycle", None)
+    if kept is None:
+        cycle = _shortest_cycle(View(d))
+        kept = () if cycle is None else tuple(cycle)
+        object.__setattr__(d, "_cycle", kept)
+    return list(kept) or None
+
+
+def _shortest_cycle(view: View):
     act, out = view.active, view._out
     best = None
     for s in sorted(act):

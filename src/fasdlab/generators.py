@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .digraph import (
     INFINITE,
     BudgetError,
@@ -228,6 +230,11 @@ def circulant_graph(n: int, jumps) -> Graph:
     return Graph(n, sorted(edges))
 
 
+# Candidate words per block in random_orgraph: small enough that the degree
+# screen, taken at the block's start, stays close to the live degrees.
+_BLOCK_WORDS = 8192
+
+
 def random_orgraph(
     n: int,
     max_deg: int,
@@ -245,6 +252,20 @@ def random_orgraph(
     length <= ``min_girth``.  Deterministic for a fixed seed.  Weights, when
     requested, are floats ``k / 100`` for k in 1..1000, so their repr has at
     most two decimals.
+
+    Each attempt draws u, then v, as ``randrange(n)`` does: the top
+    k = n.bit_length() bits of one 32-bit word of the stream, drawn again
+    while >= n.  The words come in blocks: on CPython ``getrandbits(32 * B)``
+    holds the next B words little-endian, word i being what the i-th
+    ``getrandbits(32)`` call would return, so a block yields the same values
+    in the same order (n < 2**32).  Every rejection test can only turn true
+    as arcs are added, so an attempt with u == v, or whose u or v was at
+    ``max_deg`` when its block was drawn, would be rejected anyway and is
+    dropped in bulk; each other attempt runs every test, in attempt order.
+    Once no pair can take an arc, the remaining attempts cannot change the
+    arcs.  Weights come after the last attempt: at the arc target or at the
+    end of the attempt budget, so a weighted instance then counts the words
+    the remaining attempts would draw and puts the stream exactly there.
     """
     if min_girth < 3:
         raise GraphError("orgraphs need min_girth >= 3")
@@ -254,6 +275,7 @@ def random_orgraph(
     arcs = []
     arcset = set()
     deg = [0] * n
+    full = np.zeros(n, dtype=bool)  # deg >= max_deg
     out = [[] for _ in range(n)]
     limit = min_girth - 1
 
@@ -262,6 +284,8 @@ def random_orgraph(
         arcset.add((u, v))
         deg[u] += 1
         deg[v] += 1
+        full[u] = deg[u] >= max_deg
+        full[v] = deg[v] >= max_deg
         out[u].append(v)
 
     def near(src):
@@ -293,38 +317,60 @@ def random_orgraph(
 
     if arc_target is None:
         arc_target = max(len(arcs), min(n * max_deg // 2, int(1.5 * n)))
-    # randrange(n) draws exactly this way (rejection over bit_length(n) bits)
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    attempts = range(200 * max(arc_target, 1) + 500) if len(arcs) < arc_target else ()
-    if attempts and n == 0:  # getrandbits(0) is always 0: the draw would never end
+    budget = 200 * max(arc_target, 1) + 500 if len(arcs) < arc_target else 0
+    if budget and n == 0:  # getrandbits(0) is always 0: the draw would never end
         raise ValueError("empty range for randrange()")
-    # unweighted instances draw nothing after the loop, so once no pair can
-    # take an arc the remaining draws cannot change the result; the test runs
-    # at the n-th rejection in a row, at most once per added arc
+    shift = 32 - n.bit_length()
+    # the saturation test belongs after the n-th rejection in a row, the
+    # attempt check_at, so at most once per added arc; nothing changes until
+    # the next survivor, so it runs there or at the block's end
     check_at = n - 1
-    for attempt in attempts:
-        u = getrandbits(k)
-        while u >= n:
-            u = getrandbits(k)
-        v = getrandbits(k)
-        while v >= n:
-            v = getrandbits(k)
-        if (
-            deg[u] >= max_deg
-            or deg[v] >= max_deg
-            or u == v
-            or (u, v) in arcset
-            or (v, u) in arcset
-            or u in near(v)
-        ):
-            if attempt == check_at and not weighted and saturated():
+    live = True  # some pair may still take an arc
+    made = 0  # attempts in earlier blocks
+    carry = np.zeros(0, dtype=np.uint32)  # a u whose v is in the next block
+    size = min(_BLOCK_WORDS, max(64, 16 * n))
+    while made < budget:
+        state = rng.getstate() if weighted else None
+        vals = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4") >> shift
+        at = np.flatnonzero(vals < n)  # the word each value was drawn from
+        cand = np.concatenate((carry, vals[at]))
+        pairs = min(len(cand) // 2, budget - made)
+        last = pairs - 1 if made + pairs == budget else None  # the loop's final attempt
+        us, vs = cand[0 : 2 * pairs : 2], cand[1 : 2 * pairs : 2]
+        keep = np.flatnonzero(~full[us] & ~full[vs] & (us != vs) & live)  # none once saturated
+        for i, u, v in zip(keep.tolist(), us[keep].tolist(), vs[keep].tolist()):
+            if check_at < made + i:
+                check_at = budget
+                live = not saturated()
+                if not live:
+                    break
+            if (
+                deg[u] >= max_deg
+                or deg[v] >= max_deg
+                or u == v
+                or (u, v) in arcset
+                or (v, u) in arcset
+                or u in near(v)
+            ):
+                continue
+            add(u, v)
+            if len(arcs) >= arc_target:
+                last = i
                 break
-            continue
-        add(u, v)
-        if len(arcs) >= arc_target:
+            check_at = made + i + n
+        else:
+            if check_at < made + pairs:
+                check_at = budget
+                live = not saturated()
+        if last is not None or not (live or weighted):  # unweighted: nothing is drawn later
             break
-        check_at = attempt + n
+        carry = cand[2 * pairs :]
+        made += pairs
+        size = min(_BLOCK_WORDS, 2 * size)
+    if weighted and budget:
+        # leave the stream just past the final attempt's v, where the weights start
+        rng.setstate(state)
+        rng.getrandbits(32 * (int(at[2 * last + 1 - len(carry)]) + 1))
     if backbone and n >= min_girth and not arcs:
         raise GenerationError(f"could not build any arcs for n={n}, max_deg={max_deg}")
     weights = None

@@ -300,6 +300,29 @@ class TestShortestCycle:
         assert shortest_cycle(View(d).without([0])) == [1, 2, 3]
         assert shortest_cycle(View(d).without([0, 2])) is None
 
+    def test_digraph_keeps_its_answer(self):
+        d = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4)])
+        first = shortest_cycle(d)
+        assert shortest_cycle(d) == first == [0, 1]
+        first.append(4)
+        assert shortest_cycle(d) == [0, 1]
+        with pytest.raises(AttributeError):
+            d._cycle = (2, 3, 1)
+        assert girth(d) == 2
+
+    def test_view_is_not_served_from_the_digraph(self):
+        d = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4)])
+        assert shortest_cycle(d) == [0, 1]
+        assert shortest_cycle(View(d).without({0})) == [1, 2, 3]
+        assert shortest_cycle(View(d)) == [0, 1]
+
+    def test_kept_answer_leaves_equality_alone(self):
+        arcs = [(0, 1), (1, 2), (2, 0)]
+        d, e = Digraph(3, arcs), Digraph(3, arcs)
+        assert shortest_cycle(d) == [0, 1, 2]
+        assert d == e and hash(d) == hash(e)
+        assert len({d, e}) == 1
+
 
 class TestEnumerateCycles:
     def test_directed_4_cycle(self):
