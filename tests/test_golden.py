@@ -14,6 +14,7 @@ output is meant to change.
 """
 
 import hashlib
+import random
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -26,7 +27,15 @@ from fasdlab.checks import (
 )
 from fasdlab.coloring import fasd_exact, good_coloring_search
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
-from fasdlab.digraph import MultiDigraph, eulerian_orient, girth, strong_components
+from fasdlab.digraph import (
+    MultiDigraph,
+    View,
+    enumerate_cycles,
+    eulerian_orient,
+    girth,
+    shortest_cycle,
+    strong_components,
+)
 from fasdlab.generators import (
     circulant_digraph,
     circulant_graph,
@@ -226,6 +235,33 @@ def out_structure():
     return [(strong_components(d), girth(d)) for d in structure_corpus()]
 
 
+def multi_corpus():
+    """Seeded MultiDigraphs with parallel arcs and digons."""
+    out = []
+    for s in range(12):
+        rng = random.Random(s)
+        n = 4 + s
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+        out.append(MultiDigraph(n, arcs + arcs[: s % 4]))
+    return out
+
+
+def out_cycles():
+    """The cycles themselves, not only their lengths: shortest cycles of
+    digraphs and of seeded vertex-subset views, and bounded enumerations."""
+    rng = random.Random(0)
+    digraphs = structure_corpus() + multi_corpus()
+    out = [shortest_cycle(d) for d in digraphs]
+    for d in digraphs:
+        view = View(d)
+        for _ in range(4):
+            out.append(shortest_cycle(view.without(rng.sample(range(d.n), rng.randrange(d.n // 2 + 1)))))
+    for d in fvs_corpus() + fasd_corpus() + multi_corpus():
+        out += [enumerate_cycles(d, k) for k in (2, 3, 4, 6, 8)]
+    out.append(enumerate_cycles(gadget_h5(), 10, cap=40))
+    return out
+
+
 FAMILIES = {
     "decompose3": out_decompose3,
     "good_g_coloring_3": lambda: out_coloring(3),
@@ -239,9 +275,11 @@ FAMILIES = {
     "fas_exact": out_fas,
     "good_coloring_search": out_search,
     "scc_girth": out_structure,
+    "cycles": out_cycles,
 }
 
 GOLDEN = {
+    "cycles": "44285e3e32deb06b4ce43881a350bf2e83f94aa102736b257a4211ed565a5e2b",
     "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
     "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
