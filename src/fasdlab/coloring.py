@@ -27,7 +27,6 @@ from .digraph import (
     cycle_arc_ids,
     enumerate_cycles,
     girth,
-    is_acyclic,
     shortest_cycle,
 )
 
@@ -43,17 +42,33 @@ def verify_good_coloring(d: Digraph, coloring: dict, t: int):
 
     Returns (True, None) or (False, (color, cycle)) where ``cycle`` is a
     shortest directed cycle avoiding the offending color.  Partial colorings are
-    rejected outright.
+    rejected outright.  Each color runs Kahn's peeling over the arcs of the
+    other colors; only a failing color builds its remainder as a digraph, to
+    name the cycle.
     """
     if set(coloring.keys()) != set(range(d.m)):
         raise ValueError("coloring must assign a color to every arc")
     bad = [c for c in coloring.values() if not (1 <= c <= t)]
     if bad:
         raise ValueError(f"color {bad[0]} outside [1, {t}]")
+    color = [coloring[a] for a in range(d.m)]
+    heads = [[] for _ in range(t + 1)]
+    for (_, v), c in zip(d.arcs, color):
+        heads[c].append(v)
+    indeg = [len(arcs) for arcs in d._in]
     for c in range(1, t + 1):
-        keep = [uv for a, uv in enumerate(d.arcs) if coloring[a] != c]
-        rest = Digraph(d.n, keep)
-        if not is_acyclic(rest)[0]:
+        left = indeg[:]
+        for v in heads[c]:
+            left[v] -= 1
+        ready = [v for v in range(d.n) if left[v] == 0]
+        for u in ready:
+            for v, a in d._out[u]:
+                if color[a] != c:
+                    left[v] -= 1
+                    if left[v] == 0:
+                        ready.append(v)
+        if len(ready) < d.n:
+            rest = type(d)(d.n, [uv for uv, k in zip(d.arcs, color) if k != c])
             return False, (c, tuple(shortest_cycle(rest)))
     return True, None
 

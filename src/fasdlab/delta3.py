@@ -33,10 +33,10 @@ from .digraph import (
     MultiDigraph,
     Peel,
     View,
+    _shortest_cycle,
     girth,
     is_acyclic,
     max_degree,
-    shortest_cycle,
 )
 from .generators import is_digon_odd_cycle
 
@@ -912,28 +912,34 @@ def fvs_exact(d, max_n: int = FVS_EXACT_MAX_N) -> FvsCertificate:
     is computed once per removed set and reused by later levels.  Works for
     plain and multi digraphs (parallel arcs are irrelevant to vertex sets).
     Refuses n beyond the budget.
+
+    Deleting vertices never shortens a cycle, so the length of the parent's
+    cycle is a lower bound on the girth after one more deletion, and the
+    cycle search stops at the first root that meets it.  The search returns
+    the same cycle for any floor up to the girth, so a removed set reached
+    along different branches keeps one cycle and the memo stays valid.
     """
     if d.n > max_n:
         raise BudgetError(f"exact FVS refused for n={d.n} > {max_n}")
     full = View(Digraph(d.n, sorted(set(d.arcs))))
     cycles = {}  # removed set -> its shortest cycle, shared by all levels
 
-    def solve(removed, budget):
+    def solve(removed, budget, floor):
         if removed not in cycles:
-            cycles[removed] = shortest_cycle(full.without(removed))
+            cycles[removed] = _shortest_cycle(full.without(removed), floor)
         cyc = cycles[removed]
         if cyc is None:
             return set(removed)
         if budget == 0:
             return None
         for v in cyc:
-            res = solve(removed | {v}, budget - 1)
+            res = solve(removed | {v}, budget - 1, len(cyc))
             if res is not None:
                 return res
         return None
 
     for k in range(d.n + 1):
-        res = solve(frozenset(), k)
+        res = solve(frozenset(), k, 2)
         if res is not None:
             s = tuple(sorted(res))
             exceptional = is_digon_odd_cycle(full.d)

@@ -503,6 +503,15 @@ def shortest_cycle(d):
     to it in BFS order.  A digon counts as a cycle of length 2; parallel arcs
     never shorten a cycle.  A digraph keeps its answer, so the search runs
     once per digraph (not per View); every call returns a fresh list.
+
+    The BFS from root s enqueues only vertices above s, which cannot change
+    the answer.  Root s replaces the best cycle only with a strictly shorter
+    cycle through s, and no vertex below s lies on a cycle that short: the
+    BFS from that earlier root would have found it.  So every vertex on a
+    shortest s -> w path to a vertex w that closes such a cycle lies above s;
+    those vertices are reached at the same depth, from the same parent and in
+    the same order as in the unrestricted BFS, and when s improves nothing
+    the restricted BFS, whose distances are never shorter, finds nothing too.
     """
     if isinstance(d, View):
         return _shortest_cycle(d)
@@ -514,7 +523,13 @@ def shortest_cycle(d):
     return list(kept) or None
 
 
-def _shortest_cycle(view: View):
+def _shortest_cycle(view: View, floor: int = 2):
+    """``shortest_cycle`` of a view, given that its girth is at least ``floor``.
+
+    The roots stop once the best cycle has ``floor`` vertices: a later root
+    replaces it only with a strictly shorter one, so the answer is the same
+    for every floor up to the girth.
+    """
     act, out = view.active, view._out
     best = None
     for s in sorted(act):
@@ -532,9 +547,11 @@ def _shortest_cycle(view: View):
                     best.reverse()
                     q.clear()
                     break
-                if v in act and v not in parent:
+                if v > s and v in act and v not in parent:
                     parent[v] = u
                     q.append((v, du + 1))
+        if best is not None and len(best) <= floor:
+            break
     return best
 
 
@@ -672,6 +689,12 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
     and the overall list is in lexicographic order of those rotations.  When
     the cap is hit, the result carries an explicit truncation flag; truncation
     is never silent.
+
+    The search from root s steps onto a vertex v only when v can still get
+    back to s within the length bound: a backward BFS from s over vertices
+    above s gives each one's distance to s, and a path that cannot close in
+    time is not extended.  Such a path would report no cycle, so the cycles,
+    their order and the point of truncation are those of the plain search.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -680,8 +703,25 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
         return CycleEnumeration((), False, cap)
     for s in range(d.n):
         # Only vertices >= s may appear, so every cycle is found exactly once,
-        # rooted at its minimum vertex.  The depth-first search keeps one
-        # iterator over the sorted out-arcs of each path vertex.
+        # rooted at its minimum vertex.  ``dist`` maps s to 0 and each vertex
+        # above s that reaches s within max_len - 1 arcs over such vertices to
+        # its distance; no other vertex can be next on a path from s.
+        dist = {s: 0}
+        frontier = [s]
+        for k in range(1, max_len):
+            reached = []
+            for x in frontier:
+                for u, _ in d._in[x]:
+                    if u > s and u not in dist:
+                        dist[u] = k
+                        reached.append(u)
+            if not reached:
+                break
+            frontier = reached
+        if len(dist) == 1:
+            continue
+        # The depth-first search keeps one iterator over the sorted out-arcs of
+        # each path vertex.
         path = [s]
         on_path = {s}
         stack = [iter(sorted(d.out_arcs(s)))]
@@ -691,7 +731,7 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
                     cycles.append(tuple(path))
                     if len(cycles) >= cap:
                         return CycleEnumeration(tuple(cycles), True, cap)
-                elif v > s and v not in on_path and len(path) < max_len:
+                elif v not in on_path and len(path) + dist.get(v, max_len) <= max_len:
                     path.append(v)
                     on_path.add(v)
                     stack.append(iter(sorted(d.out_arcs(v))))

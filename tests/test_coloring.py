@@ -13,7 +13,8 @@ from fasdlab.coloring import (
     verify_counting_bound,
     verify_good_coloring,
 )
-from fasdlab.digraph import INFINITE, BudgetError, Digraph, girth, is_acyclic
+from fasdlab.delta3 import good_g_coloring
+from fasdlab.digraph import INFINITE, BudgetError, Digraph, girth, is_acyclic, shortest_cycle
 from fasdlab.generators import (
     directed_cycle,
     gadget_co,
@@ -27,7 +28,36 @@ from fasdlab.generators import (
 from fasdlab.ordering import fas_exact
 
 
+def reference_verify(d, coloring, t):
+    """verify_good_coloring's verdict from a Digraph built per color."""
+    for c in range(1, t + 1):
+        rest = Digraph(d.n, [uv for a, uv in enumerate(d.arcs) if coloring[a] != c])
+        if not is_acyclic(rest)[0]:
+            return False, (c, tuple(shortest_cycle(rest)))
+    return True, None
+
+
 class TestVerifyGoodColoring:
+    def test_matches_the_per_color_digraph_check(self):
+        rng = random.Random(4)
+        for i in range(90):
+            g = 3 + i % 3
+            n = rng.randrange(10, 80)
+            d = random_orgraph(n, 3, g, seed=i, arc_target=(3 * n) // 2)
+            good = good_g_coloring(d, g)
+            assert verify_good_coloring(d, good, g) == reference_verify(d, good, g) == (True, None)
+            for a in rng.sample(range(d.m), min(d.m, 5)):
+                bad = dict(good)
+                bad[a] = rng.choice([c for c in range(1, g + 1) if c != good[a]])
+                assert verify_good_coloring(d, bad, g) == reference_verify(d, bad, g)
+        for _ in range(300):
+            n = rng.randrange(2, 9)
+            d = Digraph(n, list(dict.fromkeys(tuple(rng.sample(range(n), 2)) for _ in range(2 * n))))
+            t = rng.randrange(2, 5)
+            coloring = {a: rng.randrange(1, t + 1) for a in range(d.m)}
+            assert verify_good_coloring(d, coloring, t) == reference_verify(d, coloring, t)
+
+
     def test_rainbow_cycle_good(self):
         d = directed_cycle(5)
         ok, _ = verify_good_coloring(d, {a: a + 1 for a in range(5)}, 5)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fasdlab.coloring import verify_good_coloring
@@ -12,6 +14,7 @@ from fasdlab.digraph import (
     BudgetError,
     Digraph,
     GraphError,
+    MultiDigraph,
     girth,
     is_acyclic,
     strong_components,
@@ -22,6 +25,7 @@ from fasdlab.generators import (
     gadget_co_prime,
     gadget_dg,
     gadget_h3,
+    is_digon_odd_cycle,
     random_orgraph,
 )
 from fasdlab.ordering import fas_exact
@@ -143,6 +147,23 @@ class TestFvsExact:
         for length in (3, 5):
             d = gadget_co(length)
             assert len(fvs_exact(d).vertices) == len(fvs_brute(d))
+
+    def test_matches_brute_oracle_on_multidigraphs(self):
+        rng = random.Random(9)
+        cases = [gadget_co(3), gadget_co(5), MultiDigraph(5, gadget_co(5).arcs + ((0, 1), (3, 2)))]
+        for i in range(60):
+            n = rng.randrange(3, 13)
+            arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n, 4 * n))]
+            cases.append(MultiDigraph(n, arcs + arcs[: i % 4]))
+        for d in cases:
+            cert = fvs_exact(d)
+            brute = fvs_brute(d)
+            simple = Digraph(d.n, sorted(set(d.arcs)))
+            assert len(cert.vertices) == len(brute)
+            assert cert.within_half == (2 * len(brute) <= d.n)
+            assert cert.exceptional == is_digon_odd_cycle(simple)
+            drop = set(cert.vertices)
+            assert is_acyclic(Digraph(d.n, [(u, v) for u, v in simple.arcs if drop.isdisjoint((u, v))]))[0]
 
     def test_half_bound_or_exception(self):
         for seed in range(25):

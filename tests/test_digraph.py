@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -10,6 +11,7 @@ from fasdlab.digraph import (
     MultiDigraph,
     Peel,
     View,
+    _shortest_cycle,
     connected_components,
     degrees,
     enumerate_cycles,
@@ -51,6 +53,48 @@ def brute_cycles(d, max_len):
     for s in range(d.n):
         walk(s, [s], {s})
     return found
+
+
+def reference_shortest_cycle(view):
+    """The shortest-cycle BFS without pruning: every root, every active head."""
+    act, out = view.active, view._out
+    best = None
+    for s in sorted(act):
+        parent = {s: None}
+        q = deque([(s, 0)])
+        while q:
+            u, du = q.popleft()
+            if best is not None and du + 1 >= len(best):
+                break
+            for v, _ in out[u]:
+                if v == s:
+                    best = [u]
+                    while best[-1] != s:
+                        best.append(parent[best[-1]])
+                    best.reverse()
+                    q.clear()
+                    break
+                if v in act and v not in parent:
+                    parent[v] = u
+                    q.append((v, du + 1))
+    return best
+
+
+def seeded_digraphs(count, seed):
+    """Random Digraphs and MultiDigraphs (parallel arcs, digons) on up to 12 vertices."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(2, 13)
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3 * n))]
+        yield MultiDigraph(n, arcs) if i % 3 == 0 else Digraph(n, list(dict.fromkeys(arcs)))
+
+
+def seeded_views(count, seed):
+    """Whole-digraph views and views with up to half the vertices removed."""
+    rng = random.Random(seed)
+    for i, d in enumerate(seeded_digraphs(count, seed)):
+        view = View(d)
+        yield view.without(rng.sample(range(d.n), rng.randrange(d.n // 2 + 1))) if i % 2 else view
 
 
 class TestInvariants:
@@ -316,6 +360,23 @@ class TestShortestCycle:
         assert shortest_cycle(View(d).without({0})) == [1, 2, 3]
         assert shortest_cycle(View(d)) == [0, 1]
 
+    def test_matches_the_unpruned_search(self):
+        for view in seeded_views(2400, 1):
+            assert shortest_cycle(view) == reference_shortest_cycle(view)
+        for d in seeded_digraphs(600, 2):
+            assert shortest_cycle(d) == reference_shortest_cycle(View(d))
+        for seed in range(10):
+            d = random_orgraph(60, 4, 3 + seed % 3, seed=seed, arc_target=110)
+            view = View(d).without(range(0, 60, 7 + seed))
+            assert shortest_cycle(view) == reference_shortest_cycle(view)
+
+    def test_any_floor_up_to_the_girth_gives_the_same_cycle(self):
+        for view in seeded_views(600, 3):
+            cycle = _shortest_cycle(view)
+            top = len(cycle) if cycle else len(view.active) + 1
+            for floor in range(2, top + 1):
+                assert _shortest_cycle(view, floor) == cycle
+
     def test_kept_answer_leaves_equality_alone(self):
         arcs = [(0, 1), (1, 2), (2, 0)]
         d, e = Digraph(3, arcs), Digraph(3, arcs)
@@ -336,6 +397,19 @@ class TestEnumerateCycles:
             res = enumerate_cycles(d, 8)
             assert not res.truncated
             assert set(res.cycles) == brute_cycles(d, 8)
+
+    def test_caps_and_bounds_match_brute_force(self):
+        for d in seeded_digraphs(150, 4):
+            for max_len in range(2, 9):
+                full = enumerate_cycles(d, max_len)
+                assert not full.truncated
+                assert set(full.cycles) == brute_cycles(d, max_len)
+                if isinstance(d, Digraph):  # parallel arcs repeat a cycle
+                    assert list(full.cycles) == sorted(full.cycles)
+                for cap in (1, 2, 5):
+                    res = enumerate_cycles(d, max_len, cap=cap)
+                    assert res.cycles == full.cycles[:cap]
+                    assert res.truncated == (len(full) >= cap)
 
     def test_deterministic_lex_order(self):
         d = gadget_dg(8)
