@@ -57,7 +57,6 @@ class TestVerifyGoodColoring:
             coloring = {a: rng.randrange(1, t + 1) for a in range(d.m)}
             assert verify_good_coloring(d, coloring, t) == reference_verify(d, coloring, t)
 
-
     def test_rainbow_cycle_good(self):
         d = directed_cycle(5)
         ok, _ = verify_good_coloring(d, {a: a + 1 for a in range(5)}, 5)
