@@ -25,14 +25,16 @@ from fasdlab.checks import (
     oracle_corpus_fasd,
     triples_corpus,
 )
-from fasdlab.coloring import fasd_exact, good_coloring_search
+from fasdlab.coloring import fasd_exact, good_coloring_search, verify_good_coloring
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import (
+    Digraph,
     MultiDigraph,
     View,
     enumerate_cycles,
     eulerian_orient,
     girth,
+    is_acyclic,
     shortest_cycle,
     strong_components,
 )
@@ -49,7 +51,7 @@ from fasdlab.generators import (
     rotational_tournament,
 )
 from fasdlab.ordering import fas_exact, fas_weighted_exact
-from fasdlab.triples import decompose3
+from fasdlab.triples import decompose3, verify_good_triple
 
 SMALL = (8, 12, 17, 24, 31, 40, 52, 60)
 
@@ -166,6 +168,38 @@ def scale_instances():
     return out
 
 
+def rare_cases():
+    """(construction, digraph) pairs that reach proof cases no other test does."""
+    two = (
+        (7, 4),  # _case_b2: b2 has no out-arc besides a1
+        (16, 239),  # _case_b2: the second path is stuck, its last arc forward
+        (10, 185),  # ... and backward
+        (22, 78),  # _case_b2: a stuck second path of two vertices
+        (14, 27),  # _two_regular_triple: the stuck path's last arc points into xl
+    )
+    out = [("decompose3", random_two_regular_orgraph(n, seed=s)) for n, s in two]
+    five = (
+        (17, 63, 25),  # _force_both_sides: the swap at w1
+        (23, 161, 34),  # _reshape_moves: the q side is forced
+    )
+    out += [("good_g_coloring", random_orgraph(n, 3, 5, seed=s, arc_target=m)) for n, s, m in five]
+    # _Reductions.first: the in-heavy class walk
+    out.append(("fas_sixth", random_orgraph(38, 3, 6, seed=99, arc_target=50)))
+    return out
+
+
+def run_rare(kind, d):
+    if kind == "decompose3":
+        return decompose3(d)
+    if kind == "good_g_coloring":
+        return good_g_coloring(d, 5)
+    return fas_sixth(d)
+
+
+def out_rare_cases():
+    return [run_rare(kind, d) for kind, d in rare_cases()]
+
+
 def out_decompose3():
     return [decompose3(d).orderings for d in deg4_corpus()]
 
@@ -276,6 +310,7 @@ FAMILIES = {
     "good_coloring_search": out_search,
     "scc_girth": out_structure,
     "cycles": out_cycles,
+    "rare_cases": out_rare_cases,
 }
 
 GOLDEN = {
@@ -291,6 +326,7 @@ GOLDEN = {
     "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
     "large_g": "89d4f84356f3606335523f1a3b7c0db47b9eded704bc46e694433d677c99ea80",
     "large_triple": "d04d4e3ea1f6b710852410fa304c5ef3d5ebe78e20ef300aa161a78107ece9f5",
+    "rare_cases": "d7694a2f07673f877b98123f384800a1b936d4cacfa73b14565f926540a10874",
     "scc_girth": "38538e4ab6563e2fef743525c6c26294e84f1c0f9af8fe16ecf6b58bcfca768d",
 }
 
@@ -303,6 +339,19 @@ SCALE_GOLDEN = "43af808f1d144118e28c65bd2f20259ea581a0a72980e2cd0ee9dc165315d762
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_golden(family):
     assert digest(FAMILIES[family]()) == GOLDEN[family]
+
+
+def test_rare_cases_verify():
+    for kind, d in rare_cases():
+        out = run_rare(kind, d)
+        if kind == "decompose3":
+            assert verify_good_triple(d, out) == (True, None)
+        elif kind == "good_g_coloring":
+            assert verify_good_coloring(d, out, 5) == (True, None)
+        else:
+            gone = set(out)
+            rest = Digraph(d.n, [uv for a, uv in enumerate(d.arcs) if a not in gone])
+            assert is_acyclic(rest)[0] and 6 * len(out) <= d.m
 
 
 def test_check_corpora():
