@@ -19,10 +19,7 @@ from .coloring import (
     verify_good_coloring,
 )
 from .delta3 import (
-    DegreeClasses,
     FvsCertificate,
-    SpecialColoringToolkit,
-    degree_classes,
     fas_sixth,
     fvs_exact,
     good_g_coloring,
@@ -78,7 +75,6 @@ __all__ = [
     "ConflictClique",
     "CountingBound",
     "CycleEnumeration",
-    "DegreeClasses",
     "Digraph",
     "FasCertificate",
     "FasdCertificate",
@@ -91,12 +87,10 @@ __all__ = [
     "OrientationBound",
     "SearchOutcome",
     "ShortCycleRefutation",
-    "SpecialColoringToolkit",
     "SpectralReport",
     "backward_arc_ids",
     "bas",
     "decompose3",
-    "degree_classes",
     "degrees",
     "enumerate_cycles",
     "eulerian_orient",

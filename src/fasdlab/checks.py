@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .coloring import (
     fasd_brute,
@@ -36,7 +35,7 @@ from .generators import (
     random_orgraph,
     random_two_regular_orgraph,
 )
-from .ordering import fas_brute, fas_exact, fas_weighted_exact
+from .ordering import bas, fas_brute, fas_exact, fas_weighted_exact
 from .spectral import (
     lambda_extremes,
     mixing_check,
@@ -197,9 +196,8 @@ def check_weighted(seed: int = 0, count: int = 200) -> CheckResult:
         d = random_orgraph(n, 4, 3, seed=seed * 77 + i, weighted=True, arc_target=2 * n)
         triple = decompose3(d, verify=False)
         # exact decimals of the weights, so a bound is never met by rounding
-        w = [Fraction(repr(x)) for x in d.weights]
-        total = sum(w)
-        if 3 * min(sum(w[a] for a in ids) for ids in triple.backward_classes(d)) > total:
+        total = d.total_weight()
+        if 3 * min(bas(d, o) for o in triple.orderings) > total:
             violations += 1
         if d.n <= 16:
             cert = fas_weighted_exact(d)

@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 check or verification failure, 2 usage error,
 3 budget exceeded.  All randomized commands take --seed (default 0) and are
-deterministic given their flags.  FASDLAB_NODE_BUDGET overrides the default
-search node budget, which fasd spends as a total over all levels.
+deterministic given their flags.  ``fasd --budget`` (default 10^8) caps the
+search nodes, which fasd spends as a total over all levels.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .coloring import DEFAULT_NODE_BUDGET, fasd_exact, good_coloring_search
@@ -35,13 +34,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _node_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("FASDLAB_NODE_BUDGET")
-    return int(env) if env else DEFAULT_NODE_BUDGET
 
 
 def _underlying_graph(d: Digraph) -> Graph:
@@ -111,9 +103,8 @@ def cmd_fas(args) -> int:
 
 def cmd_fasd(args) -> int:
     d = read_digraph(args.file)
-    budget = _node_budget(args)
     if args.t is not None:
-        res = good_coloring_search(d, args.t, node_budget=budget)
+        res = good_coloring_search(d, args.t, node_budget=args.budget)
         print(f"t={args.t} {res.status} nodes={res.nodes}")
         if res.coloring and args.certificate:
             _write_cert(
@@ -123,7 +114,7 @@ def cmd_fasd(args) -> int:
                 f"good {args.t}-arc-coloring exists",
             )
         return EXIT_OK if res.status != "budget" else EXIT_BUDGET
-    cert = fasd_exact(d, node_budget=budget)
+    cert = fasd_exact(d, node_budget=args.budget)
     if cert.value is None:
         print(f"budget exceeded; fasd in [{cert.lo}, {cert.hi}]")
         return EXIT_BUDGET
@@ -329,7 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     fd = sub.add_parser("fasd", help="FAS decomposition number")
     fd.add_argument("file")
     fd.add_argument("--t", type=int)
-    fd.add_argument("--budget", type=int, help="total search nodes over all levels")
+    fd.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_NODE_BUDGET,
+        help="total search nodes over all levels",
+    )
     fd.add_argument("--certificate")
     fd.set_defaults(func=cmd_fasd)
 

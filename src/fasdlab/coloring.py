@@ -345,9 +345,7 @@ class ShortCycleRefutation:
 EXHAUSTED = "exhausted"
 
 
-def refute_by_conflict_clique(
-    d: Digraph, t: int, cycle_cap: int = TIGHT_CYCLE_CAP
-) -> ConflictClique | None:
+def refute_by_conflict_clique(d: Digraph, t: int) -> ConflictClique | None:
     """Search a (t+1)-clique in the tight-cycle conflict graph.
 
     Exact branch-and-bound for target sizes up to 12, greedy beyond.  Returns
@@ -355,7 +353,7 @@ def refute_by_conflict_clique(
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    tight = enumerate_cycles(d, t, cap=cycle_cap)
+    tight = enumerate_cycles(d, t, cap=TIGHT_CYCLE_CAP)
     tight_cycles = [c for c in tight.cycles if len(c) == t]
     if not tight_cycles:
         return None

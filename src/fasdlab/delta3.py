@@ -22,6 +22,7 @@ patched over.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -39,37 +40,6 @@ from .digraph import (
     max_degree,
 )
 from .generators import is_digon_odd_cycle
-
-
-@dataclass(frozen=True)
-class DegreeClasses:
-    """Partition of V by (d+, d-) signature for max-degree-3 digraphs.
-
-    ``x12`` holds vertices with out-degree 1 / in-degree 2, ``x21`` the
-    transposes, ``x11`` the balanced ones.  ``complete`` is False when some
-    vertex fits none of the three signatures (possible only off the strongly
-    connected max-degree-3 assumption).
-    """
-
-    x12: tuple
-    x21: tuple
-    x11: tuple
-    complete: bool
-
-
-def degree_classes(d: Digraph) -> DegreeClasses:
-    x12, x21, x11, other = [], [], [], []
-    for v in range(d.n):
-        sig = (d.out_degree(v), d.in_degree(v))
-        if sig == (1, 2):
-            x12.append(v)
-        elif sig == (2, 1):
-            x21.append(v)
-        elif sig == (1, 1):
-            x11.append(v)
-        else:
-            other.append(v)
-    return DegreeClasses(tuple(x12), tuple(x21), tuple(x11), not other)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +421,11 @@ class _Special:
 
     Tracks the four attachment vertices (the two in-neighbors of p1 and the
     two out-neighbors of p2) and keeps each one's in-class and out-class
-    monochromatic through every transformation.
+    monochromatic through every transformation.  ``mirror`` is the same
+    workbench on the converse digraph: in- and out-classes, the w's and the
+    q's, and p1 and p2 trade places, so one routine written for the w side
+    serves the q side too.  ``has`` and ``arc_id`` read arcs in the
+    workbench's own direction.
     """
 
     def __init__(self, d, coloring, p1, p2, ws, qs, ins, outs, on_cycle):
@@ -464,37 +438,40 @@ class _Special:
         self.ins = ins
         self.outs = outs
         self.on_cycle = on_cycle
+        self.flip = False
 
-    def in_ids(self, x):
-        return self.ins[x]
+    def mirror(self):
+        m = copy.copy(self)
+        m.p1, m.p2, m.ws, m.qs = self.p2, self.p1, self.qs, self.ws
+        m.ins, m.outs, m.flip = self.outs, self.ins, not self.flip
+        return m
 
-    def out_ids(self, x):
-        return self.outs[x]
+    def has(self, u, v):
+        return self.d.has_arc(v, u) if self.flip else self.d.has_arc(u, v)
 
-    def col_in(self, x):
-        ids = self.in_ids(x)
+    def arc_id(self, u, v):
+        return self.d.arc_id(v, u) if self.flip else self.d.arc_id(u, v)
+
+    def _col(self, ids, x):
         if not ids:
             return None
         cols = {self.coloring[a] for a in ids}
         if len(cols) != 1:  # pragma: no cover - would witness broken specialness
-            raise AssertionError(f"in-class of {x} lost monochromaticity")
+            raise AssertionError(f"a class of {x} lost monochromaticity")
         return cols.pop()
+
+    def col_in(self, x):
+        return self._col(self.ins[x], x)
 
     def col_out(self, x):
-        ids = self.out_ids(x)
-        if not ids:
-            return None
-        cols = {self.coloring[a] for a in ids}
-        if len(cols) != 1:  # pragma: no cover
-            raise AssertionError(f"out-class of {x} lost monochromaticity")
-        return cols.pop()
+        return self._col(self.outs[x], x)
 
     def set_in(self, x, c):
-        for a in self.in_ids(x):
+        for a in self.ins[x]:
             self.coloring[a] = c
 
     def set_out(self, x, c):
-        for a in self.out_ids(x):
+        for a in self.outs[x]:
             self.coloring[a] = c
 
     def make_special(self):
@@ -504,10 +481,9 @@ class _Special:
                 self.set_in(x, 1)
                 self.set_out(x, 1)
         for x in self.ws + self.qs:
-            for ids in (self.in_ids(x), self.out_ids(x)):
-                cols = {self.coloring[a] for a in ids}
-                if len(cols) > 1:  # pragma: no cover - degree forces size 1
-                    raise AssertionError("attachment class not monochromatic")
+            # an on-cycle vertex keeps one arc in and one out, so both hold
+            self.col_in(x)
+            self.col_out(x)
 
     def swap_in_out(self, x):
         ci, co = self.col_in(x), self.col_out(x)
@@ -515,13 +491,6 @@ class _Special:
             raise GraphError("swap needs both classes nonempty")
         self.set_in(x, co)
         self.set_out(x, ci)
-
-    def apply_action(self, x, new_in, new_out):
-        """Install a reachable (in, out) color pair at x (see candidate_pairs)."""
-        if new_in is not None:
-            self.set_in(x, new_in)
-        if new_out is not None:
-            self.set_out(x, new_out)
 
     def candidate_pairs(self, x):
         """Reachable (in_color, out_color) pairs at x, each preserving goodness.
@@ -571,7 +540,7 @@ def _special_five(pl: Peel, coloring, path):
         sp.make_special()
         w1, w2 = ws
         q1, q2 = qs
-        has = d.has_arc
+        has = sp.has
         w_adj = has(w1, w2) or has(w2, w1)
         q_adj = has(q1, q2) or has(q2, q1)
         if w_adj and q_adj:
@@ -581,11 +550,9 @@ def _special_five(pl: Peel, coloring, path):
                 q1, q2 = q2, q1
             _force_both_sides(sp, w1, w2, q1, q2)
         elif w_adj:
-            if has(w2, w1):
-                w1, w2 = w2, w1
-            _force_w_side(sp, w1, w2, q1, q2, adjacent=True)
+            _force_side(sp, w1, w2, q1, q2)
         elif q_adj:
-            _force_q_side(sp, w1, w2, q1, q2)
+            _force_side(sp.mirror(), q1, q2, w1, w2)
         elif any(has(w, q) for w in ws for q in qs):
             _crosslink_path(sp, w1, w2, q1, q2)
         else:
@@ -595,7 +562,7 @@ def _special_five(pl: Peel, coloring, path):
 
 
 def _bridge(sp: _Special, w1, w2, q1, q2, cw1, cw2, c3, cq1, cq2) -> None:
-    arc_id = sp.d.arc_id
+    arc_id = sp.arc_id
     sp.coloring[arc_id(w1, sp.p1)] = cw1
     sp.coloring[arc_id(w2, sp.p1)] = cw2
     sp.coloring[arc_id(sp.p1, sp.p2)] = c3
@@ -632,23 +599,28 @@ def _force_both_sides(sp: _Special, w1, w2, q1, q2) -> None:
     _bridge(sp, w1, w2, q1, q2, c2, c2, c3, c4, c4)
 
 
-def _force_w_side(sp: _Special, w1, w2, q1, q2, adjacent: bool) -> None:
+def _force_side(sp: _Special, w1, w2, q1, q2) -> None:
     """Every cycle through p1 already sees c1 on the w side; fan out the rest.
 
-    Entered either with w1 -> w2 an arc (then w2's in-class may need recoloring
-    to c1) or with both in-classes already sharing c1.  The q's are known to be
-    non-adjacent here, so steering one never disturbs the other.
+    Entered either with the w's adjacent, renamed so the arc runs w1 -> w2
+    (then w2's in-class may need recoloring to c1: a cycle entering through
+    w2 either comes from w1 or along that class), or with both in-classes
+    already sharing c1.  The q's are known to be non-adjacent here, so
+    steering one never disturbs the other.  On ``sp.mirror()`` this forces
+    the q side.
     """
-    if sp.d.has_arc(q1, q2) or sp.d.has_arc(q2, q1):  # pragma: no cover - driver dispatch order
-        raise AssertionError("q adjacency must be dispatched before w forcing")
+    if sp.has(q1, q2) or sp.has(q2, q1):  # pragma: no cover - driver dispatch order
+        raise AssertionError("the other side's adjacency must be dispatched first")
+    if sp.has(w2, w1):
+        w1, w2 = w2, w1
     c1 = sp.col_in(w1)
-    if adjacent and len(sp.ins[w2]) == 2:
+    if sp.has(w1, w2) and len(sp.ins[w2]) == 2:
         sp.set_in(w2, c1)
     for q in (q1, q2):
         if sp.col_out(q) == c1:
-            _steer_out_away(sp, q, {c1})
+            _steer_away(sp, q, {c1})
         if sp.col_out(q) == c1:  # pragma: no cover - the steer must land
-            raise AssertionError("could not move an out-class off the forced color")
+            raise AssertionError("could not move a class off the forced color")
     b1, b2 = sp.col_out(q1), sp.col_out(q2)
     if b1 == b2:
         c2, c3, c4 = [c for c in range(1, 6) if c not in (c1, b1)]
@@ -658,7 +630,7 @@ def _force_w_side(sp: _Special, w1, w2, q1, q2, adjacent: bool) -> None:
         _bridge(sp, w1, w2, q1, q2, c2, c2, c3, b2, b1)
 
 
-def _steer_out_away(sp: _Special, q, banned: set) -> None:
+def _steer_away(sp: _Special, q, banned: set) -> None:
     """Make q's out-class color avoid ``banned`` using a legal move at q."""
     ci, co = sp.col_in(q), sp.col_out(q)
     if ci is not None and ci != co:
@@ -673,56 +645,11 @@ def _steer_out_away(sp: _Special, q, banned: set) -> None:
     raise AssertionError("no legal steering move at attachment vertex")
 
 
-def _steer_in_away(sp: _Special, w, banned: set) -> None:
-    ci, co = sp.col_in(w), sp.col_out(w)
-    if co is not None and co != ci:
-        sp.swap_in_out(w)
-        if sp.col_in(w) not in banned:
-            return
-        sp.swap_in_out(w)
-    choice = min(c for c in range(1, 6) if c not in banned and c != ci)
-    if co is None or co == ci:
-        sp.set_in(w, choice)
-        return
-    raise AssertionError("no legal steering move at attachment vertex")
-
-
-def _force_q_side(sp: _Special, w1, w2, q1, q2) -> None:
-    """Mirror of the w-side forcing, entered when the q's are adjacent or equal.
-
-    In the adjacent case the arc must run q2 -> q1 after renaming: a cycle
-    leaving through q2 either continues into q1 (when q2 has no other out-arc)
-    or along q2's out-class, recolored to match q1's.  The w's are known to be
-    non-adjacent here.
-    """
-    has = sp.d.has_arc
-    if has(w1, w2) or has(w2, w1):  # pragma: no cover - driver dispatch order
-        raise AssertionError("w adjacency must be dispatched before q forcing")
-    if has(q1, q2):
-        q1, q2 = q2, q1
-    adjacent = has(q2, q1)
-    c1 = sp.col_out(q1)
-    if adjacent and len(sp.outs[q2]) == 2:
-        sp.set_out(q2, c1)
-    for w in (w1, w2):
-        if sp.col_in(w) == c1:
-            _steer_in_away(sp, w, {c1})
-        if sp.col_in(w) == c1:  # pragma: no cover
-            raise AssertionError("could not move an in-class off the forced color")
-    a1, a2 = sp.col_in(w1), sp.col_in(w2)
-    if a1 == a2:
-        c2, c3, c4 = [c for c in range(1, 6) if c not in (c1, a1)]
-        _bridge(sp, w1, w2, q1, q2, c4, c4, c3, c2, c2)
-    else:
-        c2, c3 = [c for c in range(1, 6) if c not in (c1, a1, a2)]
-        _bridge(sp, w1, w2, q1, q2, a2, a1, c3, c2, c2)
-
-
 def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
     """Some w -> q arc exists: recolor along the path s1 w q s2 and finish."""
     found = None
     for w, q in ((w1, q1), (w1, q2), (w2, q1), (w2, q2)):
-        if sp.d.has_arc(w, q):
+        if sp.has(w, q):
             found = (w, q)
             break
     w, q = found
@@ -731,25 +658,23 @@ def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
     if q != q1:
         q1, q2 = q2, q1
     # the three path arcs: into w1, w1 -> q1, out of q1
-    a_in = sp.in_ids(w1)
-    a_mid = [sp.d.arc_id(w1, q1)]
-    a_out = sp.out_ids(q1)
+    a_in, a_out = sp.ins[w1], sp.outs[q1]
     if len(a_in) != 1 or len(a_out) != 1:  # pragma: no cover - degree forced
         raise AssertionError("attachment path degrees broken")
-    route = [a_in[0], a_mid[0], a_out[0]]
+    route = [a_in[0], sp.arc_id(w1, q1), a_out[0]]
     _make_route_distinct(sp, route)
     c1, c2, c3 = [sp.coloring[a] for a in route]
     c4 = sp.col_in(w2)
     if c4 in (c1, c2, c3):
         _rotate_route(sp, route, first=c4)
-        _force_w_side(sp, w1, w2, q1, q2, adjacent=False)
+        _force_side(sp, w1, w2, q1, q2)
         return
     if sp.col_out(q2) == c4:
-        _steer_out_away(sp, q2, {c4})
+        _steer_away(sp, q2, {c4})
     c5 = sp.col_out(q2)
     if c5 in (c1, c2, c3):
         _rotate_route(sp, route, last=c5)
-        _force_q_side(sp, w1, w2, q1, q2)
+        _force_side(sp.mirror(), q1, q2, w1, w2)
         return
     _bridge(sp, w1, w2, q1, q2, c4, c1, c2, c5, c3)
 
@@ -780,9 +705,10 @@ def _reshape_moves(sp: _Special, w1, w2, q1, q2):
 
     Returns ("ok", moves) when the in-colors of the w's and the out-colors of
     the q's can become pairwise distinct, else "w" or "q" when that side's pair
-    can be made to coincide.  ``moves`` lists (vertex, (in, out)) actions for
-    ``_Special.apply_action``.  The underlying argument guarantees one of the
-    three outcomes; anything else is a hard diagnostic.
+    can be made to coincide.  ``moves`` lists (vertex, (in, out)) colors from
+    ``_Special.candidate_pairs``, None for an empty class.  The underlying
+    argument guarantees one of the three outcomes; anything else is a hard
+    diagnostic.
     """
     cand = {x: sp.candidate_pairs(x) for x in (w1, w2, q1, q2)}
     for acts in itertools.product(cand[w1], cand[w2], cand[q1], cand[q2]):
@@ -801,85 +727,19 @@ def _reshape_moves(sp: _Special, w1, w2, q1, q2):
 def _normalize_and_finish(sp: _Special, w1, w2, q1, q2) -> None:
     """No adjacencies: reach four distinct colors, or fall back to a forcing pipeline."""
     kind, moves = _reshape_moves(sp, w1, w2, q1, q2)
-    for x, act in moves:
-        sp.apply_action(x, *act)
+    for x, (c_in, c_out) in moves:
+        # a None color belongs to an empty class, which has no arc to write
+        sp.set_in(x, c_in)
+        sp.set_out(x, c_out)
     if kind == "ok":
         a1, a2 = sp.col_in(w1), sp.col_in(w2)
         b1, b2 = sp.col_out(q1), sp.col_out(q2)
         mid = [c for c in range(1, 6) if c not in (a1, a2, b1, b2)][0]
         _bridge(sp, w1, w2, q1, q2, a2, a1, mid, b2, b1)
     elif kind == "w":
-        _force_w_side(sp, w1, w2, q1, q2, adjacent=False)
+        _force_side(sp, w1, w2, q1, q2)
     else:
-        _force_q_side(sp, w1, w2, q1, q2)
-
-
-class SpecialColoringToolkit:
-    """Public handle on the reshaping moves around a removed (p1, p2) arc.
-
-    Wraps a good 5-coloring of D - {p1, p2} where p1 has in-degree 2 and out
-    arc p1 -> p2, and p2 has out-degree 2.  ``make_special`` collapses the
-    classes at the four attachment vertices to single colors; the other
-    operations require a special coloring and preserve both goodness and
-    specialness.  Misuse (a non-special coloring where one is required) is
-    rejected.
-    """
-
-    def __init__(self, d: Digraph, p1: int, p2: int, coloring: dict):
-        if not d.has_arc(p1, p2):
-            raise GraphError("p1 -> p2 must be an arc")
-        ws = sorted(d.in_neighbors(p1))
-        qs = sorted(u for u in d.out_neighbors(p2) if u != p1)
-        if len(ws) != 2 or len(qs) != 2 or set(ws) & set(qs):
-            raise GraphError("attachment structure must be two in- and two out-vertices")
-        pl = Peel(d)
-        ins, outs = _star(pl, p1, p2, ws + qs)
-        pl.split(sorted(pl.out))
-        on_cycle = {x: x in pl.out for x in ws + qs}
-        self._sp = _Special(d, dict(coloring), p1, p2, ws, qs, ins, outs, on_cycle)
-        self.ws = tuple(ws)
-        self.qs = tuple(qs)
-
-    @property
-    def coloring(self) -> dict:
-        return dict(self._sp.coloring)
-
-    def is_special(self) -> bool:
-        for x in self.ws + self.qs:
-            for ids in (self._sp.in_ids(x), self._sp.out_ids(x)):
-                if len({self._sp.coloring[a] for a in ids}) > 1:
-                    return False
-        return True
-
-    def _require_special(self):
-        if not self.is_special():
-            raise GraphError("operation requires a special coloring")
-
-    def make_special(self) -> None:
-        self._sp.make_special()
-
-    def swap_in_out(self, x: int) -> None:
-        self._require_special()
-        if x not in self.ws + self.qs:
-            raise GraphError("swap target must be an attachment vertex")
-        self._sp.swap_in_out(x)
-
-    def class_colors(self, x: int):
-        self._require_special()
-        return self._sp.col_in(x), self._sp.col_out(x)
-
-    def normalize_distinct(self) -> str:
-        """Reach four distinct attachment colors, or report a forced side.
-
-        Returns "ok" when the in-colors of the two w's and the out-colors of
-        the two q's become pairwise distinct, "w" or "q" when the legal moves
-        instead make that side's pair coincide (the forcing configurations).
-        """
-        self._require_special()
-        kind, moves = _reshape_moves(self._sp, *self.ws, *self.qs)
-        for x, act in moves:
-            self._sp.apply_action(x, *act)
-        return kind
+        _force_side(sp.mirror(), q1, q2, w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -902,9 +762,10 @@ class FvsCertificate:
 
 
 FVS_EXACT_MAX_N = 24
+_FVS_BRUTE_MAX_N = 14
 
 
-def fvs_exact(d, max_n: int = FVS_EXACT_MAX_N) -> FvsCertificate:
+def fvs_exact(d) -> FvsCertificate:
     """Minimum feedback vertex set by increasing-size search.
 
     Iterative deepening on the answer size; each level branches on the
@@ -919,8 +780,8 @@ def fvs_exact(d, max_n: int = FVS_EXACT_MAX_N) -> FvsCertificate:
     the same cycle for any floor up to the girth, so a removed set reached
     along different branches keeps one cycle and the memo stays valid.
     """
-    if d.n > max_n:
-        raise BudgetError(f"exact FVS refused for n={d.n} > {max_n}")
+    if d.n > FVS_EXACT_MAX_N:
+        raise BudgetError(f"exact FVS refused for n={d.n} > {FVS_EXACT_MAX_N}")
     full = View(Digraph(d.n, sorted(set(d.arcs))))
     cycles = {}  # removed set -> its shortest cycle, shared by all levels
 
@@ -948,10 +809,10 @@ def fvs_exact(d, max_n: int = FVS_EXACT_MAX_N) -> FvsCertificate:
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 
-def fvs_brute(d, max_n: int = 14):
+def fvs_brute(d):
     """Independent oracle: smallest vertex subset whose removal is acyclic."""
-    if d.n > max_n:
-        raise BudgetError(f"brute force refused for n={d.n} > {max_n}")
+    if d.n > _FVS_BRUTE_MAX_N:
+        raise BudgetError(f"brute force refused for n={d.n} > {_FVS_BRUTE_MAX_N}")
     arcs = sorted(set(d.arcs))
     for k in range(d.n + 1):
         for combo in itertools.combinations(range(d.n), k):
@@ -1007,29 +868,28 @@ def _fas6_solve(pl: Peel):
     deletes its vertices and what is left of the piece is split again.
     """
     fas = []
-    todo = [("split", sorted(pl.out), None, None, ())]
+    todo = [("split", sorted(pl.out), None, None)]
     while todo:
-        kind, verts, root, red, drop = todo.pop()
+        kind, verts, root, red = todo.pop()
         if kind == "split":
             new_root, comps, _, touched = pl.split(verts, root)
-            todo.extend(("strong", comp, None, None, ()) for comp in reversed(comps))
+            todo.extend(("strong", comp, None, None) for comp in reversed(comps))
             if new_root is not None:
                 # the certified piece goes last, so it is split again first
                 if new_root == root:
-                    red.update(touched, comps + [drop])
+                    red.update(touched, comps)
                 else:
                     red = _Reductions(pl, touched)
-                todo.append(("strong", None, new_root, red, ()))
+                todo.append(("strong", None, new_root, red))
             continue
         if red is None:
             red = _Reductions(pl, verts)
         arcs, drop = red.first(verts[0] if root is None else root)
         fas.extend(arcs)
         if drop:
-            drop = sorted(set(drop))
-            for v in drop:
+            for v in sorted(set(drop)):
                 pl.delete(v)
-            todo.append(("split", verts, root, red, drop))
+            todo.append(("split", verts, root, red))
     return fas
 
 

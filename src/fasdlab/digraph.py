@@ -58,6 +58,12 @@ class BudgetError(RuntimeError):
     exhausts its search budget without an answer."""
 
 
+def _exact_weights(d) -> list:
+    """Each arc weight as the exact decimal its repr shows, so sums of
+    weights are never rounded."""
+    return [Fraction(repr(w)) for w in d.weights]
+
+
 class _BaseDigraph:
     # _cycle: the shortest cycle as a tuple, () when acyclic; unset until
     # shortest_cycle first runs on this digraph
@@ -109,11 +115,11 @@ class _BaseDigraph:
     def weighted(self) -> bool:
         return self.weights is not None
 
-    def total_weight(self) -> float:
-        """w(D): total arc weight (arc count when unweighted)."""
+    def total_weight(self):
+        """w(D): the arc count when unweighted, else the exact total weight."""
         if self.weights is None:
-            return float(len(self.arcs))
-        return sum(self.weights)
+            return len(self.arcs)
+        return sum(_exact_weights(self), Fraction(0))
 
     def out_neighbors(self, v: int):
         return [u for u, _ in self._out[v]]
@@ -134,15 +140,8 @@ class _BaseDigraph:
     def in_degree(self, v: int) -> int:
         return len(self._in[v])
 
-    def degree(self, v: int) -> int:
-        return len(self._out[v]) + len(self._in[v])
-
     def has_arc(self, u: int, v: int) -> bool:
         return any(w == v for w, _ in self._out[u])
-
-    def converse(self):
-        """Reverse every arc.  Arc ids are preserved positionally."""
-        return type(self)(self.n, [(v, u) for u, v in self.arcs], self.weights)
 
     def __repr__(self) -> str:
         kind = type(self).__name__
@@ -175,10 +174,6 @@ class Digraph(_BaseDigraph):
     def has_digon(self) -> bool:
         arcset = set(self.arcs)
         return any((v, u) in arcset for u, v in self.arcs)
-
-    def is_orgraph(self) -> bool:
-        """True when the digraph has no directed 2-cycle."""
-        return not self.has_digon()
 
 
 class MultiDigraph(_BaseDigraph):
@@ -771,7 +766,7 @@ def reduce_digons(d: Digraph):
         arcs = [uv for i, uv in enumerate(d.arcs) if i not in drop]
         return Digraph(d.n, arcs), extracted
     # exact arithmetic on the weights' decimal text: (0.3, 0.1) leaves 0.2
-    w = [Fraction(repr(x)) for x in d.weights]
+    w = _exact_weights(d)
     total = Fraction(0)
     for (u, v), a in pair_of.items():
         if u < v and (v, u) in pair_of:

@@ -98,9 +98,9 @@ def write_digraph(path, d: Digraph) -> None:
         fh.write(format_digraph(d))
 
 
-def to_dot(d: Digraph, name: str = "D") -> str:
+def to_dot(d: Digraph) -> str:
     """Graphviz rendering; weights become edge labels."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph D {"]
     for v in range(d.n):
         lines.append(f"  {v};")
     for a, (u, v) in enumerate(d.arcs):
@@ -112,8 +112,8 @@ def to_dot(d: Digraph, name: str = "D") -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
     for u, v in g.edges:

@@ -383,14 +383,14 @@ def random_orgraph(
     return d
 
 
-def random_two_regular_orgraph(n: int, seed: int = 0, attempts: int = 400) -> Digraph:
+def random_two_regular_orgraph(n: int, seed: int = 0) -> Digraph:
     """Random connected digon-free digraph with d+ = d- = 2 everywhere.
 
     Superimposes two random cyclic permutations, retrying until the result is
-    simple (no common or opposite pairs) and connected.
+    simple (no common or opposite pairs) and connected, at most 400 times.
     """
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(400):
         p1 = list(range(n))
         p2 = list(range(n))
         rng.shuffle(p1)
@@ -441,7 +441,10 @@ def _is_prime(x: int) -> bool:
     return True
 
 
-def prime_in_progression(p: int, k: int, budget: int = 10**6) -> int:
+_PRIME_STEPS = 10**6
+
+
+def prime_in_progression(p: int, k: int) -> int:
     """Smallest prime x with x = 1 (mod 2^k) and x = 4 (mod p), p an odd prime power.
 
     The two moduli are coprime, so the residue is unique mod 2^k * p and the
@@ -459,8 +462,8 @@ def prime_in_progression(p: int, k: int, budget: int = 10**6) -> int:
     r = 1 + mod1 * t
     step = mod1 * p
     x = r
-    for _ in range(budget):
+    for _ in range(_PRIME_STEPS):
         if x > 1 and _is_prime(x):
             return x
         x += step
-    raise BudgetError(f"no prime found within {budget} steps")
+    raise BudgetError(f"no prime found within {_PRIME_STEPS} steps")

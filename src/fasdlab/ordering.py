@@ -20,11 +20,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import BudgetError, Digraph, GraphError
+from .digraph import BudgetError, Digraph, GraphError, _exact_weights
 
 WEIGHT_SCALE = 10**6
 
 FAS_EXACT_MAX_N = 22
+_FAS_BRUTE_MAX_N = 9
+_HEURISTIC_RESTARTS = 3
 
 
 def _check_permutation(d: Digraph, order) -> None:
@@ -42,11 +44,13 @@ def backward_arc_ids(d: Digraph, order) -> list:
 
 
 def bas(d: Digraph, order):
-    """Backward-arc statistic of an ordering: count, or total weight if weighted."""
+    """Backward-arc statistic of an ordering: count, or exact total weight
+    (a Fraction of the weights' decimals) if weighted."""
     ids = backward_arc_ids(d, order)
     if d.weights is None:
         return len(ids)
-    return sum(d.weights[a] for a in ids)
+    w = _exact_weights(d)
+    return sum(w[a] for a in ids)
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,6 @@ class FasCertificate:
     arc_ids: tuple
     note: str = ""
 
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
-
 
 def _scaled_weights(d: Digraph) -> list:
     """Weights as exact integers in units of 1/WEIGHT_SCALE.
@@ -77,46 +77,46 @@ def _scaled_weights(d: Digraph) -> list:
     does not fit the int64 sums of the DP and the brute-force oracle.
     """
     scaled = []
-    for a, w in enumerate(d.weights):
-        q = Fraction(repr(w)) * WEIGHT_SCALE
+    for a, w in enumerate(_exact_weights(d)):
+        q = w * WEIGHT_SCALE
         if q.denominator != 1:
             u, v = d.arcs[a]
             raise GraphError(
-                f"weight {w!r} of arc {a} ({u},{v}) is not a multiple of 1/{WEIGHT_SCALE}; "
-                "exact search does not round weights"
+                f"weight {d.weights[a]!r} of arc {a} ({u},{v}) is not a multiple of "
+                f"1/{WEIGHT_SCALE}; exact search does not round weights"
             )
         scaled.append(q.numerator)
     if sum(scaled) >= np.iinfo(np.int64).max:
-        raise GraphError(f"total weight {d.total_weight()!r} is too large for exact search")
+        raise GraphError(f"total weight {float(d.total_weight())!r} is too large for exact search")
     return scaled
 
 
-def fas_exact(d: Digraph, max_n: int = FAS_EXACT_MAX_N) -> FasCertificate:
+def fas_exact(d: Digraph) -> FasCertificate:
     """Minimum FAS size via the subset DP, with a witness ordering.
 
     f(S) = min over v in S of f(S - v) + (arcs from v into S - v): appending v
     to the placed prefix S - v makes exactly its arcs into the prefix backward.
-    Refuses n > max_n rather than fall back to a heuristic.  Ties in the
+    Refuses n > FAS_EXACT_MAX_N rather than fall back to a heuristic.  Ties in the
     reconstruction take the lowest vertex id first.
     """
-    value, order = _fas_dp(d, weighted=False, max_n=max_n)
+    value, order = _fas_dp(d, weighted=False)
     ids = tuple(backward_arc_ids(d, order))
     return FasCertificate("unweighted", value, tuple(order), ids)
 
 
-def fas_weighted_exact(d: Digraph, max_n: int = FAS_EXACT_MAX_N) -> FasCertificate:
+def fas_weighted_exact(d: Digraph) -> FasCertificate:
     """Minimum FAS weight (exact rational) via the same subset DP."""
     if d.weights is None:
         raise ValueError("fas_weighted_exact needs a weighted digraph")
-    value, order = _fas_dp(d, weighted=True, max_n=max_n)
+    value, order = _fas_dp(d, weighted=True)
     ids = tuple(backward_arc_ids(d, order))
     return FasCertificate("weighted", Fraction(value, WEIGHT_SCALE), tuple(order), ids)
 
 
-def _fas_dp(d: Digraph, weighted: bool, max_n: int):
+def _fas_dp(d: Digraph, weighted: bool):
     n = d.n
-    if n > max_n:
-        raise BudgetError(f"exact search refused for n={n} > {max_n}")
+    if n > FAS_EXACT_MAX_N:
+        raise BudgetError(f"exact search refused for n={n} > {FAS_EXACT_MAX_N}")
     w = _scaled_weights(d) if weighted else [1] * d.m
     # iinfo.max marks a set not scored yet, so it must exceed every cost,
     # and no cost exceeds sum(w)
@@ -185,7 +185,7 @@ def _permutation_table(n: int) -> tuple:
     return perms, pos
 
 
-def fas_brute(d: Digraph, max_n: int = 9):
+def fas_brute(d: Digraph):
     """Independent factorial oracle: minimum bas over all n! orderings.
 
     Vectorized with numpy over the permutation list; shares no code with the
@@ -193,8 +193,8 @@ def fas_brute(d: Digraph, max_n: int = 9):
     integers like the DP, and the value comes back as an int or Fraction.
     """
     n = d.n
-    if n > max_n:
-        raise BudgetError(f"brute force refused for n={n} > {max_n}")
+    if n > _FAS_BRUTE_MAX_N:
+        raise BudgetError(f"brute force refused for n={n} > {_FAS_BRUTE_MAX_N}")
     if n == 0:
         return 0, ()
     perms, pos = _permutation_table(n)
@@ -209,7 +209,7 @@ def fas_brute(d: Digraph, max_n: int = 9):
     return value, tuple(int(x) for x in perms[best])
 
 
-def fas_upper_heuristic(d: Digraph, seed: int = 0, restarts: int = 3) -> tuple:
+def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
     """Insertion plus adjacent-swap local search; deterministic per seed.
 
     Returns an ordering whose bas upper-bounds fas(D).  Used where exact
@@ -228,7 +228,7 @@ def fas_upper_heuristic(d: Digraph, seed: int = 0, restarts: int = 3) -> tuple:
 
     best_order = None
     best_val = None
-    for _ in range(max(1, restarts)):
+    for _ in range(_HEURISTIC_RESTARTS):
         verts = list(range(d.n))
         rng.shuffle(verts)
         order = []

@@ -73,7 +73,11 @@ def _bipartition(g: Graph):
     return ok, np.array(color, dtype=float), starts <= 1
 
 
-def lambda_extremes(g: Graph, tol: float = 1e-9, max_iter: int = 20000) -> SpectralReport:
+_POWER_TOL = 1e-9
+_POWER_MAX_ITER = 20000
+
+
+def lambda_extremes(g: Graph) -> SpectralReport:
     """Second-largest absolute adjacency eigenvalue via deflated power iteration.
 
     Iterates B @ (B @ x) where B is the adjacency matrix with the all-ones
@@ -114,14 +118,14 @@ def lambda_extremes(g: Graph, tol: float = 1e-9, max_iter: int = 20000) -> Spect
             return 0.0, 0.0
         x /= norm
         lam_sq = 0.0
-        for _ in range(max_iter):
+        for _ in range(_POWER_MAX_ITER):
             y = op(op(x))
             ny = np.linalg.norm(y)
             if ny < 1e-14:
                 return 0.0, 0.0
             y /= ny
             new = float(y @ op(op(y)))
-            if abs(new - lam_sq) <= tol * max(1.0, abs(new)):
+            if abs(new - lam_sq) <= _POWER_TOL * max(1.0, abs(new)):
                 lam_sq = new
                 x = y
                 break
@@ -145,7 +149,7 @@ def lambda_extremes(g: Graph, tol: float = 1e-9, max_iter: int = 20000) -> Spect
         bipartite=bip,
         connected=conn,
         residual=max(res1, res2),
-        tol=tol,
+        tol=_POWER_TOL,
     )
 
 
@@ -216,13 +220,13 @@ class OrientationBound:
 
 
 def orientation_fas_lower_bound(
-    d: Digraph, lam: float, fas_value=None, compute_exact_up_to: int = 0
+    d: Digraph, lam: float, compute_exact_up_to: int = 0
 ) -> OrientationBound:
     """(d - lam) n / 8 lower bound on fas of an Eulerian orientation.
 
-    Requires even order and d+ = d- at every vertex.  When a fas value is
-    supplied (or affordable via ``compute_exact_up_to``), the bound is checked
-    against it with a float-edge guard of 1e-6.
+    Requires even order and d+ = d- at every vertex.  When fas is affordable
+    (n <= ``compute_exact_up_to``), the bound is checked against it with a
+    float-edge guard of 1e-6.
     """
     if d.n % 2 != 0:
         raise GraphError("the halving argument needs an even number of vertices")
@@ -234,7 +238,8 @@ def orientation_fas_lower_bound(
     reg = next(iter(degs))[0] * 2
     bound = (reg - lam) * d.n / 8
     rama = (reg - 2 * math.sqrt(reg - 1)) * d.n / 8 if reg >= 1 else 0.0
-    if fas_value is None and 0 < d.n <= compute_exact_up_to:
+    fas_value = None
+    if 0 < d.n <= compute_exact_up_to:
         from .ordering import fas_exact
 
         fas_value = fas_exact(d).value

@@ -59,6 +59,12 @@ class TestSolvers:
         assert code == 2 and out == ""
         assert "error" in err and "arc 0 (0,1)" in err
 
+    def test_fas_heuristic_weight_is_exact(self, tmp_path, capsys):
+        f = tmp_path / "w.txt"
+        f.write_text("4 4\n0 1 0.1\n1 0 1\n2 3 0.2\n3 2 1\n")
+        code, out, _ = run(["fas", "--heuristic", str(f)], capsys)
+        assert code == 0 and out.splitlines()[0] == "bas 3/10"
+
     def test_fvs_budget_exit_3(self, tmp_path, capsys):
         f = tmp_path / "big.txt"
         run(["gen", "cycle", "-n", "30", "-o", str(f)], capsys)

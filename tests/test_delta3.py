@@ -4,7 +4,6 @@ import pytest
 
 from fasdlab.coloring import verify_good_coloring
 from fasdlab.delta3 import (
-    degree_classes,
     fas_sixth,
     fvs_brute,
     fvs_exact,
@@ -17,7 +16,6 @@ from fasdlab.digraph import (
     MultiDigraph,
     girth,
     is_acyclic,
-    strong_components,
 )
 from fasdlab.generators import (
     directed_cycle,
@@ -29,39 +27,6 @@ from fasdlab.generators import (
     random_orgraph,
 )
 from fasdlab.ordering import fas_exact
-
-
-class TestDegreeClasses:
-    def test_directed_cycle_all_balanced(self):
-        dc = degree_classes(directed_cycle(6))
-        assert dc.x11 == (0, 1, 2, 3, 4, 5)
-        assert dc.x12 == () and dc.x21 == ()
-        assert dc.complete
-
-    def test_h3_classes(self):
-        dc = degree_classes(gadget_h3())
-        # chain heads collect two tournament arcs, chain tails emit two
-        assert len(dc.x12) == 5 and len(dc.x21) == 5 and len(dc.x11) == 5
-        assert dc.complete
-
-    def test_balanced_counts_on_strong_instances(self):
-        for seed in range(30):
-            d = random_orgraph(16, 3, 3, seed=seed)
-            comps = [c for c in strong_components(d) if len(c) >= 2]
-            for comp in comps:
-                sub = _induce(d, comp)
-                dc = degree_classes(sub)
-                assert len(dc.x12) == len(dc.x21)
-
-    def test_incomplete_flag(self):
-        d = Digraph(4, [(0, 1), (0, 2), (0, 3)])
-        assert not degree_classes(d).complete
-
-
-def _induce(d, comp):
-    idx = {v: i for i, v in enumerate(comp)}
-    arcs = [(idx[u], idx[v]) for u, v in d.arcs if u in idx and v in idx]
-    return Digraph(len(comp), arcs)
 
 
 class TestGoodGColoring:
@@ -229,101 +194,6 @@ class TestFasSixth:
     def test_acyclic_gives_empty(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
         assert fas_sixth(d) == ()
-
-
-class TestSpecialColoringToolkit:
-    def _instance(self):
-        # build a degree-3 girth-5 instance with an adjacent (1,2)->(2,1) pair
-        from fasdlab.delta3 import degree_classes
-        from fasdlab.digraph import strong_components
-
-        for seed in range(200):
-            d = random_orgraph(14, 3, 5, seed=seed, arc_target=21)
-            comps = [c for c in strong_components(d) if len(c) >= 2]
-            for comp in comps:
-                cset = set(comp)
-                for a, (u, v) in enumerate(d.arcs):
-                    if u in cset and v in cset:
-                        du = (d.out_degree(u), d.in_degree(u))
-                        dv = (d.out_degree(v), d.in_degree(v))
-                        if du == (1, 2) and dv == (2, 1):
-                            return d, u, v
-        raise AssertionError("no toolkit instance found")
-
-    def _toolkit(self):
-        from fasdlab.delta3 import SpecialColoringToolkit
-
-        d, p1, p2 = self._instance()
-        star = [v for v in range(d.n) if v not in (p1, p2)]
-        idx = {v: i for i, v in enumerate(star)}
-        sub_arcs = [
-            (idx[u], idx[v]) for u, v in d.arcs if u in idx and v in idx
-        ]
-        sub = Digraph(len(star), sub_arcs)
-        star_coloring = good_g_coloring(sub, 5)
-        back = {}
-        j = 0
-        for a, (u, v) in enumerate(d.arcs):
-            if u in idx and v in idx:
-                back[a] = star_coloring[j]
-                j += 1
-            else:
-                back[a] = 1
-        return SpecialColoringToolkit(d, p1, p2, back), d, p1, p2
-
-    def test_make_special_monochromatic(self):
-        tk, _, _, _ = self._toolkit()
-        tk.make_special()
-        assert tk.is_special()
-
-    def test_swap_twice_is_identity(self):
-        tk, _, _, _ = self._toolkit()
-        tk.make_special()
-        before = tk.coloring
-        x = tk.ws[0]
-        ci, co = tk.class_colors(x)
-        if ci is None or co is None:
-            return
-        tk.swap_in_out(x)
-        tk.swap_in_out(x)
-        assert tk.coloring == before
-
-    def test_normalize_distinct_outcomes(self):
-        tk, _, _, _ = self._toolkit()
-        tk.make_special()
-        kind = tk.normalize_distinct()
-        w1, w2 = tk.ws
-        q1, q2 = tk.qs
-        a1 = tk.class_colors(w1)[0]
-        a2 = tk.class_colors(w2)[0]
-        b1 = tk.class_colors(q1)[1]
-        b2 = tk.class_colors(q2)[1]
-        if kind == "ok":
-            assert len({a1, a2, b1, b2}) == 4
-        elif kind == "w":
-            assert a1 == a2
-        else:
-            assert b1 == b2
-
-    def test_rejects_non_special_for_swap(self):
-        from fasdlab.digraph import GraphError as GE
-
-        tk, _, _, _ = self._toolkit()
-        if tk.is_special():
-            # force a polychromatic class if one has two arcs
-            sp = tk._sp
-            broken = False
-            for x in tk.ws + tk.qs:
-                ids = sp.in_ids(x)
-                if len(ids) >= 2:
-                    sp.coloring[ids[0]] = 1
-                    sp.coloring[ids[1]] = 2
-                    broken = True
-                    break
-            if not broken:
-                return
-        with pytest.raises(GE):
-            tk.swap_in_out(tk.ws[0])
 
 
 class TestPeelOverlapRegression:

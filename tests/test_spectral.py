@@ -147,12 +147,13 @@ class TestOrientationBound:
         g = cycle_graph(4)
         d = eulerian_orient(g)
         lam = lambda_extremes(g).lam  # = 2 since C4 is bipartite
-        ob = orientation_fas_lower_bound(d, lam, fas_value=fas_exact(d).value)
+        ob = orientation_fas_lower_bound(d, lam, compute_exact_up_to=4)
+        assert ob.fas_value == fas_exact(d).value
         assert ob.bound == pytest.approx(0.0)
         assert ob.holds
         # with the bipartite-excluded eigenvalue the bound tightens to 1 = fas
         lam_prime = lambda_extremes(g).lam_prime
-        ob2 = orientation_fas_lower_bound(d, lam_prime, fas_value=fas_exact(d).value)
+        ob2 = orientation_fas_lower_bound(d, lam_prime, compute_exact_up_to=4)
         assert ob2.bound == pytest.approx(1.0)
         assert ob2.holds
 
