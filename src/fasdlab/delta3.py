@@ -609,7 +609,7 @@ def _force_side(sp: _Special, w1, w2, q1, q2) -> None:
     steering one never disturbs the other.  On ``sp.mirror()`` this forces
     the q side.
     """
-    if sp.has(q1, q2) or sp.has(q2, q1):  # pragma: no cover - driver dispatch order
+    if sp.has(q1, q2) or sp.has(q2, q1):  # pragma: no cover - _special_five dispatches it
         raise AssertionError("the other side's adjacency must be dispatched first")
     if sp.has(w2, w1):
         w1, w2 = w2, w1
