@@ -28,6 +28,7 @@ from fasdlab.checks import (
 from fasdlab.coloring import fasd_exact, good_coloring_search, verify_good_coloring
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import (
+    INFINITE,
     Digraph,
     MultiDigraph,
     View,
@@ -257,6 +258,25 @@ def out_search():
     return out + [good_coloring_search(gadget_dg(12), 11, node_budget=5000)]
 
 
+def search_grid():
+    """(digraph, t) for every t from 2 to min(girth, 7): small seeded orgraphs of
+    max degree 3 and girth 3, 4 and 5, and the two-jump circulants up to n = 12."""
+    out = []
+    for s in range(30):
+        n = 8 + s % 9
+        out += [random_orgraph(n, 3, g, seed=100 * g + s, arc_target=(3 * n) // 2) for g in (3, 4, 5)]
+    out += [circulant_digraph(n, [1, j]) for n in range(5, 13) for j in range(2, n // 2 + 1)]
+    return [(d, t) for d in out if girth(d) is not INFINITE for t in range(2, min(girth(d), 7) + 1)]
+
+
+def out_search_outcomes():
+    """What the searches answer, their node counts left out, so that a change
+    to how the search prunes can be held to the same answers."""
+    out = [(r.status, r.coloring) for r in out_search()]
+    out += [(c.value, c.witness, c.refutation, c.lo, c.hi) for c in out_fasd()]
+    return out + [(r.status, r.coloring) for r in (good_coloring_search(d, t) for d, t in search_grid())]
+
+
 def out_fas():
     out = []
     for d in fas_corpus():
@@ -308,6 +328,7 @@ FAMILIES = {
     "fasd_exact": out_fasd,
     "fas_exact": out_fas,
     "good_coloring_search": out_search,
+    "search_outcomes": out_search_outcomes,
     "scc_girth": out_structure,
     "cycles": out_cycles,
     "rare_cases": out_rare_cases,
@@ -327,6 +348,7 @@ GOLDEN = {
     "large_g": "89d4f84356f3606335523f1a3b7c0db47b9eded704bc46e694433d677c99ea80",
     "large_triple": "d04d4e3ea1f6b710852410fa304c5ef3d5ebe78e20ef300aa161a78107ece9f5",
     "rare_cases": "d7694a2f07673f877b98123f384800a1b936d4cacfa73b14565f926540a10874",
+    "search_outcomes": "7dbc97a81d48297485404080e992ab49b5fc2ba8d7b9a88c16b7f5d9b3ecab7c",
     "scc_girth": "38538e4ab6563e2fef743525c6c26294e84f1c0f9af8fe16ecf6b58bcfca768d",
 }
 
@@ -339,6 +361,18 @@ SCALE_GOLDEN = "43af808f1d144118e28c65bd2f20259ea581a0a72980e2cd0ee9dc165315d762
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_golden(family):
     assert digest(FAMILIES[family]()) == GOLDEN[family]
+
+
+# node counts of the good_coloring_search and fasd_exact families when these
+# bounds were set; the search may come to prune more, never less
+SEARCH_NODES_MAX = (1687, 114353, 14391, 91, 55, 4, 24, 5001)
+FASD_NODES_MAX = (12, 57, 55, 91, 5, 12, 14, 15, 21, 17, 16, 14, 65)
+
+
+def test_node_counts_never_grow():
+    for runs, bounds in ((out_search(), SEARCH_NODES_MAX), (out_fasd(), FASD_NODES_MAX)):
+        assert len(runs) == len(bounds)
+        assert all(r.nodes <= b for r, b in zip(runs, bounds))
 
 
 def test_rare_cases_verify():
