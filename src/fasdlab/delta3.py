@@ -618,7 +618,7 @@ def _force_side(sp: _Special, w1, w2, q1, q2) -> None:
         sp.set_in(w2, c1)
     for q in (q1, q2):
         if sp.col_out(q) == c1:
-            _steer_away(sp, q, {c1})
+            _steer_away(sp, q)
         if sp.col_out(q) == c1:  # pragma: no cover - the steer must land
             raise AssertionError("could not move a class off the forced color")
     b1, b2 = sp.col_out(q1), sp.col_out(q2)
@@ -630,19 +630,17 @@ def _force_side(sp: _Special, w1, w2, q1, q2) -> None:
         _bridge(sp, w1, w2, q1, q2, c2, c2, c3, b2, b1)
 
 
-def _steer_away(sp: _Special, q, banned: set) -> None:
-    """Make q's out-class color avoid ``banned`` using a legal move at q."""
+def _steer_away(sp: _Special, q) -> None:
+    """Move q's out-class off its color by a legal move at q.
+
+    Swap the in- and out-class when their colors differ, else recolor the
+    out-class to the least other color.
+    """
     ci, co = sp.col_in(q), sp.col_out(q)
     if ci is not None and ci != co:
         sp.swap_in_out(q)
-        if sp.col_out(q) not in banned:
-            return
-        sp.swap_in_out(q)
-    choice = min(c for c in range(1, 6) if c not in banned and c != co)
-    if ci is None or ci == co:
-        sp.set_out(q, choice)
-        return
-    raise AssertionError("no legal steering move at attachment vertex")
+    else:
+        sp.set_out(q, min(c for c in range(1, 6) if c != co))
 
 
 def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
@@ -670,7 +668,7 @@ def _crosslink_path(sp: _Special, w1, w2, q1, q2) -> None:
         _force_side(sp, w1, w2, q1, q2)
         return
     if sp.col_out(q2) == c4:
-        _steer_away(sp, q2, {c4})
+        _steer_away(sp, q2)
     c5 = sp.col_out(q2)
     if c5 in (c1, c2, c3):
         _rotate_route(sp, route, last=c5)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fasdlab.coloring import (
+    ConflictClique,
     ShortCycleRefutation,
     _pk_repair,
     coloring_classes,
@@ -14,7 +15,16 @@ from fasdlab.coloring import (
     verify_good_coloring,
 )
 from fasdlab.delta3 import good_g_coloring
-from fasdlab.digraph import INFINITE, BudgetError, Digraph, girth, is_acyclic, shortest_cycle
+from fasdlab.digraph import (
+    INFINITE,
+    BudgetError,
+    Digraph,
+    cycle_arc_ids,
+    enumerate_cycles,
+    girth,
+    is_acyclic,
+    shortest_cycle,
+)
 from fasdlab.generators import (
     directed_cycle,
     gadget_co,
@@ -270,6 +280,20 @@ class TestConflictClique:
             split_ids.add(h3.arc_id(3 * i, 3 * i + 1))
             split_ids.add(h3.arc_id(3 * i + 1, 3 * i + 2))
         assert set(clique.arcs) == split_ids
+
+    def test_check_rejects_broken_h5_cliques(self):
+        h5 = gadget_h5()
+        clique = refute_by_conflict_clique(h5, 4)
+        assert not ConflictClique(4, clique.arcs[:4], clique.witness).check(h5)
+        # swap the witness of one pair for a 6-cycle through both of its arcs,
+        # then for a 4-cycle that misses the second arc
+        (a, b), _ = min(clique.witness.items())
+        cycles = [(cyc, set(cycle_arc_ids(h5, cyc))) for cyc in enumerate_cycles(h5, 6).cycles]
+        longer = next(cyc for cyc, ids in cycles if len(cyc) == 6 and {a, b} <= ids)
+        misses = next(cyc for cyc, ids in cycles if len(cyc) == 4 and a in ids and b not in ids)
+        for cyc in (longer, misses):
+            witness = {**clique.witness, (a, b): cyc}
+            assert not ConflictClique(4, clique.arcs, witness).check(h5)
 
     def test_directed_cycle_has_none(self):
         assert refute_by_conflict_clique(directed_cycle(6), 6) is None
