@@ -10,8 +10,12 @@ color.  The remainder avoiding a color is every arc of another color; a good
 coloring keeps each remainder acyclic, so each keeps its own topological order
 with local repair on insertion, and a branch dies the moment a remainder
 closes a cycle.  Short cycles add a second pruning channel: a cycle must carry
-all t colors, so those of length exactly t take pairwise distinct colors,
-which is also what the clique refutations certify.
+all t colors, so once it has no slack (no more unassigned arcs than colors it
+misses, as a t-cycle from the start) each color it carries is dead for its
+unassigned arcs.  Dead colors are never tried, and with all t colors in use a
+branch also dies when a later arc would have none left (forward checking).
+Both cut only subtrees without a good coloring and keep the branch order, so
+the search meets the same first good coloring as plain backtracking would.
 """
 
 from __future__ import annotations
@@ -107,6 +111,21 @@ def _pk_repair(pos: list, out: list, inn: list, skip: int, u: int, v: int) -> bo
     return True
 
 
+def _starved(near, tight: int, zero: int, carried: list) -> bool:
+    """Whether an arc on a cycle of ``tight``, given by the watched cycles
+    through it, has every color c dead: carried by a cycle of ``zero`` through
+    it, ``carried[c - 1]``.  Arcs off ``tight`` lost no live color."""
+    for cycles in near:
+        if cycles & tight:
+            cycles &= zero
+            for mask in carried:
+                if not cycles & mask:
+                    break
+            else:
+                return True
+    return False
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result of a bounded good-coloring search."""
@@ -130,10 +149,12 @@ def good_coloring_search(
     are canonicalized to appear in first-use order, which fixes the first
     assigned arc to color 1 and removes the t! relabeling symmetry.  Arcs are
     assigned in descending order of membership in cycles of length <= t + 3
-    (fail-first), and a branch is cut when some remainder digraph closes a
-    cycle or one of those cycles can no longer carry all t colors.  Each color
-    tried counts as a node.  The search keeps an explicit stack, so its depth
-    is not bounded by the recursion limit.
+    (fail-first).  A branch is cut when some remainder digraph closes a cycle
+    or, once all t colors are in use, when a later arc has every color dead
+    on those cycles; dead colors are not tried.  Neither cut drops a good
+    coloring, so the witness is the first one in branch order either way.
+    Each color tried counts as a node.  The search keeps an explicit stack, so
+    its depth is not bounded by the recursion limit.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -145,27 +166,29 @@ def good_coloring_search(
         return SearchOutcome("unsat", None, 0)
     m = d.m
 
-    # short cycles drive both pruning channels.  A watched cycle of length L
-    # needs all t colors, so its slack, distinct colors + unassigned arcs - t,
-    # must stay >= 0; it starts at L - t <= 3 and falls by one exactly when an
-    # arc takes a color the cycle already carries.  slack[k] is the bitmask of
-    # watched cycles with slack >= k.  For L == t a repeat is fatal at once,
-    # so the colors of tight-cycle neighbours are filtered out up front.
+    # short cycles drive the second pruning channel.  A watched cycle of
+    # length L needs all t colors, so its slack, distinct colors + unassigned
+    # arcs - t, must stay >= 0; it starts at L - t <= 3 and falls by one
+    # exactly when an arc takes a color the cycle already carries.  slack[k]
+    # is the bitmask of watched cycles with slack >= k.  near[a] holds the
+    # cycle masks of the later arcs that share a watched cycle with arc a.
     watch = enumerate_cycles(d, t + 3, cap=TIGHT_CYCLE_CAP)
     on_cycles = [0] * m
-    conflict = [set() for _ in range(m)]
     slack = [0] * 4
-    for i, cyc in enumerate(watch.cycles):
-        ids = cycle_arc_ids(d, cyc)
+    arc_ids = [cycle_arc_ids(d, cyc) for cyc in watch.cycles]
+    for i, ids in enumerate(arc_ids):
         for a in ids:
             on_cycles[a] |= 1 << i
-            if len(ids) == t and not watch.truncated:
-                conflict[a].update(ids)  # a itself is unassigned when read
         for k in range(1, len(ids) - t + 1):
             slack[k] |= 1 << i
     _, s1, s2, s3 = slack
 
     order = sorted(range(m), key=lambda a: (-on_cycles[a].bit_count(), a))
+    rank = {a: r for r, a in enumerate(order)}
+    near = [set() for _ in range(m)]
+    for ids in arc_ids:
+        for a in ids:
+            near[a].update(on_cycles[b] for b in ids if rank[b] > rank[a])
     others = [tuple(k for k in range(1, t + 1) if k != c) for c in range(t + 1)]
 
     # all assigned arcs once, out[u][v] = inn[v][u] = color; the remainder
@@ -176,14 +199,12 @@ def good_coloring_search(
     present = [0] * (t + 1)  # watched cycles already carrying each color
     color = [0] * m  # 0 while unassigned
 
-    def candidates(a: int, used: int):
-        banned = 0  # bit 0, set by unassigned neighbours, is never a color
-        for b in conflict[a]:
-            banned |= 1 << color[b]
-        return [c for c in range(1, min(t, used + 1) + 1) if not banned >> c & 1]
+    def candidates(a: int, used: int, s1: int):
+        tight = on_cycles[a] & ~s1
+        return [c for c in range(1, min(t, used + 1) + 1) if not tight & present[c]]
 
     # an explicit stack: depth i tries cands[i][tried[i]:] for arc order[i]
-    cands = [candidates(order[0], 0)] + [None] * (m - 1)
+    cands = [candidates(order[0], 0, s1)] + [None] * (m - 1)
     tried = [0] * m
     used = [0] * m
     undo = [None] * m
@@ -209,8 +230,13 @@ def good_coloring_search(
             status = "budget"
             break
         dup = on_cycles[a] & present[c]
-        if dup & ~s1:
-            continue  # a watched cycle can no longer carry all t colors
+        zero = ~(s1 & (s2 | ~dup))  # the watched cycles left without slack
+        tight = on_cycles[a] & zero
+        if tight and (c == t or used[i] == t):  # else a color stays unused
+            carried = present[1:]
+            carried[c - 1] |= on_cycles[a]
+            if _starved(near[a], tight, zero, carried):
+                continue  # forward check: a later arc has no live color
         u, v = d.arcs[a]
         for k in others[c]:
             p = pos[k]
@@ -226,7 +252,7 @@ def good_coloring_search(
                 status = "sat"
                 break
             used[i] = max(used[i - 1], c)
-            cands[i] = candidates(order[i], used[i])
+            cands[i] = candidates(order[i], used[i], s1)
             tried[i] = 0
     if status == "sat":
         coloring = {a: color[a] for a in order}

@@ -212,12 +212,12 @@ class TestFasdExact:
             assert fasd_brute(d) == fasd_exact(d).value
 
     def test_node_budget_is_total_over_levels(self):
-        # t = 11 is refuted by 114353 nodes, and t = 10 needs 14391 more
-        cert = fasd_exact(gadget_dg(12), node_budget=120_000)
+        # t = 11 is refuted by 10547 nodes, and t = 10 needs 1480 more
+        cert = fasd_exact(gadget_dg(12), node_budget=11_000)
         assert cert.value is None
         assert (cert.lo, cert.hi) == (2, 10)
-        assert cert.nodes == 120_001
-        assert fasd_exact(gadget_dg(12), node_budget=128_744).value == 10
+        assert cert.nodes == 11_001
+        assert fasd_exact(gadget_dg(12), node_budget=12_027).value == 10
 
     def test_fas_fasd_inequality(self):
         # fas(D) <= a(D) / fasd(D) in integer form

@@ -339,9 +339,9 @@ GOLDEN = {
     "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
     "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
-    "fasd_exact": "78091caa01e84d2ac6efaa4e875e2b854c9ab9c56408295c6aa29d01358930b4",
+    "fasd_exact": "4770bf3d77643b1f6b4225ff6fdf41326720f9f4bd342198b04d78bda1523cd3",
     "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
-    "good_coloring_search": "da243cd6e2177a4aa29b3e9aa19841351914591525590d855984a43d33d321f2",
+    "good_coloring_search": "b55888d8b60b8476c461f0a66ae63380afd4b9d8522e36cc5eb8d422d53df5dd",
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
     "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
     "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
@@ -363,8 +363,9 @@ def test_golden(family):
     assert digest(FAMILIES[family]()) == GOLDEN[family]
 
 
-# node counts of the good_coloring_search and fasd_exact families when these
-# bounds were set; the search may come to prune more, never less
+# node counts of the good_coloring_search and fasd_exact families before the
+# forward check.  A pruned subtree holds no good coloring, so the search tree
+# only ever loses branches, and a count may fall but never grow
 SEARCH_NODES_MAX = (1687, 114353, 14391, 91, 55, 4, 24, 5001)
 FASD_NODES_MAX = (12, 57, 55, 91, 5, 12, 14, 15, 21, 17, 16, 14, 65)
 
