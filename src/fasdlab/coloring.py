@@ -10,8 +10,8 @@ color.  The remainder avoiding a color is every arc of another color; a good
 coloring keeps each remainder acyclic, so each keeps its own topological order
 with local repair on insertion, and a branch dies the moment a remainder
 closes a cycle.  Short cycles add a second pruning channel: a cycle must carry
-all t colors, so once it has no slack (no more unassigned arcs than colors it
-misses, as a t-cycle from the start) each color it carries is dead for its
+all t colors, so once it has no slack (as many unassigned arcs as colors it
+misses, like a t-cycle from the start) each color it carries is dead for its
 unassigned arcs.  Dead colors are never tried, and with all t colors in use a
 branch also dies when a later arc would have none left (forward checking).
 Both cut only subtrees without a good coloring and keep the branch order, so
@@ -112,9 +112,14 @@ def _pk_repair(pos: list, out: list, inn: list, skip: int, u: int, v: int) -> bo
 
 
 def _starved(near, tight: int, zero: int, carried: list) -> bool:
-    """Whether an arc on a cycle of ``tight``, given by the watched cycles
-    through it, has every color c dead: carried by a cycle of ``zero`` through
-    it, ``carried[c - 1]``.  Arcs off ``tight`` lost no live color."""
+    """Whether an arc of ``near``, each given by the mask of its watched cycles,
+    has every color dead.
+
+    Color c is dead for an arc when a cycle through it with no slack left (in
+    ``zero``) carries c (in ``carried[c - 1]``).  Only an arc on a cycle of
+    ``tight``, the slack-0 cycles through the arc just colored, can have lost
+    a live color, so the others are skipped.
+    """
     for cycles in near:
         if cycles & tight:
             cycles &= zero
@@ -232,7 +237,7 @@ def good_coloring_search(
         dup = on_cycles[a] & present[c]
         zero = ~(s1 & (s2 | ~dup))  # the watched cycles left without slack
         tight = on_cycles[a] & zero
-        if tight and (c == t or used[i] == t):  # else a color stays unused
+        if tight and (c == t or used[i] == t):  # an unused color is live anywhere
             carried = present[1:]
             carried[c - 1] |= on_cycles[a]
             if _starved(near[a], tight, zero, carried):
