@@ -16,6 +16,9 @@ unassigned arcs.  Dead colors are never tried, and with all t colors in use a
 branch also dies when a later arc would have none left (forward checking).
 Both cut only subtrees without a good coloring and keep the branch order, so
 the search meets the same first good coloring as plain backtracking would.
+Arcs are colored fail-first (Haralick & Elliott 1980): first those on the
+most t-cycles, each of which needs all t colors on its t arcs, then those on
+the most watched cycles.
 """
 
 from __future__ import annotations
@@ -153,13 +156,15 @@ def good_coloring_search(
     budget exhaustion is reported as its own status, never as UNSAT.  Colors
     are canonicalized to appear in first-use order, which fixes the first
     assigned arc to color 1 and removes the t! relabeling symmetry.  Arcs are
-    assigned in descending order of membership in cycles of length <= t + 3
-    (fail-first).  A branch is cut when some remainder digraph closes a cycle
-    or, once all t colors are in use, when a later arc has every color dead
-    on those cycles; dead colors are not tried.  Neither cut drops a good
-    coloring, so the witness is the first one in branch order either way.
-    Each color tried counts as a node.  The search keeps an explicit stack, so
-    its depth is not bounded by the recursion limit.
+    assigned fail-first: by the number of cycles of length exactly t through
+    them, which have no slack from the start, then by the number of cycles of
+    length <= t + 3, both descending, then by id.  Without a t-cycle the first
+    key is 0 for every arc.  A branch is cut when some remainder digraph
+    closes a cycle or, once all t colors are in use, when a later arc has
+    every color dead on those cycles; dead colors are not tried.  Neither cut
+    drops a good coloring, so the witness is the first one in branch order
+    either way.  Each color tried counts as a node.  The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -188,7 +193,11 @@ def good_coloring_search(
             slack[k] |= 1 << i
     _, s1, s2, s3 = slack
 
-    order = sorted(range(m), key=lambda a: (-on_cycles[a].bit_count(), a))
+    # fail-first: arcs on the most t-cycles (slack 0 from the start) lead
+    order = sorted(
+        range(m),
+        key=lambda a: (-(on_cycles[a] & ~s1).bit_count(), -on_cycles[a].bit_count(), a),
+    )
     rank = {a: r for r, a in enumerate(order)}
     near = [set() for _ in range(m)]
     for ids in arc_ids:

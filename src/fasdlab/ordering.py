@@ -210,10 +210,17 @@ def fas_brute(d: Digraph):
 
 
 def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
-    """Insertion plus adjacent-swap local search; deterministic per seed.
+    """Best of seeded cheapest-slot insertions; deterministic per seed.
 
     Returns an ordering whose bas upper-bounds fas(D).  Used where exact
-    search is refused.
+    search is refused.  Each restart inserts the vertices in a shuffled order,
+    each at the slot that makes the fewest placed arcs backward (the earliest
+    slot on a tie).  Costs are the exact scaled integer weights of the DP, so
+    a weight with more than six fraction digits raises GraphError here too,
+    and parallel arcs count each.  No adjacent swap lowers the result's bas:
+    two neighbours were already neighbours when the later one was inserted,
+    and the swapped order puts it in the slot on the other side of the
+    earlier one, which cost no less then and differs by the same arcs now.
     """
     from .digraph import is_acyclic
 
@@ -221,10 +228,7 @@ def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
     if acyclic:
         return tuple(topo)
     rng = random.Random(seed)
-    weights = d.weights
-
-    def arc_cost(a):
-        return 1 if weights is None else weights[a]
+    w = [1] * d.m if d.weights is None else _scaled_weights(d)
 
     best_order = None
     best_val = None
@@ -234,34 +238,23 @@ def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
         order = []
         placed = set()
         for v in verts:
-            out_w = {u: arc_cost(a) for u, a in d.out_arcs(v) if u in placed}
-            in_w = {u: arc_cost(a) for u, a in d.in_arcs(v) if u in placed}
-            # slot 0 puts v first: only placed in-neighbors become backward;
-            # moving v past u trades an in-arc of v for an out-arc of v
-            cost = sum(in_w.values())
+            # costs relative to slot 0, which puts v first: moving v past u
+            # makes the arcs v -> u backward and the arcs u -> v forward
+            step = {}
+            for u, a in d.out_arcs(v):
+                if u in placed:
+                    step[u] = step.get(u, 0) + w[a]
+            for u, a in d.in_arcs(v):
+                if u in placed:
+                    step[u] = step.get(u, 0) - w[a]
+            cost = 0
             costs = [cost]
             for u in order:
-                cost += out_w.get(u, 0.0) - in_w.get(u, 0.0)
+                cost += step.get(u, 0)
                 costs.append(cost)
             slot = min(range(len(costs)), key=lambda i: (costs[i], i))
             order.insert(slot, v)
             placed.add(v)
-        # adjacent swap descent
-        improved = True
-        while improved:
-            improved = False
-            for i in range(len(order) - 1):
-                u, v = order[i], order[i + 1]
-                delta = 0.0
-                for x, a in d.out_arcs(u):
-                    if x == v:
-                        delta += arc_cost(a)
-                for x, a in d.out_arcs(v):
-                    if x == u:
-                        delta -= arc_cost(a)
-                if delta < 0:
-                    order[i], order[i + 1] = v, u
-                    improved = True
         val = bas(d, order)
         if best_val is None or val < best_val:
             best_val = val

@@ -64,6 +64,9 @@ class TestSolvers:
         f.write_text("4 4\n0 1 0.1\n1 0 1\n2 3 0.2\n3 2 1\n")
         code, out, _ = run(["fas", "--heuristic", str(f)], capsys)
         assert code == 0 and out.splitlines()[0] == "bas 3/10"
+        f.write_text("3 3\n0 1 0.0000001\n1 2 5\n2 0 5\n")
+        code, out, err = run(["fas", "--heuristic", str(f)], capsys)
+        assert code == 2 and out == "" and "arc 0 (0,1)" in err
 
     def test_fvs_budget_exit_3(self, tmp_path, capsys):
         f = tmp_path / "big.txt"

@@ -26,6 +26,7 @@ from fasdlab.digraph import (
     shortest_cycle,
 )
 from fasdlab.generators import (
+    circulant_digraph,
     directed_cycle,
     gadget_co,
     gadget_dg,
@@ -218,6 +219,20 @@ class TestFasdExact:
         assert (cert.lo, cert.hi) == (2, 10)
         assert cert.nodes == 11_001
         assert fasd_exact(gadget_dg(12), node_budget=12_027).value == 10
+
+    def test_circulants_meet_girth_within_budget(self):
+        # arcs on the most girth cycles go first: every two-jump circulant of
+        # girth >= 4 at 13 <= n <= 18 is solved in at most 1964 nodes
+        for n in range(13, 19):
+            for j in range(2, n // 2 + 1):
+                d = circulant_digraph(n, [1, j])
+                g = girth(d)
+                if g is INFINITE or g < 4:
+                    continue
+                cert = fasd_exact(d, node_budget=5000)
+                assert cert.value == g, (n, j)
+                assert verify_good_coloring(d, cert.witness, g) == (True, None)
+        assert fasd_exact(circulant_digraph(17, [1, 4])).nodes <= 100
 
     def test_fas_fasd_inequality(self):
         # fas(D) <= a(D) / fasd(D) in integer form

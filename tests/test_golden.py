@@ -341,14 +341,14 @@ GOLDEN = {
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
     "fasd_exact": "4770bf3d77643b1f6b4225ff6fdf41326720f9f4bd342198b04d78bda1523cd3",
     "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
-    "good_coloring_search": "b55888d8b60b8476c461f0a66ae63380afd4b9d8522e36cc5eb8d422d53df5dd",
+    "good_coloring_search": "a16016e214008793ef34a93b870bca918a7559f987b8fd3bf285c96caeee8e9a",
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
     "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
     "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
     "large_g": "89d4f84356f3606335523f1a3b7c0db47b9eded704bc46e694433d677c99ea80",
     "large_triple": "d04d4e3ea1f6b710852410fa304c5ef3d5ebe78e20ef300aa161a78107ece9f5",
     "rare_cases": "d7694a2f07673f877b98123f384800a1b936d4cacfa73b14565f926540a10874",
-    "search_outcomes": "7dbc97a81d48297485404080e992ab49b5fc2ba8d7b9a88c16b7f5d9b3ecab7c",
+    "search_outcomes": "9760ccdaef3a31d2c45e1dc1100adf612b097770125b0ac852a7054ef8ae8c86",
     "scc_girth": "38538e4ab6563e2fef743525c6c26294e84f1c0f9af8fe16ecf6b58bcfca768d",
 }
 

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from fasdlab.digraph import BudgetError, Digraph, GraphError, is_acyclic, reduce_digons
+from fasdlab.digraph import (
+    BudgetError,
+    Digraph,
+    GraphError,
+    MultiDigraph,
+    is_acyclic,
+    reduce_digons,
+)
 from fasdlab.generators import (
     directed_cycle,
     gadget_dg,
@@ -287,3 +294,35 @@ class TestHeuristic:
     def test_deterministic(self):
         d = random_orgraph(12, 4, 3, seed=3)
         assert fas_upper_heuristic(d, seed=9) == fas_upper_heuristic(d, seed=9)
+
+    def test_weight_ties_are_exact(self):
+        # in floats 0.3 - 0.2 - 0.1 < 0, so vertex 2 of the second restart
+        # left the tied first slot for the last one, and the best order
+        # ended at 1/2
+        arcs = [(0, 3), (5, 1), (5, 4), (2, 4), (5, 0), (3, 4), (2, 5), (1, 2), (2, 3), (4, 2)]
+        d = Digraph(6, arcs, [0.7, 0.3, 0.1, 0.1, 0.3, 0.1, 0.3, 0.2, 0.1, 0.2])
+        assert bas(d, fas_upper_heuristic(d)) == fas_brute(d)[0] == Fraction(2, 5)
+
+    def test_parallel_arcs_each_count(self):
+        # slot costs that count one arc per parallel class miss the optimum:
+        # at 3 on the first digraph when out-arcs are dropped, at 2 on the
+        # second when in-arcs are
+        for n, arcs, want in (
+            (4, [(0, 1), (1, 0), (1, 0), (0, 1), (0, 3), (1, 0)], 2),
+            (5, [(4, 1), (4, 1), (1, 3), (0, 3), (3, 0), (3, 0)], 1),
+        ):
+            d = MultiDigraph(n, arcs)
+            assert bas(d, fas_upper_heuristic(d)) == fas_brute(d)[0] == want
+
+    def test_no_adjacent_swap_helps(self):
+        rng = random.Random(5)
+        cases = [random_orgraph(8, 4, 3, seed=s, weighted=s % 2 == 1) for s in range(20)]
+        for n in range(3, 9):
+            cases.append(MultiDigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]))
+        for seed, d in enumerate(cases):
+            order = list(fas_upper_heuristic(d, seed=seed))
+            val = bas(d, order)
+            assert val >= fas_brute(d)[0]
+            for i in range(d.n - 1):
+                swapped = order[:i] + [order[i + 1], order[i]] + order[i + 2 :]
+                assert bas(d, swapped) >= val
