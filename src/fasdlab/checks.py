@@ -12,16 +12,16 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from .certcheck import check_coloring, check_fas, check_triple
 from .coloring import (
     fasd_brute,
     fasd_exact,
     good_coloring_search,
     refute_by_conflict_clique,
     verify_counting_bound,
-    verify_good_coloring,
 )
 from .delta3 import fas_sixth, good_g_coloring
-from .digraph import INFINITE, Digraph, eulerian_orient, girth, is_acyclic
+from .digraph import INFINITE, eulerian_orient, girth, is_acyclic
 from .generators import (
     GenerationError,
     circulant_digraph,
@@ -42,7 +42,7 @@ from .spectral import (
     orientation_fas_lower_bound,
     random_orientation_experiment,
 )
-from .triples import decompose3, verify_good_triple
+from .triples import decompose3
 
 
 @dataclass
@@ -171,7 +171,7 @@ def check_triples(seed: int = 0, count: int = 500) -> CheckResult:
     done = 0
     for d in triples_corpus(count, seed):
         triple = decompose3(d, verify=False)
-        ok, _ = verify_good_triple(d, triple)
+        ok, _ = check_triple(d, triple)
         if not ok:
             failures += 1
         done += 1
@@ -228,7 +228,7 @@ def check_colorings(seed: int = 0, count: int = 300) -> CheckResult:
             except Exception:
                 failures += 1
                 continue
-            ok, _ = verify_good_coloring(d, c, g)
+            ok, _ = check_coloring(d, c, g)
             if not ok:
                 failures += 1
     cycle_ok = all(fasd_exact(directed_cycle(g)).value == g for g in (3, 4, 5))
@@ -253,9 +253,7 @@ def check_sixth(seed: int = 0, count: int = 200) -> CheckResult:
         n = (8 + i % 7) if small else (22 + i % 23)
         d = random_orgraph(n, 3, 6, seed=seed * 13 + i, arc_target=(4 * n) // 3)
         fas = fas_sixth(d, check=False)
-        removed = set(fas)
-        keep = [uv for a, uv in enumerate(d.arcs) if a not in removed]
-        if not is_acyclic(Digraph(d.n, keep))[0] or 6 * len(fas) > d.m:
+        if not check_fas(d, fas, sixth=True)[0]:
             failures += 1
         if d.n <= 20:
             exact_checked += 1

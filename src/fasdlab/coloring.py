@@ -23,10 +23,13 @@ the most watched cycles.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certcheck import check_coloring, closed_cycle_arcs
 from .digraph import (
     INFINITE,
     BudgetError,
@@ -48,36 +51,14 @@ def verify_good_coloring(d: Digraph, coloring: dict, t: int):
     """Check that every color class is a feedback arc set.
 
     Returns (True, None) or (False, (color, cycle)) where ``cycle`` is a
-    shortest directed cycle avoiding the offending color.  Partial colorings are
-    rejected outright.  Each color runs Kahn's peeling over the arcs of the
-    other colors; only a failing color builds its remainder as a digraph, to
-    name the cycle.
+    shortest directed cycle avoiding the offending color, the one thing this
+    adds to ``certcheck.check_coloring``.  Partial colorings raise ValueError.
     """
-    if set(coloring.keys()) != set(range(d.m)):
-        raise ValueError("coloring must assign a color to every arc")
-    bad = [c for c in coloring.values() if not (1 <= c <= t)]
-    if bad:
-        raise ValueError(f"color {bad[0]} outside [1, {t}]")
-    color = [coloring[a] for a in range(d.m)]
-    heads = [[] for _ in range(t + 1)]
-    for (_, v), c in zip(d.arcs, color):
-        heads[c].append(v)
-    indeg = [len(arcs) for arcs in d._in]
-    for c in range(1, t + 1):
-        left = indeg[:]
-        for v in heads[c]:
-            left[v] -= 1
-        ready = [v for v in range(d.n) if left[v] == 0]
-        for u in ready:
-            for v, a in d._out[u]:
-                if color[a] != c:
-                    left[v] -= 1
-                    if left[v] == 0:
-                        ready.append(v)
-        if len(ready) < d.n:
-            rest = type(d)(d.n, [uv for uv, k in zip(d.arcs, color) if k != c])
-            return False, (c, tuple(shortest_cycle(rest)))
-    return True, None
+    ok, c = check_coloring(d, coloring, t)
+    if ok:
+        return True, None
+    rest = type(d)(d.n, [uv for a, uv in enumerate(d.arcs) if coloring[a] != c])
+    return False, (c, tuple(shortest_cycle(rest)))
 
 
 def _pk_repair(pos: list, out: list, inn: list, skip: int, u: int, v: int) -> bool:
@@ -270,7 +251,7 @@ def good_coloring_search(
             tried[i] = 0
     if status == "sat":
         coloring = {a: color[a] for a in order}
-        ok, _ = verify_good_coloring(d, coloring, t)
+        ok, _ = check_coloring(d, coloring, t)
         if not ok:  # pragma: no cover - would witness a search bug
             raise AssertionError("search produced a bad coloring")
         return SearchOutcome("sat", coloring, nodes)
@@ -346,17 +327,15 @@ class ConflictClique:
     witness: dict = field(hash=False)
 
     def check(self, d: Digraph) -> bool:
-        if len(self.arcs) <= self.t:
+        if len(set(self.arcs)) != len(self.arcs) or len(self.arcs) <= self.t:
             return False
-        for i, a in enumerate(self.arcs):
-            for b in self.arcs[i + 1 :]:
-                key = (min(a, b), max(a, b))
-                cyc = self.witness.get(key)
-                if cyc is None or len(cyc) != self.t:
-                    return False
-                ids = set(cycle_arc_ids(d, cyc))
-                if a not in ids or b not in ids:
-                    return False
+        for a, b in itertools.combinations(self.arcs, 2):
+            cyc = self.witness.get((min(a, b), max(a, b)), ())
+            if len(cyc) != self.t:
+                return False
+            ids = closed_cycle_arcs(d, cyc) or ()
+            if a not in ids or b not in ids:
+                return False
         return True
 
 
@@ -459,39 +438,25 @@ def refute_by_conflict_clique(d: Digraph, t: int) -> ConflictClique | None:
 def verify_counting_bound(d: Digraph, g: int) -> CountingBound:
     """Check the three-cycle double count on the three-path gadget.
 
-    Reconstructs the cycles pairing the defining paths, verifies that every
-    path arc lies on exactly two of them and every connector arc on exactly
-    one, and emits the bound floor(|A' u A''| / 2) = g - floor(g/4 - 1).
+    Reconstructs the cycles pairing the defining paths, checks that each is a
+    closed cycle of D, that every path arc lies on exactly two of them and
+    every connector arc on exactly one, and emits the bound
+    floor(|A' u A''| / 2) = g - floor(g/4 - 1).
     """
     from .generators import dg_paths, gadget_dg
 
     if d != gadget_dg(g):
         raise ValueError("input is not the three-path gadget for this g")
-    k = g // 2
     paths = dg_paths(g)
-    cycles = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        cycles.append(tuple(paths[i] + paths[j]))
-    path_arcs = set()
-    for p in paths:
-        for x in range(k - 1):
-            path_arcs.add(d.arc_id(p[x], p[x + 1]))
-    connector_arcs = set(range(d.m)) - path_arcs
-    count = {a: 0 for a in range(d.m)}
-    for cyc in cycles:
-        for a in cycle_arc_ids(d, cyc):
-            count[a] += 1
-    for a in path_arcs:
-        if count[a] != 2:
-            raise AssertionError("path arc not on exactly two of the cycles")
-    for a in connector_arcs:
-        if count[a] != 1:
-            raise AssertionError("connector arc not on exactly one cycle")
-    total = len(path_arcs) + len(connector_arcs)
-    bound = total // 2
+    cycles = tuple(tuple(paths[i] + paths[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    path_arcs = {d.arc_id(u, v) for p in paths for u, v in zip(p, p[1:])}
+    count = Counter(a for cyc in cycles for a in closed_cycle_arcs(d, cyc) or ())
+    if any(count[a] != (2 if a in path_arcs else 1) for a in range(d.m)):
+        raise AssertionError("a path arc is not on two of the cycles, or a connector arc not on one")
+    bound = d.m // 2
     if bound != g - (g // 4 - 1):
         raise AssertionError("arc-count arithmetic disagrees with the closed form")
-    return CountingBound(tuple(cycles), tuple(sorted(count)), bound)
+    return CountingBound(cycles, tuple(range(d.m)), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+from .certcheck import check_coloring, check_fas
 from .digraph import (
     BudgetError,
     Digraph,
@@ -70,11 +71,9 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     if len(coloring) != d.m:  # pragma: no cover - would witness a gap
         raise AssertionError("construction left arcs uncolored")
     if check:
-        from .coloring import verify_good_coloring
-
-        ok, info = verify_good_coloring(d, coloring, g)
+        ok, color = check_coloring(d, coloring, g)
         if not ok:
-            raise AssertionError(f"construction produced a bad coloring: {info}")
+            raise AssertionError(f"construction produced a bad coloring: color {color}")
     return coloring
 
 
@@ -847,13 +846,9 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
         raise GraphError(f"girth {gg} below 6")
     fas = sorted(_fas6_solve(Peel(d)))
     if check:
-        removed = set(fas)
-        keep = [uv for a, uv in enumerate(d.arcs) if a not in removed]
-        ok, _ = is_acyclic(Digraph(d.n, keep))
+        ok, why = check_fas(d, fas, sixth=True)
         if not ok:
-            raise AssertionError("constructed arc set is not a feedback arc set")
-        if 6 * len(fas) > d.m:
-            raise AssertionError("constructed FAS exceeds one sixth of the arcs")
+            raise AssertionError(f"constructed FAS fails its check: {why}")
     return tuple(fas)
 
 

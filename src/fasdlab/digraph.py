@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certcheck import exact_weights, is_acyclic  # noqa: F401  (is_acyclic is re-exported)
+
 
 class _Infinite:
     """Distinguished value for the girth / decomposition number of acyclic digraphs."""
@@ -56,12 +58,6 @@ class GraphError(ValueError):
 class BudgetError(RuntimeError):
     """Raised when an operation refuses an input beyond its size budget or
     exhausts its search budget without an answer."""
-
-
-def _exact_weights(d) -> list:
-    """Each arc weight as the exact decimal its repr shows, so sums of
-    weights are never rounded."""
-    return [Fraction(repr(w)) for w in d.weights]
 
 
 class _BaseDigraph:
@@ -119,7 +115,7 @@ class _BaseDigraph:
         """w(D): the arc count when unweighted, else the exact total weight."""
         if self.weights is None:
             return len(self.arcs)
-        return sum(_exact_weights(self), Fraction(0))
+        return sum(exact_weights(self), Fraction(0))
 
     def out_neighbors(self, v: int):
         return [u for u, _ in self._out[v]]
@@ -556,23 +552,6 @@ def girth(d: _BaseDigraph):
     return INFINITE if cycle is None else len(cycle)
 
 
-def is_acyclic(d: _BaseDigraph):
-    """Kahn peeling.  Returns (True, topological_order) or (False, None)."""
-    indeg = [d.in_degree(v) for v in range(d.n)]
-    q = deque(v for v in range(d.n) if indeg[v] == 0)
-    order = []
-    while q:
-        u = q.popleft()
-        order.append(u)
-        for v, _ in d.out_arcs(u):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                q.append(v)
-    if len(order) == d.n:
-        return True, order
-    return False, None
-
-
 def strong_components(d):
     """SCC partition of a digraph or View, in topological order of the condensation.
 
@@ -766,7 +745,7 @@ def reduce_digons(d: Digraph):
         arcs = [uv for i, uv in enumerate(d.arcs) if i not in drop]
         return Digraph(d.n, arcs), extracted
     # exact arithmetic on the weights' decimal text: (0.3, 0.1) leaves 0.2
-    w = _exact_weights(d)
+    w = exact_weights(d)
     total = Fraction(0)
     for (u, v), a in pair_of.items():
         if u < v and (v, u) in pair_of:

@@ -20,37 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import BudgetError, Digraph, GraphError, _exact_weights
+from .certcheck import backward_arc_ids, bas, exact_weights, is_acyclic
+from .digraph import BudgetError, Digraph, GraphError
 
 WEIGHT_SCALE = 10**6
 
 FAS_EXACT_MAX_N = 22
 _FAS_BRUTE_MAX_N = 9
 _HEURISTIC_RESTARTS = 3
-
-
-def _check_permutation(d: Digraph, order) -> None:
-    if len(order) != d.n or sorted(order) != list(range(d.n)):
-        raise ValueError("ordering is not a permutation of the vertex set")
-
-
-def backward_arc_ids(d: Digraph, order) -> list:
-    """Ids of arcs (u, v) whose head v is placed before their tail u."""
-    _check_permutation(d, order)
-    pos = [0] * d.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return [a for a, (u, v) in enumerate(d.arcs) if pos[v] < pos[u]]
-
-
-def bas(d: Digraph, order):
-    """Backward-arc statistic of an ordering: count, or exact total weight
-    (a Fraction of the weights' decimals) if weighted."""
-    ids = backward_arc_ids(d, order)
-    if d.weights is None:
-        return len(ids)
-    w = _exact_weights(d)
-    return sum(w[a] for a in ids)
 
 
 @dataclass(frozen=True)
@@ -77,7 +54,7 @@ def _scaled_weights(d: Digraph) -> list:
     does not fit the int64 sums of the DP and the brute-force oracle.
     """
     scaled = []
-    for a, w in enumerate(_exact_weights(d)):
+    for a, w in enumerate(exact_weights(d)):
         q = w * WEIGHT_SCALE
         if q.denominator != 1:
             u, v = d.arcs[a]
@@ -222,8 +199,6 @@ def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
     and the swapped order puts it in the slot on the other side of the
     earlier one, which cost no less then and differs by the same arcs now.
     """
-    from .digraph import is_acyclic
-
     acyclic, topo = is_acyclic(d)
     if acyclic:
         return tuple(topo)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .certcheck import backward_arc_ids, check_triple as verify_good_triple
 from .digraph import Digraph, GraphError, Peel, connected_components
 
 
@@ -31,32 +32,7 @@ class OrderingTriple:
 
     def backward_classes(self, d: Digraph):
         """The three arc-id classes, one per ordering."""
-        from .ordering import backward_arc_ids
-
         return tuple(tuple(backward_arc_ids(d, o)) for o in self.orderings)
-
-
-def verify_good_triple(d: Digraph, triple) -> tuple:
-    """Exact predicate: every arc backward in exactly one ordering.
-
-    Returns (True, None) or (False, violating_arc_id).
-    """
-    orderings = triple.orderings if isinstance(triple, OrderingTriple) else tuple(triple)
-    if len(orderings) != 3:
-        raise ValueError("a triple needs exactly three orderings")
-    positions = []
-    for o in orderings:
-        if sorted(o) != list(range(d.n)):
-            raise ValueError("ordering is not a permutation of the vertex set")
-        pos = [0] * d.n
-        for i, v in enumerate(o):
-            pos[v] = i
-        positions.append(pos)
-    for a, (u, v) in enumerate(d.arcs):
-        count = sum(1 for pos in positions if pos[v] < pos[u])
-        if count != 1:
-            return False, a
-    return True, None
 
 
 def is_subordering(small, big) -> bool:

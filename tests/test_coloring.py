@@ -310,6 +310,16 @@ class TestConflictClique:
             witness = {**clique.witness, (a, b): cyc}
             assert not ConflictClique(4, clique.arcs, witness).check(h5)
 
+    def test_check_rejects_witnesses_that_are_not_closed_cycles(self):
+        # pair (0, 1)'s witness (0, 5, 1, 6) reversed runs against the arcs,
+        # and (0, 5, 0, 6) repeats a vertex; both are rejected, not raised on
+        h5 = gadget_h5()
+        clique = refute_by_conflict_clique(h5, 4)
+        assert clique.witness[(0, 1)] == (0, 5, 1, 6)
+        for cyc in ((6, 1, 5, 0), (0, 5, 0, 6)):
+            witness = {**clique.witness, (0, 1): cyc}
+            assert not ConflictClique(4, clique.arcs, witness).check(h5)
+
     def test_directed_cycle_has_none(self):
         assert refute_by_conflict_clique(directed_cycle(6), 6) is None
 
