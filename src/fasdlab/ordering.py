@@ -77,8 +77,7 @@ def fas_exact(d: Digraph) -> FasCertificate:
     reconstruction take the lowest vertex id first.
     """
     value, order = _fas_dp(d, weighted=False)
-    ids = tuple(backward_arc_ids(d, order))
-    return FasCertificate("unweighted", value, tuple(order), ids)
+    return _certified(d, "unweighted", value, order)
 
 
 def fas_weighted_exact(d: Digraph) -> FasCertificate:
@@ -86,8 +85,16 @@ def fas_weighted_exact(d: Digraph) -> FasCertificate:
     if d.weights is None:
         raise ValueError("fas_weighted_exact needs a weighted digraph")
     value, order = _fas_dp(d, weighted=True)
+    return _certified(d, "weighted", Fraction(value, WEIGHT_SCALE), order)
+
+
+def _certified(d: Digraph, kind: str, value, order) -> FasCertificate:
+    """The DP's answer, once the backward arcs of its order weigh its value."""
     ids = tuple(backward_arc_ids(d, order))
-    return FasCertificate("weighted", Fraction(value, WEIGHT_SCALE), tuple(order), ids)
+    weight = bas(d, order) if kind == "weighted" else len(ids)
+    if weight != value:  # pragma: no cover - would witness a DP bug
+        raise AssertionError(f"fas DP value {value}, but its order's backward arcs weigh {weight}")
+    return FasCertificate(kind, value, tuple(order), ids)
 
 
 def _fas_dp(d: Digraph, weighted: bool):
@@ -103,12 +110,15 @@ def _fas_dp(d: Digraph, weighted: bool):
     for a, (u, v) in enumerate(d.arcs):
         outmask[u] |= 1 << v
         out_items[u].append((1 << v, w[a]))
+    # a popcount of the heads counts parallel arcs once, so only simple
+    # unweighted inputs take it; the rest add up the arcs one by one
+    popcount = not weighted and len(set(d.arcs)) == d.m
 
     def cost(v, s):
         """Weight of the arcs from v into the vertex set s."""
-        if weighted:
-            return sum(hw for hbit, hw in out_items[v] if hbit & s)
-        return (outmask[v] & s).bit_count()
+        if popcount:
+            return (outmask[v] & s).bit_count()
+        return sum(hw for hbit, hw in out_items[v] if hbit & s)
 
     # f[S] is the least cost of placing the vertex set S first; layer k holds
     # the sets of pc[S] = k vertices
@@ -129,11 +139,11 @@ def _fas_dp(d: Digraph, weighted: bool):
             prev += rest
             masks = prev | bit
             score = f[prev]
-            if weighted:
+            if popcount:
+                score += pc[masks & outmask[v]]
+            else:
                 for hbit, hw in out_items[v]:
                     np.add(score, hw, out=score, where=(masks & hbit) != 0)
-            else:
-                score += pc[masks & outmask[v]]
             best = f[masks]
             np.minimum(best, score, out=best)
             f[masks] = best

@@ -184,6 +184,18 @@ class TestFasExact:
         assert cert.value == 1 and len(cert.arc_ids) == 1
         assert bas(d, cert.order) == 1
 
+    def test_parallel_arcs_each_count(self):
+        # a popcount of the heads counted the two arcs 0 -> 1 once, so the DP
+        # answered 1 with the order (1, 0), which reverses both
+        rng = random.Random(5)
+        cases = [MultiDigraph(2, [(0, 1), (0, 1), (1, 0)])]
+        for n in range(3, 9):
+            cases.append(MultiDigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]))
+        for d in cases:
+            cert = fas_exact(d)
+            assert cert.value == bas(d, cert.order) == fas_brute(d)[0]
+            assert cert.arc_ids == tuple(backward_arc_ids(d, cert.order))
+
 
 class TestFasDpReference:
     def test_matches_reference_on_grid(self):
