@@ -300,25 +300,20 @@ class TestConflictClique:
         h5 = gadget_h5()
         clique = refute_by_conflict_clique(h5, 4)
         assert not ConflictClique(4, clique.arcs[:4], clique.witness).check(h5)
+        assert not ConflictClique(4, clique.arcs[:4] + clique.arcs[:1], clique.witness).check(h5)
         # swap the witness of one pair for a 6-cycle through both of its arcs,
-        # then for a 4-cycle that misses the second arc
-        (a, b), _ = min(clique.witness.items())
-        cycles = [(cyc, set(cycle_arc_ids(h5, cyc))) for cyc in enumerate_cycles(h5, 6).cycles]
-        longer = next(cyc for cyc, ids in cycles if len(cyc) == 6 and {a, b} <= ids)
-        misses = next(cyc for cyc, ids in cycles if len(cyc) == 4 and a in ids and b not in ids)
-        for cyc in (longer, misses):
-            witness = {**clique.witness, (a, b): cyc}
+        # a 4-cycle that misses the second arc, the witness shortened, reversed
+        # (against the arcs, which raised KeyError) or repeating a vertex
+        (a, b), cyc = min(clique.witness.items())
+        assert (a, b, cyc) == (0, 1, (0, 5, 1, 6))
+        cycles = [(c, set(cycle_arc_ids(h5, c))) for c in enumerate_cycles(h5, 6).cycles]
+        longer = next(c for c, ids in cycles if len(c) == 6 and {a, b} <= ids)
+        misses = next(c for c, ids in cycles if len(c) == 4 and a in ids and b not in ids)
+        for broken in (longer, misses, cyc[:-1], cyc[::-1], (0, 5, 0, 6)):
+            witness = {**clique.witness, (a, b): broken}
             assert not ConflictClique(4, clique.arcs, witness).check(h5)
-
-    def test_check_rejects_witnesses_that_are_not_closed_cycles(self):
-        # pair (0, 1)'s witness (0, 5, 1, 6) reversed runs against the arcs,
-        # and (0, 5, 0, 6) repeats a vertex; both are rejected, not raised on
-        h5 = gadget_h5()
-        clique = refute_by_conflict_clique(h5, 4)
-        assert clique.witness[(0, 1)] == (0, 5, 1, 6)
-        for cyc in ((6, 1, 5, 0), (0, 5, 0, 6)):
-            witness = {**clique.witness, (0, 1): cyc}
-            assert not ConflictClique(4, clique.arcs, witness).check(h5)
+        del witness[(a, b)]
+        assert not ConflictClique(4, clique.arcs, witness).check(h5)
 
     def test_directed_cycle_has_none(self):
         assert refute_by_conflict_clique(directed_cycle(6), 6) is None
