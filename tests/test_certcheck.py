@@ -179,3 +179,12 @@ class TestMutations:
         assert closed_cycle_arcs(h5, cyc) == cycle_arc_ids(h5, cyc)
         for bad in ((6, 1, 5, 0), (0, 5, 0, 6), (0,), ()):
             assert closed_cycle_arcs(h5, bad) is None
+        # two triangles through vertex 0: a closed walk, but not a simple cycle
+        eight = Digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+        assert closed_cycle_arcs(eight, (0, 1, 2)) == (0, 1, 2)
+        assert closed_cycle_arcs(eight, (0, 1, 2, 0, 3, 4)) is None
+
+    def test_triple_needs_three_orders(self):
+        d = directed_cycle(3)
+        with pytest.raises(ValueError, match="three orderings"):
+            check_triple(d, [(0, 1, 2), (2, 1, 0)])

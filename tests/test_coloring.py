@@ -300,7 +300,10 @@ class TestConflictClique:
         h5 = gadget_h5()
         clique = refute_by_conflict_clique(h5, 4)
         assert not ConflictClique(4, clique.arcs[:4], clique.witness).check(h5)
-        assert not ConflictClique(4, clique.arcs[:4] + clique.arcs[:1], clique.witness).check(h5)
+        # an arc twice, even with a witness for the pair it makes with itself
+        a = clique.arcs[0]
+        twice = {**clique.witness, (a, a): clique.witness[(a, clique.arcs[1])]}
+        assert not ConflictClique(4, clique.arcs[:4] + (a,), twice).check(h5)
         # swap the witness of one pair for a 6-cycle through both of its arcs,
         # a 4-cycle that misses the second arc, the witness shortened, reversed
         # (against the arcs, which raised KeyError) or repeating a vertex
