@@ -67,15 +67,15 @@ def bas(d, order):
     return sum(w[a] for a in ids)
 
 
-def check_fas(d, arc_ids, sixth: bool = False):
-    """Distinct arcs whose removal leaves D acyclic; with ``sixth`` also at
-    most a sixth of the arcs (6|F| <= m)."""
+def check_fas_sixth(d, arc_ids):
+    """Distinct arcs whose removal leaves D acyclic, at most a sixth of the
+    arcs (6|F| <= m)."""
     cut, m = set(arc_ids), len(d.arcs)
     if len(cut) != len(arc_ids) or not cut.issubset(range(m)):
         return False, "arc ids are not distinct arcs"
     if len(next(_kahn(d, [cut]))) < d.n:
         return False, "the remainder has a cycle"
-    if sixth and 6 * len(cut) > m:
+    if 6 * len(cut) > m:
         return False, f"6*{len(cut)} > m={m}"
     return True, None
 
@@ -110,13 +110,20 @@ def check_triple(d, triple):
     return (True, None) if bad is None else (False, bad)
 
 
-def closed_cycle_arcs(d, cycle):
+def arc_index(d) -> dict:
+    """(u, v) -> the lowest id of an arc from u to v, for closed_cycle_arcs."""
+    index = {}
+    for a, uv in enumerate(d.arcs):
+        index.setdefault(uv, a)
+    return index
+
+
+def closed_cycle_arcs(index, cycle):
     """Arc ids along ``cycle`` (u0, ..., uk-1, back to u0) when it is a simple
-    closed cycle of D, else None.  Of parallel arcs the lowest id is taken."""
+    closed cycle of the digraph whose ``arc_index`` is ``index``, else None.
+    Of parallel arcs the lowest id is taken."""
     k = len(cycle)
     if k < 2 or len(set(cycle)) != k:
         return None
-    first = {uv: a for a, uv in reversed(list(enumerate(d.arcs)))}
-    ids = tuple(first.get((cycle[i], cycle[(i + 1) % k])) for i in range(k))
+    ids = tuple(index.get((cycle[i], cycle[(i + 1) % k])) for i in range(k))
     return None if None in ids else ids
-

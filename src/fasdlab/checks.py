@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .certcheck import check_coloring, check_fas, check_triple
+from .certcheck import check_coloring, check_fas_sixth, check_triple
 from .coloring import (
     fasd_brute,
     fasd_exact,
@@ -253,7 +253,7 @@ def check_sixth(seed: int = 0, count: int = 200) -> CheckResult:
         n = (8 + i % 7) if small else (22 + i % 23)
         d = random_orgraph(n, 3, 6, seed=seed * 13 + i, arc_target=(4 * n) // 3)
         fas = fas_sixth(d, check=False)
-        if not check_fas(d, fas, sixth=True)[0]:
+        if not check_fas_sixth(d, fas)[0]:
             failures += 1
         if d.n <= 20:
             exact_checked += 1

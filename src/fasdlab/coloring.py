@@ -23,18 +23,15 @@ the most watched cycles.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certcheck import check_coloring, closed_cycle_arcs
+from .certcheck import arc_index, check_coloring, closed_cycle_arcs
 from .digraph import (
     INFINITE,
     BudgetError,
     Digraph,
-    cycle_arc_ids,
     enumerate_cycles,
     girth,
     shortest_cycle,
@@ -166,7 +163,8 @@ def good_coloring_search(
     watch = enumerate_cycles(d, t + 3, cap=TIGHT_CYCLE_CAP)
     on_cycles = [0] * m
     slack = [0] * 4
-    arc_ids = [cycle_arc_ids(d, cyc) for cyc in watch.cycles]
+    index = arc_index(d)
+    arc_ids = [closed_cycle_arcs(index, cyc) for cyc in watch.cycles]
     for i, ids in enumerate(arc_ids):
         for a in ids:
             on_cycles[a] |= 1 << i
@@ -329,13 +327,16 @@ class ConflictClique:
     def check(self, d: Digraph) -> bool:
         if len(set(self.arcs)) != len(self.arcs) or len(self.arcs) <= self.t:
             return False
-        for a, b in itertools.combinations(self.arcs, 2):
-            cyc = self.witness.get((min(a, b), max(a, b)), ())
-            if len(cyc) != self.t:
-                return False
-            ids = closed_cycle_arcs(d, cyc) or ()
-            if a not in ids or b not in ids:
-                return False
+        index = arc_index(d)
+        for i, a in enumerate(self.arcs):
+            for b in self.arcs[i + 1 :]:
+                key = (min(a, b), max(a, b))
+                cyc = self.witness.get(key)
+                if cyc is None or len(cyc) != self.t:
+                    return False
+                ids = closed_cycle_arcs(index, cyc) or ()
+                if a not in ids or b not in ids:
+                    return False
         return True
 
 
@@ -376,10 +377,11 @@ def refute_by_conflict_clique(d: Digraph, t: int) -> ConflictClique | None:
     tight_cycles = [c for c in tight.cycles if len(c) == t]
     if not tight_cycles:
         return None
+    index = arc_index(d)
     pair_witness = {}
     neigh = {}
     for cyc in tight_cycles:
-        ids = cycle_arc_ids(d, cyc)
+        ids = closed_cycle_arcs(index, cyc)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 key = (min(a, b), max(a, b))
@@ -447,16 +449,35 @@ def verify_counting_bound(d: Digraph, g: int) -> CountingBound:
 
     if d != gadget_dg(g):
         raise ValueError("input is not the three-path gadget for this g")
+    k = g // 2
     paths = dg_paths(g)
-    cycles = tuple(tuple(paths[i] + paths[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
-    path_arcs = {d.arc_id(u, v) for p in paths for u, v in zip(p, p[1:])}
-    count = Counter(a for cyc in cycles for a in closed_cycle_arcs(d, cyc) or ())
-    if any(count[a] != (2 if a in path_arcs else 1) for a in range(d.m)):
-        raise AssertionError("a path arc is not on two of the cycles, or a connector arc not on one")
-    bound = d.m // 2
+    cycles = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        cycles.append(tuple(paths[i] + paths[j]))
+    path_arcs = set()
+    for p in paths:
+        for x in range(k - 1):
+            path_arcs.add(d.arc_id(p[x], p[x + 1]))
+    connector_arcs = set(range(d.m)) - path_arcs
+    count = {a: 0 for a in range(d.m)}
+    index = arc_index(d)
+    for cyc in cycles:
+        ids = closed_cycle_arcs(index, cyc)
+        if ids is None:
+            raise AssertionError("two of the paths do not close a cycle of D")
+        for a in ids:
+            count[a] += 1
+    for a in path_arcs:
+        if count[a] != 2:
+            raise AssertionError("path arc not on exactly two of the cycles")
+    for a in connector_arcs:
+        if count[a] != 1:
+            raise AssertionError("connector arc not on exactly one cycle")
+    total = len(path_arcs) + len(connector_arcs)
+    bound = total // 2
     if bound != g - (g // 4 - 1):
         raise AssertionError("arc-count arithmetic disagrees with the closed form")
-    return CountingBound(cycles, tuple(range(d.m)), bound)
+    return CountingBound(tuple(cycles), tuple(sorted(count)), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .certcheck import check_coloring, check_fas
+from .certcheck import check_coloring, check_fas_sixth
 from .digraph import (
     BudgetError,
     Digraph,
@@ -846,7 +846,7 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
         raise GraphError(f"girth {gg} below 6")
     fas = sorted(_fas6_solve(Peel(d)))
     if check:
-        ok, why = check_fas(d, fas, sixth=True)
+        ok, why = check_fas_sixth(d, fas)
         if not ok:
             raise AssertionError(f"constructed FAS fails its check: {why}")
     return tuple(fas)

@@ -716,12 +716,6 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
     return CycleEnumeration(tuple(cycles), False, cap)
 
 
-def cycle_arc_ids(d: Digraph, cycle) -> tuple:
-    """Arc ids along a vertex cycle (u0, u1, ..., uk-1), closing back to u0."""
-    k = len(cycle)
-    return tuple(d.arc_id(cycle[i], cycle[(i + 1) % k]) for i in range(k))
-
-
 def reduce_digons(d: Digraph):
     """Cancel directed 2-cycles, returning (orgraph, extracted_weight).
 

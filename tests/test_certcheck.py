@@ -12,17 +12,18 @@ import pytest
 
 from fasdlab import certcheck
 from fasdlab.certcheck import (
+    arc_index,
     backward_arc_ids,
     bas,
     check_coloring,
-    check_fas,
+    check_fas_sixth,
     check_triple,
     closed_cycle_arcs,
     is_acyclic,
 )
 from fasdlab.coloring import refute_by_conflict_clique
 from fasdlab.delta3 import fas_sixth, good_g_coloring
-from fasdlab.digraph import Digraph, cycle_arc_ids, enumerate_cycles
+from fasdlab.digraph import Digraph, enumerate_cycles
 from fasdlab.generators import directed_cycle, gadget_h5, random_orgraph
 from fasdlab.ordering import fas_exact, fas_weighted_exact
 from fasdlab.triples import decompose3
@@ -31,6 +32,11 @@ from fasdlab.triples import decompose3
 def plain(d):
     """The digraph as bare data, without any of Digraph's adjacency."""
     return SimpleNamespace(n=d.n, arcs=list(d.arcs), weights=d.weights)
+
+
+def walk_ids(d, cycle):
+    """Arc ids along a vertex cycle, read off Digraph's own adjacency."""
+    return tuple(d.arc_id(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def without(d, drop):
@@ -64,13 +70,13 @@ class TestIndependence:
             assert is_acyclic(g) == is_acyclic(d)
             assert check_coloring(g, coloring, 3) == (True, None)
             assert check_triple(g, triple) == (True, None)
-            assert check_fas(g, fas, sixth=True) == (True, None)
+            assert check_fas_sixth(g, fas) == (True, None)
             assert backward_arc_ids(g, triple[0]) == backward_arc_ids(d, triple[0])
         for g in (w, plain(w)):
             assert bas(g, cert.order) == cert.value
             assert tuple(backward_arc_ids(g, cert.order)) == cert.arc_ids
         for g in (h5, plain(h5)):
-            assert closed_cycle_arcs(g, cycle) == cycle_arc_ids(h5, cycle)
+            assert closed_cycle_arcs(arc_index(g), cycle) == walk_ids(h5, cycle)
             assert clique.check(g)
 
 
@@ -153,36 +159,38 @@ class TestMutations:
         pytest.fail("no adjacent pair joined by an arc")
 
     def test_fas_missing_an_arc_of_a_cycle(self):
-        d = random_orgraph(12, 4, 3, seed=5, arc_target=24)
+        # degree 3 and girth 6: the minimum FAS, 2 arcs, is within a sixth of 24
+        d = random_orgraph(18, 3, 6, seed=3, arc_target=24)
         ids = list(fas_exact(d).arc_ids)
-        assert ids and check_fas(d, ids) == (True, None)
+        assert len(ids) == 2 and check_fas_sixth(d, ids) == (True, None)
         # a minimum FAS is minimal: without any one of its arcs a cycle is left
         for a in ids:
-            assert check_fas(d, [x for x in ids if x != a]) == (False, "the remainder has a cycle")
+            assert check_fas_sixth(d, [x for x in ids if x != a]) == (False, "the remainder has a cycle")
 
     def test_fas_above_a_sixth(self):
         d = random_orgraph(24, 3, 6, seed=3, arc_target=32)
-        fas = list(fas_sixth(d))
-        assert check_fas(d, fas, sixth=True) == (True, None)
-        every = list(range(d.m))
-        assert check_fas(d, every) == (True, None)
-        assert check_fas(d, every, sixth=True) == (False, f"6*{d.m} > m={d.m}")
+        assert check_fas_sixth(d, list(fas_sixth(d))) == (True, None)
+        # every arc leaves an acyclic remainder, but is more than a sixth
+        assert check_fas_sixth(d, list(range(d.m))) == (False, f"6*{d.m} > m={d.m}")
 
     def test_fas_repeating_an_arc(self):
         d = directed_cycle(6)
-        assert check_fas(d, [0, 0]) == (False, "arc ids are not distinct arcs")
-        assert check_fas(d, [6]) == (False, "arc ids are not distinct arcs")
+        assert check_fas_sixth(d, [0, 0]) == (False, "arc ids are not distinct arcs")
+        assert check_fas_sixth(d, [6]) == (False, "arc ids are not distinct arcs")
 
     def test_closed_cycle_rule(self):
         h5 = gadget_h5()
+        index = arc_index(h5)
         cyc = (0, 5, 1, 6)
-        assert closed_cycle_arcs(h5, cyc) == cycle_arc_ids(h5, cyc)
+        assert closed_cycle_arcs(index, cyc) == walk_ids(h5, cyc)
         for bad in ((6, 1, 5, 0), (0, 5, 0, 6), (0,), ()):
-            assert closed_cycle_arcs(h5, bad) is None
+            assert closed_cycle_arcs(index, bad) is None
         # two triangles through vertex 0: a closed walk, but not a simple cycle
-        eight = Digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+        eight = arc_index(Digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]))
         assert closed_cycle_arcs(eight, (0, 1, 2)) == (0, 1, 2)
         assert closed_cycle_arcs(eight, (0, 1, 2, 0, 3, 4)) is None
+        # of parallel arcs the lowest id
+        assert closed_cycle_arcs(arc_index(SimpleNamespace(arcs=[(1, 0), (0, 1), (0, 1)])), (0, 1)) == (1, 0)
 
     def test_triple_needs_three_orders(self):
         d = directed_cycle(3)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fasdlab.certcheck import arc_index, closed_cycle_arcs
 from fasdlab.coloring import (
     ConflictClique,
     ShortCycleRefutation,
@@ -19,7 +20,6 @@ from fasdlab.digraph import (
     INFINITE,
     BudgetError,
     Digraph,
-    cycle_arc_ids,
     enumerate_cycles,
     girth,
     is_acyclic,
@@ -309,7 +309,8 @@ class TestConflictClique:
         # (against the arcs, which raised KeyError) or repeating a vertex
         (a, b), cyc = min(clique.witness.items())
         assert (a, b, cyc) == (0, 1, (0, 5, 1, 6))
-        cycles = [(c, set(cycle_arc_ids(h5, c))) for c in enumerate_cycles(h5, 6).cycles]
+        index = arc_index(h5)
+        cycles = [(c, set(closed_cycle_arcs(index, c))) for c in enumerate_cycles(h5, 6).cycles]
         longer = next(c for c, ids in cycles if len(c) == 6 and {a, b} <= ids)
         misses = next(c for c, ids in cycles if len(c) == 4 and a in ids and b not in ids)
         for broken in (longer, misses, cyc[:-1], cyc[::-1], (0, 5, 0, 6)):
