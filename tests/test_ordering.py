@@ -30,6 +30,13 @@ from fasdlab.ordering import (
 )
 
 
+def seeded_multidigraphs():
+    """Multidigraphs on 3..8 vertices with 2n random arcs, parallel arcs and
+    digons among them."""
+    rng = random.Random(5)
+    return [MultiDigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]) for n in range(3, 9)]
+
+
 # Test-only copies of the pure-Python subset DP and its weight scaling that
 # the numpy DP replaced; the numpy DP must return the same value and order.
 def _reference_scaled_weights(d: Digraph):
@@ -184,14 +191,10 @@ class TestFasExact:
         assert cert.value == 1 and len(cert.arc_ids) == 1
         assert bas(d, cert.order) == 1
 
-    def test_parallel_arcs_each_count(self):
+    def test_dp_counts_parallel_arcs(self):
         # a popcount of the heads counted the two arcs 0 -> 1 once, so the DP
         # answered 1 with the order (1, 0), which reverses both
-        rng = random.Random(5)
-        cases = [MultiDigraph(2, [(0, 1), (0, 1), (1, 0)])]
-        for n in range(3, 9):
-            cases.append(MultiDigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]))
-        for d in cases:
+        for d in [MultiDigraph(2, [(0, 1), (0, 1), (1, 0)])] + seeded_multidigraphs():
             cert = fas_exact(d)
             assert cert.value == bas(d, cert.order) == fas_brute(d)[0]
             assert cert.arc_ids == tuple(backward_arc_ids(d, cert.order))
@@ -327,11 +330,8 @@ class TestHeuristic:
             assert bas(d, fas_upper_heuristic(d)) == fas_brute(d)[0] == want
 
     def test_no_adjacent_swap_helps(self):
-        rng = random.Random(5)
         cases = [random_orgraph(8, 4, 3, seed=s, weighted=s % 2 == 1) for s in range(20)]
-        for n in range(3, 9):
-            cases.append(MultiDigraph(n, [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]))
-        for seed, d in enumerate(cases):
+        for seed, d in enumerate(cases + seeded_multidigraphs()):
             order = list(fas_upper_heuristic(d, seed=seed))
             val = bas(d, order)
             assert val >= fas_brute(d)[0]
