@@ -135,6 +135,47 @@ def fas_corpus():
     return out
 
 
+def fas_components_corpus():
+    """Digraphs of several strong components, for the subset DP's order.
+
+    Interleaved vertex ids with cross arcs both up and down in id, a zero-weight
+    cross arc out of the lowest id, an acyclic digraph, parallel cross arcs, a
+    component past int32 beside a light one, and the n = 16 and 18 inputs of
+    the benchmark's ``exact`` workload.
+    """
+    # components {0, 3, 6, 9}, {1, 4, 7, 10} and {2, 5, 8, 11}, each a 4-cycle
+    # with one chord, in that order of the condensation
+    blocks = [(0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11)]
+    inner = [(b[i], b[(i + 1) % 4]) for b in blocks for i in range(4)] + [(b[2], b[0]) for b in blocks]
+    cross = [(0, 1), (6, 4), (9, 7), (3, 11), (7, 2), (10, 5), (9, 2)]
+    interleaved = Digraph(12, inner + cross)
+    interleaved_w = Digraph(12, inner + cross, [1.0 + (a * 7) % 5 / 2 for a in range(len(inner + cross))])
+    # 0 lies on the triangle 0 -> 2 -> 4 -> 0 and has a zero-weight arc into
+    # the triangle on 1, 3, 5; the arc 2 -> 3 weighs 1.5
+    zero_cross = Digraph(
+        6,
+        [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1), (0, 1), (2, 3), (4, 5)],
+        [1.0, 2.0, 3.0, 1.0, 2.5, 1.0, 0.0, 1.5, 0.0],
+    )
+    acyclic = Digraph(7, [(6, 0), (0, 4), (4, 1), (6, 5), (5, 1), (1, 3), (2, 3), (6, 2)])
+    parallel = MultiDigraph(
+        8,
+        [(0, 2), (2, 4), (4, 0), (4, 0), (1, 3), (3, 5), (5, 7), (7, 1), (5, 1)]
+        + [(0, 1), (0, 1), (4, 3), (4, 3), (2, 7), (6, 0), (6, 3), (6, 3)],
+    )
+    # 2 -> 4 -> 6 -> 2 with a chord weighs past int32 once scaled; 1 -> 3 -> 5 -> 1
+    # and 0 stay light
+    heavy = Digraph(
+        7,
+        [(2, 4), (4, 6), (6, 2), (4, 2), (1, 3), (3, 5), (5, 1), (5, 3), (2, 1), (0, 2), (6, 5)],
+        [1500.0, 2100.5, 1800.25, 900.0, 0.5, 0.25, 1.0, 0.75, 3.0, 1.0, 2.0],
+    )
+    out = [interleaved, interleaved_w, zero_cross, acyclic, parallel, heavy]
+    out += [random_orgraph(n, 4, 3, seed=n, arc_target=2 * n) for n in (16, 18)]
+    out += [random_orgraph(n, 4, 3, seed=100 + n, weighted=True, arc_target=2 * n) for n in (16, 18)]
+    return out
+
+
 def structure_corpus():
     out = deg4_corpus() + fvs_corpus() + fasd_corpus()
     out += [random_orgraph(n, 5, 3, seed=s, arc_target=2 * n, backbone=False) for s, n in enumerate(SMALL)]
@@ -277,9 +318,9 @@ def out_search_outcomes():
     return out + [(r.status, r.coloring) for r in (good_coloring_search(d, t) for d, t in search_grid())]
 
 
-def out_fas():
+def out_fas(digraphs):
     out = []
-    for d in fas_corpus():
+    for d in digraphs:
         certs = [fas_exact(d)] + ([fas_weighted_exact(d)] if d.weighted else [])
         out += [(c.value, c.order, c.arc_ids) for c in certs]
     return out
@@ -326,7 +367,8 @@ FAMILIES = {
     "fas_sixth": out_fas_sixth,
     "fvs_exact": out_fvs,
     "fasd_exact": out_fasd,
-    "fas_exact": out_fas,
+    "fas_exact": lambda: out_fas(fas_corpus()),
+    "fas_components": lambda: out_fas(fas_components_corpus()),
     "good_coloring_search": out_search,
     "search_outcomes": out_search_outcomes,
     "scc_girth": out_structure,
@@ -338,6 +380,7 @@ GOLDEN = {
     "cycles": "44285e3e32deb06b4ce43881a350bf2e83f94aa102736b257a4211ed565a5e2b",
     "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
     "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
+    "fas_components": "1365a740c959acc88e4e749eef4e46f1ade5e67c7b9ff11bcb4ce5d84c41133a",
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
     "fasd_exact": "4770bf3d77643b1f6b4225ff6fdf41326720f9f4bd342198b04d78bda1523cd3",
     "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
