@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .certcheck import backward_arc_ids, bas, exact_weights, is_acyclic
-from .digraph import BudgetError, Digraph, GraphError
+from .digraph import BudgetError, Digraph, GraphError, strong_components
 
 WEIGHT_SCALE = 10**6
 
@@ -102,38 +102,83 @@ def _fas_dp(d: Digraph, weighted: bool):
     if n > FAS_EXACT_MAX_N:
         raise BudgetError(f"exact search refused for n={n} > {FAS_EXACT_MAX_N}")
     w = _scaled_weights(d) if weighted else [1] * d.m
-    # iinfo.max marks a set not scored yet, so it must exceed every cost,
-    # and no cost exceeds sum(w)
-    dt = np.int32 if sum(w) < np.iinfo(np.int32).max else np.int64
-    outmask = [0] * n
-    out_items = [[] for _ in range(n)]
+    comps = strong_components(d)
+    comp_of = [0] * n
+    local = [0] * n
+    for c, verts in enumerate(comps):
+        for i, v in enumerate(verts):
+            comp_of[v] = c
+            local[v] = i
+    # out_items[c][i]: (bit of the head, weight) per arc of the i-th vertex of
+    # component c that stays inside c; cross[v]: the heads, as a mask over all
+    # of D, of v's arcs of positive weight into other components
+    out_items = [[[] for _ in verts] for verts in comps]
+    cross = [0] * n
     for a, (u, v) in enumerate(d.arcs):
-        outmask[u] |= 1 << v
-        out_items[u].append((1 << v, w[a]))
-    # a popcount of the heads counts parallel arcs once, so only simple
-    # unweighted inputs take it; the rest add up the arcs one by one
-    popcount = not weighted and len(set(d.arcs)) == d.m
+        if comp_of[u] == comp_of[v]:
+            out_items[comp_of[u]][local[u]].append((1 << local[v], w[a]))
+        elif w[a]:
+            cross[u] |= 1 << v
+    tables = [_fas_table(items) for items in out_items]
 
-    def cost(v, s):
-        """Weight of the arcs from v into the vertex set s."""
-        if popcount:
-            return (outmask[v] & s).bit_count()
-        return sum(hw for hbit, hw in out_items[v] if hbit & s)
+    # f(S) of D is the sum of f_C(S & C) over its components C, and the arcs
+    # of the last vertex v of S split into those inside v's component, which
+    # cost at least f_C(S & C) - f_C(S & C - v), and those into the rest of S,
+    # which cost at least 0.  So v attains f(S) when both parts are tight, and
+    # the last vertex of each prefix is the lowest id that does
+    live = [(1 << len(verts)) - 1 for verts in comps]
+    alive = (1 << n) - 1
 
-    # f[S] is the least cost of placing the vertex set S first; layer k holds
-    # the sets of pc[S] = k vertices
-    size = 1 << n
+    def attains(v):
+        if not alive >> v & 1 or cross[v] & alive:
+            return False
+        c = comp_of[v]
+        s = live[c] ^ 1 << local[v]
+        return int(tables[c][s]) + sum(hw for hbit, hw in out_items[c][local[v]] if hbit & s) == tables[c][live[c]]
+
+    order = []
+    for _ in range(n):
+        v = next(filter(attains, range(n)))
+        order.append(v)
+        alive ^= 1 << v
+        live[comp_of[v]] ^= 1 << local[v]
+    order.reverse()
+    return sum(int(f[-1]) for f in tables), order
+
+
+def _fas_table(out_items):
+    """The subset DP over one strong component, in local vertex ids.
+
+    ``out_items[v]`` lists (bit of the head, weight) for the arcs of v inside
+    the component.  Entry S of the result is f(S), the least weight of the arcs
+    made backward by an ordering of the vertex set S.
+    """
+    k = len(out_items)
+    outmask = [0] * k
+    for v, items in enumerate(out_items):
+        for hbit, _ in items:
+            outmask[v] |= hbit
+    w = [hw for items in out_items for _, hw in items]
+    # a popcount of the heads counts parallel arcs once and each arc as 1, so
+    # only simple arcs of weight 1 take it; the rest are added one by one
+    popcount = set(w) <= {1} and sum(m.bit_count() for m in outmask) == len(w)
+    # iinfo.max marks a set not scored yet, so it must exceed every cost,
+    # and no cost exceeds the component's total weight
+    dt = np.int32 if sum(w) < np.iinfo(np.int32).max else np.int64
+    # f[S] is the least cost of placing the vertex set S first; layer j holds
+    # the sets of pc[S] = j vertices
+    size = 1 << k
     pc = np.zeros(size, dtype=np.uint8)
-    for b in range(n):
+    for b in range(k):
         pc[1 << b : 2 << b] = pc[: 1 << b] + 1
     f = np.full(size, np.iinfo(dt).max, dtype=dt)
     f[0] = 0
-    for k in range(1, n + 1):
-        # the (k-1)-subsets of n-1 vertices; moving the bits >= v of each up
+    for j in range(1, k + 1):
+        # the (j-1)-subsets of k-1 vertices; moving the bits >= v of each up
         # by one gives the sets S - v, and setting bit v the sets S of layer
-        # k that contain v
-        rest = np.flatnonzero(pc[: size >> 1] == k - 1)
-        for v in range(n):
+        # j that contain v
+        rest = np.flatnonzero(pc[: size >> 1] == j - 1)
+        for v in range(k):
             bit = 1 << v
             prev = rest & -bit
             prev += rest
@@ -144,18 +189,8 @@ def _fas_dp(d: Digraph, weighted: bool):
             else:
                 for hbit, hw in out_items[v]:
                     np.add(score, hw, out=score, where=(masks & hbit) != 0)
-            best = f[masks]
-            np.minimum(best, score, out=best)
-            f[masks] = best
-    # the last vertex of each prefix is the lowest id that attains its f
-    order = []
-    s = size - 1
-    while s:
-        v = next(v for v in range(n) if s >> v & 1 and int(f[s ^ (1 << v)]) + cost(v, s) == f[s])
-        order.append(v)
-        s ^= 1 << v
-    order.reverse()
-    return int(f[size - 1]), order
+            np.minimum.at(f, masks, score)
+    return f
 
 
 @functools.lru_cache(maxsize=None)
