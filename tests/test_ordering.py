@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fasdlab import ordering
 from fasdlab.digraph import (
     BudgetError,
     Digraph,
@@ -28,6 +29,7 @@ from fasdlab.ordering import (
     fas_upper_heuristic,
     fas_weighted_exact,
 )
+from test_golden import fas_components_corpus
 
 
 def seeded_multidigraphs():
@@ -212,6 +214,21 @@ class TestFasDpReference:
         assert_dp_matches_reference(random_orgraph(16, 4, 3, seed=16, arc_target=32))
         assert_dp_matches_reference(random_orgraph(16, 5, 3, seed=61, weighted=True))
 
+    def test_matches_reference_on_components(self):
+        simple = [d for d in fas_components_corpus() if type(d) is Digraph]
+        assert len(simple) == 9
+        for d in simple:
+            assert_dp_matches_reference(d)
+
+    def test_components_equal_brute(self):
+        small = [d for d in fas_components_corpus() if d.n <= 9]
+        assert len(small) == 4
+        for d in small:
+            plain = MultiDigraph(d.n, d.arcs)
+            assert fas_exact(d).value == fas_brute(plain)[0]
+            if d.weighted:
+                assert fas_weighted_exact(d).value == fas_brute(d)[0]
+
     def test_int64_path_matches_reference(self):
         # integer weights near 10^9 push the scaled total past int32
         rng = random.Random(5)
@@ -220,6 +237,35 @@ class TestFasDpReference:
             heavy = Digraph(d.n, d.arcs, [float(rng.randint(1, 10**9)) for _ in d.arcs])
             assert sum(w * WEIGHT_SCALE for w in heavy.weights) > 2**31
             assert_dp_matches_reference(heavy)
+
+
+class TestFasDpWork:
+    @pytest.fixture
+    def table_sizes(self, monkeypatch):
+        sizes = []
+
+        def recording(out_items):
+            f = build(out_items)
+            sizes.append(len(f))
+            return f
+
+        build = ordering._fas_table
+        monkeypatch.setattr(ordering, "_fas_table", recording)
+        return sizes
+
+    def test_one_table_per_strong_component(self, table_sizes):
+        # two directed 11-cycles joined by one arc: two tables of 2^11, where
+        # one table over all 22 vertices would hold 2^22
+        cycle = list(directed_cycle(11).arcs)
+        d = Digraph(22, cycle + [(u + 11, v + 11) for u, v in cycle] + [(0, 11)])
+        cert = fas_exact(d)
+        assert cert.value == 2 and bas(d, cert.order) == 2
+        assert sorted(table_sizes) == [2**11, 2**11]
+
+    def test_strongly_connected_input_builds_one_table(self, table_sizes):
+        d = gadget_dg(8)
+        assert fas_exact(d).value == 2
+        assert table_sizes == [2**d.n]
 
 
 class TestFasWeighted:
