@@ -3,8 +3,11 @@
 An ordering is a tuple permutation of [0, n).  Its backward arcs (head placed
 before tail) always form a feedback arc set, and the minimum of bas(D, order)
 over all orderings is exactly fas(D), which is what the subset dynamic program
-computes.  The program runs in numpy, one popcount layer of vertex subsets at
-a time.  Weighted values are carried as exact Fractions: each weight is read
+computes.  fas(D) is the sum of fas over the strong components of D, so the
+program builds one table per component, of 2^|C| entries over its own
+vertices, and a table of 2^n entries only when D is strongly connected; the
+n <= FAS_EXACT_MAX_N cap is still on D as a whole.  Each table is filled in
+numpy, one popcount layer of vertex subsets at a time.  Weighted values are carried as exact Fractions: each weight is read
 as the decimal its repr shows and scaled by 10^6 to an integer, and a weight
 with more than six fraction digits is rejected, never rounded, so optimality
 claims never depend on float tolerance.
@@ -73,8 +76,19 @@ def fas_exact(d: Digraph) -> FasCertificate:
 
     f(S) = min over v in S of f(S - v) + (arcs from v into S - v): appending v
     to the placed prefix S - v makes exactly its arcs into the prefix backward.
-    Refuses n > FAS_EXACT_MAX_N rather than fall back to a heuristic.  Ties in the
-    reconstruction take the lowest vertex id first.
+    The arcs between strong components all go forward when the components
+    are placed in topological order, so f(S) is the sum of f_C(S & C) over the
+    components C, and the DP runs on each component alone.  Refuses
+    n > FAS_EXACT_MAX_N, counted over all of D, rather than fall back to a
+    heuristic.
+
+    Ties in the reconstruction take the lowest vertex id first, and the order
+    is the one a DP over all of D gives: the cost of putting v last in S splits
+    into v's arcs inside its component C, which cost at least
+    f_C(S & C) - f_C(S & C - v), and its arcs into the rest of S, which cost at
+    least 0.  So v attains f(S) exactly when both parts are at their minimum:
+    v attains f_C(S & C), and its arcs into live vertices of other components
+    weigh 0.
     """
     value, order = _fas_dp(d, weighted=False)
     return _certified(d, "unweighted", value, order)
@@ -121,11 +135,8 @@ def _fas_dp(d: Digraph, weighted: bool):
             cross[u] |= 1 << v
     tables = [_fas_table(items) for items in out_items]
 
-    # f(S) of D is the sum of f_C(S & C) over its components C, and the arcs
-    # of the last vertex v of S split into those inside v's component, which
-    # cost at least f_C(S & C) - f_C(S & C - v), and those into the rest of S,
-    # which cost at least 0.  So v attains f(S) when both parts are tight, and
-    # the last vertex of each prefix is the lowest id that does
+    # the last vertex of each prefix is the lowest id that attains its f,
+    # read off the component tables as fas_exact explains
     live = [(1 << len(verts)) - 1 for verts in comps]
     alive = (1 << n) - 1
 
