@@ -7,10 +7,11 @@ computes.  fas(D) is the sum of fas over the strong components of D, so the
 program builds one table per component, of 2^|C| entries over its own
 vertices, and a table of 2^n entries only when D is strongly connected; the
 n <= FAS_EXACT_MAX_N cap is still on D as a whole.  Each table is filled in
-numpy, one popcount layer of vertex subsets at a time.  Weighted values are carried as exact Fractions: each weight is read
-as the decimal its repr shows and scaled by 10^6 to an integer, and a weight
-with more than six fraction digits is rejected, never rounded, so optimality
-claims never depend on float tolerance.
+numpy, one popcount layer of vertex subsets at a time.  Weighted values are
+carried as exact Fractions: each weight is read as the decimal its repr shows
+and scaled by 10^6 to an integer, and a weight with more than six fraction
+digits is rejected, never rounded, so optimality claims never depend on float
+tolerance.
 """
 
 from __future__ import annotations
