@@ -306,7 +306,7 @@ def check_mixing(seed: int = 0, samples: int = 10000) -> CheckResult:
         g = paley_graph(q)
         rep = lambda_extremes(g)
         closed = (1 + math.sqrt(q)) / 2
-        if abs(rep.lam - closed) > 1e-6:
+        if abs(rep.lam - closed) > 1e-12:
             eig_ok = False
         rng = _random.Random(seed * 1009 + q)
         for _ in range(samples):

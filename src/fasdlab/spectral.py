@@ -6,13 +6,11 @@ edges.  An Eulerian orientation balances the two directions across any split,
 so every vertex ordering of the orientation has at least (d - lambda) n / 8
 backward arcs, bounding the minimum feedback arc set from below.
 
-Extremal eigenvalues are computed by power iteration on the square of the
-deflated adjacency operator (deflating the all-ones vector, and the signed
-bipartition vector when needed); tests cross-check against a dense symmetric
-eigendecomposition.  The orientation experiment is observational: it samples
-random orientations and orderings and reports the three-level halving
-statistic together with tail-bound bookkeeping, claiming nothing beyond the
-measurements.
+Extremal eigenvalues are read off the full dense spectrum (numpy
+``eigvalsh``); tests check them against closed-form spectra.  The orientation
+experiment is observational: it samples random orientations and orderings and
+reports the three-level halving statistic together with tail-bound
+bookkeeping, claiming nothing beyond the measurements.
 """
 
 from __future__ import annotations
@@ -33,8 +31,9 @@ class SpectralReport:
     """Extremal eigenvalue summary of a regular undirected graph.
 
     ``lam`` is the largest absolute eigenvalue after removing one copy of the
-    degree d (so lam = d exactly for bipartite or disconnected graphs), and
-    ``lam_prime`` additionally excludes all eigenvalues of absolute value d.
+    degree d (so lam = d up to rounding for bipartite or disconnected graphs).
+    ``lam_prime`` additionally excludes -d when the graph is connected and
+    bipartite, and equals ``lam`` otherwise.
     """
 
     n: int
@@ -43,15 +42,13 @@ class SpectralReport:
     lam_prime: float
     bipartite: bool
     connected: bool
-    residual: float
-    tol: float
 
 
 def _bipartition(g: Graph):
     """2-coloring of each component, one BFS per component.
 
-    Returns (is_bipartite, sign vector, is_connected); the graph is connected
-    when at most one BFS had to start.
+    Returns (is_bipartite, is_connected); the graph is connected when at most
+    one BFS had to start.
     """
     color = [0] * g.n
     ok = True
@@ -70,91 +67,30 @@ def _bipartition(g: Graph):
                     q.append(v)
                 elif color[v] == color[u]:
                     ok = False
-    return ok, np.array(color, dtype=float), starts <= 1
-
-
-_POWER_TOL = 1e-9
-_POWER_MAX_ITER = 20000
+    return ok, starts <= 1
 
 
 def lambda_extremes(g: Graph) -> SpectralReport:
-    """Second-largest absolute adjacency eigenvalue via deflated power iteration.
+    """Second-largest absolute adjacency eigenvalue, read off ``dense_spectrum``.
 
-    Iterates B @ (B @ x) where B is the adjacency matrix with the all-ones
-    eigenvector projected out, so the dominant magnitude emerges regardless of
-    sign.  ``lam_prime`` repeats the iteration with the bipartition vector
-    also deflated when the graph is connected and bipartite.  Raises on
-    non-regular input or non-convergence.
+    ``lam`` is the largest |mu| once the top entry (d) is dropped.
+    ``lam_prime`` also drops the bottom entry (-d) when the graph is connected
+    and bipartite; both flags come from the BFS 2-coloring, not from a float
+    tolerance.  Raises on empty or non-regular input.
     """
     if g.n == 0:
         raise GraphError("empty graph has no spectrum")
     if not g.is_regular():
         raise GraphError("input must be regular")
-    d = g.regular_degree()
-    n = g.n
-    a = np.zeros((n, n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    bip, sign, conn = _bipartition(g)
-
-    ones = np.ones(n) / math.sqrt(n)
-
-    def power(defl):
-        def op(x):
-            for vec in defl:
-                x = x - vec * (vec @ x)
-            x = a @ x
-            for vec in defl:
-                x = x - vec * (vec @ x)
-            return x
-
-        rng = np.random.default_rng(12345)
-        x = rng.standard_normal(n)
-        for vec in defl:
-            x = x - vec * (vec @ x)
-        norm = np.linalg.norm(x)
-        if norm < 1e-12:
-            return 0.0, 0.0
-        x /= norm
-        lam_sq = 0.0
-        for _ in range(_POWER_MAX_ITER):
-            y = op(op(x))
-            ny = np.linalg.norm(y)
-            if ny < 1e-14:
-                return 0.0, 0.0
-            y /= ny
-            new = float(y @ op(op(y)))
-            if abs(new - lam_sq) <= _POWER_TOL * max(1.0, abs(new)):
-                lam_sq = new
-                x = y
-                break
-            lam_sq = new
-            x = y
-        else:
-            raise GraphError("power iteration failed to converge")
-        residual = float(np.linalg.norm(op(op(x)) - lam_sq * x))
-        return math.sqrt(max(lam_sq, 0.0)), residual
-
-    lam, res1 = power([ones])
-    if bip and conn:
-        lam_prime, res2 = power([ones, sign / np.linalg.norm(sign)])
-    else:
-        lam_prime, res2 = lam, res1
-    return SpectralReport(
-        n=n,
-        d=d,
-        lam=lam,
-        lam_prime=lam_prime,
-        bipartite=bip,
-        connected=conn,
-        residual=max(res1, res2),
-        tol=_POWER_TOL,
-    )
+    bip, conn = _bipartition(g)
+    rest = np.abs(dense_spectrum(g)[:-1])
+    lam = float(rest.max(initial=0.0))
+    lam_prime = float(rest[1:].max(initial=0.0)) if bip and conn else lam
+    return SpectralReport(g.n, g.regular_degree(), lam, lam_prime, bip, conn)
 
 
 def dense_spectrum(g: Graph) -> np.ndarray:
-    """Oracle path: full dense symmetric eigendecomposition, ascending."""
+    """Full dense symmetric eigendecomposition of the adjacency matrix, ascending."""
     a = np.zeros((g.n, g.n))
     for u, v in g.edges:
         a[u, v] = 1.0
@@ -314,9 +250,15 @@ def random_orientation_experiment(
     hoeffding = {1: [0, 0], 2: [0, 0], 3: [0, 0]}
     identity = list(range(g.n))
     half = g.n // 2
-    s0 = identity[:half]
-    s1 = identity[half:]
-    e_half = edge_count_between(g, s0, s1)
+    e_half = edge_count_between(g, identity[:half], identity[half:])
+    # per level: block size and the sibling pairs (index, e_pair) that carry edges
+    levels = []
+    for level in (1, 2, 3):
+        blocks = halving_blocks(identity, level)
+        e_pairs = [
+            edge_count_between(g, blocks[i], blocks[i + 1]) for i in range(0, len(blocks), 2)
+        ]
+        levels.append((level, g.n >> level, [(p, e) for p, e in enumerate(e_pairs) if e]))
     min_bas = None
     from .ordering import bas
 
@@ -329,22 +271,17 @@ def random_orientation_experiment(
             arcs.append((u, v) if rng.random() < 0.5 else (v, u))
         d = Digraph(g.n, arcs)
         # level-1 statistic on the identity ordering feeds the mean check
-        x = sum(1 for u, v in arcs if u in set(s1) and v in set(s0))
-        level1.append(x)
-        for level in (1, 2, 3):
-            blocks = halving_blocks(identity, level)
-            for i in range(0, len(blocks), 2):
-                e_pair = edge_count_between(g, blocks[i], blocks[i + 1])
-                if e_pair == 0:
-                    continue
-                alpha = math.sqrt(e_pair)
-                cross = sum(
-                    1
-                    for u, v in arcs
-                    if u in set(blocks[i + 1]) and v in set(blocks[i])
-                )
+        level1.append(sum(1 for u, v in arcs if v < half <= u))
+        for level, size, pairs in levels:
+            # per pair, the arcs from its odd block back into its even block
+            cross = [0] * (1 << (level - 1))
+            for u, v in arcs:
+                bu, bv = u // size, v // size
+                if bu == bv + 1 and bu % 2 == 1:
+                    cross[bv // 2] += 1
+            for p, e_pair in pairs:
                 hoeffding[level][0] += 1
-                if cross - e_pair / 2 <= -alpha:
+                if cross[p] - e_pair / 2 <= -math.sqrt(e_pair):
                     hoeffding[level][1] += 1
         for k in range(orderings_budget):
             order = identity[:] if k == 0 else master.sample(identity, g.n)

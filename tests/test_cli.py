@@ -139,6 +139,20 @@ class TestSpectralCommands:
         code, out, _ = run(["mixing", str(f), "--samples", "200"], capsys)
         assert code == 0 and "violations=0" in out
 
+    def test_spectral_cycles(self, tmp_path, capsys):
+        f = tmp_path / "c.txt"
+        run(["gen", "cycle", "-n", "13", "-o", str(f)], capsys)
+        code, out, _ = run(["spectral", str(f)], capsys)
+        # 2 cos(pi / 13) = 1.9418836348...
+        assert code == 0 and out == (
+            "n=13 d=2 lambda=1.941883635 lambda'=1.941883635 bipartite=False connected=True\n"
+        )
+        run(["gen", "cycle", "-n", "8", "-o", str(f)], capsys)
+        code, out, _ = run(["spectral", str(f)], capsys)
+        assert code == 0 and out == (
+            "n=8 d=2 lambda=2.000000000 lambda'=1.414213562 bipartite=True connected=True\n"
+        )
+
     def test_orient_exp_csv(self, tmp_path, capsys):
         f = tmp_path / "c16.txt"
         from fasdlab.fileio import write_digraph

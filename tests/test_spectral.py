@@ -11,7 +11,6 @@ from fasdlab.digraph import Digraph, Graph, GraphError, eulerian_orient
 from fasdlab.generators import circulant_graph, paley_graph
 from fasdlab.ordering import fas_exact
 from fasdlab.spectral import (
-    dense_spectrum,
     halving_statistic,
     lambda_extremes,
     mixing_check,
@@ -38,59 +37,73 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def oracle_lambda(g):
-    spec = dense_spectrum(g)
-    d = g.regular_degree()
-    rest = sorted(abs(x) for x in spec)
-    # remove one copy of d (the principal eigenvalue)
-    rest.remove(max(rest))
-    return rest[-1] if rest else 0.0
+def circulant_spectrum(n, jumps):
+    """mu_k = sum_j 2 cos(2 pi j k / n), k = 0..n-1, over distinct jumps 0 < j < n/2."""
+    return [sum(2 * math.cos(2 * math.pi * j * k / n) for j in set(jumps)) for k in range(n)]
+
+
+def circulant_lambda(n, jumps):
+    # mu_0 = d is the only copy of d on a connected circulant
+    return max(abs(mu) for mu in circulant_spectrum(n, jumps)[1:])
+
+
+def assert_close(got, want, what):
+    # two-sided, so an understated lam fails as well as an overstated one
+    assert want - 1e-12 <= got <= want + 1e-12, (what, got, want)
 
 
 class TestLambdaExtremes:
     def test_complete_k4(self):
         rep = lambda_extremes(complete_graph(4))
-        assert abs(rep.lam - 1.0) < 1e-8
+        assert_close(rep.lam, 1.0, "K4")
+        assert_close(rep.lam_prime, 1.0, "K4")
 
     def test_cycles_match_closed_form(self):
         for n in (4, 5, 6, 8, 13):
             rep = lambda_extremes(cycle_graph(n))
             spec = [2 * math.cos(2 * math.pi * k / n) for k in range(n)]
             want = sorted(abs(x) for x in spec)[-2]
-            assert abs(rep.lam - want) < 1e-7
+            assert_close(rep.lam, want, n)
 
     def test_paley_13_closed_form(self):
         rep = lambda_extremes(paley_graph(13))
-        assert abs(rep.lam - (1 + math.sqrt(13)) / 2) < 1e-9
+        assert_close(rep.lam, (1 + math.sqrt(13)) / 2, "lam")
+        assert_close(rep.lam_prime, (1 + math.sqrt(13)) / 2, "lam_prime")
 
     def test_paley_17_closed_form(self):
         rep = lambda_extremes(paley_graph(17))
-        assert abs(rep.lam - (1 + math.sqrt(17)) / 2) < 1e-9
+        assert_close(rep.lam, (1 + math.sqrt(17)) / 2, "lam")
+        assert_close(rep.lam_prime, (1 + math.sqrt(17)) / 2, "lam_prime")
 
-    def test_agrees_with_dense_oracle(self):
-        graphs = [
-            complete_graph(6),
-            cycle_graph(9),
-            paley_graph(13),
-            circulant_graph(12, [1, 3]),
-            complete_minus_matching(10),
+    def test_matches_closed_form_spectra(self):
+        # (name, graph, lam, lam_prime); the bipartite graphs drop -d for lam_prime
+        cases = [
+            ("K2", complete_graph(2), 1.0, 0.0),  # spectrum 1, -1
+            ("K6", complete_graph(6), 1.0, 1.0),  # spectrum 5, -1
+            ("K10-M", complete_minus_matching(10), 2.0, 2.0),  # spectrum 8, 0^5, -2^4
+            ("C8", cycle_graph(8), 2.0, math.sqrt(2)),
+            ("C(12;1,3)", circulant_graph(12, [1, 3]), 4.0, math.sqrt(3)),
         ]
-        for g in graphs:
+        for n, jumps in ((16, [1, 2, 3]), (9, [1]), (13, [1]), (31, [1]), (101, [1])):
+            lam = circulant_lambda(n, jumps)
+            cases.append((f"C({n};{jumps})", circulant_graph(n, jumps), lam, lam))
+        for name, g, lam, lam_prime in cases:
             rep = lambda_extremes(g)
-            assert abs(rep.lam - oracle_lambda(g)) < 1e-6
+            assert_close(rep.lam, lam, name)
+            assert_close(rep.lam_prime, lam_prime, name)
 
     def test_bipartite_flags_and_lambda_prime(self):
         rep = lambda_extremes(cycle_graph(4))
         assert rep.bipartite
-        assert abs(rep.lam - 2.0) < 1e-8  # -d is in the spectrum
-        assert abs(rep.lam_prime - 0.0) < 1e-7
+        assert_close(rep.lam, 2.0, "lam")  # -d is in the spectrum
+        assert_close(rep.lam_prime, 0.0, "lam_prime")
 
     def test_disconnected_flag(self):
         # two disjoint triangles: the second copy of d = 2 is lambda
         rep = lambda_extremes(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
         assert rep.connected is False
         assert not rep.bipartite
-        assert abs(rep.lam - 2.0) < 1e-6
+        assert_close(rep.lam, 2.0, "lam")
         assert lambda_extremes(complete_graph(4)).connected is True
 
     def test_rejects_non_regular(self):
