@@ -47,6 +47,7 @@ from fasdlab.generators import (
     gadget_dg,
     gadget_h4,
     gadget_h5,
+    paley_graph,
     random_orgraph,
     random_two_regular_orgraph,
     rotational_tournament,
@@ -119,6 +120,33 @@ def fvs_corpus():
     ]
     out += [random_two_regular_orgraph(n, seed=s) for s, n in enumerate((10, 12, 14, 16))]
     out += [random_orgraph(n, 4, 3, seed=s, arc_target=2 * n) for s, n in enumerate((12, 16, 20))]
+    return out
+
+
+def fvs_grid():
+    """The five FVS inputs of the benchmark's ``exact`` workload, then a seeded
+    grid: orgraphs of max degree 4 and 6 and 2-regular orgraphs at n = 8-24,
+    multidigraphs with parallel arcs and digons, the two-jump circulants up to
+    n = 24, and Eulerian orientations of Paley graphs and circulants."""
+    out = [
+        circulant_digraph(24, [1, 5]),
+        eulerian_orient(circulant_graph(24, [1, 2, 3])),
+        eulerian_orient(paley_graph(17)),
+        random_two_regular_orgraph(24, seed=1),
+        random_two_regular_orgraph(24, seed=2),
+    ]
+    for n in range(8, 25):
+        out += [random_orgraph(n, 4, 3, seed=s, arc_target=2 * n) for s in range(3)]
+        out += [random_orgraph(n, 6, 3, seed=s, arc_target=3 * n) for s in range(3)]
+        out += [random_two_regular_orgraph(n, seed=s) for s in range(3)]
+    for s in range(24):
+        rng = random.Random(1000 + s)
+        n = 4 + s % 11
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+        out.append(MultiDigraph(n, arcs + arcs[: 1 + s % 4]))
+    out += [circulant_digraph(n, [1, j]) for n in range(5, 25) for j in range(2, n // 2 + 1)]
+    out += [eulerian_orient(paley_graph(13))]
+    out += [eulerian_orient(circulant_graph(n, js)) for n in range(7, 25) for js in ([1, 2], [1, 3], [1, 2, 3])]
     return out
 
 
@@ -366,6 +394,7 @@ FAMILIES = {
     "large_triple": out_large_triple,
     "fas_sixth": out_fas_sixth,
     "fvs_exact": out_fvs,
+    "fvs_grid": lambda: [fvs_exact(d) for d in fvs_grid()],
     "fasd_exact": out_fasd,
     "fas_exact": lambda: out_fas(fas_corpus()),
     "fas_components": lambda: out_fas(fas_components_corpus()),
@@ -384,6 +413,7 @@ GOLDEN = {
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
     "fasd_exact": "4770bf3d77643b1f6b4225ff6fdf41326720f9f4bd342198b04d78bda1523cd3",
     "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
+    "fvs_grid": "c79741f2d32531d33cdbf69f9b00cf48c28a7ac4dd0ff1afe2d211c25f7c9e1b",
     "good_coloring_search": "a16016e214008793ef34a93b870bca918a7559f987b8fd3bf285c96caeee8e9a",
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
     "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
