@@ -6,6 +6,14 @@ gadget families behind the tightness results, and spectral lower-bound
 machinery, all glued together by a certificate-emitting CLI.
 """
 
+import os
+
+# The lab is single-threaded and its eigenvalue problems are small, where a
+# BLAS thread pool costs far more than it gains.  Set before numpy loads; a
+# value the caller set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .coloring import (
     ConflictClique,
     CountingBound,

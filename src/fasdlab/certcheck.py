@@ -1,5 +1,6 @@
 """The one checker of the lab's certificates: the rules that decide whether a
-colouring, an ordering triple, a feedback arc set or a cycle is valid.
+colouring, an ordering triple, a feedback arc or vertex set or a cycle is
+valid.
 
 They read only ``d.n``, ``d.arcs`` and ``d.weights`` and import only the
 standard library, so they share no code with the solvers they check (the
@@ -77,6 +78,18 @@ def check_fas_sixth(d, arc_ids):
         return False, "the remainder has a cycle"
     if 6 * len(cut) > m:
         return False, f"6*{len(cut)} > m={m}"
+    return True, None
+
+
+def check_fvs(d, vertices):
+    """Distinct vertices whose removal, with every arc at them, leaves D
+    acyclic."""
+    drop = set(vertices)
+    if len(drop) != len(vertices) or not drop.issubset(range(d.n)):
+        return False, "vertex ids are not distinct vertices"
+    cut = {a for a, (u, v) in enumerate(d.arcs) if u in drop or v in drop}
+    if len(next(_kahn(d, [cut]))) < d.n:
+        return False, "the remainder has a cycle"
     return True, None
 
 

@@ -27,7 +27,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .certcheck import check_coloring, check_fas_sixth
+from .certcheck import check_coloring, check_fas_sixth, check_fvs
 from .digraph import (
     BudgetError,
     Digraph,
@@ -776,30 +776,59 @@ def fvs_exact(d) -> FvsCertificate:
     cycle search stops at the first root that meets it.  The search returns
     the same cycle for any floor up to the girth, so a removed set reached
     along different branches keeps one cycle and the memo stays valid.
+
+    Two cuts drop only subtrees that hold no solution within the budget, so
+    the search returns the same first solution as without them:
+
+    - a greedy packing of vertex-disjoint cycles (a shortest cycle, then the
+      packing of what its deletion leaves) needs one vertex per cycle, so a
+      node whose budget is below its packing's size is dead, and the
+      deepening starts at the root's packing size;
+    - child i, which removes ``cyc[i]``, keeps ``cyc[:i]``: it is reached
+      only after every earlier child failed, so no solution within the budget
+      removes one of them, and a node whose cycle is all kept is dead.
+
+    The bounded search trees for directed feedback sets of Chen, Liu, Lu,
+    O'Sullivan & Razgon (J. ACM 2008) use both ideas.
     """
     if d.n > FVS_EXACT_MAX_N:
         raise BudgetError(f"exact FVS refused for n={d.n} > {FVS_EXACT_MAX_N}")
     full = View(Digraph(d.n, sorted(set(d.arcs))))
     cycles = {}  # removed set -> its shortest cycle, shared by all levels
+    packings = {}  # removed set -> the size of its greedy cycle packing
 
-    def solve(removed, budget, floor):
+    def cycle(removed, floor):
         if removed not in cycles:
             cycles[removed] = _shortest_cycle(full.without(removed), floor)
-        cyc = cycles[removed]
+        return cycles[removed]
+
+    def packing(removed, floor):
+        if removed not in packings:
+            cyc = cycle(removed, floor)
+            packings[removed] = 0 if cyc is None else 1 + packing(removed | set(cyc), len(cyc))
+        return packings[removed]
+
+    def solve(removed, kept, budget, floor):
+        cyc = cycle(removed, floor)
         if cyc is None:
             return set(removed)
-        if budget == 0:
+        if kept.issuperset(cyc) or budget < packing(removed, floor):
             return None
-        for v in cyc:
-            res = solve(removed | {v}, budget - 1, len(cyc))
+        for i, v in enumerate(cyc):
+            if v in kept:
+                continue
+            res = solve(removed | {v}, kept.union(cyc[:i]), budget - 1, len(cyc))
             if res is not None:
                 return res
         return None
 
-    for k in range(d.n + 1):
-        res = solve(frozenset(), k, 2)
+    for k in range(packing(frozenset(), 2), d.n + 1):
+        res = solve(frozenset(), frozenset(), k, 2)
         if res is not None:
             s = tuple(sorted(res))
+            ok, what = check_fvs(d, s)
+            if not ok:  # pragma: no cover - would witness a search bug
+                raise AssertionError(f"fvs_exact returned {s}, but {what}")
             exceptional = is_digon_odd_cycle(full.d)
             within = 2 * len(s) <= d.n
             return FvsCertificate(s, True, within, exceptional)

@@ -33,22 +33,8 @@ class _Infinite:
     def __repr__(self) -> str:
         return "INFINITE"
 
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _Infinite)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _Infinite)
-
 
 INFINITE = _Infinite()
-
-GirthValue = "int | _Infinite"
 
 
 class GraphError(ValueError):

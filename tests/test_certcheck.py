@@ -17,12 +17,13 @@ from fasdlab.certcheck import (
     bas,
     check_coloring,
     check_fas_sixth,
+    check_fvs,
     check_triple,
     closed_cycle_arcs,
     is_acyclic,
 )
 from fasdlab.coloring import refute_by_conflict_clique
-from fasdlab.delta3 import fas_sixth, good_g_coloring
+from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import Digraph, enumerate_cycles
 from fasdlab.generators import directed_cycle, gadget_h5, random_orgraph
 from fasdlab.ordering import fas_exact, fas_weighted_exact
@@ -65,6 +66,7 @@ class TestIndependence:
         triple = decompose3(d).orderings
         fas = fas_sixth(d)
         cert = fas_weighted_exact(w)
+        fvs = fvs_exact(w).vertices
         cycle = enumerate_cycles(h5, 4).cycles[0]
         for g in (d, plain(d)):
             assert is_acyclic(g) == is_acyclic(d)
@@ -73,6 +75,7 @@ class TestIndependence:
             assert check_fas_sixth(g, fas) == (True, None)
             assert backward_arc_ids(g, triple[0]) == backward_arc_ids(d, triple[0])
         for g in (w, plain(w)):
+            assert check_fvs(g, fvs) == (True, None)
             assert bas(g, cert.order) == cert.value
             assert tuple(backward_arc_ids(g, cert.order)) == cert.arc_ids
         for g in (h5, plain(h5)):
@@ -177,6 +180,20 @@ class TestMutations:
         d = directed_cycle(6)
         assert check_fas_sixth(d, [0, 0]) == (False, "arc ids are not distinct arcs")
         assert check_fas_sixth(d, [6]) == (False, "arc ids are not distinct arcs")
+
+    def test_fvs_missing_a_vertex(self):
+        d = random_orgraph(12, 4, 3, seed=2, arc_target=24)
+        vs = fvs_exact(d).vertices
+        assert len(vs) > 1 and check_fvs(d, vs) == (True, None)
+        # a minimum FVS is minimal: without any one of its vertices a cycle is left
+        for v in vs:
+            assert check_fvs(d, [x for x in vs if x != v]) == (False, "the remainder has a cycle")
+
+    def test_fvs_repeating_a_vertex_or_out_of_range(self):
+        d = directed_cycle(6)
+        assert check_fvs(d, [0]) == (True, None)
+        for bad in ([0, 0], [6], [-1]):
+            assert check_fvs(d, bad) == (False, "vertex ids are not distinct vertices")
 
     def test_closed_cycle_rule(self):
         h5 = gadget_h5()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fasdlab import delta3
 from fasdlab.coloring import verify_good_coloring
 from fasdlab.delta3 import (
     fas_sixth,
@@ -14,10 +15,12 @@ from fasdlab.digraph import (
     Digraph,
     GraphError,
     MultiDigraph,
+    eulerian_orient,
     girth,
     is_acyclic,
 )
 from fasdlab.generators import (
+    circulant_graph,
     directed_cycle,
     gadget_co,
     gadget_co_prime,
@@ -120,6 +123,12 @@ class TestFvsExact:
             n = rng.randrange(3, 13)
             arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n, 4 * n))]
             cases.append(MultiDigraph(n, arcs + arcs[: i % 4]))
+        # random pairs on 14 vertices, digons among them, where the search
+        # meets a node whose shortest cycle has only kept vertices
+        for seed in (483, 832, 2011):
+            rng = random.Random(seed)
+            n = rng.randrange(6, 15)
+            cases.append(Digraph(n, sorted({tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n, 4 * n))})))
         for d in cases:
             cert = fvs_exact(d)
             brute = fvs_brute(d)
@@ -129,6 +138,22 @@ class TestFvsExact:
             assert cert.exceptional == is_digon_odd_cycle(simple)
             drop = set(cert.vertices)
             assert is_acyclic(Digraph(d.n, [(u, v) for u, v in simple.arcs if drop.isdisjoint((u, v))]))[0]
+
+    def test_packing_bound_prunes_the_search(self, monkeypatch):
+        calls = 0
+        search = delta3._shortest_cycle
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(delta3, "_shortest_cycle", counted)
+        cert = fvs_exact(eulerian_orient(circulant_graph(24, [1, 2, 3])))
+        assert len(cert.vertices) == 8
+        # 186 cycle searches with the packing bound and the kept vertices,
+        # 3 504 without them
+        assert calls <= 400
 
     def test_half_bound_or_exception(self):
         for seed in range(25):

@@ -235,3 +235,27 @@ class TestOrientationExperiment:
         order = list(range(8))
         rng.shuffle(order)
         assert halving_statistic(d, order) == halving_statistic(rev, order[::-1])
+
+
+def test_blas_pool_is_one_thread_unless_the_caller_sets_it():
+    """The BLAS thread variables, as they read when ``import fasdlab`` first
+    imports numpy: "1" by default, and a value the caller set is kept."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = (
+        "import os, sys\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        f"        if name == 'numpy': print(*(os.environ.get(v) for v in {names!r}))\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "import fasdlab\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k not in names}
+
+    def seen(**env):
+        env = {**base, **env, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return proc.stdout.split()
+
+    assert seen() == ["1", "1", "1"]
+    assert seen(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
