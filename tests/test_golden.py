@@ -204,6 +204,33 @@ def fas_components_corpus():
     return out
 
 
+def fas_bounded_corpus():
+    """Inputs on which a subset DP bounded by a known order keeps few or most
+    of its prefix sets: the benchmark ``exact`` workload's two n = 20 fas
+    inputs, dense Eulerian orientations and tournaments, c17, multidigraphs
+    with parallel arcs and digons, and weighted digraphs with zero weights."""
+    out = [
+        random_orgraph(20, 4, 3, seed=20, arc_target=40),
+        random_orgraph(20, 4, 3, seed=120, weighted=True, arc_target=40),
+        eulerian_orient(paley_graph(17)),
+        circulant_digraph(17, [1, 4]),
+        eulerian_orient(circulant_graph(16, [1, 2, 3])),
+        eulerian_orient(circulant_graph(22, [1, 2, 3])),
+    ]
+    out += [rotational_tournament(n) for n in range(3, 22, 2)]
+    for s in range(8):
+        rng = random.Random(2000 + s)
+        n = 6 + 2 * s
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+        arcs += [(v, u) for u, v in arcs[: 1 + s % 3]] + arcs[: 1 + s % 4]
+        out.append(MultiDigraph(n, arcs))
+    for s in range(8):
+        rng = random.Random(3000 + s)
+        d = random_orgraph(8 + 2 * s, 4, 3, seed=3000 + s, weighted=True, arc_target=2 * (8 + 2 * s))
+        out.append(Digraph(d.n, d.arcs, [0.0 if rng.random() < 0.3 else w for w in d.weights]))
+    return out
+
+
 def structure_corpus():
     out = deg4_corpus() + fvs_corpus() + fasd_corpus()
     out += [random_orgraph(n, 5, 3, seed=s, arc_target=2 * n, backbone=False) for s, n in enumerate(SMALL)]
@@ -398,6 +425,7 @@ FAMILIES = {
     "fasd_exact": out_fasd,
     "fas_exact": lambda: out_fas(fas_corpus()),
     "fas_components": lambda: out_fas(fas_components_corpus()),
+    "fas_bounded": lambda: out_fas(fas_bounded_corpus()),
     "good_coloring_search": out_search,
     "search_outcomes": out_search_outcomes,
     "scc_girth": out_structure,
@@ -409,6 +437,7 @@ GOLDEN = {
     "cycles": "44285e3e32deb06b4ce43881a350bf2e83f94aa102736b257a4211ed565a5e2b",
     "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
     "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
+    "fas_bounded": "dd46f44708fee22ec655c1c011bffff3501b044665c1476d78652c9e599412cb",
     "fas_components": "1365a740c959acc88e4e749eef4e46f1ade5e67c7b9ff11bcb4ce5d84c41133a",
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
     "fasd_exact": "4770bf3d77643b1f6b4225ff6fdf41326720f9f4bd342198b04d78bda1523cd3",
