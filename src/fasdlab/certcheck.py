@@ -140,3 +140,15 @@ def closed_cycle_arcs(index, cycle):
         return None
     ids = tuple(index.get((cycle[i], cycle[(i + 1) % k])) for i in range(k))
     return None if None in ids else ids
+
+
+def check_fas_order(d, order, value):
+    """An ordering of the vertices whose backward arcs weigh exactly
+    ``value``: the exact ``bas``, a count when D is unweighted.  A minimum
+    FAS certificate, for its upper side."""
+    if sorted(order) != list(range(d.n)):
+        return False, "the order is not a permutation of the vertex set"
+    weight = bas(d, order)
+    if weight != value:
+        return False, f"its backward arcs weigh {weight}, not {value}"
+    return True, None

@@ -7,7 +7,14 @@ computes.  fas(D) is the sum of fas over the strong components of D, so the
 program builds one table per component, of 2^|C| entries over its own
 vertices, and a table of 2^n entries only when D is strongly connected; the
 n <= FAS_EXACT_MAX_N cap is still on D as a whole.  Each table is filled in
-numpy, one popcount layer of vertex subsets at a time.  Weighted values are
+numpy, one popcount layer of vertex subsets at a time, with
+g(S) = f(S) + w(C - S -> S), the least backward weight of an order of the
+component C that puts S first.  Only the sets with g(S) <= U are kept, where
+U is the backward weight of a greedy, sifted order of C: a prefix P of an
+optimal order of S has g(P) <= g(S), so every set on an optimal chain is
+kept with its exact value, and the witness orders are those of the full DP.
+The table stays dense (2^|C| entries, the unkept ones at a sentinel), and a
+full set that was not kept raises AssertionError.  Weighted values are
 carried as exact Fractions: each weight is read as the decimal its repr shows
 and scaled by 10^6 to an integer, and a weight with more than six fraction
 digits is rejected, never rounded, so optimality claims never depend on float
@@ -24,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certcheck import backward_arc_ids, bas, exact_weights, is_acyclic
+from .certcheck import backward_arc_ids, bas, check_fas_order, exact_weights, is_acyclic
 from .digraph import BudgetError, Digraph, GraphError, strong_components
 
 WEIGHT_SCALE = 10**6
@@ -104,12 +111,13 @@ def fas_weighted_exact(d: Digraph) -> FasCertificate:
 
 
 def _certified(d: Digraph, kind: str, value, order) -> FasCertificate:
-    """The DP's answer, once the backward arcs of its order weigh its value."""
-    ids = tuple(backward_arc_ids(d, order))
-    weight = bas(d, order) if kind == "weighted" else len(ids)
-    if weight != value:  # pragma: no cover - would witness a DP bug
-        raise AssertionError(f"fas DP value {value}, but its order's backward arcs weigh {weight}")
-    return FasCertificate(kind, value, tuple(order), ids)
+    """The DP's answer, once ``check_fas_order`` finds that the backward arcs
+    of its order weigh its value (count them, for an unweighted answer)."""
+    counted = d if kind == "weighted" or d.weights is None else Digraph(d.n, d.arcs)
+    ok, why = check_fas_order(counted, order, value)
+    if not ok:  # pragma: no cover - would witness a DP bug
+        raise AssertionError(f"fas DP value {value}: {why}")
+    return FasCertificate(kind, value, tuple(order), tuple(backward_arc_ids(d, order)))
 
 
 def _fas_dp(d: Digraph, weighted: bool):
@@ -124,20 +132,24 @@ def _fas_dp(d: Digraph, weighted: bool):
         for i, v in enumerate(verts):
             comp_of[v] = c
             local[v] = i
-    # out_items[c][i]: (bit of the head, weight) per arc of the i-th vertex of
-    # component c that stays inside c; cross[v]: the heads, as a mask over all
-    # of D, of v's arcs of positive weight into other components
-    out_items = [[[] for _ in verts] for verts in comps]
+    # in_items[c][i]: (local id of the tail, weight) per arc into the i-th
+    # vertex of component c from inside c; cross[v]: the heads, as a mask over
+    # all of D, of v's arcs of positive weight into other components
+    in_items = [[[] for _ in verts] for verts in comps]
     cross = [0] * n
     for a, (u, v) in enumerate(d.arcs):
         if comp_of[u] == comp_of[v]:
-            out_items[comp_of[u]][local[u]].append((1 << local[v], w[a]))
+            in_items[comp_of[u]][local[v]].append((local[u], w[a]))
         elif w[a]:
             cross[u] |= 1 << v
-    tables = [_fas_table(items) for items in out_items]
+    tables = [_fas_table(items, _order_bound(items)) for items in in_items]
+    for c, g in enumerate(tables):
+        # every set on an optimal chain is kept, the full set among them
+        if g[-1] == np.iinfo(g.dtype).max:
+            raise AssertionError(f"the order bound of strong component {c} is below its fas")
 
-    # the last vertex of each prefix is the lowest id that attains its f,
-    # read off the component tables as fas_exact explains
+    # the last vertex of each prefix is the lowest id that attains its f, read
+    # off the component tables of g as fas_exact and _fas_table explain
     live = [(1 << len(verts)) - 1 for verts in comps]
     alive = (1 << n) - 1
 
@@ -145,8 +157,9 @@ def _fas_dp(d: Digraph, weighted: bool):
         if not alive >> v & 1 or cross[v] & alive:
             return False
         c = comp_of[v]
-        s = live[c] ^ 1 << local[v]
-        return int(tables[c][s]) + sum(hw for hbit, hw in out_items[c][local[v]] if hbit & s) == tables[c][live[c]]
+        s = live[c]
+        enter = sum(hw for u, hw in in_items[c][local[v]] if not s >> u & 1)
+        return int(tables[c][s ^ 1 << local[v]]) + enter == int(tables[c][s])
 
     order = []
     for _ in range(n):
@@ -155,54 +168,159 @@ def _fas_dp(d: Digraph, weighted: bool):
         alive ^= 1 << v
         live[comp_of[v]] ^= 1 << local[v]
     order.reverse()
-    return sum(int(f[-1]) for f in tables), order
+    return sum(int(g[-1]) for g in tables), order
 
 
-def _fas_table(out_items):
-    """The subset DP over one strong component, in local vertex ids.
+def _fas_table(in_items, bound):
+    """The subset DP over one strong component C, in local vertex ids, kept to
+    the prefix sets that can still beat a known order.
 
-    ``out_items[v]`` lists (bit of the head, weight) for the arcs of v inside
-    the component.  Entry S of the result is f(S), the least weight of the arcs
-    made backward by an ordering of the vertex set S.
+    ``in_items[v]`` lists (tail, weight) for the arcs into v inside C, and
+    ``bound`` is U, the backward weight of some order of C.  The DP runs on
+    g(S) = f(S) + w(C - S -> S), the least backward weight of an order of C
+    that puts S first:
+
+        g(S) = min over v in S of g(S - v) + w(C - S -> v),
+
+    and g(C) = f(C) = fas(C).  g(S) - f(S) does not depend on v, so a vertex
+    attains g(S) exactly when it attains f(S).  Layer j + 1 grows from the
+    sets of layer j kept so far, and a set is kept when g(S) <= U.  As weights
+    are nonnegative, g(S - v) <= g(S) for the v that attains g(S), so every
+    set with g(S) <= U is reached from a kept set and holds its exact g.
+
+    The orders stay those of the unbounded DP.  Let P be a prefix of an
+    optimal order of S; then f(P) <= f(S) - w(S - P -> P), so
+    g(P) <= f(S) + w(C - S -> P) <= g(S).  Every set on the chain that the
+    reconstruction follows from C therefore has g <= fas(C) <= U and is kept,
+    and a set S - v that is not kept has g(S - v) > U >= g(S), so its v
+    attains nothing: the lowest id that attains g(S) is the one that attains
+    f(S).  The table stays dense, 2^|C| entries; a set not kept holds
+    iinfo.max.
     """
-    k = len(out_items)
-    outmask = [0] * k
-    for v, items in enumerate(out_items):
-        for hbit, _ in items:
-            outmask[v] |= hbit
-    w = [hw for items in out_items for _, hw in items]
-    # a popcount of the heads counts parallel arcs once and each arc as 1, so
-    # only simple arcs of weight 1 take it; the rest are added one by one
-    popcount = set(w) <= {1} and sum(m.bit_count() for m in outmask) == len(w)
-    # iinfo.max marks a set not scored yet, so it must exceed every cost,
-    # and no cost exceeds the component's total weight
-    dt = np.int32 if sum(w) < np.iinfo(np.int32).max else np.int64
-    # f[S] is the least cost of placing the vertex set S first; layer j holds
-    # the sets of pc[S] = j vertices
-    size = 1 << k
-    pc = np.zeros(size, dtype=np.uint8)
-    for b in range(k):
-        pc[1 << b : 2 << b] = pc[: 1 << b] + 1
-    f = np.full(size, np.iinfo(dt).max, dtype=dt)
-    f[0] = 0
-    for j in range(1, k + 1):
-        # the (j-1)-subsets of k-1 vertices; moving the bits >= v of each up
-        # by one gives the sets S - v, and setting bit v the sets S of layer
-        # j that contain v
-        rest = np.flatnonzero(pc[: size >> 1] == j - 1)
+    k = len(in_items)
+    # a score g(S - v) + w(C - S -> v) counts disjoint arcs of C, so it is at
+    # most their total, which stays below the sentinel iinfo.max; the
+    # smallest such type keeps the table and the temporaries small
+    total = sum(hw for items in in_items for _, hw in items)
+    dt = next(t for t in (np.int16, np.int32, np.int64) if total < np.iinfo(t).max)
+    never = np.iinfo(dt).max
+    # lo[m, v] and hi[m, v]: the weight of the arcs into v from the vertex set
+    # m, over the low h ids and over the others
+    into = np.zeros((k, k), dtype=dt)
+    for v, items in enumerate(in_items):
+        for u, hw in items:
+            into[u, v] += hw
+    h = k // 2
+    lo, hi = _subset_sums(into[:h]), _subset_sums(into[h:])
+    low = (1 << h) - 1
+    full = (1 << k) - 1
+    g = np.full(1 << k, never, dtype=dt)
+    g[0] = 0
+    layer = np.zeros(1, dtype=np.int32)
+    # (set, vertex) pairs scored at once: a quarter as many as the table has
+    # entries, but at least 64 and at most 2^15, so the temporaries stay small
+    rows = max(1, min(1 << 15, max(1 << 6, 1 << k >> 2)) // k)
+    # the pairs' positions, which fit in dt, and the bit of each pair's
+    # vertex, the vertex running fastest
+    slots = np.arange(rows * k, dtype=dt)
+    bits = np.left_shift(1, slots % k, dtype=np.int32)
+    for _ in range(k):
+        grown = [layer[:0]]
+        for i in range(0, len(layer), rows):
+            prev = layer[i : i + rows]
+            rest = full ^ prev
+            score = lo.take(rest & low, axis=0)
+            score += hi.take(rest >> h, axis=0)
+            score = score.ravel()
+            score += g.take(prev).repeat(k)
+            prev = prev.repeat(k)
+            masks = prev | bits[: score.size]
+            # a pair whose vertex is in prev already is no move, and its sum
+            # may overflow
+            keep = ((score <= bound) & (masks != prev)).nonzero()[0]
+            masks, score = masks.take(keep), score.take(keep)
+            # the sets first reached here make the next layer.  To list each
+            # once, every copy writes its position into g and the copy whose
+            # position g then holds is kept; g is never again before the
+            # scores go in
+            fresh = masks.take((g.take(masks) == never).nonzero()[0])
+            pos = slots[: fresh.size]
+            g[fresh] = pos
+            fresh = fresh.take((g.take(fresh) == pos).nonzero()[0])
+            g[fresh] = never
+            grown.append(fresh)
+            np.minimum.at(g, masks, score)
+        layer = np.concatenate(grown)
+    return g
+
+
+def _subset_sums(rows):
+    """t[m] = the sum of rows[b] over the bits b of m."""
+    t = np.zeros((1 << len(rows), rows.shape[1]), dtype=rows.dtype)
+    for b, row in enumerate(rows):
+        t[1 << b : 2 << b] = t[: 1 << b] + row
+    return t
+
+
+def _order_bound(in_items) -> int:
+    """The backward weight of a cheap order of one strong component, in the
+    terms of ``_fas_table``: an upper bound on its fas, which that table
+    checks rather than trusts.
+
+    The order is greedy after Eades, Lin & Smyth (IPL 1993): it repeatedly
+    places the unplaced vertex of least in-weight from the other unplaced
+    vertices, the lowest id on a tie.  Then it is sifted: each vertex in turn
+    moves to its cheapest slot, in passes until a pass no longer lowers the
+    weight.
+    """
+    k = len(in_items)
+    # into[v][u], out[u][v]: the weight of the arcs u -> v
+    into = [{} for _ in range(k)]
+    out = [{} for _ in range(k)]
+    for v, items in enumerate(in_items):
+        for u, hw in items:
+            into[v][u] = into[v].get(u, 0) + hw
+            out[u][v] = out[u].get(v, 0) + hw
+    need = [sum(ws.values()) for ws in into]
+    left = list(range(k))
+    order = []
+    while left:
+        v = min(left, key=need.__getitem__)
+        left.remove(v)
+        order.append(v)
+        for u, hw in out[v].items():
+            need[u] -= hw
+
+    def weight():
+        pos = {v: i for i, v in enumerate(order)}
+        return sum(hw for v in range(k) for u, hw in into[v].items() if pos[v] < pos[u])
+
+    best = weight()
+    while best:
         for v in range(k):
-            bit = 1 << v
-            prev = rest & -bit
-            prev += rest
-            masks = prev | bit
-            score = f[prev]
-            if popcount:
-                score += pc[masks & outmask[v]]
-            else:
-                for hbit, hw in out_items[v]:
-                    np.add(score, hw, out=score, where=(masks & hbit) != 0)
-            np.minimum.at(f, masks, score)
-    return f
+            order.remove(v)
+            step = dict(out[v])
+            for u, hw in into[v].items():
+                step[u] = step.get(u, 0) - hw
+            order.insert(_cheapest_slot(order, step), v)
+        now = weight()
+        if now == best:
+            break
+        best = now
+    return best
+
+
+def _cheapest_slot(order, step) -> int:
+    """Where to insert a vertex into ``order`` so that it makes the least
+    weight backward, the earliest slot on a tie.  ``step[u]`` is the weight of
+    its arcs to u minus that of u's arcs to it: moving it past u makes the
+    former backward and the latter forward."""
+    cost = best = slot = 0
+    for i, u in enumerate(order, 1):
+        cost += step.get(u, 0)
+        if cost < best:
+            best, slot = cost, i
+    return slot
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,8 +388,6 @@ def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
         order = []
         placed = set()
         for v in verts:
-            # costs relative to slot 0, which puts v first: moving v past u
-            # makes the arcs v -> u backward and the arcs u -> v forward
             step = {}
             for u, a in d.out_arcs(v):
                 if u in placed:
@@ -279,13 +395,7 @@ def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
             for u, a in d.in_arcs(v):
                 if u in placed:
                     step[u] = step.get(u, 0) - w[a]
-            cost = 0
-            costs = [cost]
-            for u in order:
-                cost += step.get(u, 0)
-                costs.append(cost)
-            slot = min(range(len(costs)), key=lambda i: (costs[i], i))
-            order.insert(slot, v)
+            order.insert(_cheapest_slot(order, step), v)
             placed.add(v)
         val = bas(d, order)
         if best_val is None or val < best_val:

@@ -5,6 +5,7 @@ import ast
 import random
 import sys
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from fasdlab.certcheck import (
     backward_arc_ids,
     bas,
     check_coloring,
+    check_fas_order,
     check_fas_sixth,
     check_fvs,
     check_triple,
@@ -26,7 +28,7 @@ from fasdlab.coloring import refute_by_conflict_clique
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import Digraph, enumerate_cycles
 from fasdlab.generators import directed_cycle, gadget_h5, random_orgraph
-from fasdlab.ordering import fas_exact, fas_weighted_exact
+from fasdlab.ordering import WEIGHT_SCALE, fas_exact, fas_weighted_exact
 from fasdlab.triples import decompose3
 
 
@@ -76,6 +78,7 @@ class TestIndependence:
             assert backward_arc_ids(g, triple[0]) == backward_arc_ids(d, triple[0])
         for g in (w, plain(w)):
             assert check_fvs(g, fvs) == (True, None)
+            assert check_fas_order(g, cert.order, cert.value) == (True, None)
             assert bas(g, cert.order) == cert.value
             assert tuple(backward_arc_ids(g, cert.order)) == cert.arc_ids
         for g in (h5, plain(h5)):
@@ -110,6 +113,15 @@ def test_is_acyclic_keeps_the_fifo_order():
         for g in (d, dag):
             assert is_acyclic(g) == fifo_kahn(g)
         assert is_acyclic(dag)[0]
+
+
+def fas_orders():
+    """(digraph, exact FAS certificate): unweighted, and weighted with a
+    weight of six fraction digits."""
+    d = random_orgraph(12, 4, 3, seed=5, arc_target=24)
+    w = random_orgraph(12, 4, 3, seed=6, weighted=True, arc_target=24)
+    w = Digraph(w.n, w.arcs, (w.weights[0] + 0.000001,) + w.weights[1:])
+    return [(d, fas_exact(d)), (w, fas_weighted_exact(w))]
 
 
 class TestMutations:
@@ -180,6 +192,38 @@ class TestMutations:
         d = directed_cycle(6)
         assert check_fas_sixth(d, [0, 0]) == (False, "arc ids are not distinct arcs")
         assert check_fas_sixth(d, [6]) == (False, "arc ids are not distinct arcs")
+
+    def test_fas_order_with_two_vertices_swapped(self):
+        for d, cert in fas_orders():
+            order = list(cert.order)
+            # neighbours in the order joined by an arc of positive weight:
+            # swapping them flips that arc alone
+            j = next(
+                j
+                for j in range(d.n - 1)
+                for a, (u, v) in enumerate(d.arcs)
+                if {u, v} == {order[j], order[j + 1]} and (d.weights is None or d.weights[a] > 0)
+            )
+            order[j], order[j + 1] = order[j + 1], order[j]
+            weight = bas(d, order)
+            assert weight != cert.value
+            assert check_fas_order(d, order, cert.value) == (False, f"its backward arcs weigh {weight}, not {cert.value}")
+
+    def test_fas_order_repeating_a_vertex(self):
+        for d, cert in fas_orders():
+            order = list(cert.order)
+            for bad in (order[:-1] + order[:1], order[:-1], order + [d.n]):
+                assert check_fas_order(d, bad, cert.value) == (False, "the order is not a permutation of the vertex set")
+
+    def test_fas_value_off_by_one_unit(self):
+        for d, cert in fas_orders():
+            unit = 1 if d.weights is None else Fraction(1, WEIGHT_SCALE)
+            assert check_fas_order(d, cert.order, cert.value) == (True, None)
+            for value in (cert.value - unit, cert.value + unit):
+                assert check_fas_order(d, cert.order, value) == (
+                    False,
+                    f"its backward arcs weigh {cert.value}, not {value}",
+                )
 
     def test_fvs_missing_a_vertex(self):
         d = random_orgraph(12, 4, 3, seed=2, arc_target=24)

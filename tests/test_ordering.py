@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fasdlab import ordering
@@ -244,8 +245,8 @@ class TestFasDpWork:
     def table_sizes(self, monkeypatch):
         sizes = []
 
-        def recording(out_items):
-            f = build(out_items)
+        def recording(in_items, bound):
+            f = build(in_items, bound)
             sizes.append(len(f))
             return f
 
@@ -266,6 +267,47 @@ class TestFasDpWork:
         d = gadget_dg(8)
         assert fas_exact(d).value == 2
         assert table_sizes == [2**d.n]
+
+
+def component_weight(in_items):
+    return sum(hw for items in in_items for _, hw in items)
+
+
+class TestFasDpBound:
+    """The order bound prunes the DP, is checked, and changes no answer."""
+
+    def test_bound_below_fas_raises(self, monkeypatch):
+        for d in (rotational_tournament(7), gadget_dg(8), random_orgraph(12, 4, 3, seed=0, weighted=True, arc_target=24)):
+            weighted = d.weighted
+            value, _ = _fas_dp(d, weighted)
+            # one strong component, so its fas is the whole value
+            monkeypatch.setattr(ordering, "_order_bound", lambda items: value - 1)
+            with pytest.raises(AssertionError, match="below its fas"):
+                _fas_dp(d, weighted)
+            monkeypatch.undo()
+
+    def test_no_pruning_gives_the_same_answers(self, monkeypatch):
+        grid = [random_orgraph(n, 2 + n % 5, 3, seed=7 * n, weighted=n % 2 == 1) for n in range(1, 15)]
+        grid += seeded_multidigraphs() + fas_components_corpus() + [rotational_tournament(9)]
+        pruned = [_fas_dp(d, w) for d in grid for w in (False, True)[: 1 + d.weighted]]
+        monkeypatch.setattr(ordering, "_order_bound", component_weight)
+        assert [_fas_dp(d, w) for d in grid for w in (False, True)[: 1 + d.weighted]] == pruned
+
+    def test_few_sets_kept_on_the_benchmark_inputs(self, monkeypatch):
+        kept = []
+
+        def recording(in_items, bound):
+            g = build(in_items, bound)
+            kept.append(int((g != np.iinfo(g.dtype).max).sum()))
+            return g
+
+        build = ordering._fas_table
+        monkeypatch.setattr(ordering, "_fas_table", recording)
+        fas_exact(random_orgraph(20, 4, 3, seed=20, arc_target=40))
+        fas_weighted_exact(random_orgraph(20, 4, 3, seed=120, weighted=True, arc_target=40))
+        # strong components of 19 and 1 vertices, then one of 20: tables of
+        # 2^19 and 2^20 sets, of which 284 and 162 are kept
+        assert len(kept) == 3 and max(kept) <= 1000
 
 
 class TestFasWeighted:
