@@ -20,6 +20,7 @@ from .coloring import (
     FasdCertificate,
     SearchOutcome,
     ShortCycleRefutation,
+    counting_bound,
     fasd_exact,
     good_coloring_search,
     refute_by_conflict_clique,
@@ -98,6 +99,7 @@ __all__ = [
     "SpectralReport",
     "backward_arc_ids",
     "bas",
+    "counting_bound",
     "decompose3",
     "degrees",
     "enumerate_cycles",

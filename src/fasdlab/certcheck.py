@@ -1,6 +1,6 @@
 """The one checker of the lab's certificates: the rules that decide whether a
-colouring, an ordering triple, a feedback arc or vertex set or a cycle is
-valid.
+colouring, an ordering triple, a feedback arc or vertex set, a cycle or a
+refutation of a good colouring is valid.
 
 They read only ``d.n``, ``d.arcs`` and ``d.weights`` and import only the
 standard library, so they share no code with the solvers they check (the
@@ -151,4 +151,43 @@ def check_fas_order(d, order, value):
     weight = bas(d, order)
     if weight != value:
         return False, f"its backward arcs weigh {weight}, not {value}"
+    return True, None
+
+
+def check_counting_bound(d, cycles, arcs, bound):
+    """A family of k >= 1 closed cycles of D, each arc on at most two of them,
+    whose union U is ``arcs``, with bound = |U| // ceil(k/2).
+
+    The double count: a colour class of a good colouring is a FAS, so it meets
+    each of the k cycles; an arc of U covers at most two of them, so the class
+    holds at least ceil(k/2) arcs of U.  The classes are disjoint, so no good
+    colouring has more than ``bound`` colours.
+    """
+    if not cycles:
+        return False, "the family has no cycles"
+    index = arc_index(d)
+    on = {}
+    for i, cycle in enumerate(cycles):
+        ids = closed_cycle_arcs(index, cycle)
+        if ids is None:
+            return False, f"cycle {i} is not a closed cycle of D"
+        for a in ids:
+            on[a] = on.get(a, 0) + 1
+            if on[a] > 2:
+                return False, f"arc {a} lies on three of the cycles"
+    if sorted(arcs) != sorted(on):
+        return False, "the arcs are not the union of the cycles"
+    half = (len(cycles) + 1) // 2
+    if bound != len(on) // half:
+        return False, f"bound {bound} is not {len(on)} // {half}"
+    return True, None
+
+
+def check_short_cycle(d, t, cycle):
+    """A closed cycle of D with fewer than t arcs: it cannot carry t colours,
+    so D has no good t-colouring."""
+    if closed_cycle_arcs(arc_index(d), cycle) is None:
+        return False, "the cycle is not a closed cycle of D"
+    if len(cycle) >= t:
+        return False, f"the cycle has {len(cycle)} arcs, not fewer than {t}"
     return True, None

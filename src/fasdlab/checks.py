@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .certcheck import check_coloring, check_fas_sixth, check_triple
+from .certcheck import check_coloring, check_counting_bound, check_fas_sixth, check_triple
 from .coloring import (
     fasd_brute,
     fasd_exact,
@@ -278,9 +278,11 @@ def check_counting(seed: int = 0) -> CheckResult:
     ok = True
     bounds = {}
     for g in range(4, 17, 2):
-        cb = verify_counting_bound(gadget_dg(g), g)
+        d = gadget_dg(g)
+        cb = verify_counting_bound(d, g)
         bounds[g] = cb.bound
-        if cb.bound != g - (g // 4 - 1):
+        checked, _ = check_counting_bound(d, cb.cycles, cb.arcs, cb.bound)
+        if cb.bound != g - (g // 4 - 1) or not checked:
             ok = False
     cert = fasd_exact(gadget_dg(8), use_clique_refutation=False)
     ok = ok and cert.value == 7

@@ -19,6 +19,13 @@ the search meets the same first good coloring as plain backtracking would.
 Arcs are colored fail-first (Haralick & Elliott 1980): first those on the
 most t-cycles, each of which needs all t colors on its t arcs, then those on
 the most watched cycles.
+
+Whole levels are refuted without a search in two ways.  More than t arcs that
+pairwise share a t-cycle need more than t colors (a conflict clique).  And a
+family of k cycles with each arc on at most two of them needs ceil(k/2) of
+their arcs in every color class, so at most |union| // ceil(k/2) colors fit (a
+counting bound, built greedily from the girth cycles and checked by
+``certcheck.check_counting_bound``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certcheck import arc_index, check_coloring, closed_cycle_arcs
+from .certcheck import arc_index, check_coloring, check_counting_bound, closed_cycle_arcs
 from .digraph import (
     INFINITE,
     BudgetError,
@@ -342,11 +349,15 @@ class ConflictClique:
 
 @dataclass(frozen=True)
 class CountingBound:
-    """Cycle-family double counting: every color needs >= 2 arcs of a fixed set.
+    """Cycle-family double counting: no good coloring has more than ``bound``
+    colors.
 
-    ``cycles`` is a family such that every color class of a good coloring must
-    meet each member, while each arc of ``arcs`` lies on at most two members.
-    The number of colors is then at most floor(|arcs| / 2).
+    ``cycles`` is a family of k cycles of D, ``arcs`` their union U, and each
+    arc of U lies on at most two members.  Every color class of a good
+    coloring is a FAS, so it meets each member, and an arc covers at most two,
+    so each class holds at least ceil(k/2) arcs of U.  The classes are
+    disjoint, so the number of colors is at most |U| // ceil(k/2) = ``bound``.
+    ``certcheck.check_counting_bound`` checks exactly this.
     """
 
     cycles: tuple
@@ -437,6 +448,37 @@ def refute_by_conflict_clique(d: Digraph, t: int) -> ConflictClique | None:
     return clique
 
 
+def counting_bound(d: Digraph, g: int) -> CountingBound:
+    """The least counting bound over prefixes of a greedy family of girth
+    cycles.
+
+    ``g`` is the girth of D.  The cycles of length g, at most TIGHT_CYCLE_CAP
+    of them, are taken in enumeration order, and a cycle joins the family when
+    every arc on it is still on fewer than two members.  Each prefix of the
+    family is itself a valid family, so the one with the least
+    |union| // ceil(k/2) is returned; of equal ones the shortest.  A truncated
+    enumeration still gives a valid family.
+    """
+    index = arc_index(d)
+    on = [0] * d.m  # members through each arc
+    family = []
+    size = best = best_k = 0
+    for cycle in enumerate_cycles(d, g, cap=TIGHT_CYCLE_CAP).cycles:
+        ids = closed_cycle_arcs(index, cycle)
+        if any(on[a] == 2 for a in ids):
+            continue
+        for a in ids:
+            size += not on[a]
+            on[a] += 1
+        family.append((cycle, ids))
+        bound = size // ((len(family) + 1) // 2)
+        if not best_k or bound < best:
+            best, best_k = bound, len(family)
+    family = family[:best_k]
+    arcs = sorted({a for _, ids in family for a in ids})
+    return CountingBound(tuple(c for c, _ in family), tuple(arcs), best)
+
+
 def verify_counting_bound(d: Digraph, g: int) -> CountingBound:
     """Check the three-cycle double count on the three-path gadget.
 
@@ -490,9 +532,10 @@ class FasdCertificate:
 
     ``value`` is INFINITE exactly for acyclic inputs.  Otherwise ``witness``
     is a good coloring with value colors and ``refutation`` explains why
-    value + 1 fails: a ConflictClique, a ShortCycleRefutation (value equals
-    the girth), or EXHAUSTED for a completed search.  When the budget runs out
-    the value is None and (lo, hi) bracket the true answer.
+    value + 1 fails: a ConflictClique, a CountingBound equal to value, a
+    ShortCycleRefutation (value equals the girth), or EXHAUSTED for a
+    completed search.  When the budget runs out the value is None, (lo, hi)
+    bracket the true answer and ``refutation`` is that of hi + 1, if any.
     """
 
     value: object
@@ -515,7 +558,15 @@ def fasd_exact(
     """Largest t admitting a good t-coloring, searched downward from the girth.
 
     Conflict-clique refutations run before each search level; when one exists
-    the level is refuted without touching the branch space.  fasd >= 2 holds
+    the level is refuted without touching the branch space.  Once a level is
+    refuted, the counting bound of the girth cycles (``counting_bound``) is
+    built and checked with ``certcheck.check_counting_bound``, once, and it
+    refutes every level above it with no clique step or search: a good
+    coloring's classes are disjoint FASs, each meeting every cycle of the
+    family with at least ceil(k/2) arcs of its union.  The girth level, sat on
+    most inputs, never pays for the bound, and the level that is sat is
+    searched as before, so the value and witness are those of the plain
+    downward search.  fasd >= 2 holds
     for every non-acyclic digraph (the backward and forward arcs of any
     ordering are both feedback arc sets), so the loop always terminates with a
     witness unless the budget is hit first.  ``node_budget`` bounds the total
@@ -526,7 +577,16 @@ def fasd_exact(
         return FasdCertificate(INFINITE, None)
     refutations = {}
     total_nodes = 0
+    bound = None
     for t in range(g, 1, -1):
+        if t < g and bound is None:
+            bound = counting_bound(d, g)
+            ok, why = check_counting_bound(d, bound.cycles, bound.arcs, bound.bound)
+            if not ok:  # pragma: no cover - would witness a builder bug
+                raise AssertionError(f"counting bound fails its check: {why}")
+        if bound is not None and t > bound.bound:
+            refutations[t] = bound
+            continue
         if use_clique_refutation:
             clique = refute_by_conflict_clique(d, t)
             if clique is not None:
@@ -550,11 +610,3 @@ def fasd_exact(
     raise AssertionError(
         "no good 2-coloring found for a non-acyclic digraph"
     )  # pragma: no cover
-
-
-def coloring_classes(coloring: dict, t: int):
-    """Arc-id classes of a coloring, indexed by color 1..t."""
-    classes = {c: [] for c in range(1, t + 1)}
-    for a, c in sorted(coloring.items()):
-        classes[c].append(a)
-    return classes

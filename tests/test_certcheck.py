@@ -17,17 +17,19 @@ from fasdlab.certcheck import (
     backward_arc_ids,
     bas,
     check_coloring,
+    check_counting_bound,
     check_fas_order,
     check_fas_sixth,
     check_fvs,
+    check_short_cycle,
     check_triple,
     closed_cycle_arcs,
     is_acyclic,
 )
-from fasdlab.coloring import refute_by_conflict_clique
+from fasdlab.coloring import counting_bound, fasd_exact, refute_by_conflict_clique
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import Digraph, enumerate_cycles
-from fasdlab.generators import directed_cycle, gadget_h5, random_orgraph
+from fasdlab.generators import directed_cycle, gadget_dg, gadget_h5, random_orgraph
 from fasdlab.ordering import WEIGHT_SCALE, fas_exact, fas_weighted_exact
 from fasdlab.triples import decompose3
 
@@ -70,6 +72,7 @@ class TestIndependence:
         cert = fas_weighted_exact(w)
         fvs = fvs_exact(w).vertices
         cycle = enumerate_cycles(h5, 4).cycles[0]
+        bound = counting_bound(h5, 4)
         for g in (d, plain(d)):
             assert is_acyclic(g) == is_acyclic(d)
             assert check_coloring(g, coloring, 3) == (True, None)
@@ -84,6 +87,8 @@ class TestIndependence:
         for g in (h5, plain(h5)):
             assert closed_cycle_arcs(arc_index(g), cycle) == walk_ids(h5, cycle)
             assert clique.check(g)
+            assert check_counting_bound(g, bound.cycles, bound.arcs, bound.bound) == (True, None)
+            assert check_short_cycle(g, 5, cycle) == (True, None)
 
 
 def fifo_kahn(d):
@@ -252,6 +257,30 @@ class TestMutations:
         assert closed_cycle_arcs(eight, (0, 1, 2, 0, 3, 4)) is None
         # of parallel arcs the lowest id
         assert closed_cycle_arcs(arc_index(SimpleNamespace(arcs=[(1, 0), (0, 1), (0, 1)])), (0, 1)) == (1, 0)
+
+    def test_counting_bound_mutations(self):
+        d12 = gadget_dg(12)
+        cb = fasd_exact(d12).refutation
+        cycles, arcs, bound = list(cb.cycles), cb.arcs, cb.bound
+        check = lambda *family: check_counting_bound(d12, *family)
+        assert check(cycles, arcs, bound) == (True, None)
+        # a vertex dropped from a cycle skips an arc: the walk does not close
+        shortened = [cycles[0][:3] + cycles[0][4:]] + cycles[1:]
+        assert check(shortened, arcs, bound) == (False, "cycle 0 is not a closed cycle of D")
+        # a cycle twice puts each arc it shares with another cycle on three
+        ok, why = check(cycles + cycles[:1], arcs, bound)
+        assert not ok and why.endswith("lies on three of the cycles")
+        assert check(cycles, arcs, bound + 1) == (False, "bound 11 is not 21 // 2")
+        assert check(cycles, arcs[1:], bound) == (False, "the arcs are not the union of the cycles")
+        assert check([], (), 0) == (False, "the family has no cycles")
+
+    def test_short_cycle_mutations(self):
+        ref = fasd_exact(directed_cycle(5)).refutation
+        assert check_short_cycle(directed_cycle(5), ref.t, ref.cycle) == (True, None)
+        h5, cyc = gadget_h5(), (0, 5, 1, 6)
+        assert check_short_cycle(h5, 5, cyc) == (True, None)
+        assert check_short_cycle(h5, 4, cyc) == (False, "the cycle has 4 arcs, not fewer than 4")
+        assert check_short_cycle(h5, 5, cyc[::-1]) == (False, "the cycle is not a closed cycle of D")
 
     def test_triple_needs_three_orders(self):
         d = directed_cycle(3)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from fasdlab.certcheck import check_coloring, check_counting_bound
 from fasdlab.cli import main
+from fasdlab.fileio import read_digraph
 
 
 def run(argv, capsys):
@@ -88,6 +90,25 @@ class TestSolvers:
         assert code == 0 and out.splitlines()[0] == "fasd 7"
         doc = json.loads(cert.read_text())
         assert doc["schema"] == "fasdlab-cert-v1" and doc["value"] == 7
+
+    def test_fasd_certificate_carries_the_counting_bound(self, tmp_path, capsys):
+        f, cert = tmp_path / "d12.txt", tmp_path / "cert.json"
+        run(["gen", "dg", "--g", "12", "-o", str(f)], capsys)
+        code, out, _ = run(["fasd", str(f), "--certificate", str(cert)], capsys)
+        assert code == 0 and out.splitlines()[0] == "fasd 10"
+        ref = json.loads(cert.read_text())["refutation"]
+        assert ref["bound"] == 10 and len(ref["cycles"]) == 3
+        cycles = [tuple(c) for c in ref["cycles"]]
+        assert check_counting_bound(read_digraph(str(f)), cycles, ref["arcs"], 10) == (True, None)
+
+    def test_fasd_fixed_t_writes_the_coloring(self, d8_file, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(["fasd", d8_file, "--t", "7", "--certificate", str(cert)], capsys)
+        assert code == 0 and out.startswith("t=7 sat")
+        doc = json.loads(cert.read_text())
+        assert doc["kind"] == "good-coloring" and doc["t"] == 7
+        coloring = {int(a): c for a, c in doc["coloring"].items()}
+        assert check_coloring(read_digraph(d8_file), coloring, 7) == (True, None)
 
     def test_fasd_budget_zero_exit_3(self, d8_file, capsys):
         code, out, _ = run(["fasd", d8_file, "--budget", "0"], capsys)

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from fasdlab.certcheck import arc_index, closed_cycle_arcs
+from fasdlab.certcheck import arc_index, check_counting_bound, check_short_cycle, closed_cycle_arcs
+from fasdlab.checks import oracle_corpus_fasd
 from fasdlab.coloring import (
     ConflictClique,
+    CountingBound,
     ShortCycleRefutation,
     _pk_repair,
-    coloring_classes,
+    counting_bound,
     fasd_brute,
     fasd_exact,
     good_coloring_search,
@@ -37,6 +39,7 @@ from fasdlab.generators import (
     rotational_tournament,
 )
 from fasdlab.ordering import fas_exact
+from test_golden import fasd_corpus
 
 
 def reference_verify(d, coloring, t):
@@ -201,10 +204,19 @@ class TestFasdExact:
     def test_witness_classes_are_feedback_sets(self):
         d = random_orgraph(9, 4, 3, seed=3)
         cert = fasd_exact(d)
-        classes = coloring_classes(cert.witness, cert.value)
-        for ids in classes.values():
-            keep = [uv for a, uv in enumerate(d.arcs) if a not in set(ids)]
+        for c in range(1, cert.value + 1):
+            keep = [uv for a, uv in enumerate(d.arcs) if cert.witness[a] != c]
             assert is_acyclic(Digraph(d.n, keep))[0]
+
+    def test_refutations_pass_the_checker(self):
+        for d in fasd_corpus() + [gadget_dg(12)]:
+            ref = fasd_exact(d).refutation
+            if isinstance(ref, ShortCycleRefutation):
+                assert check_short_cycle(d, ref.t, ref.cycle) == (True, None)
+            elif isinstance(ref, CountingBound):
+                assert check_counting_bound(d, ref.cycles, ref.arcs, ref.bound) == (True, None)
+            else:
+                assert ref.check(d)
 
     def test_matches_brute_oracle_small(self):
         rng = random.Random(7)
@@ -213,12 +225,31 @@ class TestFasdExact:
             assert fasd_brute(d) == fasd_exact(d).value
 
     def test_node_budget_is_total_over_levels(self):
-        # t = 11 is refuted by 10547 nodes, and t = 10 needs 1480 more
-        cert = fasd_exact(gadget_dg(12), node_budget=11_000)
+        # without cliques t = 8 is refuted by 8 nodes, and t = 7 needs 15 more
+        d8 = gadget_dg(8)
+        cert = fasd_exact(d8, node_budget=22, use_clique_refutation=False)
         assert cert.value is None
-        assert (cert.lo, cert.hi) == (2, 10)
-        assert cert.nodes == 11_001
-        assert fasd_exact(gadget_dg(12), node_budget=12_027).value == 10
+        assert (cert.lo, cert.hi) == (2, 7)
+        assert cert.nodes == 23
+        assert fasd_exact(d8, node_budget=23, use_clique_refutation=False).value == 7
+
+    def test_counting_bound_refutes_the_levels_above_it(self):
+        # dg12: t = 12 falls to a clique and t = 11 to the bound of the three
+        # 12-cycles, so only the sat level t = 10 is searched
+        d12 = gadget_dg(12)
+        cert = fasd_exact(d12)
+        assert (cert.value, cert.nodes) == (10, 1480)
+        ref = cert.refutation
+        assert isinstance(ref, CountingBound) and ref.bound == 10 and len(ref.cycles) == 3
+        assert check_counting_bound(d12, ref.cycles, ref.arcs, ref.bound) == (True, None)
+        assert verify_good_coloring(d12, cert.witness, 10) == (True, None)
+
+    def test_budget_stop_below_the_counting_bound(self):
+        # dg16: t = 15 and 14 lie above the bound 13, so the budget runs out at t = 13
+        cert = fasd_exact(gadget_dg(16), node_budget=200_000)
+        assert cert.value is None
+        assert (cert.lo, cert.hi) == (2, 13)
+        assert isinstance(cert.refutation, CountingBound) and cert.refutation.bound == 13
 
     def test_circulants_meet_girth_within_budget(self):
         # arcs on the most girth cycles go first: every two-jump circulant of
@@ -351,6 +382,41 @@ class TestCountingBound:
         d = gadget_dg(4)
         cert = fasd_exact(d)
         assert cert.value <= verify_counting_bound(d, 4).bound
+
+    def test_gadget_output_passes_the_checker(self):
+        for g in range(4, 17, 2):
+            d = gadget_dg(g)
+            cb = verify_counting_bound(d, g)
+            assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
+
+
+class TestGirthCountingBound:
+    def test_gadget_closed_form(self):
+        # the greedy finds verify_counting_bound's three cycles
+        for g in range(8, 21, 2):
+            d = gadget_dg(g)
+            cb = counting_bound(d, g)
+            assert cb.bound == g - (g // 4 - 1)
+            assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
+            index = arc_index(d)
+            arc_sets = lambda cycles: sorted(sorted(closed_cycle_arcs(index, c)) for c in cycles)
+            assert arc_sets(cb.cycles) == arc_sets(verify_counting_bound(d, g).cycles)
+
+    def test_never_below_the_brute_oracle(self):
+        for seed in range(10):
+            for d in oracle_corpus_fasd(seed, 100):
+                g = girth(d)
+                if g is INFINITE:
+                    continue
+                cb = counting_bound(d, g)
+                assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
+                assert cb.bound >= fasd_brute(d)
+
+    def test_never_below_the_exact_value(self):
+        for d in fasd_corpus():
+            cb = counting_bound(d, girth(d))
+            assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
+            assert cb.bound >= fasd_exact(d).value
 
 
 class TestSmallCasesUnsat:
