@@ -5,6 +5,7 @@ import pytest
 from fasdlab.certcheck import arc_index, check_counting_bound, check_short_cycle, closed_cycle_arcs
 from fasdlab.checks import oracle_corpus_fasd
 from fasdlab.coloring import (
+    EXHAUSTED,
     ConflictClique,
     CountingBound,
     ShortCycleRefutation,
@@ -225,13 +226,14 @@ class TestFasdExact:
             assert fasd_brute(d) == fasd_exact(d).value
 
     def test_node_budget_is_total_over_levels(self):
-        # without cliques t = 8 is refuted by 8 nodes, and t = 7 needs 15 more
-        d8 = gadget_dg(8)
-        cert = fasd_exact(d8, node_budget=22, use_clique_refutation=False)
+        # c15(1, 4, 6): t = 4 is refuted by 3406 nodes, and t = 3 needs 22393 more
+        d = circulant_digraph(15, [1, 4, 6])
+        cert = fasd_exact(d, node_budget=25798)
         assert cert.value is None
-        assert (cert.lo, cert.hi) == (2, 7)
-        assert cert.nodes == 23
-        assert fasd_exact(d8, node_budget=23, use_clique_refutation=False).value == 7
+        assert (cert.lo, cert.hi) == (2, 3)
+        assert cert.refutation == EXHAUSTED
+        assert cert.nodes == 25799
+        assert fasd_exact(d, node_budget=25799).value == 3
 
     def test_counting_bound_refutes_the_levels_above_it(self):
         # dg12: t = 12 falls to a clique and t = 11 to the bound of the three
