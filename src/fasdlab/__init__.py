@@ -24,7 +24,6 @@ from .coloring import (
     fasd_exact,
     good_coloring_search,
     refute_by_conflict_clique,
-    verify_counting_bound,
     verify_good_coloring,
 )
 from .delta3 import (
@@ -74,7 +73,6 @@ from .triples import (
     extend_along_antidirected,
     good_triple_transitive,
     good_vtriple_nonregular,
-    insert_no_backward,
     verify_good_triple,
 )
 
@@ -117,7 +115,6 @@ __all__ = [
     "good_g_coloring",
     "good_triple_transitive",
     "good_vtriple_nonregular",
-    "insert_no_backward",
     "is_acyclic",
     "lambda_extremes",
     "max_degree",
@@ -127,7 +124,6 @@ __all__ = [
     "reduce_digons",
     "refute_by_conflict_clique",
     "strong_components",
-    "verify_counting_bound",
     "verify_good_coloring",
     "verify_good_triple",
 ]

@@ -183,6 +183,34 @@ def check_counting_bound(d, cycles, arcs, bound):
     return True, None
 
 
+def check_conflict_clique(d, t, arcs, witness):
+    """More than t distinct arcs, each pair (a, b) with a < b sharing the
+    closed cycle of exactly t arcs ``witness[(a, b)]``.
+
+    A good t-colouring gives the t arcs of a t-cycle t distinct colours, so
+    arcs that pairwise share one need distinct colours, and more than t of
+    them refute every good t-colouring.
+    """
+    if len(set(arcs)) != len(arcs):
+        return False, "an arc is repeated"
+    if len(arcs) <= t:
+        return False, f"{len(arcs)} arcs are not more than {t}"
+    index = arc_index(d)
+    for i, a in enumerate(arcs):
+        for b in arcs[i + 1 :]:
+            cycle = witness.get((min(a, b), max(a, b)))
+            if cycle is None:
+                return False, f"arcs {a} and {b} have no witness"
+            if len(cycle) != t:
+                return False, f"the witness of arcs {a} and {b} has {len(cycle)} arcs, not {t}"
+            ids = closed_cycle_arcs(index, cycle)
+            if ids is None:
+                return False, f"the witness of arcs {a} and {b} is not a closed cycle of D"
+            if a not in ids or b not in ids:
+                return False, f"the witness of arcs {a} and {b} misses one of them"
+    return True, None
+
+
 def check_short_cycle(d, t, cycle):
     """A closed cycle of D with fewer than t arcs: it cannot carry t colours,
     so D has no good t-colouring."""

@@ -34,7 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certcheck import arc_index, check_coloring, check_counting_bound, closed_cycle_arcs
+from .certcheck import (
+    arc_index,
+    check_coloring,
+    check_conflict_clique,
+    check_counting_bound,
+    closed_cycle_arcs,
+)
 from .digraph import (
     INFINITE,
     BudgetError,
@@ -324,27 +330,13 @@ class ConflictClique:
     On a t-cycle a good t-coloring is a bijection onto the colors, so arcs
     sharing such a cycle need distinct colors; a clique of size t+1 is
     therefore a proof that no good t-coloring exists.  ``witness`` maps each
-    arc pair to a shared tight cycle.
+    arc pair to a shared tight cycle.  ``certcheck.check_conflict_clique``
+    checks exactly this.
     """
 
     t: int
     arcs: tuple
     witness: dict = field(hash=False)
-
-    def check(self, d: Digraph) -> bool:
-        if len(set(self.arcs)) != len(self.arcs) or len(self.arcs) <= self.t:
-            return False
-        index = arc_index(d)
-        for i, a in enumerate(self.arcs):
-            for b in self.arcs[i + 1 :]:
-                key = (min(a, b), max(a, b))
-                cyc = self.witness.get(key)
-                if cyc is None or len(cyc) != self.t:
-                    return False
-                ids = closed_cycle_arcs(index, cyc) or ()
-                if a not in ids or b not in ids:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -442,10 +434,10 @@ def refute_by_conflict_clique(d: Digraph, t: int) -> ConflictClique | None:
     for i, a in enumerate(arcs):
         for b in arcs[i + 1 :]:
             witness[(a, b)] = pair_witness[(a, b)]
-    clique = ConflictClique(t, arcs, witness)
-    if not clique.check(d):  # pragma: no cover - would witness a builder bug
-        raise AssertionError("constructed clique fails its own check")
-    return clique
+    ok, why = check_conflict_clique(d, t, arcs, witness)
+    if not ok:  # pragma: no cover - would witness a builder bug
+        raise AssertionError(f"constructed clique fails its check: {why}")
+    return ConflictClique(t, arcs, witness)
 
 
 def counting_bound(d: Digraph, g: int) -> CountingBound:
@@ -479,49 +471,6 @@ def counting_bound(d: Digraph, g: int) -> CountingBound:
     return CountingBound(tuple(c for c, _ in family), tuple(arcs), best)
 
 
-def verify_counting_bound(d: Digraph, g: int) -> CountingBound:
-    """Check the three-cycle double count on the three-path gadget.
-
-    Reconstructs the cycles pairing the defining paths, checks that each is a
-    closed cycle of D, that every path arc lies on exactly two of them and
-    every connector arc on exactly one, and emits the bound
-    floor(|A' u A''| / 2) = g - floor(g/4 - 1).
-    """
-    from .generators import dg_paths, gadget_dg
-
-    if d != gadget_dg(g):
-        raise ValueError("input is not the three-path gadget for this g")
-    k = g // 2
-    paths = dg_paths(g)
-    cycles = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        cycles.append(tuple(paths[i] + paths[j]))
-    path_arcs = set()
-    for p in paths:
-        for x in range(k - 1):
-            path_arcs.add(d.arc_id(p[x], p[x + 1]))
-    connector_arcs = set(range(d.m)) - path_arcs
-    count = {a: 0 for a in range(d.m)}
-    index = arc_index(d)
-    for cyc in cycles:
-        ids = closed_cycle_arcs(index, cyc)
-        if ids is None:
-            raise AssertionError("two of the paths do not close a cycle of D")
-        for a in ids:
-            count[a] += 1
-    for a in path_arcs:
-        if count[a] != 2:
-            raise AssertionError("path arc not on exactly two of the cycles")
-    for a in connector_arcs:
-        if count[a] != 1:
-            raise AssertionError("connector arc not on exactly one cycle")
-    total = len(path_arcs) + len(connector_arcs)
-    bound = total // 2
-    if bound != g - (g // 4 - 1):
-        raise AssertionError("arc-count arithmetic disagrees with the closed form")
-    return CountingBound(tuple(cycles), tuple(sorted(count)), bound)
-
-
 # ---------------------------------------------------------------------------
 # the exact decomposition number
 
@@ -550,11 +499,7 @@ class FasdCertificate:
         return self.value is not None
 
 
-def fasd_exact(
-    d: Digraph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    use_clique_refutation: bool = True,
-) -> FasdCertificate:
+def fasd_exact(d: Digraph, node_budget: int = DEFAULT_NODE_BUDGET) -> FasdCertificate:
     """Largest t admitting a good t-coloring, searched downward from the girth.
 
     Conflict-clique refutations run before each search level; when one exists
@@ -566,11 +511,11 @@ def fasd_exact(
     family with at least ceil(k/2) arcs of its union.  The girth level, sat on
     most inputs, never pays for the bound, and the level that is sat is
     searched as before, so the value and witness are those of the plain
-    downward search.  fasd >= 2 holds
-    for every non-acyclic digraph (the backward and forward arcs of any
-    ordering are both feedback arc sets), so the loop always terminates with a
-    witness unless the budget is hit first.  ``node_budget`` bounds the total
-    search nodes over all levels: each level gets what the earlier ones left.
+    downward search.  fasd >= 2 holds for every non-acyclic digraph (the
+    backward and forward arcs of any ordering are both feedback arc sets), so
+    the loop always terminates with a witness unless the budget is hit first.
+    ``node_budget`` bounds the total search nodes over all levels: each level
+    gets what the earlier ones left.
     """
     g = girth(d)
     if g is INFINITE:
@@ -587,11 +532,10 @@ def fasd_exact(
         if bound is not None and t > bound.bound:
             refutations[t] = bound
             continue
-        if use_clique_refutation:
-            clique = refute_by_conflict_clique(d, t)
-            if clique is not None:
-                refutations[t] = clique
-                continue
+        clique = refute_by_conflict_clique(d, t)
+        if clique is not None:
+            refutations[t] = clique
+            continue
         res = good_coloring_search(d, t, node_budget=node_budget - total_nodes)
         total_nodes += res.nodes
         if res.status == "sat":

@@ -34,10 +34,8 @@ from .digraph import (
     GraphError,
     MultiDigraph,
     Peel,
-    View,
     _shortest_cycle,
     girth,
-    is_acyclic,
     max_degree,
 )
 from .generators import is_digon_odd_cycle
@@ -793,13 +791,13 @@ def fvs_exact(d) -> FvsCertificate:
     """
     if d.n > FVS_EXACT_MAX_N:
         raise BudgetError(f"exact FVS refused for n={d.n} > {FVS_EXACT_MAX_N}")
-    full = View(Digraph(d.n, sorted(set(d.arcs))))
+    simple = Digraph(d.n, sorted(set(d.arcs)))
     cycles = {}  # removed set -> its shortest cycle, shared by all levels
     packings = {}  # removed set -> the size of its greedy cycle packing
 
     def cycle(removed, floor):
         if removed not in cycles:
-            cycles[removed] = _shortest_cycle(full.without(removed), floor)
+            cycles[removed] = _shortest_cycle(simple, removed, floor)
         return cycles[removed]
 
     def packing(removed, floor):
@@ -829,7 +827,7 @@ def fvs_exact(d) -> FvsCertificate:
             ok, what = check_fvs(d, s)
             if not ok:  # pragma: no cover - would witness a search bug
                 raise AssertionError(f"fvs_exact returned {s}, but {what}")
-            exceptional = is_digon_odd_cycle(full.d)
+            exceptional = is_digon_odd_cycle(simple)
             within = 2 * len(s) <= d.n
             return FvsCertificate(s, True, within, exceptional)
     raise AssertionError("unreachable: removing all vertices is acyclic")
@@ -839,14 +837,9 @@ def fvs_brute(d):
     """Independent oracle: smallest vertex subset whose removal is acyclic."""
     if d.n > _FVS_BRUTE_MAX_N:
         raise BudgetError(f"brute force refused for n={d.n} > {_FVS_BRUTE_MAX_N}")
-    arcs = sorted(set(d.arcs))
     for k in range(d.n + 1):
         for combo in itertools.combinations(range(d.n), k):
-            drop = set(combo)
-            keep = [uv for uv in arcs if uv[0] not in drop and uv[1] not in drop]
-            idx = {v: i for i, v in enumerate(x for x in range(d.n) if x not in drop)}
-            sub = Digraph(d.n - k, [(idx[u], idx[v]) for u, v in keep])
-            if is_acyclic(sub)[0]:
+            if check_fvs(d, combo)[0]:
                 return combo
     return tuple(range(d.n))
 

@@ -217,30 +217,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class View:
-    """Vertex-subset view of a fixed digraph, for the structural queries.
-
-    ``without`` deletes vertices by shrinking the active set, never by copying
-    the graph; ``shortest_cycle`` and ``strong_components`` read the arcs
-    between active vertices in the digraph's arc order.
-    """
-
-    __slots__ = ("d", "active", "_out")
-
-    def __init__(self, d: _BaseDigraph, vertices=None):
-        self.d = d
-        self.active = frozenset(range(d.n) if vertices is None else vertices)
-        self._out = d._out
-
-    def without(self, vs) -> "View":
-        return View(self.d, self.active.difference(vs))
-
-
 class Peel:
     """Live adjacency of a digraph under vertex and arc deletion.
 
     The peeling constructions remove a few vertices per step from one mutable
-    structure instead of deriving a smaller view per step.  ``out[v]`` and
+    structure instead of building a smaller digraph per step.  ``out[v]`` and
     ``inn[v]`` hold the live arcs at a live vertex v as (neighbour, arc id)
     pairs in arc order, so they read exactly like the arc lists of the induced
     subgraph on the live vertices; deleting a vertex or an arc costs
@@ -472,14 +453,14 @@ def max_degree(d: _BaseDigraph) -> int:
 
 
 def shortest_cycle(d):
-    """A shortest directed cycle of a digraph or View, as a vertex list, or None.
+    """A shortest directed cycle of a digraph, as a vertex list, or None.
 
     BFS from every vertex in increasing id over arcs in arc order; a strictly
     shorter cycle replaces the best so far, so the answer starts at the
     smallest vertex on any shortest cycle and closes with the first arc back
     to it in BFS order.  A digon counts as a cycle of length 2; parallel arcs
     never shorten a cycle.  A digraph keeps its answer, so the search runs
-    once per digraph (not per View); every call returns a fresh list.
+    once per digraph; every call returns a fresh list.
 
     The BFS from root s enqueues only vertices above s, which cannot change
     the answer.  Root s replaces the best cycle only with a strictly shorter
@@ -490,26 +471,27 @@ def shortest_cycle(d):
     the same order as in the unrestricted BFS, and when s improves nothing
     the restricted BFS, whose distances are never shorter, finds nothing too.
     """
-    if isinstance(d, View):
-        return _shortest_cycle(d)
     kept = getattr(d, "_cycle", None)
     if kept is None:
-        cycle = _shortest_cycle(View(d))
+        cycle = _shortest_cycle(d, ())
         kept = () if cycle is None else tuple(cycle)
         object.__setattr__(d, "_cycle", kept)
     return list(kept) or None
 
 
-def _shortest_cycle(view: View, floor: int = 2):
-    """``shortest_cycle`` of a view, given that its girth is at least ``floor``.
+def _shortest_cycle(d: _BaseDigraph, removed, floor: int = 2):
+    """``shortest_cycle`` of D without the vertices in ``removed``, given that
+    its girth is at least ``floor``; nothing is kept.
 
     The roots stop once the best cycle has ``floor`` vertices: a later root
     replaces it only with a strictly shorter one, so the answer is the same
     for every floor up to the girth.
     """
-    act, out = view.active, view._out
+    out = d._out
     best = None
-    for s in sorted(act):
+    for s in range(d.n):
+        if s in removed:
+            continue
         parent = {s: None}
         q = deque([(s, 0)])
         while q:
@@ -524,7 +506,7 @@ def _shortest_cycle(view: View, floor: int = 2):
                     best.reverse()
                     q.clear()
                     break
-                if v > s and v in act and v not in parent:
+                if v > s and v not in removed and v not in parent:
                     parent[v] = u
                     q.append((v, du + 1))
         if best is not None and len(best) <= floor:
@@ -538,16 +520,13 @@ def girth(d: _BaseDigraph):
     return INFINITE if cycle is None else len(cycle)
 
 
-def strong_components(d):
-    """SCC partition of a digraph or View, in topological order of the condensation.
+def strong_components(d: _BaseDigraph):
+    """SCC partition of a digraph, in topological order of the condensation.
 
     Iterative Tarjan with roots in increasing vertex id and arcs in arc order.
     Components are sorted vertex lists; the component list as a whole is
     emitted sources first, so every arc between components goes forward.
     """
-    if isinstance(d, View):
-        act = d.active
-        return _tarjan(sorted(act), {v: [e for e in d._out[v] if e[0] in act] for v in act})
     return _tarjan(range(d.n), d._out)
 
 
@@ -780,16 +759,3 @@ def eulerian_orient(g: Graph) -> Digraph:
                     break
     return Digraph(g.n, arcs)
 
-
-def induced_subgraph(d: Digraph, vertices) -> Digraph:
-    """Induced sub-digraph with vertices relabeled to 0..k-1 (sorted order)."""
-    vs = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(vs)}
-    arcs = []
-    weights = [] if d.weighted else None
-    for a, (u, v) in enumerate(d.arcs):
-        if u in pos and v in pos:
-            arcs.append((pos[u], pos[v]))
-            if weights is not None:
-                weights.append(d.weights[a])
-    return Digraph(len(vs), arcs, weights)

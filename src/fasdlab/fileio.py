@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, is_dataclass
 
-from .digraph import Digraph, Graph, GraphError
+from .digraph import Digraph, GraphError
 
 CERT_SCHEMA = "fasdlab-cert-v1"
 
@@ -108,16 +108,6 @@ def to_dot(d: Digraph) -> str:
             lines.append(f'  {u} -> {v} [label="{d.weights[a]!r}"];')
         else:
             lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_dot(g: Graph) -> str:
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

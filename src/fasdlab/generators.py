@@ -140,12 +140,6 @@ def gadget_dg(g: int) -> Digraph:
     return Digraph(3 * k, arcs)
 
 
-def dg_paths(g: int):
-    """Vertex lists of the three defining paths of gadget_dg(g)."""
-    k = g // 2
-    return [list(range(j * k, j * k + k)) for j in range(3)]
-
-
 def gadget_co(length: int) -> Digraph:
     """Odd undirected cycle with every edge replaced by a digon."""
     if length < 3 or length % 2 == 0:

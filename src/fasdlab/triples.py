@@ -60,25 +60,6 @@ def is_antidirected_path(d: Digraph, path) -> bool:
     return all(a != b for a, b in zip(dirs, dirs[1:]))
 
 
-def insert_no_backward(order, x: int, d: Digraph):
-    """Insert x so no arc incident with x is backward; error when impossible.
-
-    Works over the vertices present in ``order``: all in-neighbors of x there
-    must be placeable before x and all out-neighbors after.  A failure signals
-    a caller logic bug, not bad data.
-    """
-    present = set(order)
-    pos = {v: i for i, v in enumerate(order)}
-    ins = [pos[u] for u in d.in_neighbors(x) if u in present]
-    outs = [pos[u] for u in d.out_neighbors(x) if u in present]
-    lo = max(ins, default=-1)
-    hi = min(outs, default=len(order))
-    if lo >= hi:
-        raise GraphError(f"no insertion slot for vertex {x} avoids backward arcs")
-    slot = lo + 1
-    return list(order[:slot]) + [x] + list(order[slot:])
-
-
 # ---------------------------------------------------------------------------
 # the recursions of the proof run as loops over one Peel: a chain of steps each
 # deletes a vertex top-down, then the orderings are built bottom-up in _Orders

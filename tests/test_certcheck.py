@@ -17,6 +17,7 @@ from fasdlab.certcheck import (
     backward_arc_ids,
     bas,
     check_coloring,
+    check_conflict_clique,
     check_counting_bound,
     check_fas_order,
     check_fas_sixth,
@@ -86,7 +87,7 @@ class TestIndependence:
             assert tuple(backward_arc_ids(g, cert.order)) == cert.arc_ids
         for g in (h5, plain(h5)):
             assert closed_cycle_arcs(arc_index(g), cycle) == walk_ids(h5, cycle)
-            assert clique.check(g)
+            assert check_conflict_clique(g, 4, clique.arcs, clique.witness) == (True, None)
             assert check_counting_bound(g, bound.cycles, bound.arcs, bound.bound) == (True, None)
             assert check_short_cycle(g, 5, cycle) == (True, None)
 
@@ -131,7 +132,7 @@ def fas_orders():
 
 class TestMutations:
     """Each mutation is rejected; between them they reach every rejecting
-    return of the rules.  ``ConflictClique.check``'s are in test_coloring."""
+    return of the rules.  ``check_conflict_clique``'s are in test_coloring."""
 
     def test_colouring_missing_an_arc_raises(self):
         d = random_orgraph(20, 3, 4, seed=1, arc_target=30)

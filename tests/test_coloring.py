@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from fasdlab.certcheck import arc_index, check_counting_bound, check_short_cycle, closed_cycle_arcs
+from fasdlab.certcheck import (
+    arc_index,
+    check_conflict_clique,
+    check_counting_bound,
+    check_short_cycle,
+    closed_cycle_arcs,
+)
 from fasdlab.checks import oracle_corpus_fasd
 from fasdlab.coloring import (
     EXHAUSTED,
-    ConflictClique,
     CountingBound,
     ShortCycleRefutation,
     _pk_repair,
@@ -15,7 +20,6 @@ from fasdlab.coloring import (
     fasd_exact,
     good_coloring_search,
     refute_by_conflict_clique,
-    verify_counting_bound,
     verify_good_coloring,
 )
 from fasdlab.delta3 import good_g_coloring
@@ -217,7 +221,7 @@ class TestFasdExact:
             elif isinstance(ref, CountingBound):
                 assert check_counting_bound(d, ref.cycles, ref.arcs, ref.bound) == (True, None)
             else:
-                assert ref.check(d)
+                assert check_conflict_clique(d, ref.t, ref.arcs, ref.witness) == (True, None)
 
     def test_matches_brute_oracle_small(self):
         rng = random.Random(7)
@@ -305,7 +309,7 @@ class TestConflictClique:
         clique = refute_by_conflict_clique(h5, 4)
         assert clique is not None
         assert len(clique.arcs) == 5
-        assert clique.check(h5)
+        assert check_conflict_clique(h5, 4, clique.arcs, clique.witness) == (True, None)
         # the clique is exactly the oriented matching
         matching_ids = {h5.arc_id(i, 5 + i) for i in range(5)}
         assert set(clique.arcs) == matching_ids
@@ -314,7 +318,7 @@ class TestConflictClique:
         h4 = gadget_h4()
         clique = refute_by_conflict_clique(h4, 6)
         assert clique is not None and len(clique.arcs) == 7
-        assert clique.check(h4)
+        assert check_conflict_clique(h4, 6, clique.arcs, clique.witness) == (True, None)
         split_ids = {h4.arc_id(2 * i, 2 * i + 1) for i in range(7)}
         assert set(clique.arcs) == split_ids
 
@@ -322,7 +326,7 @@ class TestConflictClique:
         h3 = gadget_h3()
         clique = refute_by_conflict_clique(h3, 9)
         assert clique is not None and len(clique.arcs) == 10
-        assert clique.check(h3)
+        assert check_conflict_clique(h3, 9, clique.arcs, clique.witness) == (True, None)
         split_ids = set()
         for i in range(5):
             split_ids.add(h3.arc_id(3 * i, 3 * i + 1))
@@ -332,25 +336,34 @@ class TestConflictClique:
     def test_check_rejects_broken_h5_cliques(self):
         h5 = gadget_h5()
         clique = refute_by_conflict_clique(h5, 4)
-        assert not ConflictClique(4, clique.arcs[:4], clique.witness).check(h5)
+        check = lambda arcs, witness: check_conflict_clique(h5, 4, arcs, witness)
+        assert check(clique.arcs[:4], clique.witness) == (False, "4 arcs are not more than 4")
         # an arc twice, even with a witness for the pair it makes with itself
         a = clique.arcs[0]
         twice = {**clique.witness, (a, a): clique.witness[(a, clique.arcs[1])]}
-        assert not ConflictClique(4, clique.arcs[:4] + (a,), twice).check(h5)
+        assert check(clique.arcs[:4] + (a,), twice) == (False, "an arc is repeated")
         # swap the witness of one pair for a 6-cycle through both of its arcs,
         # a 4-cycle that misses the second arc, the witness shortened, reversed
-        # (against the arcs, which raised KeyError) or repeating a vertex
+        # (against the arcs) or repeating a vertex
         (a, b), cyc = min(clique.witness.items())
         assert (a, b, cyc) == (0, 1, (0, 5, 1, 6))
         index = arc_index(h5)
         cycles = [(c, set(closed_cycle_arcs(index, c))) for c in enumerate_cycles(h5, 6).cycles]
         longer = next(c for c, ids in cycles if len(c) == 6 and {a, b} <= ids)
         misses = next(c for c, ids in cycles if len(c) == 4 and a in ids and b not in ids)
-        for broken in (longer, misses, cyc[:-1], cyc[::-1], (0, 5, 0, 6)):
+        why = {
+            longer: "the witness of arcs 0 and 1 has 6 arcs, not 4",
+            misses: "the witness of arcs 0 and 1 misses one of them",
+            cyc[:-1]: "the witness of arcs 0 and 1 has 3 arcs, not 4",
+            cyc[::-1]: "the witness of arcs 0 and 1 is not a closed cycle of D",
+            (0, 5, 0, 6): "the witness of arcs 0 and 1 is not a closed cycle of D",
+        }
+        for broken, reason in why.items():
             witness = {**clique.witness, (a, b): broken}
-            assert not ConflictClique(4, clique.arcs, witness).check(h5)
+            assert check(clique.arcs, witness) == (False, reason)
         del witness[(a, b)]
-        assert not ConflictClique(4, clique.arcs, witness).check(h5)
+        assert check(clique.arcs, witness) == (False, "arcs 0 and 1 have no witness")
+        assert check(clique.arcs, clique.witness) == (True, None)
 
     def test_directed_cycle_has_none(self):
         assert refute_by_conflict_clique(directed_cycle(6), 6) is None
@@ -358,51 +371,63 @@ class TestConflictClique:
     def test_d8_has_9_clique_at_t8(self):
         clique = refute_by_conflict_clique(gadget_dg(8), 8)
         assert clique is not None and len(clique.arcs) == 9
-        assert clique.check(gadget_dg(8))
+        assert check_conflict_clique(gadget_dg(8), 8, clique.arcs, clique.witness) == (True, None)
 
 
 class TestCountingBound:
+    """The bound on the three-path gadget, the double count of result (iii)."""
+
     def test_closed_form_even_g(self):
         # bound = floor((3(k-1)+6)/2) for g = 2k; strictly below g from g = 8 on
         expected = {4: 4, 6: 6, 8: 7, 10: 9, 12: 10, 14: 12, 16: 13}
         for g, want in expected.items():
-            cb = verify_counting_bound(gadget_dg(g), g)
+            cb = counting_bound(gadget_dg(g), g)
             assert cb.bound == want == g - (g // 4 - 1)
             if g >= 8:
                 assert cb.bound < g
 
     def test_d8_arithmetic(self):
-        cb = verify_counting_bound(gadget_dg(8), 8)
-        assert len(cb.arcs) == 15 and cb.bound == 7
+        cb = counting_bound(gadget_dg(8), 8)
+        assert len(cb.cycles) == 3 and len(cb.arcs) == 15 and cb.bound == 7
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            verify_counting_bound(directed_cycle(8), 8)
+        # one colour more, or a cycle dropped from the family, fails the check
+        d = gadget_dg(8)
+        cb = counting_bound(d, 8)
+        assert check_counting_bound(d, cb.cycles, cb.arcs, 8) == (False, "bound 8 is not 15 // 2")
+        assert check_counting_bound(d, cb.cycles[:2], cb.arcs, 7) == (
+            False,
+            "the arcs are not the union of the cycles",
+        )
 
     def test_bound_not_below_true_value(self):
         # exhaustive search at g = 4 confirms the counting bound is an upper bound
         d = gadget_dg(4)
         cert = fasd_exact(d)
-        assert cert.value <= verify_counting_bound(d, 4).bound
+        assert cert.value <= counting_bound(d, 4).bound
 
     def test_gadget_output_passes_the_checker(self):
         for g in range(4, 17, 2):
             d = gadget_dg(g)
-            cb = verify_counting_bound(d, g)
+            cb = counting_bound(d, g)
             assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
 
 
 class TestGirthCountingBound:
     def test_gadget_closed_form(self):
-        # the greedy finds verify_counting_bound's three cycles
+        # from g = 8 on the greedy finds the three cycles that pair the gadget's
+        # defining paths: each path arc is on two of them, each connector on one
         for g in range(8, 21, 2):
             d = gadget_dg(g)
             cb = counting_bound(d, g)
             assert cb.bound == g - (g // 4 - 1)
             assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
+            k = g // 2
+            paths = [list(range(j * k, j * k + k)) for j in range(3)]
+            pairs = [paths[i] + paths[j] for i, j in ((0, 1), (0, 2), (1, 2))]
             index = arc_index(d)
             arc_sets = lambda cycles: sorted(sorted(closed_cycle_arcs(index, c)) for c in cycles)
-            assert arc_sets(cb.cycles) == arc_sets(verify_counting_bound(d, g).cycles)
+            assert arc_sets(cb.cycles) == arc_sets(pairs)
 
     def test_never_below_the_brute_oracle(self):
         for seed in range(10):

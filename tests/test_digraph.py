@@ -10,7 +10,6 @@ from fasdlab.digraph import (
     GraphError,
     MultiDigraph,
     Peel,
-    View,
     _shortest_cycle,
     connected_components,
     degrees,
@@ -18,7 +17,6 @@ from fasdlab.digraph import (
     eulerian_orient,
     girth,
     is_acyclic,
-    induced_subgraph,
     reduce_digons,
     shortest_cycle,
     strong_components,
@@ -55,18 +53,20 @@ def brute_cycles(d, max_len):
     return found
 
 
-def reference_shortest_cycle(view):
-    """The shortest-cycle BFS without pruning: every root, every active head."""
-    act, out = view.active, view._out
+def reference_shortest_cycle(d, removed=()):
+    """The shortest-cycle BFS without pruning: every root and every head not
+    in ``removed``."""
     best = None
-    for s in sorted(act):
+    for s in range(d.n):
+        if s in removed:
+            continue
         parent = {s: None}
         q = deque([(s, 0)])
         while q:
             u, du = q.popleft()
             if best is not None and du + 1 >= len(best):
                 break
-            for v, _ in out[u]:
+            for v, _ in d.out_arcs(u):
                 if v == s:
                     best = [u]
                     while best[-1] != s:
@@ -74,7 +74,7 @@ def reference_shortest_cycle(view):
                     best.reverse()
                     q.clear()
                     break
-                if v in act and v not in parent:
+                if v not in removed and v not in parent:
                     parent[v] = u
                     q.append((v, du + 1))
     return best
@@ -90,11 +90,10 @@ def seeded_digraphs(count, seed):
 
 
 def seeded_views(count, seed):
-    """Whole-digraph views and views with up to half the vertices removed."""
+    """(digraph, removed vertex set): none removed, or up to half of them."""
     rng = random.Random(seed)
     for i, d in enumerate(seeded_digraphs(count, seed)):
-        view = View(d)
-        yield view.without(rng.sample(range(d.n), rng.randrange(d.n // 2 + 1))) if i % 2 else view
+        yield d, set(rng.sample(range(d.n), rng.randrange(d.n // 2 + 1))) if i % 2 else set()
 
 
 class TestInvariants:
@@ -212,25 +211,6 @@ class TestStrongComponents:
                 assert idx[u] <= idx[v]
 
 
-class TestView:
-    ARCS = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (0, 3)]
-
-    def test_without_leaves_the_original(self):
-        v = View(Digraph(5, self.ARCS))
-        w = v.without([0, 2])
-        assert w.active == {1, 3, 4} and v.active == set(range(5))
-        assert strong_components(w) == [[1], [3], [4]]
-        assert strong_components(v) == [[0, 1, 2], [3], [4]]
-
-    def test_scc_on_view_matches_induced_subgraph(self):
-        rng = random.Random(7)
-        for seed in range(40):
-            d = random_orgraph(18, 5, 3, seed=seed, arc_target=30, backbone=seed % 2 == 0)
-            keep = sorted(rng.sample(range(d.n), rng.randrange(1, d.n + 1)))
-            want = [[keep[i] for i in c] for c in strong_components(induced_subgraph(d, keep))]
-            assert strong_components(View(d, keep)) == want
-
-
 class TestPeel:
     ARCS = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (0, 3)]
 
@@ -281,7 +261,9 @@ class TestPeel:
             piece, root, before = sorted(pl.out), None, set()
             while piece:
                 alive = [v for v in piece if v in pl.out]
-                want = strong_components(View(d, alive))
+                keep = set(alive)
+                live = Digraph(d.n, [(u, v) for u, v in d.arcs if u in keep and v in keep])
+                want = [c for c in strong_components(live) if c[0] in keep]
                 old_root = root
                 root, comps, cut, touched = pl.split(piece, root)
                 got = list(comps)
@@ -341,8 +323,8 @@ class TestShortestCycle:
 
     def test_view_hides_removed_vertices(self):
         d = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4)])
-        assert shortest_cycle(View(d).without([0])) == [1, 2, 3]
-        assert shortest_cycle(View(d).without([0, 2])) is None
+        assert _shortest_cycle(d, {0}) == [1, 2, 3]
+        assert _shortest_cycle(d, {0, 2}) is None
 
     def test_digraph_keeps_its_answer(self):
         d = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4)])
@@ -357,25 +339,25 @@ class TestShortestCycle:
     def test_view_is_not_served_from_the_digraph(self):
         d = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4)])
         assert shortest_cycle(d) == [0, 1]
-        assert shortest_cycle(View(d).without({0})) == [1, 2, 3]
-        assert shortest_cycle(View(d)) == [0, 1]
+        assert _shortest_cycle(d, {0}) == [1, 2, 3]
+        assert shortest_cycle(d) == [0, 1]
 
     def test_matches_the_unpruned_search(self):
-        for view in seeded_views(2400, 1):
-            assert shortest_cycle(view) == reference_shortest_cycle(view)
+        for d, removed in seeded_views(2400, 1):
+            assert _shortest_cycle(d, removed) == reference_shortest_cycle(d, removed)
         for d in seeded_digraphs(600, 2):
-            assert shortest_cycle(d) == reference_shortest_cycle(View(d))
+            assert shortest_cycle(d) == reference_shortest_cycle(d)
         for seed in range(10):
             d = random_orgraph(60, 4, 3 + seed % 3, seed=seed, arc_target=110)
-            view = View(d).without(range(0, 60, 7 + seed))
-            assert shortest_cycle(view) == reference_shortest_cycle(view)
+            removed = set(range(0, 60, 7 + seed))
+            assert _shortest_cycle(d, removed) == reference_shortest_cycle(d, removed)
 
     def test_any_floor_up_to_the_girth_gives_the_same_cycle(self):
-        for view in seeded_views(600, 3):
-            cycle = _shortest_cycle(view)
-            top = len(cycle) if cycle else len(view.active) + 1
+        for d, removed in seeded_views(600, 3):
+            cycle = _shortest_cycle(d, removed)
+            top = len(cycle) if cycle else d.n - len(removed) + 1
             for floor in range(2, top + 1):
-                assert _shortest_cycle(view, floor) == cycle
+                assert _shortest_cycle(d, removed, floor) == cycle
 
     def test_kept_answer_leaves_equality_alone(self):
         arcs = [(0, 1), (1, 2), (2, 0)]

@@ -7,11 +7,10 @@ from fasdlab.fileio import (
     FormatError,
     certificate_json,
     format_digraph,
-    graph_to_dot,
     parse_digraph,
     to_dot,
 )
-from fasdlab.generators import gadget_dg, paley_graph, random_orgraph
+from fasdlab.generators import gadget_dg, random_orgraph
 
 
 class TestTextFormat:
@@ -62,10 +61,6 @@ class TestDot:
     def test_digraph_dot(self):
         dot = to_dot(Digraph(2, [(0, 1)]))
         assert "0 -> 1" in dot and dot.startswith("digraph")
-
-    def test_graph_dot(self):
-        dot = graph_to_dot(paley_graph(5))
-        assert "0 -- 1" in dot and dot.startswith("graph")
 
 
 class TestCertificates:

@@ -8,13 +8,11 @@ from fasdlab.generators import (
     random_two_regular_orgraph,
     rotational_tournament,
 )
-from fasdlab.ordering import backward_arc_ids
 from fasdlab.triples import (
     decompose3,
     extend_along_antidirected,
     good_triple_transitive,
     good_vtriple_nonregular,
-    insert_no_backward,
     is_subordering,
     verify_good_triple,
 )
@@ -35,25 +33,6 @@ class TestVerifyGoodTriple:
     def test_rejects_bad_permutation(self):
         with pytest.raises(ValueError):
             verify_good_triple(directed_cycle(3), ((0, 1), (0, 1, 2), (0, 1, 2)))
-
-
-class TestInsertNoBackward:
-    def test_no_in_neighbors_goes_first(self):
-        d = Digraph(3, [(2, 0), (2, 1)])
-        order = insert_no_backward([0, 1], 2, d)
-        assert order == [2, 0, 1]
-        assert backward_arc_ids(d, order) == []
-
-    def test_between_in_and_out_groups(self):
-        d = Digraph(5, [(0, 4), (1, 4), (4, 2), (4, 3)])
-        order = insert_no_backward([0, 1, 2, 3], 4, d)
-        assert backward_arc_ids(d, order) == []
-
-    def test_impossible_slot_raises(self):
-        # out-neighbor before in-neighbor: no valid slot
-        d = Digraph(3, [(2, 0), (1, 2)])
-        with pytest.raises(GraphError):
-            insert_no_backward([0, 1], 2, d)
 
 
 class TestNonregularVTriple:
