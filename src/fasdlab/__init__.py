@@ -19,7 +19,6 @@ from .coloring import (
     CountingBound,
     FasdCertificate,
     SearchOutcome,
-    ShortCycleRefutation,
     counting_bound,
     fasd_exact,
     good_coloring_search,
@@ -93,7 +92,6 @@ __all__ = [
     "OrderingTriple",
     "OrientationBound",
     "SearchOutcome",
-    "ShortCycleRefutation",
     "SpectralReport",
     "backward_arc_ids",
     "bas",

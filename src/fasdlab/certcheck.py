@@ -210,12 +210,3 @@ def check_conflict_clique(d, t, arcs, witness):
                 return False, f"the witness of arcs {a} and {b} misses one of them"
     return True, None
 
-
-def check_short_cycle(d, t, cycle):
-    """A closed cycle of D with fewer than t arcs: it cannot carry t colours,
-    so D has no good t-colouring."""
-    if closed_cycle_arcs(arc_index(d), cycle) is None:
-        return False, "the cycle is not a closed cycle of D"
-    if len(cycle) >= t:
-        return False, f"the cycle has {len(cycle)} arcs, not fewer than {t}"
-    return True, None

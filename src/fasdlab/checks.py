@@ -285,7 +285,7 @@ def check_counting(seed: int = 0) -> CheckResult:
     bounds = {}
     for g in range(4, 17, 2):
         d = gadget_dg(g)
-        cb = counting_bound(d, g)
+        cb = counting_bound(d)
         bounds[g] = cb.bound
         checked, _ = check_counting_bound(d, cb.cycles, cb.arcs, cb.bound)
         if cb.bound != g - (g // 4 - 1) or not checked:

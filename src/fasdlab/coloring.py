@@ -357,14 +357,6 @@ class CountingBound:
     bound: int
 
 
-@dataclass(frozen=True)
-class ShortCycleRefutation:
-    """A directed cycle shorter than t cannot carry t distinct colors."""
-
-    t: int
-    cycle: tuple
-
-
 EXHAUSTED = "exhausted"
 
 
@@ -440,17 +432,21 @@ def refute_by_conflict_clique(d: Digraph, t: int) -> ConflictClique | None:
     return ConflictClique(t, arcs, witness)
 
 
-def counting_bound(d: Digraph, g: int) -> CountingBound:
+def counting_bound(d: Digraph) -> CountingBound:
     """The least counting bound over prefixes of a greedy family of girth
     cycles.
 
-    ``g`` is the girth of D.  The cycles of length g, at most TIGHT_CYCLE_CAP
-    of them, are taken in enumeration order, and a cycle joins the family when
-    every arc on it is still on fewer than two members.  Each prefix of the
-    family is itself a valid family, so the one with the least
-    |union| // ceil(k/2) is returned; of equal ones the shortest.  A truncated
-    enumeration still gives a valid family.
+    The cycles of length girth(D), at most TIGHT_CYCLE_CAP of them, are taken
+    in enumeration order, and a cycle joins the family when every arc on it is
+    still on fewer than two members.  Each prefix of the family is itself a
+    valid family, so the one with the least |union| // ceil(k/2) is returned;
+    of equal ones the shortest.  The one-cycle prefix gives the girth, so the
+    bound never exceeds it.  A truncated enumeration still gives a valid
+    family.  Raises ValueError on an acyclic digraph.
     """
+    g = girth(d)
+    if g is INFINITE:
+        raise ValueError("an acyclic digraph has no counting bound")
     index = arc_index(d)
     on = [0] * d.m  # members through each arc
     family = []
@@ -481,10 +477,10 @@ class FasdCertificate:
 
     ``value`` is INFINITE exactly for acyclic inputs.  Otherwise ``witness``
     is a good coloring with value colors and ``refutation`` explains why
-    value + 1 fails: a ConflictClique, a CountingBound equal to value, a
-    ShortCycleRefutation (value equals the girth), or EXHAUSTED for a
-    completed search.  When the budget runs out the value is None, (lo, hi)
-    bracket the true answer and ``refutation`` is that of hi + 1, if any.
+    value + 1 fails: a CountingBound equal to value, a ConflictClique at the
+    girth, or EXHAUSTED for a completed search.  When the budget runs out the
+    value is None, (lo, hi) bracket the true answer and ``refutation`` is that
+    of hi + 1.
     """
 
     value: object
@@ -500,57 +496,46 @@ class FasdCertificate:
 
 
 def fasd_exact(d: Digraph, node_budget: int = DEFAULT_NODE_BUDGET) -> FasdCertificate:
-    """Largest t admitting a good t-coloring, searched downward from the girth.
+    """Largest t admitting a good t-coloring, searched downward from a proven
+    bound.
 
-    Conflict-clique refutations run before each search level; when one exists
-    the level is refuted without touching the branch space.  Once a level is
-    refuted, the counting bound of the girth cycles (``counting_bound``) is
-    built and checked with ``certcheck.check_counting_bound``, once, and it
-    refutes every level above it with no clique step or search: a good
-    coloring's classes are disjoint FASs, each meeting every cycle of the
-    family with at least ceil(k/2) arcs of its union.  The girth level, sat on
-    most inputs, never pays for the bound, and the level that is sat is
-    searched as before, so the value and witness are those of the plain
-    downward search.  fasd >= 2 holds for every non-acyclic digraph (the
-    backward and forward arcs of any ordering are both feedback arc sets), so
-    the loop always terminates with a witness unless the budget is hit first.
-    ``node_budget`` bounds the total search nodes over all levels: each level
-    gets what the earlier ones left.
+    First the counting bound of the girth cycles (``counting_bound``) is
+    built and checked with ``certcheck.check_counting_bound``.  It refutes
+    every level above it: a good coloring's classes are disjoint FASs, each
+    meeting every cycle of the family with at least ceil(k/2) arcs of its
+    union.  The bound is at most the girth g.
+
+    When the bound is g, a conflict clique at t = g is sought, once.  Below
+    the girth there is no t-cycle, so no clique can exist there.
+
+    Then the search runs downward from the first level not yet refuted, and
+    the level that is sat gives the value and the witness.  fasd >= 2 holds
+    for every non-acyclic digraph (the backward and forward arcs of any
+    ordering are both feedback arc sets), so the loop always ends with a
+    witness unless the budget is hit first.  ``node_budget`` bounds the total
+    search nodes over all levels: each level gets what the earlier ones left.
     """
     g = girth(d)
     if g is INFINITE:
         return FasdCertificate(INFINITE, None)
-    refutations = {}
-    total_nodes = 0
-    bound = None
-    for t in range(g, 1, -1):
-        if t < g and bound is None:
-            bound = counting_bound(d, g)
-            ok, why = check_counting_bound(d, bound.cycles, bound.arcs, bound.bound)
-            if not ok:  # pragma: no cover - would witness a builder bug
-                raise AssertionError(f"counting bound fails its check: {why}")
-        if bound is not None and t > bound.bound:
-            refutations[t] = bound
-            continue
-        clique = refute_by_conflict_clique(d, t)
+    refutation = counting_bound(d)
+    ok, why = check_counting_bound(d, refutation.cycles, refutation.arcs, refutation.bound)
+    if not ok:  # pragma: no cover - would witness a builder bug
+        raise AssertionError(f"counting bound fails its check: {why}")
+    top = refutation.bound
+    if top == g:
+        clique = refute_by_conflict_clique(d, g)
         if clique is not None:
-            refutations[t] = clique
-            continue
-        res = good_coloring_search(d, t, node_budget=node_budget - total_nodes)
-        total_nodes += res.nodes
+            refutation, top = clique, g - 1
+    nodes = 0
+    for t in range(top, 1, -1):
+        res = good_coloring_search(d, t, node_budget=node_budget - nodes)
+        nodes += res.nodes
         if res.status == "sat":
-            if t == g:
-                # the lexicographically least girth cycle
-                cycle = enumerate_cycles(d, g, cap=1).cycles[0]
-                refutation = ShortCycleRefutation(g + 1, cycle)
-            else:
-                refutation = refutations.get(t + 1, EXHAUSTED)
-            return FasdCertificate(t, res.coloring, refutation, nodes=total_nodes)
+            return FasdCertificate(t, res.coloring, refutation, nodes=nodes)
         if res.status == "budget":
-            return FasdCertificate(
-                None, None, refutations.get(t + 1), lo=2, hi=t, nodes=total_nodes
-            )
-        refutations[t] = EXHAUSTED
+            return FasdCertificate(None, None, refutation, lo=2, hi=t, nodes=nodes)
+        refutation = EXHAUSTED
     raise AssertionError(
         "no good 2-coloring found for a non-acyclic digraph"
     )  # pragma: no cover

@@ -22,7 +22,6 @@ from fasdlab.certcheck import (
     check_fas_order,
     check_fas_sixth,
     check_fvs,
-    check_short_cycle,
     check_triple,
     closed_cycle_arcs,
     is_acyclic,
@@ -73,7 +72,7 @@ class TestIndependence:
         cert = fas_weighted_exact(w)
         fvs = fvs_exact(w).vertices
         cycle = enumerate_cycles(h5, 4).cycles[0]
-        bound = counting_bound(h5, 4)
+        bound = counting_bound(h5)
         for g in (d, plain(d)):
             assert is_acyclic(g) == is_acyclic(d)
             assert check_coloring(g, coloring, 3) == (True, None)
@@ -89,7 +88,6 @@ class TestIndependence:
             assert closed_cycle_arcs(arc_index(g), cycle) == walk_ids(h5, cycle)
             assert check_conflict_clique(g, 4, clique.arcs, clique.witness) == (True, None)
             assert check_counting_bound(g, bound.cycles, bound.arcs, bound.bound) == (True, None)
-            assert check_short_cycle(g, 5, cycle) == (True, None)
 
 
 def fifo_kahn(d):
@@ -275,13 +273,16 @@ class TestMutations:
         assert check(cycles, arcs[1:], bound) == (False, "the arcs are not the union of the cycles")
         assert check([], (), 0) == (False, "the family has no cycles")
 
-    def test_short_cycle_mutations(self):
-        ref = fasd_exact(directed_cycle(5)).refutation
-        assert check_short_cycle(directed_cycle(5), ref.t, ref.cycle) == (True, None)
+    def test_one_cycle_counting_bound_mutations(self):
+        # fasd(C5) = 5 is refuted by its one 5-cycle, the bound 5 // 1
+        c5 = directed_cycle(5)
+        ref = fasd_exact(c5).refutation
+        assert check_counting_bound(c5, ref.cycles, ref.arcs, ref.bound) == (True, None)
         h5, cyc = gadget_h5(), (0, 5, 1, 6)
-        assert check_short_cycle(h5, 5, cyc) == (True, None)
-        assert check_short_cycle(h5, 4, cyc) == (False, "the cycle has 4 arcs, not fewer than 4")
-        assert check_short_cycle(h5, 5, cyc[::-1]) == (False, "the cycle is not a closed cycle of D")
+        arcs = walk_ids(h5, cyc)
+        assert check_counting_bound(h5, [cyc], arcs, 4) == (True, None)
+        assert check_counting_bound(h5, [cyc], arcs, 5) == (False, "bound 5 is not 4 // 1")
+        assert check_counting_bound(h5, [cyc[::-1]], arcs, 4) == (False, "cycle 0 is not a closed cycle of D")
 
     def test_triple_needs_three_orders(self):
         d = directed_cycle(3)

@@ -6,14 +6,12 @@ from fasdlab.certcheck import (
     arc_index,
     check_conflict_clique,
     check_counting_bound,
-    check_short_cycle,
     closed_cycle_arcs,
 )
 from fasdlab.checks import oracle_corpus_fasd
 from fasdlab.coloring import (
     EXHAUSTED,
     CountingBound,
-    ShortCycleRefutation,
     _pk_repair,
     counting_bound,
     fasd_brute,
@@ -185,7 +183,7 @@ class TestFasdExact:
             assert cert.value == n
             ok, _ = verify_good_coloring(directed_cycle(n), cert.witness, n)
             assert ok
-            assert isinstance(cert.refutation, ShortCycleRefutation)
+            assert cert.refutation == CountingBound((tuple(range(n)),), tuple(range(n)), n)
 
     def test_acyclic_infinite(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
@@ -216,9 +214,7 @@ class TestFasdExact:
     def test_refutations_pass_the_checker(self):
         for d in fasd_corpus() + [gadget_dg(12)]:
             ref = fasd_exact(d).refutation
-            if isinstance(ref, ShortCycleRefutation):
-                assert check_short_cycle(d, ref.t, ref.cycle) == (True, None)
-            elif isinstance(ref, CountingBound):
+            if isinstance(ref, CountingBound):
                 assert check_counting_bound(d, ref.cycles, ref.arcs, ref.bound) == (True, None)
             else:
                 assert check_conflict_clique(d, ref.t, ref.arcs, ref.witness) == (True, None)
@@ -240,8 +236,8 @@ class TestFasdExact:
         assert fasd_exact(d, node_budget=25799).value == 3
 
     def test_counting_bound_refutes_the_levels_above_it(self):
-        # dg12: t = 12 falls to a clique and t = 11 to the bound of the three
-        # 12-cycles, so only the sat level t = 10 is searched
+        # dg12: the bound 10 of three 12-cycles refutes t = 12 and 11, so only
+        # the sat level t = 10 is searched
         d12 = gadget_dg(12)
         cert = fasd_exact(d12)
         assert (cert.value, cert.nodes) == (10, 1480)
@@ -256,6 +252,29 @@ class TestFasdExact:
         assert cert.value is None
         assert (cert.lo, cert.hi) == (2, 13)
         assert isinstance(cert.refutation, CountingBound) and cert.refutation.bound == 13
+
+    def test_budget_stop_at_the_girth_reports_the_bound(self):
+        # the bound refutes g + 1 before any search, so a stop at t = g names it
+        d = circulant_digraph(17, [1, 4])
+        cert = fasd_exact(d, node_budget=0)
+        assert (cert.value, cert.lo, cert.hi) == (None, 2, 5)
+        assert cert.refutation == counting_bound(d)
+        assert cert.refutation.cycles == (enumerate_cycles(d, 5, cap=1).cycles[0],)
+
+    def test_value_at_the_girth_is_refuted_by_one_girth_cycle(self):
+        # the least girth cycle alone bounds fasd by g, and checks as a counting bound
+        digraphs = fasd_corpus() + [circulant_digraph(n, [1, j]) for n in range(5, 13) for j in range(2, n // 2 + 1)]
+        seen = 0
+        for d in digraphs:
+            g, cert = girth(d), fasd_exact(d)
+            if cert.value != g:
+                continue
+            seen += 1
+            ref = cert.refutation
+            assert isinstance(ref, CountingBound) and ref.bound == g
+            assert ref.cycles == (enumerate_cycles(d, g, cap=1).cycles[0],)
+            assert check_counting_bound(d, ref.cycles, ref.arcs, ref.bound) == (True, None)
+        assert seen >= 20
 
     def test_circulants_meet_girth_within_budget(self):
         # arcs on the most girth cycles go first: every two-jump circulant of
@@ -381,35 +400,39 @@ class TestCountingBound:
         # bound = floor((3(k-1)+6)/2) for g = 2k; strictly below g from g = 8 on
         expected = {4: 4, 6: 6, 8: 7, 10: 9, 12: 10, 14: 12, 16: 13}
         for g, want in expected.items():
-            cb = counting_bound(gadget_dg(g), g)
+            cb = counting_bound(gadget_dg(g))
             assert cb.bound == want == g - (g // 4 - 1)
             if g >= 8:
                 assert cb.bound < g
 
     def test_d8_arithmetic(self):
-        cb = counting_bound(gadget_dg(8), 8)
+        cb = counting_bound(gadget_dg(8))
         assert len(cb.cycles) == 3 and len(cb.arcs) == 15 and cb.bound == 7
 
     def test_rejects_malformed(self):
         # one colour more, or a cycle dropped from the family, fails the check
         d = gadget_dg(8)
-        cb = counting_bound(d, 8)
+        cb = counting_bound(d)
         assert check_counting_bound(d, cb.cycles, cb.arcs, 8) == (False, "bound 8 is not 15 // 2")
         assert check_counting_bound(d, cb.cycles[:2], cb.arcs, 7) == (
             False,
             "the arcs are not the union of the cycles",
         )
 
+    def test_acyclic_has_no_bound(self):
+        with pytest.raises(ValueError, match="acyclic"):
+            counting_bound(Digraph(3, [(0, 1), (1, 2)]))
+
     def test_bound_not_below_true_value(self):
         # exhaustive search at g = 4 confirms the counting bound is an upper bound
         d = gadget_dg(4)
         cert = fasd_exact(d)
-        assert cert.value <= counting_bound(d, 4).bound
+        assert cert.value <= counting_bound(d).bound
 
     def test_gadget_output_passes_the_checker(self):
         for g in range(4, 17, 2):
             d = gadget_dg(g)
-            cb = counting_bound(d, g)
+            cb = counting_bound(d)
             assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
 
 
@@ -419,7 +442,7 @@ class TestGirthCountingBound:
         # defining paths: each path arc is on two of them, each connector on one
         for g in range(8, 21, 2):
             d = gadget_dg(g)
-            cb = counting_bound(d, g)
+            cb = counting_bound(d)
             assert cb.bound == g - (g // 4 - 1)
             assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
             k = g // 2
@@ -435,13 +458,13 @@ class TestGirthCountingBound:
                 g = girth(d)
                 if g is INFINITE:
                     continue
-                cb = counting_bound(d, g)
+                cb = counting_bound(d)
                 assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
                 assert cb.bound >= fasd_brute(d)
 
     def test_never_below_the_exact_value(self):
         for d in fasd_corpus():
-            cb = counting_bound(d, girth(d))
+            cb = counting_bound(d)
             assert check_counting_bound(d, cb.cycles, cb.arcs, cb.bound) == (True, None)
             assert cb.bound >= fasd_exact(d).value
 
