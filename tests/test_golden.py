@@ -440,7 +440,7 @@ GOLDEN = {
     "fas_bounded": "dd46f44708fee22ec655c1c011bffff3501b044665c1476d78652c9e599412cb",
     "fas_components": "1365a740c959acc88e4e749eef4e46f1ade5e67c7b9ff11bcb4ce5d84c41133a",
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
-    "fasd_exact": "1da92ba9b5fb320a111d867383388ec3a1d0062e9b8e2d27e803f94c78785ebe",
+    "fasd_exact": "cf9e4bacae912ecbaaae9bab8cca1c2952ece261c9d72ddf324cb9a0de0bf332",
     "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
     "fvs_grid": "c79741f2d32531d33cdbf69f9b00cf48c28a7ac4dd0ff1afe2d211c25f7c9e1b",
     "good_coloring_search": "a16016e214008793ef34a93b870bca918a7559f987b8fd3bf285c96caeee8e9a",
@@ -450,7 +450,7 @@ GOLDEN = {
     "large_g": "89d4f84356f3606335523f1a3b7c0db47b9eded704bc46e694433d677c99ea80",
     "large_triple": "d04d4e3ea1f6b710852410fa304c5ef3d5ebe78e20ef300aa161a78107ece9f5",
     "rare_cases": "d7694a2f07673f877b98123f384800a1b936d4cacfa73b14565f926540a10874",
-    "search_outcomes": "6c31e522023f92568f6a8cb787aa2fba60d7f7d065d4a2671a9673b131f233fa",
+    "search_outcomes": "1f84eea51bef440387da4f174cf7db3bec9ddfb65e1523ec2880a51dc5c4183c",
     "scc_girth": "38538e4ab6563e2fef743525c6c26294e84f1c0f9af8fe16ecf6b58bcfca768d",
 }
 
