@@ -8,6 +8,7 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import asdict, is_dataclass
 
@@ -46,6 +47,7 @@ def parse_digraph(text: str) -> Digraph:
         raise FormatError(lineno, f"expected integers in header, got {head!r}") from None
     arcs = []
     weights = []
+    head_line, arc_lines = lineno, []
     weighted = None
     for lineno, line in lines:
         parts = line.split()
@@ -69,14 +71,28 @@ def parse_digraph(text: str) -> Digraph:
                 raise FormatError(lineno, f"negative weight {w}")
             weights.append(w)
         arcs.append((u, v))
+        arc_lines.append(lineno)
         if len(arcs) > m:
             raise FormatError(lineno, f"more than the declared {m} arcs")
     if len(arcs) != m:
-        raise FormatError(lineno if arcs else 1, f"declared {m} arcs, found {len(arcs)}")
+        raise FormatError(lineno, f"declared {m} arcs, found {len(arcs)}")
     try:
         return Digraph(n, arcs, weights if weighted else None)
-    except GraphError as exc:
-        raise FormatError(1, str(exc)) from None
+    except GraphError:
+        pass
+
+    def error(k):
+        try:
+            Digraph(n, arcs[:k], weights[:k] if weighted else None)
+        except GraphError as exc:
+            return exc
+        return None
+
+    # Digraph checks n, then each arc and each weight on its own, so it rejects
+    # exactly the arc prefixes that reach the first bad line: the shortest one
+    # names that line, or the header when it is empty
+    k = bisect.bisect_left(range(len(arcs) + 1), True, key=lambda k: error(k) is not None)
+    raise FormatError(arc_lines[k - 1] if k else head_line, str(error(k)))
 
 
 def format_digraph(d: Digraph) -> str:

@@ -44,6 +44,31 @@ class TestTextFormat:
         with pytest.raises(FormatError):
             parse_digraph("2 1\n1 1\n")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("3 3\n0 1\n1 2\n1 2\n", 4, "duplicate arc (1,2)"),
+            ("3 3\n0 1\n# note\n2 2\n1 2\n", 4, "self-loop at vertex 2"),
+            ("3 2\n0 1\n1 3\n", 3, "arc (1,3) outside vertex range [0,3)"),
+            ("3 2\n0 1 1.0\n1 2 inf\n", 3, "weights must be finite and >= 0, got inf"),
+            ("3 2\n0 1 1.0\n1 2 nan\n", 3, "weights must be finite and >= 0, got nan"),
+            ("# a comment\n\n-3 1\n0 1\n", 3, "vertex count must be nonnegative"),
+            ("# a comment\n3 1\n", 2, "declared 1 arcs, found 0"),
+        ],
+        ids=["duplicate", "self-loop", "out-of-range", "inf", "nan", "negative-n", "no-arcs"],
+    )
+    def test_error_names_the_offending_line(self, text, line, message):
+        with pytest.raises(FormatError) as exc:
+            parse_digraph(text)
+        assert exc.value.lineno == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    def test_first_bad_line_wins(self):
+        # the weight on line 2 is bad before the arc on line 3 is
+        with pytest.raises(FormatError) as exc:
+            parse_digraph("3 2\n0 1 inf\n2 2 1.0\n")
+        assert exc.value.lineno == 2
+
     def test_rejects_wrong_count(self):
         with pytest.raises(FormatError):
             parse_digraph("3 2\n0 1\n")
