@@ -50,6 +50,15 @@ from .spectral import (
 )
 from .triples import decompose3
 
+# instances per random check (TRIPLES_COUNT ... SIXTH_COUNT), sampled pairs
+# per Paley graph, and brute-force oracle comparisons
+TRIPLES_COUNT = 500
+WEIGHTED_COUNT = 200
+COLORINGS_COUNT = 300
+SIXTH_COUNT = 200
+MIXING_SAMPLES = 10000
+ORACLE_FAS_COUNT = 200
+ORACLE_FASD_COUNT = 100
 
 @dataclass
 class CheckResult:
@@ -170,12 +179,12 @@ def triples_corpus(count: int, seed: int):
     return out[:count]
 
 
-def check_triples(seed: int = 0, count: int = 500) -> CheckResult:
+def check_triples(seed: int = 0) -> CheckResult:
     """Every max-degree-4 digon-free instance splits into three feedback arc sets."""
     t0 = time.time()
     failures = 0
     done = 0
-    for d in triples_corpus(count, seed):
+    for d in triples_corpus(TRIPLES_COUNT, seed):
         triple = decompose3(d, verify=False)
         ok, _ = check_triple(d, triple)
         if not ok:
@@ -184,19 +193,19 @@ def check_triples(seed: int = 0, count: int = 500) -> CheckResult:
     return _result(
         "triples",
         f"{done} random max-degree-4 instances split into 3 FASs",
-        failures == 0 and done >= count,
+        failures == 0 and done >= TRIPLES_COUNT,
         t0,
         instances=done,
         failures=failures,
     )
 
 
-def check_weighted(seed: int = 0, count: int = 200) -> CheckResult:
+def check_weighted(seed: int = 0) -> CheckResult:
     """Minimum weighted FAS is at most a third of the weight at max degree 4."""
     t0 = time.time()
     violations = 0
     exact_checked = 0
-    for i in range(count):
+    for i in range(WEIGHTED_COUNT):
         small = i % 5 == 0
         n = (6 + i % 9) if small else (17 + i % 32)
         d = random_orgraph(n, 4, 3, seed=seed * 77 + i, weighted=True, arc_target=2 * n)
@@ -212,21 +221,21 @@ def check_weighted(seed: int = 0, count: int = 200) -> CheckResult:
                 violations += 1
     return _result(
         "weighted",
-        f"{count} weighted instances: min class and exact weighted FAS within w/3",
+        f"{WEIGHTED_COUNT} weighted instances: min class and exact weighted FAS within w/3",
         violations == 0,
         t0,
-        instances=count,
+        instances=WEIGHTED_COUNT,
         exact_checked=exact_checked,
         violations=violations,
     )
 
 
-def check_colorings(seed: int = 0, count: int = 300) -> CheckResult:
+def check_colorings(seed: int = 0) -> CheckResult:
     """Good g-colorings exist constructively for degree 3 and g in {3, 4, 5}."""
     t0 = time.time()
     failures = 0
     for g in (3, 4, 5):
-        for i in range(count):
+        for i in range(COLORINGS_COUNT):
             n = 6 + (i % 40)
             d = random_orgraph(n, 3, g, seed=seed * 31 + i * 3 + g, arc_target=(3 * n) // 2)
             try:
@@ -240,21 +249,21 @@ def check_colorings(seed: int = 0, count: int = 300) -> CheckResult:
     cycle_ok = all(fasd_exact(directed_cycle(g)).value == g for g in (3, 4, 5))
     return _result(
         "colorings",
-        f"3x{count} degree-3 instances take good g-colorings; cycles hit g exactly",
+        f"3x{COLORINGS_COUNT} degree-3 instances take good g-colorings; cycles hit g exactly",
         failures == 0 and cycle_ok,
         t0,
-        per_g=count,
+        per_g=COLORINGS_COUNT,
         failures=failures,
         cycle_exact=cycle_ok,
     )
 
 
-def check_sixth(seed: int = 0, count: int = 200) -> CheckResult:
+def check_sixth(seed: int = 0) -> CheckResult:
     """A sixth of the arcs suffices at degree 3 and girth 6."""
     t0 = time.time()
     failures = 0
     exact_checked = 0
-    for i in range(count):
+    for i in range(SIXTH_COUNT):
         small = i % 3 == 0
         n = (8 + i % 7) if small else (22 + i % 23)
         d = random_orgraph(n, 3, 6, seed=seed * 13 + i, arc_target=(4 * n) // 3)
@@ -269,10 +278,10 @@ def check_sixth(seed: int = 0, count: int = 200) -> CheckResult:
     ok = failures == 0 and six.value == 1
     return _result(
         "sixth",
-        f"{count} degree-3 girth-6 instances: FAS within a/6 (6-cycle tight)",
+        f"{SIXTH_COUNT} degree-3 girth-6 instances: FAS within a/6 (6-cycle tight)",
         ok,
         t0,
-        instances=count,
+        instances=SIXTH_COUNT,
         exact_checked=exact_checked,
         failures=failures,
     )
@@ -306,7 +315,7 @@ def check_counting(seed: int = 0) -> CheckResult:
     )
 
 
-def check_mixing(seed: int = 0, samples: int = 10000) -> CheckResult:
+def check_mixing(seed: int = 0) -> CheckResult:
     """Mixing inequality holds over sampled pairs on quadratic-residue graphs."""
     import random as _random
 
@@ -320,17 +329,17 @@ def check_mixing(seed: int = 0, samples: int = 10000) -> CheckResult:
         if abs(rep.lam - closed) > 1e-12:
             eig_ok = False
         rng = _random.Random(seed * 1009 + q)
-        for _ in range(samples):
+        for _ in range(MIXING_SAMPLES):
             s = rng.sample(range(q), rng.randrange(0, q + 1))
             t = rng.sample(range(q), rng.randrange(0, q + 1))
             if not mixing_check(g, s, t, rep.lam).holds:
                 violations += 1
     return _result(
         "mixing",
-        f"2x{samples} sampled pairs satisfy the mixing bound; eigenvalues closed-form",
+        f"2x{MIXING_SAMPLES} sampled pairs satisfy the mixing bound; eigenvalues closed-form",
         violations == 0 and eig_ok,
         t0,
-        samples=2 * samples,
+        samples=2 * MIXING_SAMPLES,
         violations=violations,
         eigenvalues_match=eig_ok,
     )
@@ -353,7 +362,7 @@ def check_lower_bound(seed: int = 0) -> CheckResult:
     g = Graph(n, edges)
     rep = lambda_extremes(g)
     d = eulerian_orient(g)
-    ob = orientation_fas_lower_bound(d, rep.lam, compute_exact_up_to=16)
+    ob = orientation_fas_lower_bound(d, rep.lam)
     exp = random_orientation_experiment(circulant_graph(16, [1, 2, 3]), 20, 2, seed=seed)
     ok = ob.holds is True and exp.min_statistic <= exp.min_bas_seen
     return _result(
@@ -447,20 +456,20 @@ def oracle_corpus_fasd(seed: int, count: int):
     return out
 
 
-def check_oracles(seed: int = 0, fas_count: int = 200, fasd_count: int = 100) -> CheckResult:
+def check_oracles(seed: int = 0) -> CheckResult:
     """Exact solvers agree with brute-force enumeration on small corpora."""
     t0 = time.time()
     fas_bad = 0
-    for d in oracle_corpus_fas(seed, fas_count):
+    for d in oracle_corpus_fas(seed, ORACLE_FAS_COUNT):
         if fas_exact(d).value != fas_brute(d)[0]:
             fas_bad += 1
     fasd_bad = 0
-    for d in oracle_corpus_fasd(seed, fasd_count):
+    for d in oracle_corpus_fasd(seed, ORACLE_FASD_COUNT):
         if fasd_exact(d).value != fasd_brute(d):
             fasd_bad += 1
     return _result(
         "oracles",
-        f"fas dp == {fas_count}x factorial brute; fasd search == {fasd_count}x coloring enumeration",
+        f"fas dp == {ORACLE_FAS_COUNT}x factorial brute; fasd search == {ORACLE_FASD_COUNT}x coloring enumeration",
         fas_bad == 0 and fasd_bad == 0,
         t0,
         fas_mismatches=fas_bad,

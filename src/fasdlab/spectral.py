@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import Digraph, Graph, GraphError
+from .ordering import FAS_EXACT_MAX_N, bas, fas_exact
 
 
 @dataclass(frozen=True)
@@ -155,13 +156,11 @@ class OrientationBound:
     holds: bool | None
 
 
-def orientation_fas_lower_bound(
-    d: Digraph, lam: float, compute_exact_up_to: int = 0
-) -> OrientationBound:
+def orientation_fas_lower_bound(d: Digraph, lam: float) -> OrientationBound:
     """(d - lam) n / 8 lower bound on fas of an Eulerian orientation.
 
-    Requires even order and d+ = d- at every vertex.  When fas is affordable
-    (n <= ``compute_exact_up_to``), the bound is checked against it with a
+    Requires even order and d+ = d- at every vertex.  When the exact fas is
+    affordable (n <= FAS_EXACT_MAX_N), the bound is checked against it with a
     float-edge guard of 1e-6.
     """
     if d.n % 2 != 0:
@@ -175,9 +174,7 @@ def orientation_fas_lower_bound(
     bound = (reg - lam) * d.n / 8
     rama = (reg - 2 * math.sqrt(reg - 1)) * d.n / 8 if reg >= 1 else 0.0
     fas_value = None
-    if 0 < d.n <= compute_exact_up_to:
-        from .ordering import fas_exact
-
+    if 0 < d.n <= FAS_EXACT_MAX_N:
         fas_value = fas_exact(d).value
     holds = None
     if fas_value is not None:
@@ -260,7 +257,6 @@ def random_orientation_experiment(
         ]
         levels.append((level, g.n >> level, [(p, e) for p, e in enumerate(e_pairs) if e]))
     min_bas = None
-    from .ordering import bas
 
     for trial in range(trials):
         # an integer seed: str hashing is salted per process

@@ -55,19 +55,19 @@ def test_criterion_03_h4_h3_clique_refutations():
 
 
 def test_criterion_04_triple_decomposition_corpus():
-    _report(4, check_triples(count=500))
+    _report(4, check_triples())
 
 
 def test_criterion_05_weighted_third_bound():
-    _report(5, check_weighted(count=200))
+    _report(5, check_weighted())
 
 
 def test_criterion_06_degree3_colorings():
-    _report(6, check_colorings(count=300))
+    _report(6, check_colorings())
 
 
 def test_criterion_07_sixth_fraction_fas():
-    _report(7, check_sixth(count=200))
+    _report(7, check_sixth())
 
 
 def test_criterion_08_counting_bounds_and_d8_search():
@@ -75,7 +75,7 @@ def test_criterion_08_counting_bounds_and_d8_search():
 
 
 def test_criterion_09_expander_mixing():
-    _report(9, check_mixing(samples=10000))
+    _report(9, check_mixing())
 
 
 def test_criterion_10_orientation_lower_bound():
@@ -87,4 +87,4 @@ def test_criterion_11_inequality_suite():
 
 
 def test_criterion_12_oracle_equivalence():
-    _report(12, check_oracles(fas_count=200, fasd_count=100))
+    _report(12, check_oracles())

@@ -152,7 +152,7 @@ class TestOrientationBound:
         rep = lambda_extremes(g)
         assert abs(rep.lam - 2.0) < 1e-8  # spectrum of J - I - M off the top
         d = eulerian_orient(g)
-        ob = orientation_fas_lower_bound(d, rep.lam, compute_exact_up_to=12)
+        ob = orientation_fas_lower_bound(d, rep.lam)
         assert ob.bound == pytest.approx((8 - 2.0) * 10 / 8)
         assert ob.holds
 
@@ -160,13 +160,13 @@ class TestOrientationBound:
         g = cycle_graph(4)
         d = eulerian_orient(g)
         lam = lambda_extremes(g).lam  # = 2 since C4 is bipartite
-        ob = orientation_fas_lower_bound(d, lam, compute_exact_up_to=4)
+        ob = orientation_fas_lower_bound(d, lam)
         assert ob.fas_value == fas_exact(d).value
         assert ob.bound == pytest.approx(0.0)
         assert ob.holds
         # with the bipartite-excluded eigenvalue the bound tightens to 1 = fas
         lam_prime = lambda_extremes(g).lam_prime
-        ob2 = orientation_fas_lower_bound(d, lam_prime, compute_exact_up_to=4)
+        ob2 = orientation_fas_lower_bound(d, lam_prime)
         assert ob2.bound == pytest.approx(1.0)
         assert ob2.holds
 
@@ -186,7 +186,7 @@ class TestOrientationBound:
             g = circulant_graph(n, [1, 2])
             lam = lambda_extremes(g).lam
             d = eulerian_orient(g)
-            ob = orientation_fas_lower_bound(d, lam, compute_exact_up_to=16)
+            ob = orientation_fas_lower_bound(d, lam)
             assert ob.holds
 
 
