@@ -751,7 +751,6 @@ class FvsCertificate:
     """
 
     vertices: tuple
-    minimum: bool
     within_half: bool
     exceptional: bool
 
@@ -829,7 +828,7 @@ def fvs_exact(d) -> FvsCertificate:
                 raise AssertionError(f"fvs_exact returned {s}, but {what}")
             exceptional = is_digon_odd_cycle(simple)
             within = 2 * len(s) <= d.n
-            return FvsCertificate(s, True, within, exceptional)
+            return FvsCertificate(s, within, exceptional)
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 

@@ -54,7 +54,6 @@ class FasCertificate:
     value: object
     order: tuple
     arc_ids: tuple
-    note: str = ""
 
 
 def _scaled_weights(d: Digraph) -> list:
