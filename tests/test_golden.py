@@ -441,8 +441,8 @@ GOLDEN = {
     "fas_components": "1365a740c959acc88e4e749eef4e46f1ade5e67c7b9ff11bcb4ce5d84c41133a",
     "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
     "fasd_exact": "cf9e4bacae912ecbaaae9bab8cca1c2952ece261c9d72ddf324cb9a0de0bf332",
-    "fvs_exact": "5b1475fa05f8714edf4c8853b62b08f96e6d1e80c1c4198b0850c4064def5dab",
-    "fvs_grid": "c79741f2d32531d33cdbf69f9b00cf48c28a7ac4dd0ff1afe2d211c25f7c9e1b",
+    "fvs_exact": "94cf0d79cb8f05d78d850904fa9a56044732d84a858b405acbb8806d8645d251",
+    "fvs_grid": "372742d6b83f168b6573280eda08432cbfd455401ff67761e0c21523dd574e0b",
     "good_coloring_search": "a16016e214008793ef34a93b870bca918a7559f987b8fd3bf285c96caeee8e9a",
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
     "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
