@@ -50,8 +50,8 @@ from .spectral import (
 )
 from .triples import decompose3
 
-# instances per random check (TRIPLES_COUNT ... SIXTH_COUNT), sampled pairs
-# per Paley graph, and brute-force oracle comparisons
+# the fixed sizes of the random checks: instances per check, sampled set
+# pairs per Paley graph, and instances compared with each brute-force oracle
 TRIPLES_COUNT = 500
 WEIGHTED_COUNT = 200
 COLORINGS_COUNT = 300
@@ -59,6 +59,7 @@ SIXTH_COUNT = 200
 MIXING_SAMPLES = 10000
 ORACLE_FAS_COUNT = 200
 ORACLE_FASD_COUNT = 100
+
 
 @dataclass
 class CheckResult:

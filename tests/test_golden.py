@@ -238,7 +238,7 @@ def structure_corpus():
 
 
 def check_corpora():
-    """Every random instance checks.py builds at its default seed and count, in check order."""
+    """Every random instance checks.py builds at seed 0, in check order."""
     out = triples_corpus(500, 0)
     for i in range(200):  # check_weighted
         n = (6 + i % 9) if i % 5 == 0 else (17 + i % 32)
