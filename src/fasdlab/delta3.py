@@ -35,8 +35,7 @@ from .digraph import (
     MultiDigraph,
     Peel,
     _shortest_cycle,
-    girth,
-    max_degree,
+    require_orgraph,
 )
 from .generators import is_digon_odd_cycle
 
@@ -54,15 +53,7 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     """
     if g not in (3, 4, 5):
         raise GraphError("g must be 3, 4, or 5")
-    if max_degree(d) > 3:
-        raise GraphError("maximum degree must be at most 3")
-    if d.has_digon():
-        raise GraphError("input must be digon-free")
-    from .digraph import INFINITE
-
-    gg = girth(d)
-    if gg is not INFINITE and gg < g:
-        raise GraphError(f"girth {gg} below requested g={g}")
+    require_orgraph(d, 3, g)
     colors = _Colors()
     _color_subgraph(Peel(d), g, colors)
     coloring = colors.final()
@@ -855,16 +846,10 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     and the irreducible strongly connected core is contracted along its
     out-heavy/in-heavy matching to a degree-4 multigraph whose minimum
     feedback vertex set picks the answer arcs.  Returns a tuple of arc ids.
+    Raises BudgetError when the core has more than FVS_EXACT_MAX_N matching
+    pairs, the most ``fvs_exact`` takes.
     """
-    from .digraph import INFINITE
-
-    if max_degree(d) > 3:
-        raise GraphError("maximum degree must be at most 3")
-    if d.has_digon():
-        raise GraphError("input must be digon-free")
-    gg = girth(d)
-    if gg is not INFINITE and gg < 6:
-        raise GraphError(f"girth {gg} below 6")
+    require_orgraph(d, 3, 6)
     fas = sorted(_fas6_solve(Peel(d)))
     if check:
         ok, why = check_fas_sixth(d, fas)

@@ -125,6 +125,17 @@ class _BaseDigraph:
     def has_arc(self, u: int, v: int) -> bool:
         return any(w == v for w, _ in self._out[u])
 
+    def arc_id(self, u: int, v: int) -> int:
+        """Id of the first arc from u to v."""
+        for w, a in self._out[u]:
+            if w == v:
+                return a
+        raise KeyError(f"no arc ({u},{v})")
+
+    def has_digon(self) -> bool:
+        arcset = set(self.arcs)
+        return any((v, u) in arcset for u, v in self.arcs)
+
     def __repr__(self) -> str:
         kind = type(self).__name__
         w = ", weighted" if self.weighted else ""
@@ -146,16 +157,6 @@ class Digraph(_BaseDigraph):
     """Simple directed graph, optionally arc-weighted."""
 
     __slots__ = ()
-
-    def arc_id(self, u: int, v: int) -> int:
-        for w, a in self._out[u]:
-            if w == v:
-                return a
-        raise KeyError(f"no arc ({u},{v})")
-
-    def has_digon(self) -> bool:
-        arcset = set(self.arcs)
-        return any((v, u) in arcset for u, v in self.arcs)
 
 
 class MultiDigraph(_BaseDigraph):
@@ -518,6 +519,27 @@ def girth(d: _BaseDigraph):
     """Length of a shortest directed cycle, or INFINITE when acyclic."""
     cycle = shortest_cycle(d)
     return INFINITE if cycle is None else len(cycle)
+
+
+def require_orgraph(d: _BaseDigraph, max_deg: int, min_girth: int) -> None:
+    """Raise GraphError unless D is an oriented graph (no parallel arcs and no
+    digons) of maximum degree at most ``max_deg`` and girth at least
+    ``min_girth``: the hypotheses the constructions share.
+
+    An oriented graph has girth at least 3, so the girth, a BFS from every
+    vertex, is read only when ``min_girth`` is above 3.
+    """
+    arcset = set(d.arcs)
+    if len(arcset) != len(d.arcs):
+        raise GraphError("input must not have parallel arcs")
+    if max_degree(d) > max_deg:
+        raise GraphError(f"maximum degree must be at most {max_deg}")
+    if any((v, u) in arcset for u, v in arcset):
+        raise GraphError("input must be digon-free")
+    if min_girth > 3:
+        g = girth(d)
+        if g is not INFINITE and g < min_girth:
+            raise GraphError(f"girth {g} below {min_girth}")
 
 
 def strong_components(d: _BaseDigraph):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certcheck import backward_arc_ids, check_triple as verify_good_triple
-from .digraph import Digraph, GraphError, Peel, connected_components
+from .digraph import Digraph, GraphError, Peel, connected_components, require_orgraph
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def good_vtriple_nonregular(d: Digraph, v: int) -> OrderingTriple:
     v must be unbalanced.  The returned triple has v first in its first
     ordering and last in the second.
     """
-    _validate_input(d)
+    require_orgraph(d, 4, 3)
     for comp in connected_components(d):
         if all(d.out_degree(u) == d.in_degree(u) == 2 for u in comp):
             raise GraphError("a 2-regular component is out of scope for this routine")
@@ -216,7 +216,7 @@ def _triple_transitive(pl: Peel):
 
 def good_triple_transitive(d: Digraph) -> OrderingTriple:
     """Good triple of a connected 2-regular orgraph containing a transitive triangle."""
-    _validate_input(d)
+    require_orgraph(d, 4, 3)
     if any(d.out_degree(v) != 2 or d.in_degree(v) != 2 for v in range(d.n)):
         raise GraphError("input must be 2-regular")
     t = _triple_transitive(Peel(d))
@@ -418,15 +418,6 @@ def _case_b2(pl: Peel, path, a1, b1, b2):
     return _extend_antidirected(pl, path, t_b2, 1, 1)
 
 
-def _validate_input(d: Digraph) -> None:
-    from .digraph import max_degree
-
-    if max_degree(d) > 4:
-        raise GraphError("maximum degree must be at most 4")
-    if d.has_digon():
-        raise GraphError("input must be digon-free")
-
-
 def decompose3(h: Digraph, verify: bool = True) -> OrderingTriple:
     """Good triple of any digon-free digraph with maximum degree at most 4.
 
@@ -435,7 +426,7 @@ def decompose3(h: Digraph, verify: bool = True) -> OrderingTriple:
     re-verified unless ``verify`` is disabled; a verification failure is a
     hard diagnostic, never silently patched.
     """
-    _validate_input(h)
+    require_orgraph(h, 4, 3)
     parts = [[], [], []]
     for comp in connected_components(h):
         pl = Peel(h, comp)

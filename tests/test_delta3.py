@@ -30,6 +30,7 @@ from fasdlab.generators import (
     random_orgraph,
 )
 from fasdlab.ordering import fas_exact
+from fasdlab.triples import decompose3
 
 
 class TestGoodGColoring:
@@ -219,6 +220,30 @@ class TestFasSixth:
     def test_acyclic_gives_empty(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
         assert fas_sixth(d) == ()
+
+
+class TestSharedInputCheck:
+    """decompose3, good_g_coloring and fas_sixth share one input check."""
+
+    def test_parallel_arcs_are_rejected(self):
+        d = MultiDigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
+        for construct in (decompose3, lambda d: good_g_coloring(d, 3), fas_sixth):
+            with pytest.raises(GraphError, match="parallel arcs"):
+                construct(d)
+
+    def test_multidigraph_without_parallel_arcs_acts_as_digraph(self):
+        arcs = [(0, 1), (1, 2), (2, 0)]
+        multi, simple = MultiDigraph(3, arcs), Digraph(3, arcs)
+        assert decompose3(multi) == decompose3(simple)
+        assert good_g_coloring(multi, 3) == good_g_coloring(simple, 3)
+        with pytest.raises(GraphError, match="girth 3 below 6"):
+            fas_sixth(multi)
+
+    def test_decompose3_does_not_compute_the_girth(self):
+        # a fresh value: the generator reads the girth of its own output
+        d = Digraph(40, random_orgraph(40, 4, 3, seed=1).arcs)
+        decompose3(d)
+        assert getattr(d, "_cycle", None) is None
 
 
 class TestPeelOverlapRegression:
