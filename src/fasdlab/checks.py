@@ -100,7 +100,7 @@ def check_h5(seed: int = 0) -> CheckResult:
     t0 = time.time()
     h5 = gadget_h5()
     res = good_coloring_search(h5, 4)
-    clique = refute_by_conflict_clique(h5, 4)
+    clique = refute_by_conflict_clique(h5)
     matching = {h5.arc_id(i, 5 + i) for i in range(5)}
     ok = (
         res.status == "unsat"
@@ -123,8 +123,8 @@ def check_h4_h3(seed: int = 0) -> CheckResult:
     """Split-tournament gadgets refute 6 colors at girth 6 and 9 at girth 9."""
     t0 = time.time()
     h4, h3 = gadget_h4(), gadget_h3()
-    c4 = refute_by_conflict_clique(h4, 6)
-    c3 = refute_by_conflict_clique(h3, 9)
+    c4 = refute_by_conflict_clique(h4)
+    c3 = refute_by_conflict_clique(h3)
     split4 = {h4.arc_id(2 * i, 2 * i + 1) for i in range(7)}
     split3 = set()
     for i in range(5):

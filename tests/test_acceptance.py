@@ -44,10 +44,10 @@ def test_criterion_02_h5_unsat_at_4():
 
 def test_criterion_03_h4_h3_clique_refutations():
     t0 = time.time()
-    c4 = refute_by_conflict_clique(gadget_h4(), 6)
+    c4 = refute_by_conflict_clique(gadget_h4())
     t4 = time.time() - t0
     t0 = time.time()
-    c3 = refute_by_conflict_clique(gadget_h3(), 9)
+    c3 = refute_by_conflict_clique(gadget_h3())
     t3 = time.time() - t0
     assert c4 is not None and len(c4.arcs) == 7 and t4 < 60.0
     assert c3 is not None and len(c3.arcs) == 10 and t3 < 60.0

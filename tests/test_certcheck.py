@@ -65,7 +65,7 @@ class TestIndependence:
         d = random_orgraph(24, 3, 6, seed=3, arc_target=32)
         w = random_orgraph(10, 4, 3, seed=4, weighted=True, arc_target=20)
         h5 = gadget_h5()
-        clique = refute_by_conflict_clique(h5, 4)
+        clique = refute_by_conflict_clique(h5)
         coloring = good_g_coloring(d, 3)
         triple = decompose3(d).orderings
         fas = fas_sixth(d)

@@ -325,7 +325,7 @@ class TestFasdBrute:
 class TestConflictClique:
     def test_h5_matching_clique_at_t4(self):
         h5 = gadget_h5()
-        clique = refute_by_conflict_clique(h5, 4)
+        clique = refute_by_conflict_clique(h5)
         assert clique is not None
         assert len(clique.arcs) == 5
         assert check_conflict_clique(h5, 4, clique.arcs, clique.witness) == (True, None)
@@ -335,7 +335,7 @@ class TestConflictClique:
 
     def test_h4_split_clique_at_t6(self):
         h4 = gadget_h4()
-        clique = refute_by_conflict_clique(h4, 6)
+        clique = refute_by_conflict_clique(h4)
         assert clique is not None and len(clique.arcs) == 7
         assert check_conflict_clique(h4, 6, clique.arcs, clique.witness) == (True, None)
         split_ids = {h4.arc_id(2 * i, 2 * i + 1) for i in range(7)}
@@ -343,7 +343,7 @@ class TestConflictClique:
 
     def test_h3_split_clique_at_t9(self):
         h3 = gadget_h3()
-        clique = refute_by_conflict_clique(h3, 9)
+        clique = refute_by_conflict_clique(h3)
         assert clique is not None and len(clique.arcs) == 10
         assert check_conflict_clique(h3, 9, clique.arcs, clique.witness) == (True, None)
         split_ids = set()
@@ -354,7 +354,7 @@ class TestConflictClique:
 
     def test_check_rejects_broken_h5_cliques(self):
         h5 = gadget_h5()
-        clique = refute_by_conflict_clique(h5, 4)
+        clique = refute_by_conflict_clique(h5)
         check = lambda arcs, witness: check_conflict_clique(h5, 4, arcs, witness)
         assert check(clique.arcs[:4], clique.witness) == (False, "4 arcs are not more than 4")
         # an arc twice, even with a witness for the pair it makes with itself
@@ -385,10 +385,25 @@ class TestConflictClique:
         assert check(clique.arcs, clique.witness) == (True, None)
 
     def test_directed_cycle_has_none(self):
-        assert refute_by_conflict_clique(directed_cycle(6), 6) is None
+        assert refute_by_conflict_clique(directed_cycle(6)) is None
+
+    def test_acyclic_has_none(self):
+        assert refute_by_conflict_clique(Digraph(3, [(0, 1), (1, 2)])) is None
+
+    def test_greedy_search_past_12_arcs(self):
+        # every vertex of the rotational 5-tournament becomes a directed
+        # 4-chain, so each cycle grows fourfold: girth 12, and the 13-arc
+        # clique is past the exact search's 12
+        arcs = [(4 * v + c, 4 * v + c + 1) for v in range(5) for c in range(3)]
+        arcs += [(4 * u + 3, 4 * v) for u, v in rotational_tournament(5).arcs]
+        d = Digraph(20, arcs)
+        assert girth(d) == 12
+        clique = refute_by_conflict_clique(d)
+        assert clique is not None and len(clique.arcs) == 13
+        assert check_conflict_clique(d, 12, clique.arcs, clique.witness) == (True, None)
 
     def test_d8_has_9_clique_at_t8(self):
-        clique = refute_by_conflict_clique(gadget_dg(8), 8)
+        clique = refute_by_conflict_clique(gadget_dg(8))
         assert clique is not None and len(clique.arcs) == 9
         assert check_conflict_clique(gadget_dg(8), 8, clique.arcs, clique.witness) == (True, None)
 
