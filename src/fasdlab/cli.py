@@ -1,20 +1,24 @@
 """Command-line surface: generators, solvers, spectral reports, and the harness.
 
-Exit codes: 0 success, 1 check or verification failure, 2 usage error,
-3 budget exceeded.  All randomized commands take --seed (default 0) and are
-deterministic given their flags.  ``fasd --budget`` (default 10^8) caps the
-search nodes, which fasd spends as a total over all levels.
+Exit codes: 0 success, 1 check or verification failure, 2 usage error (a
+GraphError or ValueError, or a file that cannot be read or written), 3 budget
+exceeded (a BudgetError from any command).  All randomized commands take
+--seed (default 0) and are deterministic given their flags.  ``fasd
+--budget`` (default 10^8) caps the search nodes, which fasd spends as a total
+over all levels.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
+from .checks import run_checks
 from .coloring import DEFAULT_NODE_BUDGET, fasd_exact, good_coloring_search
 from .delta3 import fas_sixth, fvs_exact, good_g_coloring
-from .digraph import BudgetError, Digraph, Graph, GraphError
+from .digraph import BudgetError, Digraph, Graph
 from .fileio import _jsonable, certificate_json, format_digraph, read_digraph, to_dot
 from .generators import (
     directed_cycle,
@@ -29,6 +33,8 @@ from .generators import (
     rotational_tournament,
 )
 from .ordering import bas, fas_exact, fas_upper_heuristic, fas_weighted_exact
+from .spectral import lambda_extremes, mixing_check, random_orientation_experiment
+from .triples import decompose3
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,35 +47,25 @@ def _underlying_graph(d: Digraph) -> Graph:
     return Graph(d.n, edges)
 
 
+# gen's families, each built from the parsed arguments
+FAMILIES = {
+    "cycle": lambda a: directed_cycle(a.n),
+    "tournament": lambda a: rotational_tournament(a.n),
+    "h3": lambda a: gadget_h3(),
+    "h4": lambda a: gadget_h4(),
+    "h5": lambda a: gadget_h5(),
+    "dg": lambda a: gadget_dg(a.g),
+    "co": lambda a: gadget_co(a.n),
+    "co-prime": lambda a: gadget_co_prime(a.n),
+    "paley": lambda a: Digraph(a.n, paley_graph(a.n).edges),  # one arc per edge
+    "random": lambda a: random_orgraph(
+        a.n, a.max_deg, a.min_girth, seed=a.seed, weighted=a.weighted
+    ),
+}
+
+
 def cmd_gen(args) -> int:
-    kind = args.family
-    if kind == "cycle":
-        d = directed_cycle(args.n)
-    elif kind == "tournament":
-        d = rotational_tournament(args.n)
-    elif kind == "h3":
-        d = gadget_h3()
-    elif kind == "h4":
-        d = gadget_h4()
-    elif kind == "h5":
-        d = gadget_h5()
-    elif kind == "dg":
-        d = gadget_dg(args.g)
-    elif kind == "co":
-        d = gadget_co(args.n)
-    elif kind == "co-prime":
-        d = gadget_co_prime(args.n)
-    elif kind == "paley":
-        g = paley_graph(args.n)
-        d = Digraph(g.n, list(g.edges))  # stored one arc per edge
-    else:
-        d = random_orgraph(
-            args.n,
-            args.max_deg,
-            args.min_girth,
-            seed=args.seed,
-            weighted=args.weighted,
-        )
+    d = FAMILIES[args.family](args)
     text = format_digraph(d)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -90,11 +86,7 @@ def cmd_fas(args) -> int:
         print(f"bas {value}")
         print("order " + " ".join(map(str, order)))
         return EXIT_OK
-    try:
-        cert = fas_weighted_exact(d) if args.weighted else fas_exact(d)
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    cert = fas_weighted_exact(d) if args.weighted else fas_exact(d)
     print(f"fas {cert.value}")
     print("order " + " ".join(map(str, cert.order)))
     print("arcs " + " ".join(map(str, cert.arc_ids)))
@@ -106,7 +98,7 @@ def cmd_fasd(args) -> int:
     if args.t is not None:
         res = good_coloring_search(d, args.t, node_budget=args.budget)
         print(f"t={args.t} {res.status} nodes={res.nodes}")
-        if res.coloring and args.certificate:
+        if res.sat and args.certificate:
             _write_cert(
                 args.certificate,
                 "good-coloring",
@@ -135,8 +127,6 @@ def _write_cert(path, kind, payload, claim) -> None:
 
 
 def cmd_decompose3(args) -> int:
-    from .triples import decompose3
-
     d = read_digraph(args.file)
     triple = decompose3(d)
     classes = triple.backward_classes(d)
@@ -184,11 +174,7 @@ def cmd_fas6(args) -> int:
 
 def cmd_fvs(args) -> int:
     d = read_digraph(args.file)
-    try:
-        cert = fvs_exact(d)
-    except BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    cert = fvs_exact(d)
     print("vertices " + " ".join(map(str, cert.vertices)))
     flags = []
     if cert.within_half:
@@ -200,8 +186,6 @@ def cmd_fvs(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    from .spectral import lambda_extremes
-
     d = read_digraph(args.file)
     g = _underlying_graph(d)
     rep = lambda_extremes(g)
@@ -213,14 +197,10 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_mixing(args) -> int:
-    import random as _random
-
-    from .spectral import lambda_extremes, mixing_check
-
     d = read_digraph(args.file)
     g = _underlying_graph(d)
     rep = lambda_extremes(g)
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     violations = 0
     for _ in range(args.samples):
         s = rng.sample(range(g.n), rng.randrange(0, g.n + 1))
@@ -232,8 +212,6 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_orient_exp(args) -> int:
-    from .spectral import random_orientation_experiment
-
     d = read_digraph(args.file)
     g = _underlying_graph(d)
     exp = random_orientation_experiment(g, args.trials, args.orderings, seed=args.seed)
@@ -250,8 +228,6 @@ def cmd_orient_exp(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    from .checks import run_checks
-
     selected = args.check if args.check else None
     try:
         results = run_checks(selected, seed=args.seed)
@@ -282,13 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a graph family instance")
-    g.add_argument(
-        "family",
-        choices=[
-            "cycle", "tournament", "h3", "h4", "h5", "dg", "co", "co-prime",
-            "paley", "random",
-        ],
-    )
+    g.add_argument("family", choices=FAMILIES)
     g.add_argument("-n", type=int, default=8)
     g.add_argument("--g", type=int, default=8, help="girth parameter for dg")
     g.add_argument("--max-deg", type=int, default=4)
@@ -370,7 +340,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, ValueError) as exc:
+    except BudgetError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (ValueError, OSError) as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

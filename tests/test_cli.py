@@ -4,7 +4,9 @@ import pytest
 
 from fasdlab.certcheck import check_coloring, check_counting_bound
 from fasdlab.cli import main
-from fasdlab.fileio import read_digraph
+from fasdlab.digraph import Digraph
+from fasdlab.fileio import read_digraph, write_digraph
+from fasdlab.generators import circulant_digraph
 
 
 def run(argv, capsys):
@@ -35,6 +37,25 @@ class TestGen:
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(["gen", "tournament", "-n", "4"], capsys)
         assert code == 2 and "error" in err
+
+    def test_output_into_missing_directory_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["gen", "cycle", "-o", str(tmp_path / "no" / "c.txt")], capsys)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fas"], ["fasd"], ["decompose3"], ["colorg", "--g", "3"], ["fas6"], ["fvs"],
+        ["spectral"], ["mixing"], ["orient-exp"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_missing_graph_file_exit_2(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(command[:1] + [missing] + command[1:], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "missing.txt" in err and "Traceback" not in err
 
 
 class TestSolvers:
@@ -110,6 +131,14 @@ class TestSolvers:
         coloring = {int(a): c for a, c in doc["coloring"].items()}
         assert check_coloring(read_digraph(d8_file), coloring, 7) == (True, None)
 
+    def test_fasd_fixed_t_writes_the_coloring_of_no_arcs(self, tmp_path, capsys):
+        f, cert = tmp_path / "empty.txt", tmp_path / "cert.json"
+        f.write_text("0 0\n")
+        code, out, _ = run(["fasd", str(f), "--t", "3", "--certificate", str(cert)], capsys)
+        assert code == 0 and out.startswith("t=3 sat")
+        doc = json.loads(cert.read_text())
+        assert doc["kind"] == "good-coloring" and doc["coloring"] == {}
+
     def test_fasd_budget_zero_exit_3(self, d8_file, capsys):
         code, out, _ = run(["fasd", d8_file, "--budget", "0"], capsys)
         assert code == 3 and out.startswith("budget exceeded")
@@ -151,6 +180,18 @@ class TestSolvers:
         assert code == 0 and "size" in out
         doc = json.loads(cert.read_text())
         assert doc["kind"] == "fas-sixth" and doc["total_arcs"] == 12 and len(doc["arcs"]) == 1
+
+    def test_fas6_budget_exit_3(self, tmp_path, capsys):
+        # the matching expansion of a circulant: vertex v becomes the arc
+        # 2v -> 2v+1 and arc u -> w the arc 2u+1 -> 2w, so max degree 3 and
+        # girth 30, and its irreducible core is past fvs_exact's cap
+        c30 = circulant_digraph(30, [1, 2])
+        arcs = [(2 * v, 2 * v + 1) for v in range(30)]
+        arcs += [(2 * u + 1, 2 * w) for u, w in c30.arcs]
+        f = tmp_path / "m60.txt"
+        write_digraph(f, Digraph(60, arcs))
+        code, out, err = run(["fas6", str(f)], capsys)
+        assert code == 3 and out == "" and err.startswith("refused:")
 
     def test_fvs(self, tmp_path, capsys):
         f = tmp_path / "co5.txt"
