@@ -40,6 +40,7 @@ from fasdlab.generators import (
     gadget_h5,
     random_orgraph,
     rotational_tournament,
+    split_k,
 )
 from fasdlab.ordering import fas_exact
 from test_golden import fasd_corpus
@@ -392,8 +393,7 @@ class TestConflictClique:
 
     def test_greedy_search_past_12_arcs(self):
         # every vertex of the rotational 5-tournament becomes a directed
-        # 4-chain, so each cycle grows fourfold: girth 12, and the 13-arc
-        # clique is past the exact search's 12
+        # 4-chain, so each cycle grows fourfold: girth 12 and a 13-arc clique
         arcs = [(4 * v + c, 4 * v + c + 1) for v in range(5) for c in range(3)]
         arcs += [(4 * u + 3, 4 * v) for u, v in rotational_tournament(5).arcs]
         d = Digraph(20, arcs)
@@ -401,6 +401,34 @@ class TestConflictClique:
         clique = refute_by_conflict_clique(d)
         assert clique is not None and len(clique.arcs) == 13
         assert check_conflict_clique(d, 12, clique.arcs, clique.witness) == (True, None)
+
+    def test_every_clique_of_split_random_tournaments_refutes_its_level(self):
+        # 2- and 3-way splits of 60 random tournaments on 4-8 vertices: 120
+        # inputs, 29 with a clique, each passing the checker and confirmed by
+        # a complete search that finds no good coloring at its level
+        found = 0
+        for seed in range(60):
+            n = 4 + seed % 5
+            rng = random.Random(seed)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            tournament = Digraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs])
+            for k in (2, 3):
+                d = split_k(tournament, k)
+                clique = refute_by_conflict_clique(d)
+                if clique is None:
+                    continue
+                found += 1
+                assert check_conflict_clique(d, clique.t, clique.arcs, clique.witness) == (True, None)
+                assert good_coloring_search(d, clique.t).status == "unsat"
+        assert found == 29
+
+    def test_no_clique_on_a_circulant_of_girth_11(self):
+        # every arc of c39(1, 8) lies on girth cycles with at least 11 others,
+        # so the search tries each seed before returning None
+        d = circulant_digraph(39, [1, 8])
+        assert girth(d) == 11
+        assert refute_by_conflict_clique(d) is None
+        assert fasd_exact(d).value == 11
 
     def test_d8_has_9_clique_at_t8(self):
         clique = refute_by_conflict_clique(gadget_dg(8))
