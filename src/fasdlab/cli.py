@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 check or verification failure, 2 usage error (a
 GraphError or ValueError, or a file that cannot be read or written), 3 budget
-exceeded (a BudgetError from any command).  All randomized commands take
+exceeded (a BudgetError from any command, or fasd running out of nodes;
+both print ``refused: ...`` on stderr).  All randomized commands take
 --seed (default 0) and are deterministic given their flags.  ``fasd
---budget`` (default 10^8) caps the search nodes, which fasd spends as a total
-over all levels.
+--budget`` (default 10^8, a negative one is a usage error) caps the search
+nodes, which fasd spends as a total over all levels.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ def cmd_fasd(args) -> int:
     d = read_digraph(args.file)
     if args.t is not None:
         res = good_coloring_search(d, args.t, node_budget=args.budget)
+        if res.status == "budget":
+            print(f"refused: node budget spent; t={args.t} undecided", file=sys.stderr)
+            return EXIT_BUDGET
         print(f"t={args.t} {res.status} nodes={res.nodes}")
         if res.sat and args.certificate:
             _write_cert(
@@ -105,10 +109,10 @@ def cmd_fasd(args) -> int:
                 {"t": args.t, "coloring": res.coloring},
                 f"good {args.t}-arc-coloring exists",
             )
-        return EXIT_OK if res.status != "budget" else EXIT_BUDGET
+        return EXIT_OK
     cert = fasd_exact(d, node_budget=args.budget)
     if cert.value is None:
-        print(f"budget exceeded; fasd in [{cert.lo}, {cert.hi}]")
+        print(f"refused: node budget spent; fasd in [{cert.lo}, {cert.hi}]", file=sys.stderr)
         return EXIT_BUDGET
     print(f"fasd {cert.value}")
     if args.certificate:

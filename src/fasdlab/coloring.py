@@ -162,11 +162,14 @@ def good_coloring_search(
     closes a cycle or, once all t colors are in use, when a later arc has
     every color dead on those cycles; dead colors are not tried.  Neither cut
     drops a good coloring, so the witness is the first one in branch order
-    either way.  Each color tried counts as a node.  The search keeps an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    either way.  Each color tried counts as a node, and a negative
+    ``node_budget`` raises ValueError.  The search keeps an explicit stack, so
+    its depth is not bounded by the recursion limit.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if node_budget < 0:
+        raise ValueError("node_budget must be >= 0")
     g = girth(d)
     if g is INFINITE:
         # every coloring of an acyclic digraph is good
@@ -497,8 +500,11 @@ def fasd_exact(d: Digraph, node_budget: int = DEFAULT_NODE_BUDGET) -> FasdCertif
     for every non-acyclic digraph (the backward and forward arcs of any
     ordering are both feedback arc sets), so the loop always ends with a
     witness unless the budget is hit first.  ``node_budget`` bounds the total
-    search nodes over all levels: each level gets what the earlier ones left.
+    search nodes over all levels: each level gets what the earlier ones left;
+    a negative budget raises ValueError.
     """
+    if node_budget < 0:
+        raise ValueError("node_budget must be >= 0")
     g = girth(d)
     if g is INFINITE:
         return FasdCertificate(INFINITE, None)

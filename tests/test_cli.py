@@ -140,8 +140,22 @@ class TestSolvers:
         assert doc["kind"] == "good-coloring" and doc["coloring"] == {}
 
     def test_fasd_budget_zero_exit_3(self, d8_file, capsys):
-        code, out, _ = run(["fasd", d8_file, "--budget", "0"], capsys)
-        assert code == 3 and out.startswith("budget exceeded")
+        code, out, err = run(["fasd", d8_file, "--budget", "0"], capsys)
+        assert code == 3 and out == ""
+        assert err == "refused: node budget spent; fasd in [2, 7]\n"
+
+    def test_fasd_fixed_t_budget_zero_exit_3(self, d8_file, capsys):
+        code, out, err = run(["fasd", d8_file, "--t", "8", "--budget", "0"], capsys)
+        assert code == 3 and out == ""
+        assert err == "refused: node budget spent; t=8 undecided\n"
+
+    @pytest.mark.parametrize("fixed_t", [[], ["--t", "3"]], ids=["exact", "fixed-t"])
+    def test_fasd_negative_budget_exit_2(self, fixed_t, tmp_path, capsys):
+        f = tmp_path / "c3.txt"
+        write_digraph(f, Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+        code, out, err = run(["fasd", str(f), "--budget", "-1"] + fixed_t, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "node_budget" in err and "Traceback" not in err
 
     def test_fasd_fixed_t(self, d8_file, capsys):
         code, out, _ = run(["fasd", d8_file, "--t", "8"], capsys)

@@ -161,6 +161,14 @@ class TestGoodColoringSearch:
         res = good_coloring_search(gadget_h4(), 5, node_budget=3)
         assert res.status == "budget"
 
+    def test_negative_budget_rejected(self):
+        acyclic = Digraph(2, [(0, 1)])
+        for d in (directed_cycle(3), acyclic):
+            with pytest.raises(ValueError, match="node_budget"):
+                good_coloring_search(d, 3, node_budget=-1)
+            with pytest.raises(ValueError, match="node_budget"):
+                fasd_exact(d, node_budget=-1)
+
     def test_t_above_girth_unsat(self):
         assert good_coloring_search(directed_cycle(4), 5).status == "unsat"
 
