@@ -395,7 +395,8 @@ def refute_by_conflict_clique(d: Digraph) -> ConflictClique | None:
     for cyc, ids in _cycle_arcs(d, t):
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                pair_witness.setdefault((min(a, b), max(a, b)), cyc)
+                key = (min(a, b), max(a, b))
+                pair_witness.setdefault(key, cyc)
                 neigh.setdefault(a, set()).add(b)
                 neigh.setdefault(b, set()).add(a)
     target = t + 1
