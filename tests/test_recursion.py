@@ -16,8 +16,8 @@ import fasdlab
 SRC = Path(fasdlab.__file__).resolve().parent
 
 SELF_RECURSIVE_ALLOWED = {
-    # depth at most the number of vertices searched; ROADMAP item 4 makes
-    # the FVS search iterative
+    # depth at most the FVS_EXACT_MAX_N vertices that fvs_exact accepts,
+    # until the FVS search keeps an explicit stack
     "delta3.fvs_exact.solve",
     "delta3.fvs_exact.packing",
     # depth is the nesting of the data it converts
