@@ -182,7 +182,7 @@ def good_coloring_search(
     # length L needs all t colors, so its slack, distinct colors + unassigned
     # arcs - t, must stay >= 0; it starts at L - t <= 3 and falls by one
     # exactly when an arc takes a color the cycle already carries.  slack[k]
-    # is the bitmask of watched cycles with slack >= k.  near[a] holds the
+    # is the bitmask of watched cycles with slack >= k.  near[a] lists the
     # cycle masks of the later arcs that share a watched cycle with arc a.
     watch = [ids for _, ids in _cycle_arcs(d, t + 3)]
     on_cycles = [0] * m
@@ -202,8 +202,10 @@ def good_coloring_search(
     rank = {a: r for r, a in enumerate(order)}
     near = [set() for _ in range(m)]
     for ids in watch:
-        for a in ids:
-            near[a].update(on_cycles[b] for b in ids if rank[b] > rank[a])
+        ids = sorted(ids, key=rank.__getitem__)
+        for j, a in enumerate(ids):
+            near[a].update(ids[j + 1 :])
+    near = [[on_cycles[b] for b in bs] for bs in near]
     others = [tuple(k for k in range(1, t + 1) if k != c) for c in range(t + 1)]
 
     # all assigned arcs once, out[u][v] = inn[v][u] = color; the remainder

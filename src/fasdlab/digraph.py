@@ -487,29 +487,50 @@ def _shortest_cycle(d: _BaseDigraph, removed, floor: int = 2):
     The roots stop once the best cycle has ``floor`` vertices: a later root
     replaces it only with a strictly shorter one, so the answer is the same
     for every floor up to the girth.
+
+    A root is skipped unless it has a live out-neighbour and a live
+    in-neighbour above it: the BFS from s enters only live vertices above s,
+    so a cycle it closes leaves s to one and returns from one; a skipped root
+    could not have replaced the best cycle.  The BFS runs level by level, each
+    level in the order a FIFO queue would hold it, so the parents and the
+    first arc back to s are unchanged; a level whose cycles could not be
+    shorter than the best so far ends the root.
     """
-    out = d._out
+    out, inn = d._out, d._in
     best = None
+    bound = d.n + 1  # the length of the best cycle so far, n + 1 before one
     for s in range(d.n):
         if s in removed:
             continue
-        parent = {s: None}
-        q = deque([(s, 0)])
-        while q:
-            u, du = q.popleft()
-            if best is not None and du + 1 >= len(best):
+        for v, _ in out[s]:
+            if v > s and v not in removed:
                 break
-            for v, _ in out[u]:
-                if v == s:
-                    best = [u]
-                    while best[-1] != s:
-                        best.append(parent[best[-1]])
-                    best.reverse()
-                    q.clear()
+        else:
+            continue
+        for u, _ in inn[s]:
+            if u > s and u not in removed:
+                break
+        else:
+            continue
+        parent = {s: None}
+        level, depth = [s], 0
+        while level and depth + 1 < bound:
+            nxt = []
+            for u in level:
+                for v, _ in out[u]:
+                    if v == s:
+                        best = [u]
+                        while best[-1] != s:
+                            best.append(parent[best[-1]])
+                        best.reverse()
+                        bound = len(best)
+                        break
+                    if v > s and v not in removed and v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+                if bound == depth + 1:
                     break
-                if v > s and v not in removed and v not in parent:
-                    parent[v] = u
-                    q.append((v, du + 1))
+            level, depth = nxt, depth + 1
         if best is not None and len(best) <= floor:
             break
     return best

@@ -299,6 +299,16 @@ class TestFasdExact:
                 assert verify_good_coloring(d, cert.witness, g) == (True, None)
         assert fasd_exact(circulant_digraph(17, [1, 4])).nodes <= 100
 
+    def test_c39_many_watched_cycles(self):
+        # c39(1, 4) watches thousands of cycles of length <= 15; the forward
+        # check's near-sets are built per cycle from rank-sorted arc ids
+        d = circulant_digraph(39, [1, 4])
+        cert = fasd_exact(d)
+        assert (cert.value, cert.complete, cert.nodes) == (12, True, 83)
+        ref = cert.refutation
+        assert isinstance(ref, CountingBound) and ref.bound == 12
+        assert verify_good_coloring(d, cert.witness, 12) == (True, None)
+
     def test_fas_fasd_inequality(self):
         # fas(D) <= a(D) / fasd(D) in integer form
         for seed in range(8):

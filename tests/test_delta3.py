@@ -20,6 +20,7 @@ from fasdlab.digraph import (
     is_acyclic,
 )
 from fasdlab.generators import (
+    circulant_digraph,
     circulant_graph,
     directed_cycle,
     gadget_co,
@@ -140,7 +141,9 @@ class TestFvsExact:
             drop = set(cert.vertices)
             assert is_acyclic(Digraph(d.n, [(u, v) for u, v in simple.arcs if drop.isdisjoint((u, v))]))[0]
 
-    def test_packing_bound_prunes_the_search(self, monkeypatch):
+    @staticmethod
+    def counted_fvs_exact(monkeypatch, d):
+        """fvs_exact(d) and the number of cycle searches it made."""
         calls = 0
         search = delta3._shortest_cycle
 
@@ -150,11 +153,19 @@ class TestFvsExact:
             return search(*args)
 
         monkeypatch.setattr(delta3, "_shortest_cycle", counted)
-        cert = fvs_exact(eulerian_orient(circulant_graph(24, [1, 2, 3])))
+        return fvs_exact(d), calls
+
+    def test_packing_bound_prunes_the_search(self, monkeypatch):
+        cert, calls = self.counted_fvs_exact(monkeypatch, eulerian_orient(circulant_graph(24, [1, 2, 3])))
         assert len(cert.vertices) == 8
         # 186 cycle searches with the packing bound and the kept vertices,
         # 3 504 without them
         assert calls <= 400
+
+    def test_cycle_searches_on_c24(self, monkeypatch):
+        # the search tree is pinned, so a faster cycle search saves per call
+        cert, calls = self.counted_fvs_exact(monkeypatch, circulant_digraph(24, [1, 5]))
+        assert (len(cert.vertices), calls) == (5, 1420)
 
     def test_half_bound_or_exception(self):
         for seed in range(25):

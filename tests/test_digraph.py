@@ -352,6 +352,26 @@ class TestShortestCycle:
             removed = set(range(0, 60, 7 + seed))
             assert _shortest_cycle(d, removed) == reference_shortest_cycle(d, removed)
 
+    @pytest.mark.parametrize(
+        "d, removed, want",
+        [
+            # root 0's one in-neighbour above it, 2, is removed
+            (Digraph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 1)]), {2}, [1, 3]),
+            # root 0's one out-neighbour above it, 2, is removed
+            (Digraph(4, [(0, 2), (2, 1), (1, 0), (1, 3), (3, 1)]), {2}, [1, 3]),
+            # a digon through root 0, and root 1 whose digon partner is below it
+            (Digraph(3, [(1, 0), (0, 1), (1, 2)]), (), [0, 1]),
+            (Digraph(3, [(1, 0), (0, 1), (1, 2)]), {0}, None),
+            (Digraph(4, [(3, 0), (1, 3), (3, 1), (0, 3)]), (), [0, 3]),
+            # parallel arcs: both arcs out of root 0 enter a removed vertex,
+            # and root 1's parallel arcs lead only below it
+            (MultiDigraph(4, [(0, 3), (0, 3), (3, 0), (1, 2), (2, 1)]), {3}, [1, 2]),
+            (MultiDigraph(3, [(1, 0), (1, 0), (0, 2), (2, 1), (2, 1)]), (), [0, 2, 1]),
+        ],
+    )
+    def test_skipped_roots(self, d, removed, want):
+        assert _shortest_cycle(d, removed) == reference_shortest_cycle(d, removed) == want
+
     def test_any_floor_up_to_the_girth_gives_the_same_cycle(self):
         for d, removed in seeded_views(600, 3):
             cycle = _shortest_cycle(d, removed)
