@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 check or verification failure, 2 usage error (a
 GraphError or ValueError, or a file that cannot be read or written), 3 budget
 exceeded (a BudgetError from any command, or fasd running out of nodes;
 both print ``refused: ...`` on stderr).  All randomized commands take
---seed (default 0) and are deterministic given their flags.  ``fasd
+--seed (default 0) and are deterministic given their flags.  ``fas``
+weighs its answer exactly when the file has weights, with or without
+--heuristic, which inserts the vertices in greedy order.  ``fasd
 --budget`` (default 10^8, a negative one is a usage error) caps the search
 nodes, which fasd spends as a total over all levels.
 """
@@ -82,12 +84,12 @@ def cmd_gen(args) -> int:
 def cmd_fas(args) -> int:
     d = read_digraph(args.file)
     if args.heuristic:
-        order = fas_upper_heuristic(d, seed=args.seed)
+        order = fas_upper_heuristic(d)
         value = bas(d, order)
         print(f"bas {value}")
         print("order " + " ".join(map(str, order)))
         return EXIT_OK
-    cert = fas_weighted_exact(d) if args.weighted else fas_exact(d)
+    cert = fas_weighted_exact(d) if d.weighted else fas_exact(d)
     print(f"fas {cert.value}")
     print("order " + " ".join(map(str, cert.order)))
     print("arcs " + " ".join(map(str, cert.arc_ids)))
@@ -275,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fas", help="minimum feedback arc set")
     f.add_argument("file")
-    f.add_argument("--weighted", action="store_true")
     f.add_argument("--heuristic", action="store_true")
-    f.add_argument("--seed", type=int, default=0)
     f.set_defaults(func=cmd_fas)
 
     fd = sub.add_parser("fasd", help="FAS decomposition number")

@@ -727,27 +727,16 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
 def reduce_digons(d: Digraph):
     """Cancel directed 2-cycles, returning (orgraph, extracted_weight).
 
-    Weighted: both arcs of each digon lose the smaller of the two weights and
-    zero-weight arcs are dropped, so exactly one arc of each digon survives
-    (none when the weights tie).  Unweighted: both arcs of each digon are
-    deleted and the digon count is returned.  The extracted amount is what any
-    minimum feedback set must pay inside the digons.
+    Both arcs of each digon lose the smaller of the two weights and
+    zero-weight arcs of digons are dropped, so at most one arc of each digon
+    survives (none when the weights tie).  An unweighted digraph weighs 1 per
+    arc: both arcs of each digon go, the result is unweighted, and the amount
+    is the digon count.  The extracted amount is what any minimum feedback set
+    must pay inside the digons.
     """
-    pair_of = {}
-    for a, (u, v) in enumerate(d.arcs):
-        pair_of[(u, v)] = a
-    extracted = 0.0
-    if d.weights is None:
-        drop = set()
-        for (u, v), a in pair_of.items():
-            if u < v and (v, u) in pair_of:
-                drop.add(a)
-                drop.add(pair_of[(v, u)])
-                extracted += 1.0
-        arcs = [uv for i, uv in enumerate(d.arcs) if i not in drop]
-        return Digraph(d.n, arcs), extracted
+    pair_of = {uv: a for a, uv in enumerate(d.arcs)}
     # exact arithmetic on the weights' decimal text: (0.3, 0.1) leaves 0.2
-    w = exact_weights(d)
+    w = exact_weights(d) if d.weighted else [Fraction(1)] * d.m
     total = Fraction(0)
     for (u, v), a in pair_of.items():
         if u < v and (v, u) in pair_of:
@@ -762,7 +751,7 @@ def reduce_digons(d: Digraph):
             continue
         arcs.append(uv)
         weights.append(float(w[i]))
-    return Digraph(d.n, arcs, weights), float(total)
+    return Digraph(d.n, arcs, weights if d.weighted else None), float(total)
 
 
 def eulerian_orient(g: Graph) -> Digraph:

@@ -165,28 +165,20 @@ def gadget_co_prime(length: int) -> Digraph:
 
 
 def is_digon_odd_cycle(d: Digraph) -> bool:
-    """Structural test for membership in the digon-odd-cycle family."""
+    """Structural test for membership in the digon-odd-cycle family.
+
+    With every arc's reverse present and in- and out-degree 2 everywhere, the
+    underlying graph is 2-regular, so one connected component makes it one
+    cycle.
+    """
     if d.n < 3 or d.n % 2 == 0 or d.m != 2 * d.n:
         return False
     arcset = set(d.arcs)
     if any((v, u) not in arcset for u, v in d.arcs):
         return False
-    und = {tuple(sorted(uv)) for uv in d.arcs}
-    if len(und) != d.n:
-        return False
-    # the underlying graph must be a single cycle
     if any(d.out_degree(v) != 2 or d.in_degree(v) != 2 for v in range(d.n)):
         return False
-    seen = {0}
-    prev, cur = None, 0
-    for _ in range(d.n):
-        nxts = [w for w in d.out_neighbors(cur) if w != prev]
-        if len(nxts) != 1 and prev is not None:
-            return False
-        nxt = nxts[0] if prev is not None else min(d.out_neighbors(cur))
-        prev, cur = cur, nxt
-        seen.add(cur)
-    return cur == 0 and len(seen) == d.n
+    return len(connected_components(d)) == 1
 
 
 def paley_graph(q: int) -> Graph:

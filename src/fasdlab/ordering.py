@@ -25,20 +25,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .certcheck import backward_arc_ids, bas, check_fas_order, exact_weights, is_acyclic
+from .certcheck import backward_arc_ids, bas, check_fas_order, exact_weights  # noqa: F401 (bas: re-export)
 from .digraph import BudgetError, Digraph, GraphError, strong_components
 
 WEIGHT_SCALE = 10**6
 
 FAS_EXACT_MAX_N = 22
 _FAS_BRUTE_MAX_N = 9
-_HEURISTIC_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -261,25 +259,26 @@ def _subset_sums(rows):
     return t
 
 
-def _order_bound(in_items) -> int:
-    """The backward weight of a cheap order of one strong component, in the
-    terms of ``_fas_table``: an upper bound on its fas, which that table
-    checks rather than trusts.
+def _greedy_order(in_items):
+    """The greedy order of a digraph given as ``_fas_table``'s ``in_items``,
+    after Eades, Lin & Smyth (IPL 1993): it repeatedly places the unplaced
+    vertex of least in-weight from the other unplaced vertices, the lowest id
+    on a tie.
 
-    The order is greedy after Eades, Lin & Smyth (IPL 1993): it repeatedly
-    places the unplaced vertex of least in-weight from the other unplaced
-    vertices, the lowest id on a tie.  Then it is sifted: each vertex in turn
-    moves to its cheapest slot, in passes until a pass no longer lowers the
-    weight.
+    Returns (into, step, order).  ``into[v][u]`` is the weight of the arcs
+    u -> v, and ``step[v]`` is the map ``_cheapest_slot`` takes for v: the
+    weight of v's arcs to u minus that of u's arcs to v, for each neighbour u.
     """
     k = len(in_items)
-    # into[v][u], out[u][v]: the weight of the arcs u -> v
     into = [{} for _ in range(k)]
     out = [{} for _ in range(k)]
+    step = [{} for _ in range(k)]
     for v, items in enumerate(in_items):
         for u, hw in items:
             into[v][u] = into[v].get(u, 0) + hw
             out[u][v] = out[u].get(v, 0) + hw
+            step[u][v] = step[u].get(v, 0) + hw
+            step[v][u] = step[v].get(u, 0) - hw
     need = [sum(ws.values()) for ws in into]
     left = list(range(k))
     order = []
@@ -289,19 +288,28 @@ def _order_bound(in_items) -> int:
         order.append(v)
         for u, hw in out[v].items():
             need[u] -= hw
+    return into, step, order
+
+
+def _order_bound(in_items) -> int:
+    """The backward weight of a cheap order of one strong component, in the
+    terms of ``_fas_table``: an upper bound on its fas, which that table
+    checks rather than trusts.
+
+    The order is ``_greedy_order``'s, sifted: each vertex in turn moves to its
+    cheapest slot, in passes until a pass no longer lowers the weight.
+    """
+    into, step, order = _greedy_order(in_items)
 
     def weight():
         pos = {v: i for i, v in enumerate(order)}
-        return sum(hw for v in range(k) for u, hw in into[v].items() if pos[v] < pos[u])
+        return sum(hw for v, ws in enumerate(into) for u, hw in ws.items() if pos[v] < pos[u])
 
     best = weight()
     while best:
-        for v in range(k):
+        for v in range(len(order)):
             order.remove(v)
-            step = dict(out[v])
-            for u, hw in into[v].items():
-                step[u] = step.get(u, 0) - hw
-            order.insert(_cheapest_slot(order, step), v)
+            order.insert(_cheapest_slot(order, step[v]), v)
         now = weight()
         if now == best:
             break
@@ -360,44 +368,30 @@ def fas_brute(d: Digraph):
     return value, tuple(int(x) for x in perms[best])
 
 
-def fas_upper_heuristic(d: Digraph, seed: int = 0) -> tuple:
-    """Best of seeded cheapest-slot insertions; deterministic per seed.
+def fas_upper_heuristic(d: Digraph) -> tuple:
+    """Cheapest-slot insertion in the greedy order; deterministic.
 
     Returns an ordering whose bas upper-bounds fas(D).  Used where exact
-    search is refused.  Each restart inserts the vertices in a shuffled order,
-    each at the slot that makes the fewest placed arcs backward (the earliest
-    slot on a tie).  Costs are the exact scaled integer weights of the DP, so
-    a weight with more than six fraction digits raises GraphError here too,
-    and parallel arcs count each.  No adjacent swap lowers the result's bas:
-    two neighbours were already neighbours when the later one was inserted,
-    and the swapped order puts it in the slot on the other side of the
-    earlier one, which cost no less then and differs by the same arcs now.
-    """
-    acyclic, topo = is_acyclic(d)
-    if acyclic:
-        return tuple(topo)
-    rng = random.Random(seed)
-    w = [1] * d.m if d.weights is None else _scaled_weights(d)
+    search is refused.  The vertices are taken in ``_greedy_order`` over all
+    of D, and each goes in at the slot that makes the least placed weight
+    backward (the earliest slot on a tie).  Costs are the exact scaled integer
+    weights of the DP, so a weight with more than six fraction digits raises
+    GraphError here too, and parallel arcs count each.
 
-    best_order = None
-    best_val = None
-    for _ in range(_HEURISTIC_RESTARTS):
-        verts = list(range(d.n))
-        rng.shuffle(verts)
-        order = []
-        placed = set()
-        for v in verts:
-            step = {}
-            for u, a in d.out_arcs(v):
-                if u in placed:
-                    step[u] = step.get(u, 0) + w[a]
-            for u, a in d.in_arcs(v):
-                if u in placed:
-                    step[u] = step.get(u, 0) - w[a]
-            order.insert(_cheapest_slot(order, step), v)
-            placed.add(v)
-        val = bas(d, order)
-        if best_val is None or val < best_val:
-            best_val = val
-            best_order = tuple(order)
-    return best_order
+    The last slot makes backward exactly the arcs that the greedy order makes
+    backward when it places the same vertex, so the result's bas is at most
+    the greedy order's; on an acyclic D that order is topological, and the
+    bas is 0.  No adjacent swap lowers the result's bas: two neighbours were
+    already neighbours when the later one was inserted, and the swapped order
+    puts it in the slot on the other side of the earlier one, which cost no
+    less then and differs by the same arcs now.
+    """
+    w = [1] * d.m if d.weights is None else _scaled_weights(d)
+    in_items = [[] for _ in range(d.n)]
+    for a, (u, v) in enumerate(d.arcs):
+        in_items[v].append((u, w[a]))
+    _, step, greedy = _greedy_order(in_items)
+    order = []
+    for v in greedy:
+        order.insert(_cheapest_slot(order, step[v]), v)
+    return tuple(order)

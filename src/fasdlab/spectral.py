@@ -151,7 +151,6 @@ class OrientationBound:
     d: int
     lam: float
     bound: float  # (d - lam) n / 8
-    ramanujan_bound: float  # with lam replaced by 2 sqrt(d - 1)
     fas_value: object | None
     holds: bool | None
 
@@ -172,14 +171,13 @@ def orientation_fas_lower_bound(d: Digraph, lam: float) -> OrientationBound:
         raise GraphError("underlying graph is not regular")
     reg = next(iter(degs))[0] * 2
     bound = (reg - lam) * d.n / 8
-    rama = (reg - 2 * math.sqrt(reg - 1)) * d.n / 8 if reg >= 1 else 0.0
     fas_value = None
     if 0 < d.n <= FAS_EXACT_MAX_N:
         fas_value = fas_exact(d).value
     holds = None
     if fas_value is not None:
         holds = fas_value >= math.ceil(bound - 1e-6)
-    return OrientationBound(d.n, reg, lam, bound, rama, fas_value, holds)
+    return OrientationBound(d.n, reg, lam, bound, fas_value, holds)
 
 
 # ---------------------------------------------------------------------------

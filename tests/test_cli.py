@@ -78,7 +78,7 @@ class TestSolvers:
     def test_fas_weighted_rejects_inexact_weight_exit_2(self, tmp_path, capsys):
         f = tmp_path / "w.txt"
         f.write_text("3 3\n0 1 0.0000001\n1 2 5\n2 0 5\n")
-        code, out, err = run(["fas", "--weighted", str(f)], capsys)
+        code, out, err = run(["fas", str(f)], capsys)
         assert code == 2 and out == ""
         assert "error" in err and "arc 0 (0,1)" in err
 
@@ -90,6 +90,15 @@ class TestSolvers:
         f.write_text("3 3\n0 1 0.0000001\n1 2 5\n2 0 5\n")
         code, out, err = run(["fas", "--heuristic", str(f)], capsys)
         assert code == 2 and out == "" and "arc 0 (0,1)" in err
+
+    def test_fas_weighs_a_weighted_file(self, tmp_path, capsys):
+        f = tmp_path / "w.txt"
+        f.write_text("4 4\n0 1 0.1\n1 0 1\n2 3 0.2\n3 2 1\n")
+        code, out, _ = run(["fas", str(f)], capsys)
+        assert code == 0 and out.splitlines()[0] == "fas 3/10"
+        f.write_text("4 4\n0 1\n1 0\n2 3\n3 2\n")
+        code, out, _ = run(["fas", str(f)], capsys)
+        assert code == 0 and out.splitlines()[0] == "fas 2"
 
     def test_fvs_budget_exit_3(self, tmp_path, capsys):
         f = tmp_path / "big.txt"

@@ -118,6 +118,19 @@ class TestCoFamily:
         assert not is_digon_odd_cycle(directed_cycle(5))
         assert not is_digon_odd_cycle(gadget_co_prime(5))
 
+    def test_one_cycle_under_any_labels(self):
+        # a digon C3 beside a digon C4 has every degree and count of a digon
+        # C7, but two components
+        c3 = gadget_co(3).arcs
+        c4 = [(u + 3, (u + 1) % 4 + 3) for u in range(4)]
+        c4 += [(v, u) for u, v in c4]
+        assert not is_digon_odd_cycle(Digraph(7, list(c3) + c4))
+        perm = list(range(7))
+        random.Random(7).shuffle(perm)
+        arcs = [(perm[u], perm[v]) for u, v in gadget_co(7).arcs]
+        random.Random(8).shuffle(arcs)
+        assert is_digon_odd_cycle(Digraph(7, arcs))
+
     def test_co_prime_structure(self):
         d = gadget_co_prime(5)
         assert d.n == 10 and d.m == 15
@@ -370,7 +383,7 @@ class TestSplit4FasRelation:
         s = split4_degree3(d)
         assert s.m == 2 * d.m and max_degree(s) == 3
 
-        order = fas_upper_heuristic(s, seed=2)
+        order = fas_upper_heuristic(s)
         f_prime = set(backward_arc_ids(s, order))
         exact = fas_exact(d).value
         assert len(f_prime) >= math.ceil(exact / 3)

@@ -15,8 +15,8 @@ from fasdlab.cli import build_parser
 
 SRC = Path(fasdlab.__file__).resolve().parent
 
-DEFAULTED_PARAMETERS_MAX = 36
-CLI_OPTIONS_MAX = 27
+DEFAULTED_PARAMETERS_MAX = 35
+CLI_OPTIONS_MAX = 25
 
 
 def defaulted_parameters() -> int:
