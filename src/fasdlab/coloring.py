@@ -31,24 +31,12 @@ counting bound, built greedily from the girth cycles and checked by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .certcheck import (
-    arc_index,
-    check_coloring,
-    check_conflict_clique,
-    check_counting_bound,
-    closed_cycle_arcs,
-)
-from .digraph import (
-    INFINITE,
-    BudgetError,
-    Digraph,
-    enumerate_cycles,
-    girth,
-    shortest_cycle,
-)
+from .certcheck import check_coloring, check_conflict_clique, check_counting_bound
+from .digraph import INFINITE, BudgetError, Digraph, _cycle_walk, girth, shortest_cycle
 
 DEFAULT_NODE_BUDGET = 10**8
 TIGHT_CYCLE_CAP = 20000
@@ -69,14 +57,6 @@ def verify_good_coloring(d: Digraph, coloring: dict, t: int):
         return True, None
     rest = type(d)(d.n, [uv for a, uv in enumerate(d.arcs) if coloring[a] != c])
     return False, (c, tuple(shortest_cycle(rest)))
-
-
-def _cycle_arcs(d: Digraph, max_len: int) -> list:
-    """(cycle, arc ids) for each of the first TIGHT_CYCLE_CAP cycles of D of
-    length at most ``max_len``, in enumeration order."""
-    index = arc_index(d)
-    cycles = enumerate_cycles(d, max_len, cap=TIGHT_CYCLE_CAP).cycles
-    return [(cycle, closed_cycle_arcs(index, cycle)) for cycle in cycles]
 
 
 def _pk_repair(pos: list, out: list, inn: list, skip: int, u: int, v: int) -> bool:
@@ -184,7 +164,7 @@ def good_coloring_search(
     # exactly when an arc takes a color the cycle already carries.  slack[k]
     # is the bitmask of watched cycles with slack >= k.  near[a] lists the
     # cycle masks of the later arcs that share a watched cycle with arc a.
-    watch = [ids for _, ids in _cycle_arcs(d, t + 3)]
+    watch = [ids for _, ids in islice(_cycle_walk(d, t + 3), TIGHT_CYCLE_CAP)]
     on_cycles = [0] * m
     slack = [0] * 4
     for i, ids in enumerate(watch):
@@ -394,7 +374,7 @@ def refute_by_conflict_clique(d: Digraph) -> ConflictClique | None:
         return None
     pair_witness = {}
     neigh = {}
-    for cyc, ids in _cycle_arcs(d, t):
+    for cyc, ids in islice(_cycle_walk(d, t), TIGHT_CYCLE_CAP):
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 key = (min(a, b), max(a, b))
@@ -442,7 +422,7 @@ def counting_bound(d: Digraph) -> CountingBound:
     on = [0] * d.m  # members through each arc
     family = []
     size = best = best_k = 0
-    for cycle, ids in _cycle_arcs(d, g):
+    for cycle, ids in islice(_cycle_walk(d, g), TIGHT_CYCLE_CAP):
         if any(on[a] == 2 for a in ids):
             continue
         for a in ids:

@@ -15,6 +15,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .certcheck import exact_weights, is_acyclic  # noqa: F401  (is_acyclic is re-exported)
 
@@ -667,22 +668,31 @@ class CycleEnumeration:
 def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleEnumeration:
     """All simple directed cycles of length <= max_len, at most ``cap`` of them.
 
-    Each cycle is reported as the vertex tuple starting at its smallest vertex,
-    and the overall list is in lexicographic order of those rotations.  When
-    the cap is hit, the result carries an explicit truncation flag; truncation
-    is never silent.
-
-    The search from root s steps onto a vertex v only when v can still get
-    back to s within the length bound: a backward BFS from s over vertices
-    above s gives each one's distance to s, and a path that cannot close in
-    time is not extended.  Such a path would report no cycle, so the cycles,
-    their order and the point of truncation are those of the plain search.
+    Each cycle is reported once, as the vertex tuple starting at its smallest
+    vertex, and the overall list is in lexicographic order of those rotations.
+    When the cap is hit, the result carries an explicit truncation flag;
+    truncation is never silent.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    cycles = []
+    cycles = tuple(cycle for cycle, _ in islice(_cycle_walk(d, max_len), cap))
+    return CycleEnumeration(cycles, len(cycles) == cap, cap)
+
+
+def _cycle_walk(d: _BaseDigraph, max_len: int):
+    """Yield (cycle, arc ids) for each simple directed cycle of length <=
+    max_len, in the order of ``enumerate_cycles``; arc ids[i] leaves cycle[i].
+
+    Each step goes to each head once, by its lowest arc id, so parallel arcs
+    give one cycle, and its ids are those ``certcheck.closed_cycle_arcs``
+    recomputes from the vertex tuple.  The search from root s steps onto a vertex v only when v can still
+    get back to s within the length bound: a backward BFS from s over vertices
+    above s gives each one's distance to s, and a path that cannot close in
+    time is not extended.  Such a path would report no cycle, so the cycles
+    and their order are those of the plain search.
+    """
     if max_len < 2:
-        return CycleEnumeration((), False, cap)
+        return
     for s in range(d.n):
         # Only vertices >= s may appear, so every cycle is found exactly once,
         # rooted at its minimum vertex.  ``dist`` maps s to 0 and each vertex
@@ -702,26 +712,29 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
             frontier = reached
         if len(dist) == 1:
             continue
-        # The depth-first search keeps one iterator over the sorted out-arcs of
-        # each path vertex.
+        # The depth-first search keeps one iterator over the (head, lowest arc
+        # id) pairs of each path vertex, in head order (``_out`` lists arcs in
+        # id order, so the reversed dict keeps the lowest); ids[i] enters
+        # path[i + 1].
         path = [s]
+        ids = []
         on_path = {s}
-        stack = [iter(sorted(d.out_arcs(s)))]
+        stack = [iter(sorted(dict(reversed(d._out[s])).items()))]
         while stack:
-            for v, _ in stack[-1]:
+            for v, a in stack[-1]:
                 if v == s and len(path) >= 2:
-                    cycles.append(tuple(path))
-                    if len(cycles) >= cap:
-                        return CycleEnumeration(tuple(cycles), True, cap)
+                    yield tuple(path), (*ids, a)
                 elif v not in on_path and len(path) + dist.get(v, max_len) <= max_len:
                     path.append(v)
+                    ids.append(a)
                     on_path.add(v)
-                    stack.append(iter(sorted(d.out_arcs(v))))
+                    stack.append(iter(sorted(dict(reversed(d._out[v])).items())))
                     break
             else:
                 stack.pop()
                 on_path.discard(path.pop())
-    return CycleEnumeration(tuple(cycles), False, cap)
+                if ids:
+                    ids.pop()
 
 
 def reduce_digons(d: Digraph):

@@ -61,6 +61,25 @@ class TestIndependence:
         assert "fasdlab" not in names and "numpy" not in names
         assert names <= set(sys.stdlib_module_names) | {"__future__"}
 
+    def test_solvers_borrow_no_more_of_the_checker(self):
+        # what a module takes from certcheck besides its check_* rules is
+        # shared with the checker; these sets may shrink but not grow
+        borrowed = {
+            "coloring": set(),
+            "digraph": {"exact_weights", "is_acyclic"},
+            "ordering": {"backward_arc_ids", "bas", "exact_weights"},
+            "triples": {"backward_arc_ids"},
+        }
+        src = Path(certcheck.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module in ("certcheck", "fasdlab.certcheck"):
+                    names.update(a.name for a in node.names if not a.name.startswith("check_"))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    assert "certcheck" not in {a.name.split(".")[-1] for a in node.names}, path.stem
+            assert names <= borrowed.get(path.stem, set()), path.stem
+
     def test_every_rule_reads_bare_data(self):
         d = random_orgraph(24, 3, 6, seed=3, arc_target=32)
         w = random_orgraph(10, 4, 3, seed=4, weighted=True, arc_target=20)

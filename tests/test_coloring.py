@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from fasdlab import coloring
 from fasdlab.certcheck import (
     arc_index,
+    check_coloring,
     check_conflict_clique,
     check_counting_bound,
     closed_cycle_arcs,
@@ -11,6 +13,7 @@ from fasdlab.certcheck import (
 from fasdlab.checks import oracle_corpus_fasd
 from fasdlab.coloring import (
     EXHAUSTED,
+    ConflictClique,
     CountingBound,
     _pk_repair,
     counting_bound,
@@ -227,6 +230,28 @@ class TestFasdExact:
                 assert check_counting_bound(d, ref.cycles, ref.arcs, ref.bound) == (True, None)
             else:
                 assert check_conflict_clique(d, ref.t, ref.arcs, ref.witness) == (True, None)
+
+    @pytest.mark.parametrize("cap", (1, 2, 3))
+    def test_truncated_cycle_reads_keep_the_value(self, monkeypatch, cap):
+        # fewer watched cycles only prune less, and a prefix of the girth
+        # cycles still gives a valid counting bound or clique
+        digraphs = [gadget_dg(4), gadget_dg(6), directed_cycle(5)] + fasd_corpus()[5:]
+        digraphs += [circulant_digraph(n, [1, j]) for n in range(5, 11) for j in range(2, n // 2 + 1)]
+        full = [fasd_exact(d) for d in digraphs]
+        monkeypatch.setattr(coloring, "TIGHT_CYCLE_CAP", cap)
+        capped = [fasd_exact(d) for d in digraphs]
+        for d, want, cert in zip(digraphs, full, capped):
+            assert cert.value == want.value
+            assert check_coloring(d, cert.witness, cert.value) == (True, None)
+            ref = cert.refutation
+            if isinstance(ref, CountingBound):
+                assert check_counting_bound(d, ref.cycles, ref.arcs, ref.bound) == (True, None)
+            elif isinstance(ref, ConflictClique):
+                assert check_conflict_clique(d, ref.t, ref.arcs, ref.witness) == (True, None)
+        # the cap is read at each call: the search prunes less, and h5's
+        # 4-cycles are cut before they hold its clique
+        assert sum(c.nodes for c in capped) > sum(c.nodes for c in full)
+        assert refute_by_conflict_clique(gadget_h5()) is None
 
     def test_matches_brute_oracle_small(self):
         rng = random.Random(7)

@@ -10,6 +10,7 @@ from fasdlab.digraph import (
     GraphError,
     MultiDigraph,
     Peel,
+    _cycle_walk,
     _shortest_cycle,
     connected_components,
     degrees,
@@ -31,7 +32,9 @@ from fasdlab.generators import (
     paley_graph,
     random_orgraph,
 )
+from fasdlab.certcheck import arc_index, closed_cycle_arcs
 from fasdlab.ordering import backward_arc_ids
+from test_golden import multi_corpus
 
 
 def brute_cycles(d, max_len):
@@ -406,12 +409,27 @@ class TestEnumerateCycles:
                 full = enumerate_cycles(d, max_len)
                 assert not full.truncated
                 assert set(full.cycles) == brute_cycles(d, max_len)
-                if isinstance(d, Digraph):  # parallel arcs repeat a cycle
-                    assert list(full.cycles) == sorted(full.cycles)
+                assert list(full.cycles) == sorted(set(full.cycles))
                 for cap in (1, 2, 5):
                     res = enumerate_cycles(d, max_len, cap=cap)
                     assert res.cycles == full.cycles[:cap]
                     assert res.truncated == (len(full) >= cap)
+
+    def test_parallel_arcs_give_one_cycle(self):
+        triangle = MultiDigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
+        assert enumerate_cycles(triangle, 3).cycles == ((0, 1, 2),)
+        digon = MultiDigraph(2, [(0, 1), (1, 0), (1, 0)])
+        assert enumerate_cycles(digon, 3).cycles == ((0, 1),)
+
+    def test_walk_ids_are_the_checkers(self):
+        # the solver reads arc ids off its own walk; the checker recomputes
+        # them from the vertex cycle, taking the lowest of parallel arcs
+        for d in [*seeded_digraphs(300, 6), *multi_corpus()]:
+            walk = list(_cycle_walk(d, d.n))
+            index = arc_index(d)
+            for cycle, ids in walk:
+                assert ids == closed_cycle_arcs(index, cycle)
+            assert len({cycle for cycle, _ in walk}) == len(walk)
 
     def test_deterministic_lex_order(self):
         d = gadget_dg(8)
