@@ -434,7 +434,7 @@ FAMILIES = {
 }
 
 GOLDEN = {
-    "cycles": "44285e3e32deb06b4ce43881a350bf2e83f94aa102736b257a4211ed565a5e2b",
+    "cycles": "7edfed9f1eb30239859a1d09dad25e1644c051027c989f57932eee92ffdff812",
     "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
     "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
     "fas_bounded": "dd46f44708fee22ec655c1c011bffff3501b044665c1476d78652c9e599412cb",
