@@ -697,7 +697,8 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
         # Only vertices >= s may appear, so every cycle is found exactly once,
         # rooted at its minimum vertex.  ``dist`` maps s to 0 and each vertex
         # above s that reaches s within max_len - 1 arcs over such vertices to
-        # its distance; no other vertex can be next on a path from s.
+        # its distance; no other vertex can be next on a path from s, so
+        # without an out-neighbour in ``dist`` s is on no cycle searched here.
         dist = {s: 0}
         frontier = [s]
         for k in range(1, max_len):
@@ -710,7 +711,7 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
             if not reached:
                 break
             frontier = reached
-        if len(dist) == 1:
+        if not any(v in dist for v, _ in d._out[s]):
             continue
         # The depth-first search keeps one iterator over the (head, lowest arc
         # id) pairs of each path vertex, in head order (``_out`` lists arcs in
