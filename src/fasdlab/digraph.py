@@ -685,11 +685,12 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
 
     Each step goes to each head once, by its lowest arc id, so parallel arcs
     give one cycle, and its ids are those ``certcheck.closed_cycle_arcs``
-    recomputes from the vertex tuple.  The search from root s steps onto a vertex v only when v can still
-    get back to s within the length bound: a backward BFS from s over vertices
-    above s gives each one's distance to s, and a path that cannot close in
-    time is not extended.  Such a path would report no cycle, so the cycles
-    and their order are those of the plain search.
+    recomputes from the vertex tuple.  The search from root s steps onto a
+    vertex v only when v can still get back to s within the length bound: a
+    backward BFS from s over vertices above s gives each one's distance to s,
+    and a path that cannot close in time is not extended.  Such a path would
+    report no cycle, so the cycles and their order are those of the plain
+    search.
     """
     if max_len < 2:
         return

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from fasdlab.certcheck import arc_index, closed_cycle_arcs
 from fasdlab.digraph import (
     INFINITE,
     Digraph,
@@ -32,7 +33,6 @@ from fasdlab.generators import (
     paley_graph,
     random_orgraph,
 )
-from fasdlab.certcheck import arc_index, closed_cycle_arcs
 from fasdlab.ordering import backward_arc_ids
 from test_golden import multi_corpus
 
