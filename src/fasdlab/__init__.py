@@ -64,7 +64,6 @@ from .spectral import (
     lambda_extremes,
     mixing_check,
     orientation_fas_lower_bound,
-    random_orientation_experiment,
 )
 from .triples import (
     OrderingTriple,
@@ -118,7 +117,6 @@ __all__ = [
     "max_degree",
     "mixing_check",
     "orientation_fas_lower_bound",
-    "random_orientation_experiment",
     "reduce_digons",
     "refute_by_conflict_clique",
     "strong_components",

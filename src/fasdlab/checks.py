@@ -9,6 +9,7 @@ determinism comes from explicit seeds, default 0.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -42,12 +43,7 @@ from .generators import (
     random_two_regular_orgraph,
 )
 from .ordering import bas, fas_brute, fas_exact, fas_weighted_exact
-from .spectral import (
-    lambda_extremes,
-    mixing_check,
-    orientation_fas_lower_bound,
-    random_orientation_experiment,
-)
+from .spectral import lambda_extremes, mixing_violations, orientation_fas_lower_bound
 from .triples import decompose3
 
 # the fixed sizes of the random checks: instances per check, sampled set
@@ -318,8 +314,6 @@ def check_counting(seed: int = 0) -> CheckResult:
 
 def check_mixing(seed: int = 0) -> CheckResult:
     """Mixing inequality holds over sampled pairs on quadratic-residue graphs."""
-    import random as _random
-
     t0 = time.time()
     violations = 0
     eig_ok = True
@@ -329,12 +323,7 @@ def check_mixing(seed: int = 0) -> CheckResult:
         closed = (1 + math.sqrt(q)) / 2
         if abs(rep.lam - closed) > 1e-12:
             eig_ok = False
-        rng = _random.Random(seed * 1009 + q)
-        for _ in range(MIXING_SAMPLES):
-            s = rng.sample(range(q), rng.randrange(0, q + 1))
-            t = rng.sample(range(q), rng.randrange(0, q + 1))
-            if not mixing_check(g, s, t, rep.lam).holds:
-                violations += 1
+        violations += mixing_violations(g, rep.lam, MIXING_SAMPLES, random.Random(seed * 1009 + q))
     return _result(
         "mixing",
         f"2x{MIXING_SAMPLES} sampled pairs satisfy the mixing bound; eigenvalues closed-form",
@@ -347,9 +336,8 @@ def check_mixing(seed: int = 0) -> CheckResult:
 
 
 def check_lower_bound(seed: int = 0) -> CheckResult:
-    """Eulerian-orientation FAS beats the spectral halving bound on an even graph."""
+    """Eulerian-orientation FAS meets the spectral (d - lam) n / 8 bound on an even graph."""
     from .digraph import Graph
-    from .generators import circulant_graph
 
     t0 = time.time()
     # complete graph on 10 vertices minus a perfect matching: 8-regular, lam = 2
@@ -364,19 +352,14 @@ def check_lower_bound(seed: int = 0) -> CheckResult:
     rep = lambda_extremes(g)
     d = eulerian_orient(g)
     ob = orientation_fas_lower_bound(d, rep.lam)
-    exp = random_orientation_experiment(circulant_graph(16, [1, 2, 3]), 20, 2, seed=seed)
-    ok = ob.holds is True and exp.min_statistic <= exp.min_bas_seen
     return _result(
         "lower-bound",
-        "even-order regular graph: exact FAS >= (d - lam) n / 8 (observational report attached)",
-        ok,
+        "even-order regular graph: exact FAS >= (d - lam) n / 8",
+        ob.holds is True,
         t0,
         bound=ob.bound,
         fas=ob.fas_value,
         lam=rep.lam,
-        experiment_min_statistic=exp.min_statistic,
-        experiment_mean_level1=exp.mean_level1,
-        experiment_expected_level1=exp.expected_level1,
     )
 
 

@@ -36,7 +36,7 @@ from .generators import (
     rotational_tournament,
 )
 from .ordering import bas, fas_exact, fas_upper_heuristic, fas_weighted_exact
-from .spectral import lambda_extremes, mixing_check, random_orientation_experiment
+from .spectral import lambda_extremes, mixing_violations
 from .triples import decompose3
 
 EXIT_OK = 0
@@ -206,31 +206,9 @@ def cmd_mixing(args) -> int:
     d = read_digraph(args.file)
     g = _underlying_graph(d)
     rep = lambda_extremes(g)
-    rng = random.Random(args.seed)
-    violations = 0
-    for _ in range(args.samples):
-        s = rng.sample(range(g.n), rng.randrange(0, g.n + 1))
-        t = rng.sample(range(g.n), rng.randrange(0, g.n + 1))
-        if not mixing_check(g, s, t, rep.lam).holds:
-            violations += 1
+    violations = mixing_violations(g, rep.lam, args.samples, random.Random(args.seed))
     print(f"samples={args.samples} violations={violations} lambda={rep.lam:.6f}")
     return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
-
-
-def cmd_orient_exp(args) -> int:
-    d = read_digraph(args.file)
-    g = _underlying_graph(d)
-    exp = random_orientation_experiment(g, args.trials, args.orderings, seed=args.seed)
-    print(
-        f"trials={exp.trials} min_statistic={exp.min_statistic} "
-        f"mean_level1={exp.mean_level1:.2f} expected={exp.expected_level1:.2f}"
-    )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("level,pairs,violations\n")
-            for level, (total, bad) in sorted(exp.hoeffding.items()):
-                fh.write(f"{level},{total},{bad}\n")
-    return EXIT_OK
 
 
 def cmd_verify_paper(args) -> int:
@@ -321,14 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--samples", type=int, default=1000)
     mx.add_argument("--seed", type=int, default=0)
     mx.set_defaults(func=cmd_mixing)
-
-    oe = sub.add_parser("orient-exp", help="random orientation experiment")
-    oe.add_argument("file")
-    oe.add_argument("--trials", type=int, default=20)
-    oe.add_argument("--orderings", type=int, default=2)
-    oe.add_argument("--seed", type=int, default=0)
-    oe.add_argument("--csv")
-    oe.set_defaults(func=cmd_orient_exp)
 
     vp = sub.add_parser("verify-paper", help="run the desk-scale verification harness")
     vp.add_argument("--check", action="append", help="check id (repeatable); default all")

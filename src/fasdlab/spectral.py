@@ -7,24 +7,19 @@ so every vertex ordering of the orientation has at least (d - lambda) n / 8
 backward arcs, bounding the minimum feedback arc set from below.
 
 Extremal eigenvalues are read off the full dense spectrum (numpy
-``eigvalsh``); tests check them against closed-form spectra.  The orientation
-experiment is observational: it samples random orientations and orderings and
-reports the three-level halving statistic together with tail-bound
-bookkeeping, claiming nothing beyond the measurements.
+``eigvalsh``); tests check them against closed-form spectra.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .digraph import Digraph, Graph, GraphError
-from .ordering import FAS_EXACT_MAX_N, bas, fas_exact
+from .ordering import FAS_EXACT_MAX_N, fas_exact
 
 
 @dataclass(frozen=True)
@@ -143,6 +138,17 @@ def mixing_check(g: Graph, s, t, lam: float) -> MixingCheck:
     return MixingCheck(e_st, expected, deviation, rhs, deviation <= rhs + 1e-9, lower)
 
 
+def mixing_violations(g: Graph, lam: float, samples: int, rng) -> int:
+    """How many of ``samples`` (S, T) pairs, drawn from rng as |S|, S, |T|, T, break the bound."""
+    violations = 0
+    for _ in range(samples):
+        s = rng.sample(range(g.n), rng.randrange(0, g.n + 1))
+        t = rng.sample(range(g.n), rng.randrange(0, g.n + 1))
+        if not mixing_check(g, s, t, lam).holds:
+            violations += 1
+    return violations
+
+
 @dataclass(frozen=True)
 class OrientationBound:
     """Ordering lower bound for an Eulerian orientation of a regular graph."""
@@ -163,7 +169,7 @@ def orientation_fas_lower_bound(d: Digraph, lam: float) -> OrientationBound:
     float-edge guard of 1e-6.
     """
     if d.n % 2 != 0:
-        raise GraphError("the halving argument needs an even number of vertices")
+        raise GraphError("the equal-split argument needs an even number of vertices")
     degs = {(d.out_degree(v), d.in_degree(v)) for v in range(d.n)}
     if any(o != i for o, i in degs):
         raise GraphError("orientation is not Eulerian (d+ != d- somewhere)")
@@ -179,124 +185,3 @@ def orientation_fas_lower_bound(d: Digraph, lam: float) -> OrientationBound:
         holds = fas_value >= math.ceil(bound - 1e-6)
     return OrientationBound(d.n, reg, lam, bound, fas_value, holds)
 
-
-# ---------------------------------------------------------------------------
-# the desk-scale random-orientation experiment
-
-
-@dataclass(frozen=True)
-class OrientationExperiment:
-    """Observational statistics over random orientations of a regular graph.
-
-    For each sampled orientation and each sampled ordering, the statistic sums
-    backward cross-arcs over the three-level halving of the ordering; it never
-    exceeds the true backward-arc count.  ``hoeffding`` maps each level to
-    (trials, violations) of the one-sided tail bound at the level's alpha.
-    """
-
-    n: int
-    m: int
-    trials: int
-    orderings_per_trial: int
-    min_statistic: float
-    mean_level1: float
-    expected_level1: float
-    sigma_level1: float
-    hoeffding: dict = field(hash=False)
-    min_bas_seen: int = 0
-
-
-def halving_blocks(order, level: int):
-    """The 2^level equal blocks of an ordering (n divisible by 2^level)."""
-    n = len(order)
-    size = n >> level
-    return [order[i * size : (i + 1) * size] for i in range(1 << level)]
-
-
-def halving_statistic(d: Digraph, order) -> int:
-    """Sum over levels 1..3 of backward arcs crossing sibling half-blocks."""
-    total = 0
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    for level in range(1, 4):
-        size = n >> level
-        for u, v in d.arcs:
-            pu, pv = pos[u], pos[v]
-            bu, bv = pu // size, pv // size
-            if bu == bv + 1 and bu % 2 == 1:
-                total += 1
-    return total
-
-
-def random_orientation_experiment(
-    g: Graph, trials: int, orderings_budget: int, seed: int = 0
-) -> OrientationExperiment:
-    """Sample orientations of g and evaluate the halving statistic.
-
-    ``g`` must have order divisible by 8 so all three halving levels come out
-    even.  Per-trial RNG streams derive from the master seed and the trial
-    index alone, so runs reproduce across processes and hash seeds.
-    """
-    if g.n % 8 != 0:
-        raise GraphError("order must be divisible by 8 for three-level halving")
-    master = random.Random(seed)
-    stats = []
-    level1 = []
-    hoeffding = {1: [0, 0], 2: [0, 0], 3: [0, 0]}
-    identity = list(range(g.n))
-    half = g.n // 2
-    e_half = edge_count_between(g, identity[:half], identity[half:])
-    # per level: block size and the sibling pairs (index, e_pair) that carry edges
-    levels = []
-    for level in (1, 2, 3):
-        blocks = halving_blocks(identity, level)
-        e_pairs = [
-            edge_count_between(g, blocks[i], blocks[i + 1]) for i in range(0, len(blocks), 2)
-        ]
-        levels.append((level, g.n >> level, [(p, e) for p, e in enumerate(e_pairs) if e]))
-    min_bas = None
-
-    for trial in range(trials):
-        # an integer seed: str hashing is salted per process
-        digest = hashlib.sha256(f"orient:{seed}:{trial}".encode()).digest()
-        rng = random.Random(int.from_bytes(digest[:8], "big"))
-        arcs = []
-        for u, v in g.edges:
-            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-        d = Digraph(g.n, arcs)
-        # level-1 statistic on the identity ordering feeds the mean check
-        level1.append(sum(1 for u, v in arcs if v < half <= u))
-        for level, size, pairs in levels:
-            # per pair, the arcs from its odd block back into its even block
-            cross = [0] * (1 << (level - 1))
-            for u, v in arcs:
-                bu, bv = u // size, v // size
-                if bu == bv + 1 and bu % 2 == 1:
-                    cross[bv // 2] += 1
-            for p, e_pair in pairs:
-                hoeffding[level][0] += 1
-                if cross[p] - e_pair / 2 <= -math.sqrt(e_pair):
-                    hoeffding[level][1] += 1
-        for k in range(orderings_budget):
-            order = identity[:] if k == 0 else master.sample(identity, g.n)
-            s = halving_statistic(d, order)
-            stats.append(s)
-            b = bas(d, order)
-            if s > b:  # pragma: no cover - would witness a statistic bug
-                raise AssertionError("halving statistic exceeded the backward count")
-            if min_bas is None or b < min_bas:
-                min_bas = b
-    mean1 = sum(level1) / len(level1) if level1 else 0.0
-    sigma1 = math.sqrt(e_half / 4 / max(1, len(level1)))
-    return OrientationExperiment(
-        n=g.n,
-        m=g.m,
-        trials=trials,
-        orderings_per_trial=orderings_budget,
-        min_statistic=min(stats) if stats else 0.0,
-        mean_level1=mean1,
-        expected_level1=e_half / 2,
-        sigma_level1=sigma1,
-        hoeffding={k: tuple(v) for k, v in hoeffding.items()},
-        min_bas_seen=min_bas if min_bas is not None else 0,
-    )

@@ -1,0 +1,27 @@
+"""The spectral checks report failure when what they check is wrong."""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+from fasdlab import checks, spectral
+from fasdlab.checks import MIXING_SAMPLES, check_lower_bound, check_mixing
+
+
+def test_lower_bound_details_are_the_bound_alone():
+    result = check_lower_bound()
+    assert result.passed and result.claim == "even-order regular graph: exact FAS >= (d - lam) n / 8"
+    assert set(result.details) == {"bound", "fas", "lam"} and result.details["fas"] == 10
+
+
+def test_lower_bound_fails_unless_the_bound_holds(monkeypatch):
+    real = checks.orientation_fas_lower_bound
+    # False: the exact fas is below the bound; None: n is too large to decide
+    for holds in (False, None):
+        monkeypatch.setattr(checks, "orientation_fas_lower_bound", lambda d, lam: replace(real(d, lam), holds=holds))
+        assert check_lower_bound().passed is False
+
+
+def test_mixing_fails_on_violated_pairs(monkeypatch):
+    monkeypatch.setattr(spectral, "mixing_check", lambda g, s, t, lam: SimpleNamespace(holds=False))
+    result = check_mixing()
+    assert result.passed is False and result.details["violations"] == 2 * MIXING_SAMPLES

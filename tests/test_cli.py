@@ -47,7 +47,7 @@ class TestGen:
     "command",
     [
         ["fas"], ["fasd"], ["decompose3"], ["colorg", "--g", "3"], ["fas6"], ["fvs"],
-        ["spectral"], ["mixing"], ["orient-exp"],
+        ["spectral"], ["mixing"],
     ],
     ids=lambda command: command[0],
 )
@@ -246,18 +246,10 @@ class TestSpectralCommands:
             "n=8 d=2 lambda=2.000000000 lambda'=1.414213562 bipartite=True connected=True\n"
         )
 
-    def test_orient_exp_csv(self, tmp_path, capsys):
-        f = tmp_path / "c16.txt"
-        from fasdlab.fileio import write_digraph
-        from fasdlab.generators import circulant_digraph
-
-        write_digraph(f, circulant_digraph(16, [1, 2]))
-        csv = tmp_path / "stats.csv"
-        code, out, _ = run(
-            ["orient-exp", str(f), "--trials", "5", "--csv", str(csv)], capsys
-        )
-        assert code == 0
-        assert csv.read_text().startswith("level,pairs,violations")
+    def test_deleted_experiment_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["orient-exp", "x.txt"])
+        assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 class TestVerifyPaper:

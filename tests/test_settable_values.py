@@ -15,8 +15,8 @@ from fasdlab.cli import build_parser
 
 SRC = Path(fasdlab.__file__).resolve().parent
 
-DEFAULTED_PARAMETERS_MAX = 35
-CLI_OPTIONS_MAX = 25
+DEFAULTED_PARAMETERS_MAX = 34
+CLI_OPTIONS_MAX = 21
 
 
 def defaulted_parameters() -> int:

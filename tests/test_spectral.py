@@ -10,12 +10,12 @@ import pytest
 from fasdlab.digraph import Digraph, Graph, GraphError, eulerian_orient
 from fasdlab.generators import circulant_graph, paley_graph
 from fasdlab.ordering import fas_exact
+from fasdlab import spectral
 from fasdlab.spectral import (
-    halving_statistic,
     lambda_extremes,
     mixing_check,
+    mixing_violations,
     orientation_fas_lower_bound,
-    random_orientation_experiment,
 )
 
 
@@ -127,12 +127,21 @@ class TestMixingCheck:
     def test_never_violated_on_paley(self):
         for q in (13, 17):
             g = paley_graph(q)
-            lam = lambda_extremes(g).lam
-            rng = random.Random(q)
-            for _ in range(400):
-                s = rng.sample(range(q), rng.randrange(0, q + 1))
-                t = rng.sample(range(q), rng.randrange(0, q + 1))
-                assert mixing_check(g, s, t, lam).holds
+            assert mixing_violations(g, lambda_extremes(g).lam, 400, random.Random(q)) == 0
+
+    def test_sampled_pairs_draw_size_then_set(self, monkeypatch):
+        """Pairs come from the rng as |S|, S, |T|, T, so seeded mixing output stays fixed."""
+        g = paley_graph(13)
+        failing = mixing_check(g, [0], [0], -1.0)  # a negative lam fails every pair
+        seen = []
+        monkeypatch.setattr(spectral, "mixing_check", lambda g, s, t, lam: seen.append((s, t)) or failing)
+        assert mixing_violations(g, 1.0, 5, random.Random(3)) == 5
+        rng = random.Random(3)
+        want = []
+        for _ in range(5):
+            s = rng.sample(range(13), rng.randrange(0, 14))
+            want.append((s, rng.sample(range(13), rng.randrange(0, 14))))
+        assert seen == want
 
     def test_equal_halves_corollary(self):
         g = complete_minus_matching(10)
@@ -188,53 +197,6 @@ class TestOrientationBound:
             d = eulerian_orient(g)
             ob = orientation_fas_lower_bound(d, lam)
             assert ob.holds
-
-
-class TestOrientationExperiment:
-    def test_rejects_bad_order(self):
-        with pytest.raises(GraphError):
-            random_orientation_experiment(cycle_graph(4), 2, 2)
-
-    def test_statistic_below_bas_and_mean(self):
-        g = circulant_graph(16, [1, 2, 3])
-        exp = random_orientation_experiment(g, trials=40, orderings_budget=3, seed=1)
-        # empirical mean of the level-1 cross count within 4 sigma of e/2
-        assert abs(exp.mean_level1 - exp.expected_level1) <= 4 * exp.sigma_level1
-        assert exp.min_statistic <= exp.min_bas_seen
-
-    def test_hoeffding_tail_respected(self):
-        g = circulant_graph(16, [1, 2, 3, 4])
-        exp = random_orientation_experiment(g, trials=120, orderings_budget=1, seed=3)
-        for level, (total, violations) in exp.hoeffding.items():
-            if total:
-                # alpha = sqrt(e) gives tail bound exp(-2) ~ 0.135
-                assert violations / total <= math.exp(-2) + 0.12
-
-    def test_same_result_under_any_hash_seed(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        code = (
-            "from fasdlab.generators import circulant_graph\n"
-            "from fasdlab.spectral import random_orientation_experiment\n"
-            "print(random_orientation_experiment(circulant_graph(16, [1, 2, 3]), 20, 2, seed=0))"
-        )
-        outs = []
-        for hash_seed in ("1", "2"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
-            proc = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-            )
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1] and "hoeffding" in outs[0]
-
-    def test_statistic_reversal_symmetry(self):
-        g = circulant_graph(8, [1, 2])
-        rng = random.Random(5)
-        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges]
-        d = Digraph(8, arcs)
-        rev = Digraph(8, [(v, u) for u, v in arcs])
-        order = list(range(8))
-        rng.shuffle(order)
-        assert halving_statistic(d, order) == halving_statistic(rev, order[::-1])
 
 
 def test_blas_pool_is_one_thread_unless_the_caller_sets_it():
