@@ -746,18 +746,25 @@ class FvsCertificate:
     exceptional: bool
 
 
-FVS_EXACT_MAX_N = 24
+# fvs_exact refuses once its cycle searches times n would pass this.  A search
+# walks at most n vertices and memoises a removed set of at most n, so this
+# bounds time and memory.  On CPython 3.11, 2 vCPUs: fas_sixth's 119-pair core
+# of the matching expansion of circulant_digraph(119, [1, 5]) needs 9.3 M, and
+# a refused search took up to 6 s and 482 MiB peak RSS.
+_FVS_WORK_BUDGET = 2 * 10**7
 _FVS_BRUTE_MAX_N = 14
 
 
 def fvs_exact(d) -> FvsCertificate:
     """Minimum feedback vertex set by increasing-size search.
 
-    Iterative deepening on the answer size; each level branches on the
-    vertices of a shortest remaining cycle, which is exhaustive.  That cycle
-    is computed once per removed set and reused by later levels.  Works for
-    plain and multi digraphs (parallel arcs are irrelevant to vertex sets).
-    Refuses n beyond the budget.
+    Iterative deepening on the answer size k; each level is a depth-first
+    search, on an explicit stack, that branches on the vertices of a shortest
+    remaining cycle, which is exhaustive, and a node's budget is k less the
+    vertices it removed.  That cycle is computed once per removed set and
+    reused by later levels.  Works for plain and multi digraphs (parallel
+    arcs are irrelevant to vertex sets).  Raises BudgetError once the cycle
+    searches times n would pass ``_FVS_WORK_BUDGET``.
 
     Deleting vertices never shortens a cycle, so the length of the parent's
     cycle is a lower bound on the girth after one more deletion, and the
@@ -772,54 +779,50 @@ def fvs_exact(d) -> FvsCertificate:
       packing of what its deletion leaves) needs one vertex per cycle, so a
       node whose budget is below its packing's size is dead, and the
       deepening starts at the root's packing size;
-    - child i, which removes ``cyc[i]``, keeps ``cyc[:i]``: it is reached
+    - child i, which removes ``cyc[i]``, keeps ``cyc[:i]``: it is popped
       only after every earlier child failed, so no solution within the budget
       removes one of them, and a node whose cycle is all kept is dead.
 
     The bounded search trees for directed feedback sets of Chen, Liu, Lu,
     O'Sullivan & Razgon (J. ACM 2008) use both ideas.
     """
-    if d.n > FVS_EXACT_MAX_N:
-        raise BudgetError(f"exact FVS refused for n={d.n} > {FVS_EXACT_MAX_N}")
     simple = Digraph(d.n, sorted(set(d.arcs)))
     cycles = {}  # removed set -> its shortest cycle, shared by all levels
-    packings = {}  # removed set -> the size of its greedy cycle packing
+    packings = {}  # a node's removed set -> the size of its greedy cycle packing
+    searches = _FVS_WORK_BUDGET // max(d.n, 1)  # the most cycle searches allowed
 
     def cycle(removed, floor):
         if removed not in cycles:
+            if len(cycles) >= searches:
+                raise BudgetError(f"exact FVS refused for n={d.n} after {len(cycles)} cycle searches")
             cycles[removed] = _shortest_cycle(simple, removed, floor)
         return cycles[removed]
 
     def packing(removed, floor):
         if removed not in packings:
-            cyc = cycle(removed, floor)
-            packings[removed] = 0 if cyc is None else 1 + packing(removed | set(cyc), len(cyc))
+            size, r = 0, removed
+            while (cyc := cycle(r, floor)) is not None:
+                size += 1
+                r, floor = r | set(cyc), len(cyc)
+            packings[removed] = size
         return packings[removed]
 
-    def solve(removed, kept, budget, floor):
-        cyc = cycle(removed, floor)
-        if cyc is None:
-            return set(removed)
-        if kept.issuperset(cyc) or budget < packing(removed, floor):
-            return None
-        for i, v in enumerate(cyc):
-            if v in kept:
-                continue
-            res = solve(removed | {v}, kept.union(cyc[:i]), budget - 1, len(cyc))
-            if res is not None:
-                return res
-        return None
-
     for k in range(packing(frozenset(), 2), d.n + 1):
-        res = solve(frozenset(), frozenset(), k, 2)
-        if res is not None:
-            s = tuple(sorted(res))
-            ok, what = check_fvs(d, s)
-            if not ok:  # pragma: no cover - would witness a search bug
-                raise AssertionError(f"fvs_exact returned {s}, but {what}")
-            exceptional = is_digon_odd_cycle(simple)
-            within = 2 * len(s) <= d.n
-            return FvsCertificate(s, within, exceptional)
+        stack = [(frozenset(), frozenset(), 2)]  # (removed, kept, floor)
+        while stack:
+            removed, kept, floor = stack.pop()
+            cyc = cycle(removed, floor)
+            if cyc is None:
+                s = tuple(sorted(removed))
+                ok, what = check_fvs(d, s)
+                if not ok:  # pragma: no cover - would witness a search bug
+                    raise AssertionError(f"fvs_exact returned {s}, but {what}")
+                return FvsCertificate(s, 2 * len(s) <= d.n, is_digon_odd_cycle(simple))
+            if kept.issuperset(cyc) or k - len(removed) < packing(removed, floor):
+                continue
+            for i in reversed(range(len(cyc))):
+                if cyc[i] not in kept:
+                    stack.append((removed | {cyc[i]}, kept.union(cyc[:i]), len(cyc)))
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 
@@ -846,8 +849,9 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     and the irreducible strongly connected core is contracted along its
     out-heavy/in-heavy matching to a degree-4 multigraph whose minimum
     feedback vertex set picks the answer arcs.  Returns a tuple of arc ids.
-    Raises BudgetError when the core has more than FVS_EXACT_MAX_N matching
-    pairs, the most ``fvs_exact`` takes.
+    Raises BudgetError only when ``fvs_exact`` spends its work budget on the
+    core, as on the 149-pair core of the matching expansion of
+    circulant_digraph(149, [1, 5]).
     """
     require_orgraph(d, 3, 6)
     fas = sorted(_fas6_solve(Peel(d)))
@@ -1048,43 +1052,37 @@ class _Reductions:
         verts = sorted(verts)
         xplus = [v for v in verts if plus(v)]
         xminus = [v for v in verts if minus(v)]
-        # the balanced paths in order of their lowest vertex
-        seen, paths, x_of, y_of = set(), [], [], []
+        # the ends of the balanced paths, in order of their lowest vertex
+        seen, x_of, y_of = set(), [], []
         for v in verts:
             if v not in seen and self._sig(v) == (1, 1):
                 p, x, y = _balanced_path(self.pl, v)
                 seen.update(p)
-                paths.append(p)
                 x_of.append(x)
                 y_of.append(y)
-        return _fas6_terminal(pl, xplus, xminus, paths, x_of, y_of), None
+        return _fas6_terminal(pl, xplus, xminus, x_of, y_of), None
 
 
-def _fas6_terminal(pl: Peel, xplus, xminus, paths, x_of, y_of):
+def _fas6_terminal(pl: Peel, xplus, xminus, x_of, y_of):
     """Irreducible core: contract the matching and take an exact FVS."""
-    verts = sorted(set(xplus) | set(xminus))
-    idx = {v: i for i, v in enumerate(verts)}
-    marcs = []
-    mids = []
+    in_plus = set(xplus)
+    pair_of, mids = {}, []
     for u in xminus:
         (w, a) = pl.out[u][0]
-        if w not in idx or w not in set(xplus):  # pragma: no cover
+        if w not in in_plus:  # pragma: no cover
             raise AssertionError("matching arc misses the out-heavy class")
-        marcs.append((u, w))
+        pair_of[u] = pair_of[w] = len(mids)
         mids.append(a)
-    pair_of = {}
-    for j, (u, w) in enumerate(marcs):
-        pair_of[u] = j
-        pair_of[w] = j
-    if len(pair_of) != 2 * len(marcs):  # pragma: no cover
+    if len(pair_of) != len(in_plus) + len(xminus):  # pragma: no cover
         raise AssertionError("matching is not a perfect pairing")
+    in_mids = set(mids)
     carcs = []
-    for u in verts:
+    for u in sorted(pair_of):
         for w, a in pl.out[u]:
-            if w in idx and a not in set(mids):
+            if w in pair_of and a not in in_mids:
                 carcs.append((pair_of[u], pair_of[w]))
-    for i in range(len(paths)):
-        carcs.append((pair_of[x_of[i]], pair_of[y_of[i]]))
-    core = MultiDigraph(len(marcs), carcs)
+    for x, y in zip(x_of, y_of):
+        carcs.append((pair_of[x], pair_of[y]))
+    core = MultiDigraph(len(mids), carcs)
     cert = fvs_exact(core)
     return [mids[j] for j in cert.vertices]

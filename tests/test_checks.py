@@ -1,10 +1,10 @@
-"""The spectral checks report failure when what they check is wrong."""
+"""The checks report failure when what they check is wrong."""
 
 from dataclasses import replace
 from types import SimpleNamespace
 
 from fasdlab import checks, spectral
-from fasdlab.checks import MIXING_SAMPLES, check_lower_bound, check_mixing
+from fasdlab.checks import MIXING_SAMPLES, check_lower_bound, check_mixing, check_sixth
 
 
 def test_lower_bound_details_are_the_bound_alone():
@@ -25,3 +25,10 @@ def test_mixing_fails_on_violated_pairs(monkeypatch):
     monkeypatch.setattr(spectral, "mixing_check", lambda g, s, t, lam: SimpleNamespace(holds=False))
     result = check_mixing()
     assert result.passed is False and result.details["violations"] == 2 * MIXING_SAMPLES
+
+
+def test_sixth_fails_on_a_fas_one_arc_short(monkeypatch):
+    real = checks.fas_sixth
+    monkeypatch.setattr(checks, "fas_sixth", lambda d, check=True: real(d, check)[1:])
+    result = check_sixth()
+    assert result.passed is False and result.details["failures"] > 0

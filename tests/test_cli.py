@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fasdlab.certcheck import check_coloring, check_counting_bound
+from fasdlab.certcheck import check_coloring, check_counting_bound, check_fas_sixth
 from fasdlab.cli import main
 from fasdlab.digraph import Digraph
 from fasdlab.fileio import read_digraph, write_digraph
@@ -100,11 +100,15 @@ class TestSolvers:
         code, out, _ = run(["fas", str(f)], capsys)
         assert code == 0 and out.splitlines()[0] == "fas 2"
 
-    def test_fvs_budget_exit_3(self, tmp_path, capsys):
+    def test_fvs_budget_exit_3(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "big.txt"
         run(["gen", "cycle", "-n", "30", "-o", str(f)], capsys)
+        code, out, _ = run(["fvs", str(f)], capsys)
+        assert code == 0 and "size 1" in out
+        # the 30-cycle takes 3 cycle searches; the budget allows 2
+        monkeypatch.setattr("fasdlab.delta3._FVS_WORK_BUDGET", 30 * 2)
         code, _, err = run(["fvs", str(f)], capsys)
-        assert code == 3 and "refused" in err
+        assert code == 3 and err.startswith("refused:")
 
     def test_fvs_failure_is_not_a_budget_exit(self, d8_file, monkeypatch):
         def broken(d):
@@ -204,16 +208,29 @@ class TestSolvers:
         doc = json.loads(cert.read_text())
         assert doc["kind"] == "fas-sixth" and doc["total_arcs"] == 12 and len(doc["arcs"]) == 1
 
-    def test_fas6_budget_exit_3(self, tmp_path, capsys):
+    @pytest.fixture
+    def m60_file(self, tmp_path):
         # the matching expansion of a circulant: vertex v becomes the arc
         # 2v -> 2v+1 and arc u -> w the arc 2u+1 -> 2w, so max degree 3 and
-        # girth 30, and its irreducible core is past fvs_exact's cap
+        # girth 30; its irreducible core has 30 matching pairs
         c30 = circulant_digraph(30, [1, 2])
         arcs = [(2 * v, 2 * v + 1) for v in range(30)]
         arcs += [(2 * u + 1, 2 * w) for u, w in c30.arcs]
         f = tmp_path / "m60.txt"
         write_digraph(f, Digraph(60, arcs))
-        code, out, err = run(["fas6", str(f)], capsys)
+        return str(f)
+
+    def test_fas6_past_24_pairs(self, m60_file, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(["fas6", m60_file, "--certificate", str(cert)], capsys)
+        assert code == 0 and "size" in out
+        arcs = json.loads(cert.read_text())["arcs"]
+        assert check_fas_sixth(read_digraph(m60_file), arcs) == (True, None)
+
+    def test_fas6_budget_exit_3(self, m60_file, capsys, monkeypatch):
+        # the 30-pair core takes 6 cycle searches; the budget allows 5
+        monkeypatch.setattr("fasdlab.delta3._FVS_WORK_BUDGET", 30 * 5)
+        code, out, err = run(["fas6", m60_file], capsys)
         assert code == 3 and out == "" and err.startswith("refused:")
 
     def test_fvs(self, tmp_path, capsys):

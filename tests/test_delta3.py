@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fasdlab import delta3
+from fasdlab.certcheck import check_fas_sixth
 from fasdlab.coloring import verify_good_coloring
 from fasdlab.delta3 import (
     fas_sixth,
@@ -181,9 +182,14 @@ class TestFvsExact:
             keep = [(u, v) for u, v in d.arcs if u not in drop and v not in drop]
             assert is_acyclic(Digraph(d.n, keep))[0]
 
-    def test_budget_refusal(self):
+    def test_no_size_cap(self):
+        assert fvs_exact(directed_cycle(30)).vertices == (0,)
+
+    def test_budget_refusal(self, monkeypatch):
+        # 1 420 cycle searches on 24 vertices; the budget allows 100
+        monkeypatch.setattr(delta3, "_FVS_WORK_BUDGET", 24 * 100)
         with pytest.raises(BudgetError):
-            fvs_exact(directed_cycle(30))
+            fvs_exact(circulant_digraph(24, [1, 5]))
 
 
 class TestFasSixth:
@@ -231,6 +237,15 @@ class TestFasSixth:
     def test_acyclic_gives_empty(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
         assert fas_sixth(d) == ()
+
+    def test_matching_expansions_past_24_pairs(self):
+        # vertex v becomes the arc 2v -> 2v+1 and arc u -> w the arc
+        # 2u+1 -> 2w; the cores have 30, 40 and 60 matching pairs
+        for n, jumps in ((30, [1, 2]), (40, [1, 3]), (60, [1, 4])):
+            arcs = [(2 * v, 2 * v + 1) for v in range(n)]
+            arcs += [(2 * u + 1, 2 * w) for u, w in circulant_digraph(n, jumps).arcs]
+            d = Digraph(2 * n, arcs)
+            assert check_fas_sixth(d, fas_sixth(d)) == (True, None)
 
 
 class TestSharedInputCheck:

@@ -16,10 +16,6 @@ import fasdlab
 SRC = Path(fasdlab.__file__).resolve().parent
 
 SELF_RECURSIVE_ALLOWED = {
-    # depth at most the FVS_EXACT_MAX_N vertices that fvs_exact accepts,
-    # until the FVS search keeps an explicit stack
-    "delta3.fvs_exact.solve",
-    "delta3.fvs_exact.packing",
     # depth is the nesting of the data it converts
     "fileio._jsonable",
 }
