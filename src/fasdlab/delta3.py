@@ -746,11 +746,11 @@ class FvsCertificate:
     exceptional: bool
 
 
-# fvs_exact refuses once its cycle searches times n would pass this.  A search
-# walks at most n vertices and memoises a removed set of at most n, so this
-# bounds time and memory.  On CPython 3.11, 2 vCPUs: fas_sixth's 119-pair core
-# of the matching expansion of circulant_digraph(119, [1, 5]) needs 9.3 M, and
-# a refused search took up to 6 s and 482 MiB peak RSS.
+# fvs_exact refuses once its cycle searches times n would pass this, which
+# bounds its memo of removed sets, not time (a search may run a BFS per root).
+# fas_sixth's 119-pair core of the matching expansion of circulant_digraph(119,
+# [1, 5]) needs 9.3 M.  On CPython 3.11, 2 vCPUs, a refused search held at most
+# 482 MiB peak RSS, and took 5-10 s on those expansions at n = 149-174.
 _FVS_WORK_BUDGET = 2 * 10**7
 _FVS_BRUTE_MAX_N = 14
 
@@ -808,9 +808,11 @@ def fvs_exact(d) -> FvsCertificate:
         return packings[removed]
 
     for k in range(packing(frozenset(), 2), d.n + 1):
-        stack = [(frozenset(), frozenset(), 2)]  # (removed, kept, floor)
+        # child i of the node (removed, kept) with cycle cyc, built when popped; the root's cyc is ()
+        stack = [(frozenset(), frozenset(), (), 0)]
         while stack:
-            removed, kept, floor = stack.pop()
+            removed, kept, cyc, i = stack.pop()
+            removed, kept, floor = removed.union(cyc[i : i + 1]), kept.union(cyc[:i]), len(cyc) or 2
             cyc = cycle(removed, floor)
             if cyc is None:
                 s = tuple(sorted(removed))
@@ -822,7 +824,7 @@ def fvs_exact(d) -> FvsCertificate:
                 continue
             for i in reversed(range(len(cyc))):
                 if cyc[i] not in kept:
-                    stack.append((removed | {cyc[i]}, kept.union(cyc[:i]), len(cyc)))
+                    stack.append((removed, kept, cyc, i))
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 
