@@ -5,26 +5,25 @@ before tail) always form a feedback arc set, and the minimum of bas(D, order)
 over all orderings is exactly fas(D), which is what the subset dynamic program
 computes.  fas(D) is the sum of fas over the strong components of D, so the
 program builds one table per component, of 2^|C| entries over its own
-vertices, and a table of 2^n entries only when D is strongly connected; the
-n <= FAS_EXACT_MAX_N cap is still on D as a whole.  Each table is filled in
-numpy, one popcount layer of vertex subsets at a time, with
-g(S) = f(S) + w(C - S -> S), the least backward weight of an order of the
-component C that puts S first.  Only the sets with g(S) <= U are kept, where
-U is the backward weight of a greedy, sifted order of C: a prefix P of an
-optimal order of S has g(P) <= g(S), so every set on an optimal chain is
-kept with its exact value, and the witness orders are those of the full DP.
+vertices, and refuses D only when a component has more than FAS_EXACT_MAX_N
+vertices.  Each table is filled in numpy, one popcount layer of vertex subsets
+at a time, with g(S) = f(S) + w(C - S -> S), the least backward weight of an
+order of the component C that puts S first.  Only the sets with g(S) <= U are
+kept, where U is the backward weight of a greedy, sifted order of C: a prefix
+P of an optimal order of S has g(P) <= g(S), so every set on an optimal chain
+is kept with its exact value, and the witness orders are those of the full DP.
 The table stays dense (2^|C| entries, the unkept ones at a sentinel), and a
-full set that was not kept raises AssertionError.  Weighted values are
-carried as exact Fractions: each weight is read as the decimal its repr shows
-and scaled by 10^6 to an integer, and a weight with more than six fraction
-digits is rejected, never rounded, so optimality claims never depend on float
-tolerance.
+full set that was not kept raises AssertionError.  Weighted values are exact
+Fractions: each weight is read as the decimal its repr shows, and all of them
+are scaled by their least common denominator to integers, never rounded, so
+optimality claims never depend on float tolerance.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,8 +31,6 @@ import numpy as np
 
 from .certcheck import backward_arc_ids, bas, check_fas_order, exact_weights  # noqa: F401 (bas: re-export)
 from .digraph import BudgetError, Digraph, GraphError, strong_components
-
-WEIGHT_SCALE = 10**6
 
 FAS_EXACT_MAX_N = 22
 _FAS_BRUTE_MAX_N = 9
@@ -54,26 +51,19 @@ class FasCertificate:
     arc_ids: tuple
 
 
-def _scaled_weights(d: Digraph) -> list:
-    """Weights as exact integers in units of 1/WEIGHT_SCALE.
+def _scaled_weights(d: Digraph) -> tuple:
+    """(integer weights, scale): each weight is the decimal its repr shows,
+    times the least common denominator of them all, which is the scale.
 
-    Each weight is the decimal its repr shows.  Raises GraphError, naming the
-    arc, when that decimal is not a whole number of units, and when the total
-    does not fit the int64 sums of the DP and the brute-force oracle.
+    Raises GraphError when the scaled total does not fit the int64 sums of
+    the DP and the brute-force oracle.
     """
-    scaled = []
-    for a, w in enumerate(exact_weights(d)):
-        q = w * WEIGHT_SCALE
-        if q.denominator != 1:
-            u, v = d.arcs[a]
-            raise GraphError(
-                f"weight {d.weights[a]!r} of arc {a} ({u},{v}) is not a multiple of "
-                f"1/{WEIGHT_SCALE}; exact search does not round weights"
-            )
-        scaled.append(q.numerator)
+    exact = exact_weights(d)
+    scale = math.lcm(*(w.denominator for w in exact))
+    scaled = [w.numerator * (scale // w.denominator) for w in exact]
     if sum(scaled) >= np.iinfo(np.int64).max:
-        raise GraphError(f"total weight {float(d.total_weight())!r} is too large for exact search")
-    return scaled
+        raise GraphError("the weights, scaled to integers, are too large for exact search")
+    return scaled, scale
 
 
 def fas_exact(d: Digraph) -> FasCertificate:
@@ -82,18 +72,12 @@ def fas_exact(d: Digraph) -> FasCertificate:
     f(S) = min over v in S of f(S - v) + (arcs from v into S - v): appending v
     to the placed prefix S - v makes exactly its arcs into the prefix backward.
     The arcs between strong components all go forward when the components
-    are placed in topological order, so f(S) is the sum of f_C(S & C) over the
-    components C, and the DP runs on each component alone.  Refuses
-    n > FAS_EXACT_MAX_N, counted over all of D, rather than fall back to a
-    heuristic.
-
-    Ties in the reconstruction take the lowest vertex id first, and the order
-    is the one a DP over all of D gives: the cost of putting v last in S splits
-    into v's arcs inside its component C, which cost at least
-    f_C(S & C) - f_C(S & C - v), and its arcs into the rest of S, which cost at
-    least 0.  So v attains f(S) exactly when both parts are at their minimum:
-    v attains f_C(S & C), and its arcs into live vertices of other components
-    weigh 0.
+    are placed in topological order, so fas(D) is the sum of fas over the
+    components, and the DP runs on each component alone.  The witness is the
+    components' orders in ``strong_components`` order, each read off its own
+    table, the lowest vertex id first on ties.  Refuses D, rather than fall
+    back to a heuristic, when a component has more than FAS_EXACT_MAX_N
+    vertices.
     """
     value, order = _fas_dp(d, weighted=False)
     return _certified(d, "unweighted", value, order)
@@ -104,13 +88,13 @@ def fas_weighted_exact(d: Digraph) -> FasCertificate:
     if d.weights is None:
         raise ValueError("fas_weighted_exact needs a weighted digraph")
     value, order = _fas_dp(d, weighted=True)
-    return _certified(d, "weighted", Fraction(value, WEIGHT_SCALE), order)
+    return _certified(d, "weighted", value, order)
 
 
 def _certified(d: Digraph, kind: str, value, order) -> FasCertificate:
     """The DP's answer, once ``check_fas_order`` finds that the backward arcs
     of its order weigh its value (count them, for an unweighted answer)."""
-    counted = d if kind == "weighted" or d.weights is None else Digraph(d.n, d.arcs)
+    counted = d if kind == "weighted" or d.weights is None else type(d)(d.n, d.arcs)
     ok, why = check_fas_order(counted, order, value)
     if not ok:  # pragma: no cover - would witness a DP bug
         raise AssertionError(f"fas DP value {value}: {why}")
@@ -118,54 +102,47 @@ def _certified(d: Digraph, kind: str, value, order) -> FasCertificate:
 
 
 def _fas_dp(d: Digraph, weighted: bool):
-    n = d.n
-    if n > FAS_EXACT_MAX_N:
-        raise BudgetError(f"exact search refused for n={n} > {FAS_EXACT_MAX_N}")
-    w = _scaled_weights(d) if weighted else [1] * d.m
     comps = strong_components(d)
-    comp_of = [0] * n
-    local = [0] * n
+    largest = max(map(len, comps), default=0)
+    if largest > FAS_EXACT_MAX_N:
+        raise BudgetError(f"exact search refused for a strong component of {largest} > {FAS_EXACT_MAX_N} vertices")
+    w, scale = _scaled_weights(d) if weighted else ([1] * d.m, 1)
+    comp_of = [0] * d.n
+    local = [0] * d.n
     for c, verts in enumerate(comps):
         for i, v in enumerate(verts):
             comp_of[v] = c
             local[v] = i
     # in_items[c][i]: (local id of the tail, weight) per arc into the i-th
-    # vertex of component c from inside c; cross[v]: the heads, as a mask over
-    # all of D, of v's arcs of positive weight into other components
+    # vertex of component c from inside c
     in_items = [[[] for _ in verts] for verts in comps]
-    cross = [0] * n
     for a, (u, v) in enumerate(d.arcs):
         if comp_of[u] == comp_of[v]:
             in_items[comp_of[u]][local[v]].append((local[u], w[a]))
-        elif w[a]:
-            cross[u] |= 1 << v
-    tables = [_fas_table(items, _order_bound(items)) for items in in_items]
-    for c, g in enumerate(tables):
-        # every set on an optimal chain is kept, the full set among them
-        if g[-1] == np.iinfo(g.dtype).max:
-            raise AssertionError(f"the order bound of strong component {c} is below its fas")
-
-    # the last vertex of each prefix is the lowest id that attains its f, read
-    # off the component tables of g as fas_exact and _fas_table explain
-    live = [(1 << len(verts)) - 1 for verts in comps]
-    alive = (1 << n) - 1
-
-    def attains(v):
-        if not alive >> v & 1 or cross[v] & alive:
-            return False
-        c = comp_of[v]
-        s = live[c]
-        enter = sum(hw for u, hw in in_items[c][local[v]] if not s >> u & 1)
-        return int(tables[c][s ^ 1 << local[v]]) + enter == int(tables[c][s])
-
+    value = 0
     order = []
-    for _ in range(n):
-        v = next(filter(attains, range(n)))
-        order.append(v)
-        alive ^= 1 << v
-        live[comp_of[v]] ^= 1 << local[v]
-    order.reverse()
-    return sum(int(g[-1]) for g in tables), order
+    for c, (verts, items) in enumerate(zip(comps, in_items)):
+        g = _fas_table(items, _order_bound(items))
+        s = (1 << len(verts)) - 1
+        # every set on an optimal chain is kept, the full set among them
+        if g[s] == np.iinfo(g.dtype).max:
+            raise AssertionError(f"the order bound of strong component {c} is below its fas")
+        value += int(g[s])
+        # walk the table down from C: the last vertex of each prefix S is the
+        # lowest local id v with g(S) = g(S - v) + w(C - S -> v), as
+        # _fas_table explains
+        tail = []
+        while s:
+            top = int(g[s])
+            v = next(
+                v
+                for v, ins in enumerate(items)
+                if s >> v & 1 and int(g[s ^ 1 << v]) + sum(hw for u, hw in ins if not s >> u & 1) == top
+            )
+            tail.append(verts[v])
+            s ^= 1 << v
+        order += reversed(tail)
+    return (Fraction(value, scale) if weighted else value), order
 
 
 def _fas_table(in_items, bound):
@@ -357,14 +334,14 @@ def fas_brute(d: Digraph):
     if n == 0:
         return 0, ()
     perms, pos = _permutation_table(n)
-    scaled = [1] * d.m if d.weights is None else _scaled_weights(d)
+    scaled, scale = ([1] * d.m, 1) if d.weights is None else _scaled_weights(d)
     total = np.zeros(perms.shape[0], dtype=np.int64)
     for w, (u, v) in zip(scaled, d.arcs):
         total += (pos[:, v] < pos[:, u]) * w
     best = int(total.argmin())
     value = int(total[best])
     if d.weights is not None:
-        value = Fraction(value, WEIGHT_SCALE)
+        value = Fraction(value, scale)
     return value, tuple(int(x) for x in perms[best])
 
 
@@ -375,8 +352,7 @@ def fas_upper_heuristic(d: Digraph) -> tuple:
     search is refused.  The vertices are taken in ``_greedy_order`` over all
     of D, and each goes in at the slot that makes the least placed weight
     backward (the earliest slot on a tie).  Costs are the exact scaled integer
-    weights of the DP, so a weight with more than six fraction digits raises
-    GraphError here too, and parallel arcs count each.
+    weights of the DP, and parallel arcs count each.
 
     The last slot makes backward exactly the arcs that the greedy order makes
     backward when it places the same vertex, so the result's bas is at most
@@ -386,7 +362,7 @@ def fas_upper_heuristic(d: Digraph) -> tuple:
     puts it in the slot on the other side of the earlier one, which cost no
     less then and differs by the same arcs now.
     """
-    w = [1] * d.m if d.weights is None else _scaled_weights(d)
+    w = [1] * d.m if d.weights is None else _scaled_weights(d)[0]
     in_items = [[] for _ in range(d.n)]
     for a, (u, v) in enumerate(d.arcs):
         in_items[v].append((u, w[a]))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, Graph, GraphError
-from .ordering import FAS_EXACT_MAX_N, fas_exact
+from .digraph import BudgetError, Digraph, Graph, GraphError
+from .ordering import fas_exact
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,9 @@ class OrientationBound:
 def orientation_fas_lower_bound(d: Digraph, lam: float) -> OrientationBound:
     """(d - lam) n / 8 lower bound on fas of an Eulerian orientation.
 
-    Requires even order and d+ = d- at every vertex.  When the exact fas is
-    affordable (n <= FAS_EXACT_MAX_N), the bound is checked against it with a
-    float-edge guard of 1e-6.
+    Requires even order and d+ = d- at every vertex.  When ``fas_exact``
+    answers, the bound is checked against the exact fas with a float-edge
+    guard of 1e-6.
     """
     if d.n % 2 != 0:
         raise GraphError("the equal-split argument needs an even number of vertices")
@@ -177,11 +177,11 @@ def orientation_fas_lower_bound(d: Digraph, lam: float) -> OrientationBound:
         raise GraphError("underlying graph is not regular")
     reg = next(iter(degs))[0] * 2
     bound = (reg - lam) * d.n / 8
-    fas_value = None
-    if 0 < d.n <= FAS_EXACT_MAX_N:
+    try:
         fas_value = fas_exact(d).value
-    holds = None
-    if fas_value is not None:
+    except BudgetError:
+        fas_value = holds = None
+    else:
         holds = fas_value >= math.ceil(bound - 1e-6)
     return OrientationBound(d.n, reg, lam, bound, fas_value, holds)
 

@@ -30,7 +30,7 @@ from fasdlab.coloring import counting_bound, fasd_exact, refute_by_conflict_cliq
 from fasdlab.delta3 import fas_sixth, fvs_exact, good_g_coloring
 from fasdlab.digraph import Digraph, enumerate_cycles
 from fasdlab.generators import directed_cycle, gadget_dg, gadget_h5, random_orgraph
-from fasdlab.ordering import WEIGHT_SCALE, fas_exact, fas_weighted_exact
+from fasdlab.ordering import _scaled_weights, fas_exact, fas_weighted_exact
 from fasdlab.triples import decompose3
 
 
@@ -240,7 +240,7 @@ class TestMutations:
 
     def test_fas_value_off_by_one_unit(self):
         for d, cert in fas_orders():
-            unit = 1 if d.weights is None else Fraction(1, WEIGHT_SCALE)
+            unit = 1 if d.weights is None else Fraction(1, _scaled_weights(d)[1])
             assert check_fas_order(d, cert.order, cert.value) == (True, None)
             for value in (cert.value - unit, cert.value + unit):
                 assert check_fas_order(d, cert.order, value) == (

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from fasdlab import ordering
+from fasdlab.certcheck import check_fas_order
 from fasdlab.digraph import (
     BudgetError,
     Digraph,
@@ -12,6 +14,7 @@ from fasdlab.digraph import (
     MultiDigraph,
     is_acyclic,
     reduce_digons,
+    strong_components,
 )
 from fasdlab.generators import (
     directed_cycle,
@@ -21,7 +24,6 @@ from fasdlab.generators import (
 )
 from fasdlab.ordering import (
     FAS_EXACT_MAX_N,
-    WEIGHT_SCALE,
     _fas_dp,
     backward_arc_ids,
     bas,
@@ -43,17 +45,17 @@ def seeded_multidigraphs():
 # Test-only copies of the pure-Python subset DP and its weight scaling that
 # the numpy DP replaced; the numpy DP must return the same value and order.
 def _reference_scaled_weights(d: Digraph):
-    return [round(w * WEIGHT_SCALE) for w in d.weights]
+    exact = [Fraction(repr(w)) for w in d.weights]
+    scale = math.lcm(*(w.denominator for w in exact))
+    return [int(w * scale) for w in exact], scale
 
 
-def _reference_fas_dp(d: Digraph, weighted: bool, max_n: int):
+def _reference_fas_dp(d: Digraph, weighted: bool):
     n = d.n
-    if n > max_n:
-        raise BudgetError(f"exact search refused for n={n} > {max_n}")
     if n == 0:
         return 0, ()
     if weighted:
-        w = _reference_scaled_weights(d)
+        w, scale = _reference_scaled_weights(d)
         out_items = [[] for _ in range(n)]
         for a, (u, v) in enumerate(d.arcs):
             out_items[u].append((1 << v, w[a]))
@@ -95,15 +97,29 @@ def _reference_fas_dp(d: Digraph, weighted: bool, max_n: int):
         order.append(v)
         mask ^= 1 << v
     order.reverse()
-    return f[size - 1], order
+    return (Fraction(f[size - 1], scale) if weighted else f[size - 1]), order
+
+
+def _reference_per_component(d: Digraph, weighted: bool):
+    """The reference DP on each strong component, the subgraph it induces,
+    summed, with the orders concatenated in ``strong_components`` order."""
+    value, order = 0, []
+    for verts in strong_components(d):
+        local = {v: i for i, v in enumerate(verts)}
+        ids = [a for a, (u, v) in enumerate(d.arcs) if u in local and v in local]
+        arcs = [(local[d.arcs[a][0]], local[d.arcs[a][1]]) for a in ids]
+        sub = Digraph(len(verts), arcs, [d.weights[a] for a in ids] if weighted else None)
+        sub_value, sub_order = _reference_fas_dp(sub, weighted)
+        value += sub_value
+        order += [verts[i] for i in sub_order]
+    return value, order
 
 
 def assert_dp_matches_reference(d: Digraph):
     for weighted in (False, True) if d.weighted else (False,):
         value, order = _fas_dp(d, weighted)
-        ref_value, ref_order = _reference_fas_dp(d, weighted, max_n=FAS_EXACT_MAX_N)
-        assert type(value) is int and all(type(v) is int for v in order)
-        assert (value, list(order)) == (ref_value, list(ref_order))
+        assert type(value) is (Fraction if weighted else int) and all(type(v) is int for v in order)
+        assert (value, list(order)) == _reference_per_component(d, weighted)
 
 
 class TestBas:
@@ -202,6 +218,27 @@ class TestFasExact:
             assert cert.value == bas(d, cert.order) == fas_brute(d)[0]
             assert cert.arc_ids == tuple(backward_arc_ids(d, cert.order))
 
+    def test_weighted_multidigraph_is_counted(self):
+        # the self-check rebuilt the arcs as a Digraph, which refused the
+        # parallel arcs 0 -> 1
+        d = MultiDigraph(2, [(0, 1), (0, 1), (1, 0)], [1.0, 2.0, 0.5])
+        assert fas_weighted_exact(d).value == Fraction(1, 2)
+        assert fas_exact(d).value == fas_brute(MultiDigraph(d.n, d.arcs))[0] == 1
+
+    def test_answers_past_22_when_every_component_is_small(self):
+        # two directed 12-cycles joined by an arc, and 400 disjoint 5-cycles
+        cycle = list(directed_cycle(12).arcs)
+        joined = Digraph(24, cycle + [(u + 12, v + 12) for u, v in cycle] + [(3, 15)])
+        many = Digraph(2000, [(5 * i + u, 5 * i + v) for i in range(400) for u, v in directed_cycle(5).arcs])
+        for d, want in ((joined, 2), (many, 400)):
+            cert = fas_exact(d)
+            assert cert.value == want and check_fas_order(d, cert.order, want) == (True, None)
+
+    def test_refuses_a_23_cycle_with_a_pendant_dag(self):
+        d = Digraph(26, list(directed_cycle(23).arcs) + [(0, 23), (23, 24), (5, 25), (24, 25)])
+        with pytest.raises(BudgetError, match="23 > 22"):
+            fas_exact(d)
+
 
 class TestFasDpReference:
     def test_matches_reference_on_grid(self):
@@ -230,14 +267,26 @@ class TestFasDpReference:
             if d.weighted:
                 assert fas_weighted_exact(d).value == fas_brute(d)[0]
 
-    def test_int64_path_matches_reference(self):
-        # integer weights near 10^9 push the scaled total past int32
+    def test_int64_path_matches_reference(self, monkeypatch):
+        # integer weights near 10^9 (a scale of 1) push a component's total
+        # past int32
+        dtypes = []
+
+        def recording(in_items, bound):
+            g = build(in_items, bound)
+            dtypes.append(g.dtype)
+            return g
+
+        build = ordering._fas_table
+        monkeypatch.setattr(ordering, "_fas_table", recording)
         rng = random.Random(5)
         for seed in range(3):
             d = random_orgraph(12, 4, 3, seed=seed)
             heavy = Digraph(d.n, d.arcs, [float(rng.randint(1, 10**9)) for _ in d.arcs])
-            assert sum(w * WEIGHT_SCALE for w in heavy.weights) > 2**31
+            assert ordering._scaled_weights(heavy)[1] == 1
+            dtypes.clear()
             assert_dp_matches_reference(heavy)
+            assert np.int64 in dtypes
 
 
 class TestFasDpWork:
@@ -355,11 +404,10 @@ class TestFasWeighted:
 
 
 class TestExactWeights:
-    def test_weight_below_the_scale_is_rejected(self):
+    def test_seven_decimals_are_exact(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [1e-7, 5.0, 5.0])
-        for oracle in (fas_weighted_exact, fas_brute):
-            with pytest.raises(GraphError, match=r"arc 0 \(0,1\)"):
-                oracle(d)
+        assert fas_weighted_exact(d).value == fas_brute(d)[0] == Fraction(1, 10**7)
+        assert bas(d, fas_upper_heuristic(d)) == Fraction(1, 10**7)
 
     def test_digon_residue_is_exact(self):
         d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0.3, 0.1, 1.0, 1.0])
@@ -373,12 +421,15 @@ class TestExactWeights:
 
     def test_six_decimals_are_exact(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [0.000001, 2.5, 1e-6 * 3])
-        assert fas_weighted_exact(d).value == Fraction(1, WEIGHT_SCALE)
+        assert fas_weighted_exact(d).value == Fraction(1, 10**6)
 
     def test_total_beyond_int64_is_rejected(self):
-        d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [1e13, 1e13, 1e13])
-        with pytest.raises(GraphError, match="too large"):
-            fas_weighted_exact(d)
+        # the second: a scale of 10^12 takes 1e7 to 10^19
+        for weights in ([4e18, 4e18, 4e18], [1e-12, 1e7, 1e7]):
+            d = Digraph(3, [(0, 1), (1, 2), (2, 0)], weights)
+            for oracle in (fas_weighted_exact, fas_brute, fas_upper_heuristic):
+                with pytest.raises(GraphError, match="scaled to integers, are too large"):
+                    oracle(d)
 
 
 class TestHeuristic:
@@ -431,7 +482,7 @@ class TestHeuristic:
         cases = [random_orgraph(10, 5, 3, seed=s) for s in range(10)]
         cases += [random_orgraph(8, 4, 3, seed=s, weighted=s % 2 == 1) for s in range(20)]
         for d in cases + seeded_multidigraphs():
-            w = [1] * d.m if d.weights is None else ordering._scaled_weights(d)
+            w = [1] * d.m if d.weights is None else ordering._scaled_weights(d)[0]
             in_items = [[] for _ in range(d.n)]
             for a, (u, v) in enumerate(d.arcs):
                 in_items[v].append((u, w[a]))

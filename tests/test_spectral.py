@@ -198,6 +198,17 @@ class TestOrientationBound:
             ob = orientation_fas_lower_bound(d, lam)
             assert ob.holds
 
+    def test_decided_exactly_when_fas_exact_answers(self):
+        # two disjoint C12(1, 2): n = 24, strong components of 12; one
+        # C24(1, 2): a strong component of 24, which fas_exact refuses
+        half = circulant_graph(12, [1, 2]).edges
+        twice = Graph(24, list(half) + [(u + 12, v + 12) for u, v in half])
+        ob = orientation_fas_lower_bound(eulerian_orient(twice), lambda_extremes(twice).lam)
+        assert ob.fas_value == fas_exact(eulerian_orient(twice)).value and ob.holds
+        whole = circulant_graph(24, [1, 2])
+        ob = orientation_fas_lower_bound(eulerian_orient(whole), lambda_extremes(whole).lam)
+        assert ob.fas_value is None and ob.holds is None
+
 
 def test_blas_pool_is_one_thread_unless_the_caller_sets_it():
     """The BLAS thread variables, as they read when ``import fasdlab`` first
