@@ -437,9 +437,9 @@ GOLDEN = {
     "cycles": "7edfed9f1eb30239859a1d09dad25e1644c051027c989f57932eee92ffdff812",
     "decompose3": "ee6389a8612d44e6b4f0238d52db2f08b05c4ec53d52e3071acb2d3d3c8b6c1c",
     "fas_sixth": "012d95a72901d603d3a4146ddec86574a02dc61dc73f039a6279e74951cef06b",
-    "fas_bounded": "dd46f44708fee22ec655c1c011bffff3501b044665c1476d78652c9e599412cb",
-    "fas_components": "1365a740c959acc88e4e749eef4e46f1ade5e67c7b9ff11bcb4ce5d84c41133a",
-    "fas_exact": "bd67e8c3acbafd1c8aac2e13efb276690dc1095acc59805b25eefe2a758cab04",
+    "fas_bounded": "0d5a4d73ab6f17bdba1b504d9fb6cd0e4844b5c150f8e538c0cbc2992bf0938a",
+    "fas_components": "97343ccfedfa5290facfdec14ee05d48fad6ba97d54e253a9a9f153f0bc28d61",
+    "fas_exact": "019b4098569d2e19575ec720cacd3c38696d3b9e59d664b741db048a8d29f8b8",
     "fasd_exact": "cf9e4bacae912ecbaaae9bab8cca1c2952ece261c9d72ddf324cb9a0de0bf332",
     "fvs_exact": "94cf0d79cb8f05d78d850904fa9a56044732d84a858b405acbb8806d8645d251",
     "fvs_grid": "372742d6b83f168b6573280eda08432cbfd455401ff67761e0c21523dd574e0b",
