@@ -115,6 +115,20 @@ def _reference_per_component(d: Digraph, weighted: bool):
     return value, order
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """Every table that ``_fas_table`` builds, in the order built."""
+    built = []
+
+    def recording(in_items, bound):
+        built.append(build(in_items, bound))
+        return built[-1]
+
+    build = ordering._fas_table
+    monkeypatch.setattr(ordering, "_fas_table", recording)
+    return built
+
+
 def assert_dp_matches_reference(d: Digraph):
     for weighted in (False, True) if d.weighted else (False,):
         value, order = _fas_dp(d, weighted)
@@ -267,55 +281,33 @@ class TestFasDpReference:
             if d.weighted:
                 assert fas_weighted_exact(d).value == fas_brute(d)[0]
 
-    def test_int64_path_matches_reference(self, monkeypatch):
+    def test_int64_path_matches_reference(self, tables):
         # integer weights near 10^9 (a scale of 1) push a component's total
         # past int32
-        dtypes = []
-
-        def recording(in_items, bound):
-            g = build(in_items, bound)
-            dtypes.append(g.dtype)
-            return g
-
-        build = ordering._fas_table
-        monkeypatch.setattr(ordering, "_fas_table", recording)
         rng = random.Random(5)
         for seed in range(3):
             d = random_orgraph(12, 4, 3, seed=seed)
             heavy = Digraph(d.n, d.arcs, [float(rng.randint(1, 10**9)) for _ in d.arcs])
             assert ordering._scaled_weights(heavy)[1] == 1
-            dtypes.clear()
+            tables.clear()
             assert_dp_matches_reference(heavy)
-            assert np.int64 in dtypes
+            assert any(g.dtype == np.int64 for g in tables)
 
 
 class TestFasDpWork:
-    @pytest.fixture
-    def table_sizes(self, monkeypatch):
-        sizes = []
-
-        def recording(in_items, bound):
-            f = build(in_items, bound)
-            sizes.append(len(f))
-            return f
-
-        build = ordering._fas_table
-        monkeypatch.setattr(ordering, "_fas_table", recording)
-        return sizes
-
-    def test_one_table_per_strong_component(self, table_sizes):
+    def test_one_table_per_strong_component(self, tables):
         # two directed 11-cycles joined by one arc: two tables of 2^11, where
         # one table over all 22 vertices would hold 2^22
         cycle = list(directed_cycle(11).arcs)
         d = Digraph(22, cycle + [(u + 11, v + 11) for u, v in cycle] + [(0, 11)])
         cert = fas_exact(d)
         assert cert.value == 2 and bas(d, cert.order) == 2
-        assert sorted(table_sizes) == [2**11, 2**11]
+        assert sorted(map(len, tables)) == [2**11, 2**11]
 
-    def test_strongly_connected_input_builds_one_table(self, table_sizes):
+    def test_strongly_connected_input_builds_one_table(self, tables):
         d = gadget_dg(8)
         assert fas_exact(d).value == 2
-        assert table_sizes == [2**d.n]
+        assert [len(g) for g in tables] == [2**d.n]
 
 
 def component_weight(in_items):
@@ -342,20 +334,12 @@ class TestFasDpBound:
         monkeypatch.setattr(ordering, "_order_bound", component_weight)
         assert [_fas_dp(d, w) for d in grid for w in (False, True)[: 1 + d.weighted]] == pruned
 
-    def test_few_sets_kept_on_the_benchmark_inputs(self, monkeypatch):
-        kept = []
-
-        def recording(in_items, bound):
-            g = build(in_items, bound)
-            kept.append(int((g != np.iinfo(g.dtype).max).sum()))
-            return g
-
-        build = ordering._fas_table
-        monkeypatch.setattr(ordering, "_fas_table", recording)
+    def test_few_sets_kept_on_the_benchmark_inputs(self, tables):
         fas_exact(random_orgraph(20, 4, 3, seed=20, arc_target=40))
         fas_weighted_exact(random_orgraph(20, 4, 3, seed=120, weighted=True, arc_target=40))
         # strong components of 19 and 1 vertices, then one of 20: tables of
         # 2^19 and 2^20 sets, of which 284 and 162 are kept
+        kept = [int((g != np.iinfo(g.dtype).max).sum()) for g in tables]
         assert len(kept) == 3 and max(kept) <= 1000
 
 
