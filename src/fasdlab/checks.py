@@ -28,9 +28,8 @@ from .coloring import (
     refute_by_conflict_clique,
 )
 from .delta3 import fas_sixth, good_g_coloring
-from .digraph import INFINITE, eulerian_orient, girth, is_acyclic
+from .digraph import INFINITE, BudgetError, eulerian_orient, girth, is_acyclic
 from .generators import (
-    GenerationError,
     circulant_digraph,
     directed_cycle,
     gadget_co,
@@ -158,7 +157,7 @@ def triples_corpus(count: int, seed: int):
             n = 9 + (i % 20)
             try:
                 out.append(random_two_regular_orgraph(n, seed=s))
-            except GenerationError:
+            except BudgetError:
                 pass
         elif kind == 2:
             n = 9 + 2 * (i % 9)

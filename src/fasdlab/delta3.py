@@ -11,9 +11,9 @@ algorithm: reduction rules strip forced configurations one arc at a time, and
 the irreducible core is contracted to a degree-4 multigraph whose exact
 minimum feedback vertex set selects the matching arcs of the answer.
 
-Both recursions run as loops over one ``Peel``: a strong piece is split again
-only where it lost vertices, and the case scans are heaps kept up to date, so
-no input size exhausts the interpreter's stack.
+Both recursions run as one loop over one ``Peel`` (``_strong_pieces``): a
+strong piece is split again only where it lost vertices, and the case scans
+are heaps kept up to date, so no input size exhausts the interpreter's stack.
 
 Every constructed object is re-verified before being returned; a failure of a
 case the argument says cannot fail raises a hard diagnostic rather than being
@@ -54,8 +54,14 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     if g not in (3, 4, 5):
         raise GraphError("g must be 3, 4, or 5")
     require_orgraph(d, 3, g)
-    colors = _Colors()
-    _color_subgraph(Peel(d), g, colors)
+    pl, colors = Peel(d), _Colors()
+
+    def cut(arcs):
+        # arcs between strong parts lie on no cycle
+        for a in arcs:
+            colors[a] = 1
+
+    _strong_pieces(pl, _Chains, lambda chains, start: _color_strong(pl, g, colors, chains, start), cut)
     coloring = colors.final()
     if len(coloring) != d.m:  # pragma: no cover - would witness a gap
         raise AssertionError("construction left arcs uncolored")
@@ -66,57 +72,65 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     return coloring
 
 
-def _color_subgraph(pl: Peel, g: int, coloring) -> None:
-    """Color every live arc; arcs between strong parts get color 1.
+def _strong_pieces(pl: Peel, new_scan, step, cut=None) -> None:
+    """Run a proof's recursion into strong pieces as a loop over one Peel.
 
-    The proof recurses into each strong part; here that recursion is a loop
-    over one Peel.  A strong part's case deletes a few vertices, what is left
-    of the part is split again, and the case's fix-up runs once that rest is
-    colored.  A part is either a sorted vertex list or, for the component
-    ``Peel.split`` certified last, its root with the part's ``_Chains``.
-    ``watch`` maps attachment vertices to whether they lie on a cycle of the
-    part they are split with.
+    ``new_scan(pl, verts)`` builds a piece's case scan, and ``step(scan,
+    start)`` takes the first case that fits the piece and deletes that case's
+    vertices: it returns None when the piece is finished, else ``(fix,
+    watch)``.  What is left of the piece is then split again, ``cut`` gets
+    the ids of the arcs cut between its components, ``watch`` maps vertices
+    to whether they still lie on a cycle of their piece, and ``fix`` runs
+    once everything split off is done.  The component ``Peel.split``
+    certified goes last, so it is split again first; its scan is updated
+    where its arcs changed, and built again when its root moved.  Any other
+    component runs its first case before its first split, with
+    ``Peel.piece`` set to its vertices.
     """
-    todo = [("split", sorted(pl.out), None, None, None)]
-    while todo:
-        kind, verts, root, chains, watch = todo.pop()
-        if kind == "fix":
-            verts()
-            continue
-        if kind == "strong":
-            if chains is None:
-                chains = _Chains(pl, verts)
-            fix, watch = _color_strong(pl, g, coloring, chains, verts[0] if root is None else root)
-            if fix is not None:
-                todo.append(("fix", fix, None, None, None))
-                todo.append(("split", verts, root, chains, watch))
-            continue
-        new_root, comps, cut, touched = pl.split(verts, root)
-        for a in cut:
-            coloring[a] = 1
-        if watch is not None:
-            for x in watch:
-                watch[x] = x in pl.out
-        todo.extend(("strong", comp, None, None, None) for comp in reversed(comps))
+    todo = []
+
+    def split(verts, root, scan, watch):
+        new_root, comps, arcs, touched = pl.split(verts, root)
+        if cut is not None:
+            cut(arcs)
+        for x in watch or ():
+            watch[x] = x in pl.out
+        todo.extend((comp, None, None) for comp in reversed(comps))
         if new_root is not None:
-            # the certified part goes last, so it is split again first
             if new_root == root:
-                chains.update(touched, comps)
+                scan.update(touched)
             else:
-                chains = _Chains(pl, touched)
-            todo.append(("strong", None, new_root, chains, None))
+                scan = new_scan(pl, touched)
+            todo.append((None, new_root, scan))
+
+    split(sorted(pl.out), None, None, None)
+    while todo:
+        piece = todo.pop()
+        if callable(piece):
+            piece()
+            continue
+        verts, root, scan = piece
+        if scan is None:
+            pl.piece = set(verts)
+            scan = new_scan(pl, verts)
+        done = step(scan, verts[0] if root is None else root)
+        if done is not None:
+            fix, watch = done
+            if fix is not None:
+                todo.append(fix)
+            split(verts, root, scan, watch)
 
 
 def _color_strong(pl: Peel, g: int, coloring, chains, start: int):
     """Strongly connected piece: peel a shortest (in-heavy, out-heavy)-path.
 
-    Returns the case's fix-up and watch map, or (None, None) when the piece
-    was a single cycle (through ``start``) and is done.
+    Returns the case's fix-up and watch map, or None when the piece was a
+    single cycle (through ``start``) and is done.
     """
     path = chains.best()
     if path is None:
         _color_single_cycle(pl, g, coloring, start)
-        return None, None
+        return None
     l = len(path)
     if l >= g - 1:
         return _peel_long_path(pl, g, coloring, path), None
@@ -180,7 +194,8 @@ class _Chains:
     ties; chains into the (1,2) class die.  A heap keyed by (length, source)
     holds every live chain.  After deletions only the chains through vertices
     whose arcs changed are walked again; an entry is stale once its source
-    is deleted, leaves the class or the piece, or its chain is walked again.
+    leaves the piece (``Peel.piece``) or the class, or its chain is walked
+    again.
     """
 
     __slots__ = ("pl", "heap", "ver")
@@ -189,15 +204,11 @@ class _Chains:
         self.pl = pl
         self.heap = []
         self.ver = {}
-        self.update(verts, ())
+        self.update(verts)
 
-    def update(self, touched, gone) -> None:
-        """Walk again the chains through ``touched``; ``gone`` lists vertex
-        lists that left the piece."""
+    def update(self, touched) -> None:
+        """Walk again the chains through ``touched``."""
         out, inn, ver = self.pl.out, self.pl.inn, self.ver
-        for comp in gone:
-            for v in comp:
-                ver[v] = ver.get(v, 0) + 1
         seen = set()
         for v in touched:
             if v in seen:
@@ -223,7 +234,7 @@ class _Chains:
         out, inn, heap = self.pl.out, self.pl.inn, self.heap
         while heap:
             _, u, k, path = heap[0]
-            if u in out and self.ver[u] == k and len(out[u]) == 1 and len(inn[u]) == 2:
+            if u in self.pl.piece and self.ver[u] == k and len(out[u]) == 1 and len(inn[u]) == 2:
                 return list(path)
             heapq.heappop(heap)
         return None
@@ -856,46 +867,24 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     circulant_digraph(149, [1, 5]).
     """
     require_orgraph(d, 3, 6)
-    fas = sorted(_fas6_solve(Peel(d)))
+    pl, fas = Peel(d), []
+
+    def step(red, start):
+        arcs, drop = red.first(start)
+        fas.extend(arcs)
+        if not drop:
+            return None
+        for v in sorted(set(drop)):
+            pl.delete(v)
+        return None, None
+
+    _strong_pieces(pl, _Reductions, step)
+    fas.sort()
     if check:
         ok, why = check_fas_sixth(d, fas)
         if not ok:
             raise AssertionError(f"constructed FAS fails its check: {why}")
     return tuple(fas)
-
-
-def _fas6_solve(pl: Peel):
-    """Answer arcs of every live strong piece.
-
-    The proof recurses into each strong piece; here a stack of pieces does.
-    A piece is a sorted vertex list or, for the component ``Peel.split``
-    certified last, its root with the piece's ``_Reductions``.  A reduction
-    deletes its vertices and what is left of the piece is split again.
-    """
-    fas = []
-    todo = [("split", sorted(pl.out), None, None)]
-    while todo:
-        kind, verts, root, red = todo.pop()
-        if kind == "split":
-            new_root, comps, _, touched = pl.split(verts, root)
-            todo.extend(("strong", comp, None, None) for comp in reversed(comps))
-            if new_root is not None:
-                # the certified piece goes last, so it is split again first
-                if new_root == root:
-                    red.update(touched, comps)
-                else:
-                    red = _Reductions(pl, touched)
-                todo.append(("strong", None, new_root, red))
-            continue
-        if red is None:
-            red = _Reductions(pl, verts)
-        arcs, drop = red.first(verts[0] if root is None else root)
-        fas.extend(arcs)
-        if drop:
-            for v in sorted(set(drop)):
-                pl.delete(v)
-            todo.append(("split", verts, root, red))
-    return fas
 
 
 class _Reductions:
@@ -911,17 +900,17 @@ class _Reductions:
     passed when last walked, the class scans every vertex with an arc inside
     its class.  Classes only move to the balanced class, so a class scan never
     gains an entry; a path changes only through vertices whose arcs changed,
-    and those paths are walked again.  Entries are checked at the top.
+    and those paths are walked again.  Entries are checked at the top; one
+    whose vertex left the piece (``Peel.piece``) is stale.
     """
 
-    __slots__ = ("pl", "gone", "heavy", "plus", "minus", "paths")
+    __slots__ = ("pl", "heavy", "plus", "minus", "paths")
 
     def __init__(self, pl: Peel, verts):
         self.pl = pl
-        self.gone = set()  # live vertices split off into other pieces
         self.heavy, self.plus, self.minus = [], [], []
         self.paths = ([], [], [], [])
-        self.update(verts, ())
+        self.update(verts)
 
     def _sig(self, v):
         return len(self.pl.out[v]), len(self.pl.inn[v])
@@ -935,12 +924,9 @@ class _Reductions:
             self.pl.d.has_arc(y, x),
         )
 
-    def update(self, touched, gone) -> None:
-        """Walk again the paths at ``touched``; ``gone`` lists vertex lists
-        that left the piece."""
+    def update(self, touched) -> None:
+        """Walk again the paths at ``touched``."""
         out, inn = self.pl.out, self.pl.inn
-        for vs in gone:
-            self.gone.update(vs)
         seen = set()
         for v in touched:
             sig = self._sig(v)
@@ -957,14 +943,11 @@ class _Reductions:
                     if ok:
                         heapq.heappush(heap, key)
 
-    def _live(self, v) -> bool:
-        return v in self.pl.out and v not in self.gone
-
     def _top_path(self, rule: int):
         heap = self.paths[rule]
         while heap:
             k = heap[0]
-            if self._live(k) and self._sig(k) == (1, 1):
+            if k in self.pl.piece and self._sig(k) == (1, 1):
                 path, x, y = _balanced_path(self.pl, k)
                 if min(path) == k and self._tests(path, x, y)[rule]:
                     return path, x, y
@@ -975,7 +958,7 @@ class _Reductions:
         out = self.pl.out
         while heap:
             u = heap[0]
-            if self._live(u) and self._sig(u) in sig:
+            if u in self.pl.piece and self._sig(u) in sig:
                 if not inside or any(self._sig(w) == sig[0] for w, _ in out[u]):
                     return u
             heapq.heappop(heap)
@@ -1045,13 +1028,7 @@ class _Reductions:
             p, x, y = found
             return [d.arc_id(y, x)], p + [x, y]
         # the irreducible core, read off in full once
-        verts, stack = {start}, [start]
-        while stack:
-            for w, _ in out[stack.pop()]:
-                if w not in verts:
-                    verts.add(w)
-                    stack.append(w)
-        verts = sorted(verts)
+        verts = sorted(pl.piece)
         xplus = [v for v in verts if plus(v)]
         xminus = [v for v in verts if minus(v)]
         # the ends of the balanced paths, in order of their lowest vertex

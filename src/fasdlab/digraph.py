@@ -230,9 +230,11 @@ class Peel:
     O(degree).  ``stamp[v]`` counts the vertices deleted before v: a step
     that deleted a run of vertices can read, after later steps deleted the
     rest, the neighbourhood each had when it went (``out_then``/``in_then``).
+    ``piece`` holds the vertices of the strong piece being worked on: the
+    component ``split`` certified last, or those a caller set there.
     """
 
-    __slots__ = ("d", "out", "inn", "stamp", "_unbalanced", "_trees", "_dead", "_near")
+    __slots__ = ("d", "out", "inn", "stamp", "piece", "_unbalanced", "_trees", "_dead", "_near")
 
     def __init__(self, d: _BaseDigraph, vertices=None):
         self.d = d
@@ -251,6 +253,7 @@ class Peel:
         self._trees = (({}, {}, {}), ({}, {}, {}))
         self._dead = []
         self._near = []
+        self.piece = {}
 
     def delete(self, v: int) -> None:
         out, inn = self.out, self.inn
@@ -371,6 +374,7 @@ class Peel:
             self._trees = (({}, {}, {}), ({}, {}, {}))
             self.delete(root)
             root, touched = None, []
+        self.piece = self._trees[0][0]
         return root, [comp for comp in comps if len(comp) > 1], [a for a, _, _ in cut], touched
 
 

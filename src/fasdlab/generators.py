@@ -22,10 +22,6 @@ from .digraph import (
 )
 
 
-class GenerationError(RuntimeError):
-    """Raised when a random instance cannot be produced within the attempt budget."""
-
-
 def directed_cycle(n: int) -> Digraph:
     """The directed cycle 0 -> 1 -> ... -> n-1 -> 0 (n = 2 gives a digon)."""
     if n < 2:
@@ -358,14 +354,14 @@ def random_orgraph(
         rng.setstate(state)
         rng.getrandbits(32 * (int(at[2 * last + 1 - len(carry)]) + 1))
     if backbone and n >= min_girth and not arcs:
-        raise GenerationError(f"could not build any arcs for n={n}, max_deg={max_deg}")
+        raise BudgetError(f"could not build any arcs for n={n}, max_deg={max_deg}")
     weights = None
     if weighted:
         weights = [rng.randrange(1, 1001) / 100 for _ in arcs]
     d = Digraph(n, arcs, weights)
     g = girth(d)
     if g is not INFINITE and g < min_girth:  # pragma: no cover - defensive
-        raise GenerationError("girth postcondition violated")
+        raise AssertionError("girth postcondition violated")
     return d
 
 
@@ -373,7 +369,8 @@ def random_two_regular_orgraph(n: int, seed: int = 0) -> Digraph:
     """Random connected digon-free digraph with d+ = d- = 2 everywhere.
 
     Superimposes two random cyclic permutations, retrying until the result is
-    simple (no common or opposite pairs) and connected, at most 400 times.
+    simple (no common or opposite pairs) and connected, at most 400 times;
+    raises BudgetError after that.
     """
     rng = random.Random(seed)
     for _ in range(400):
@@ -395,7 +392,7 @@ def random_two_regular_orgraph(n: int, seed: int = 0) -> Digraph:
         d = Digraph(n, arcs)
         if len(connected_components(d)) == 1:
             return d
-    raise GenerationError(f"no simple connected 2-regular instance found for n={n}")
+    raise BudgetError(f"no simple connected 2-regular instance found for n={n}")
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,9 @@ def _fas_dp(d: Digraph, weighted: bool):
     value = 0
     order = []
     for c, (verts, items) in enumerate(zip(comps, in_items)):
+        if len(verts) == 1:  # no arc inside (no loops): fas 0 and no table
+            order += verts
+            continue
         g = _fas_table(items, _order_bound(items))
         s = (1 << len(verts)) - 1
         # every set on an optimal chain is kept, the full set among them

@@ -17,6 +17,7 @@ from fasdlab.digraph import (
     Digraph,
     GraphError,
     MultiDigraph,
+    Peel,
     eulerian_orient,
     girth,
     is_acyclic,
@@ -305,3 +306,22 @@ class TestPeelOverlapRegression:
         assert girth(d) == 5
         c = good_g_coloring(d, 5)
         assert verify_good_coloring(d, c, 5)[0]
+
+
+# Peel.split calls on the grid below, per girth (6 is fas_sixth): a case runs
+# on each strong component before its first split, so a component finished
+# by its first case is never split.  These may fall but not grow.
+SPLITS_MAX = {3: 47, 4: 45, 5: 48, 6: 52}
+
+
+def test_peel_splits_do_not_grow(monkeypatch):
+    calls = []
+    real = Peel.split
+    monkeypatch.setattr(Peel, "split", lambda pl, *args: calls.append(1) or real(pl, *args))
+    for g, most in SPLITS_MAX.items():
+        calls.clear()
+        for n in (10, 30, 100):
+            for seed in range(5):
+                d = random_orgraph(n, 3, g, seed=seed, arc_target=(4 * n) // 3 if g == 6 else (3 * n) // 2)
+                fas_sixth(d) if g == 6 else good_g_coloring(d, g)
+        assert len(calls) <= most, g

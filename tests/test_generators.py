@@ -4,9 +4,8 @@ import random
 import pytest
 
 from fasdlab import generators
-from fasdlab.digraph import INFINITE, Digraph, GraphError, girth, is_acyclic, max_degree
+from fasdlab.digraph import INFINITE, BudgetError, Digraph, GraphError, girth, is_acyclic, max_degree
 from fasdlab.generators import (
-    GenerationError,
     directed_cycle,
     gadget_co,
     gadget_co_prime,
@@ -217,14 +216,14 @@ def reference_random_orgraph(
             continue
         add(u, v)
     if backbone and n >= min_girth and not arcs:
-        raise GenerationError(f"could not build any arcs for n={n}, max_deg={max_deg}")
+        raise BudgetError(f"could not build any arcs for n={n}, max_deg={max_deg}")
     weights = None
     if weighted:
         weights = [rng.randrange(1, 1001) / 100 for _ in arcs]
     d = Digraph(n, arcs, weights)
     g = girth(d)
     if g is not INFINITE and g < min_girth:  # pragma: no cover - defensive
-        raise GenerationError("girth postcondition violated")
+        raise AssertionError("girth postcondition violated")
     return d
 
 
@@ -276,7 +275,7 @@ def orgraph_grid():
 def build(generator, args):
     try:
         d = generator(*args)
-    except (GenerationError, GraphError, ValueError) as exc:
+    except (BudgetError, GraphError, ValueError) as exc:
         return type(exc)
     return d.n, d.arcs, d.weights
 
@@ -308,6 +307,11 @@ class TestRandomOrgraph:
             d = random_two_regular_orgraph(9, seed=seed)
             assert all(d.out_degree(v) == d.in_degree(v) == 2 for v in range(9))
             assert not d.has_digon()
+
+    def test_two_regular_generator_gives_up_on_four_vertices(self):
+        # 8 arcs on 4 vertices cannot avoid common or opposite pairs
+        with pytest.raises(BudgetError):
+            random_two_regular_orgraph(4)
 
 
     def test_matches_reference_on_grid(self):

@@ -309,6 +309,14 @@ class TestFasDpWork:
         assert fas_exact(d).value == 2
         assert [len(g) for g in tables] == [2**d.n]
 
+    def test_acyclic_input_builds_no_table(self, tables):
+        # arcs i -> i+1 and i -> i+2: 5 000 strong components of one vertex
+        n = 5000
+        d = Digraph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+        cert = fas_exact(d)
+        assert cert.value == 0 and cert.order == tuple(range(n))
+        assert tables == []
+
 
 def component_weight(in_items):
     return sum(hw for items in in_items for _, hw in items)
@@ -338,9 +346,10 @@ class TestFasDpBound:
         fas_exact(random_orgraph(20, 4, 3, seed=20, arc_target=40))
         fas_weighted_exact(random_orgraph(20, 4, 3, seed=120, weighted=True, arc_target=40))
         # strong components of 19 and 1 vertices, then one of 20: tables of
-        # 2^19 and 2^20 sets, of which 284 and 162 are kept
+        # 2^19 and 2^20 sets, of which 284 and 162 are kept, and none for the
+        # lone vertex
         kept = [int((g != np.iinfo(g.dtype).max).sum()) for g in tables]
-        assert len(kept) == 3 and max(kept) <= 1000
+        assert len(kept) == 2 and max(kept) <= 1000
 
 
 class TestFasWeighted:
