@@ -18,7 +18,12 @@ Both cut only subtrees without a good coloring and keep the branch order, so
 the search meets the same first good coloring as plain backtracking would.
 Arcs are colored fail-first (Haralick & Elliott 1980): first those on the
 most t-cycles, each of which needs all t colors on its t arcs, then those on
-the most watched cycles.
+the most watched cycles.  The arcs of a chain through vertices of in- and
+out-degree 1 lie on exactly the same cycles, so any permutation of their
+colors is good when one is; the search keeps each chain together and colors
+it in non-decreasing order (the lex-leader rule for interchangeable
+variables, Crawford, Ginsberg, Luks & Roy 1996), which spares it every
+reordering of a chain's colors.
 
 Whole levels are refuted without a search in two ways.  More than t arcs that
 pairwise share a t-cycle need more than t colors (a conflict clique).  And a
@@ -36,7 +41,7 @@ from itertools import islice
 import numpy as np
 
 from .certcheck import check_coloring, check_conflict_clique, check_counting_bound
-from .digraph import INFINITE, BudgetError, Digraph, _cycle_walk, girth, shortest_cycle
+from .digraph import INFINITE, BudgetError, Digraph, _cycle_walk, chains, girth, shortest_cycle
 
 DEFAULT_NODE_BUDGET = 10**8
 TIGHT_CYCLE_CAP = 20000
@@ -137,14 +142,28 @@ def good_coloring_search(
     assigned arc to color 1 and removes the t! relabeling symmetry.  Arcs are
     assigned fail-first: by the number of cycles of length exactly t through
     them, which have no slack from the start, then by the number of cycles of
-    length <= t + 3, both descending, then by id.  Without a t-cycle the first
-    key is 0 for every arc.  A branch is cut when some remainder digraph
-    closes a cycle or, once all t colors are in use, when a later arc has
-    every color dead on those cycles; dead colors are not tried.  Neither cut
-    drops a good coloring, so the witness is the first one in branch order
-    either way.  Each color tried counts as a node, and a negative
-    ``node_budget`` raises ValueError.  The search keeps an explicit stack, so
-    its depth is not bounded by the recursion limit.
+    length <= t + 3, both descending, then by the first arc id of their chain
+    (``digraph.chains``) and their place on it.  Without a t-cycle the first
+    key is 0 for every arc.  The arcs of a chain lie on the same cycles, so
+    they tie on both counts and are assigned one after another, and each
+    chain arc after the first takes only colors at least its predecessor's.
+
+    Neither symmetry rule loses a good coloring.  Take any good coloring and
+    walk the arcs in search order, relabeling each color at its first use;
+    at a chain, put the colors on it already seen first, sorted, then the new
+    ones, each taking the next label in turn.  A relabeling keeps a coloring
+    good, and so does permuting colors along a chain, since every cycle
+    through one chain arc runs through all of them.  The result uses colors
+    in first-use order and is non-decreasing along every chain, so the
+    search meets it.
+
+    A branch is cut when some remainder digraph closes a cycle or, once all t
+    colors are in use, when a later arc has every color dead on those cycles;
+    dead colors are not tried.  Neither cut drops a good coloring, so the
+    witness is the first one in branch order either way.  Each color tried
+    counts as a node, and a negative ``node_budget`` raises ValueError.  The
+    search keeps an explicit stack, so its depth is not bounded by the
+    recursion limit.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -174,12 +193,21 @@ def good_coloring_search(
             slack[k] |= 1 << i
     _, s1, s2, s3 = slack
 
-    # fail-first: arcs on the most t-cycles (slack 0 from the start) lead
+    # fail-first: arcs on the most t-cycles (slack 0 from the start) lead.
+    # The arcs of a chain lie on the same cycles, so they tie on both keys
+    # and the tie-break keeps them together, in chain order
+    place = [None] * m
+    for chain in chains(d):
+        for j, a in enumerate(chain):
+            place[a] = (chain[0], j)
     order = sorted(
         range(m),
-        key=lambda a: (-(on_cycles[a] & ~s1).bit_count(), -on_cycles[a].bit_count(), a),
+        key=lambda a: (-(on_cycles[a] & ~s1).bit_count(), -on_cycles[a].bit_count(), place[a]),
     )
     rank = {a: r for r, a in enumerate(order)}
+    # follows[i]: arc order[i] comes after arc order[i - 1] on a chain, so its
+    # colour is at least that arc's
+    follows = [False] + [place[a][1] > 0 for a in order[1:]]
     near = [set() for _ in range(m)]
     for ids in watch:
         ids = sorted(ids, key=rank.__getitem__)
@@ -196,12 +224,12 @@ def good_coloring_search(
     present = [0] * (t + 1)  # watched cycles already carrying each color
     color = [0] * m  # 0 while unassigned
 
-    def candidates(a: int, used: int, s1: int):
+    def candidates(a: int, low: int, used: int, s1: int):
         tight = on_cycles[a] & ~s1
-        return [c for c in range(1, min(t, used + 1) + 1) if not tight & present[c]]
+        return [c for c in range(low, min(t, used + 1) + 1) if not tight & present[c]]
 
     # an explicit stack: depth i tries cands[i][tried[i]:] for arc order[i]
-    cands = [candidates(order[0], 0, s1)] + [None] * (m - 1)
+    cands = [candidates(order[0], 1, 0, s1)] + [None] * (m - 1)
     tried = [0] * m
     used = [0] * m
     undo = [None] * m
@@ -249,7 +277,7 @@ def good_coloring_search(
                 status = "sat"
                 break
             used[i] = max(used[i - 1], c)
-            cands[i] = candidates(order[i], used[i], s1)
+            cands[i] = candidates(order[i], c if follows[i] else 1, used[i], s1)
             tried[i] = 0
     if status == "sat":
         coloring = {a: color[a] for a in order}

@@ -274,18 +274,35 @@ class TestFasdExact:
         # the sat level t = 10 is searched
         d12 = gadget_dg(12)
         cert = fasd_exact(d12)
-        assert (cert.value, cert.nodes) == (10, 1480)
+        assert (cert.value, cert.nodes) == (10, 198)
         ref = cert.refutation
         assert isinstance(ref, CountingBound) and ref.bound == 10 and len(ref.cycles) == 3
         assert check_counting_bound(d12, ref.cycles, ref.arcs, ref.bound) == (True, None)
         assert verify_good_coloring(d12, cert.witness, 10) == (True, None)
 
     def test_budget_stop_below_the_counting_bound(self):
-        # dg16: t = 15 and 14 lie above the bound 13, so the budget runs out at t = 13
-        cert = fasd_exact(gadget_dg(16), node_budget=200_000)
+        # dg18: t = 18, 17 and 16 lie above the bound 15, so the budget runs out at t = 15
+        cert = fasd_exact(gadget_dg(18), node_budget=200_000)
         assert cert.value is None
-        assert (cert.lo, cert.hi) == (2, 13)
-        assert isinstance(cert.refutation, CountingBound) and cert.refutation.bound == 13
+        assert (cert.lo, cert.hi) == (2, 15)
+        assert isinstance(cert.refutation, CountingBound) and cert.refutation.bound == 15
+
+    def test_dg16_is_certified(self):
+        # chain symmetry breaking completes dg16, and its counting bound 13
+        # certifies the value from above
+        d = gadget_dg(16)
+        cert = fasd_exact(d)
+        assert cert.value == 13 and cert.nodes <= 43_399
+        assert verify_good_coloring(d, cert.witness, 13) == (True, None)
+        ref = cert.refutation
+        assert isinstance(ref, CountingBound) and ref.bound == 13
+        assert check_counting_bound(d, ref.cycles, ref.arcs, ref.bound) == (True, None)
+
+    def test_dg14_within_its_node_cap(self):
+        d = gadget_dg(14)
+        cert = fasd_exact(d)
+        assert cert.value == 12 and cert.nodes <= 12_909
+        assert verify_good_coloring(d, cert.witness, 12) == (True, None)
 
     def test_budget_stop_at_the_girth_reports_the_bound(self):
         # the bound refutes g + 1 before any search, so a stop at t = g names it

@@ -13,6 +13,7 @@ from fasdlab.digraph import (
     Peel,
     _cycle_walk,
     _shortest_cycle,
+    chains,
     connected_components,
     degrees,
     enumerate_cycles,
@@ -556,6 +557,51 @@ class TestEulerianOrient:
             d = eulerian_orient(g)
             assert all(d.out_degree(v) == d.in_degree(v) for v in range(n))
             assert sorted(tuple(sorted(a)) for a in d.arcs) == sorted(g.edges)
+
+
+class TestChains:
+    def test_open_chain_starts_at_a_tail_that_is_no_joint(self):
+        # 1 and 4 have in- or out-degree 2; the chain 1 -> 2 -> 3 -> 4 holds
+        # the lowest id, 0, in its middle
+        d = Digraph(5, [(2, 3), (3, 4), (0, 1), (1, 2), (4, 0), (4, 1)])
+        assert chains(d) == [(3, 0, 1), (4, 2), (5,)]
+
+    def test_whole_cycle_starts_at_its_lowest_arc_id(self):
+        # 0 -> 1 -> 2 -> 3 -> 0 with ids 3, 0, 2, 1, beside an open chain
+        d = Digraph(7, [(1, 2), (3, 0), (2, 3), (0, 1), (4, 5), (5, 6)])
+        assert chains(d) == [(0, 2, 1, 3), (4, 5)]
+
+    def test_digon_through_a_joint(self):
+        # 1 and 2 are joints on digons with 0, which is not one
+        d = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
+        assert chains(d) == [(0, 1), (2, 3)]
+        assert chains(Digraph(2, [(1, 0), (0, 1)])) == [(0, 1)]
+
+    def test_parallel_in_arc_makes_no_joint(self):
+        # 1 has in-degree 2 by two parallel arcs, so the chain starts there
+        d = MultiDigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
+        assert chains(d) == [(0,), (1,), (2, 3)]
+
+    def test_chains_partition_the_arcs_and_share_their_cycles(self):
+        for d in seeded_digraphs(300, 9):
+            found = chains(d)
+            assert sorted(a for chain in found for a in chain) == list(range(d.m))
+            assert found == sorted(found)
+            joint = [d.out_degree(v) == d.in_degree(v) == 1 for v in range(d.n)]
+            for chain in found:
+                heads = [d.arcs[a][1] for a in chain]
+                assert all(d.arcs[b][0] == v and joint[v] for v, b in zip(heads, chain[1:]))
+                closed = heads[-1] == d.arcs[chain[0]][0] and all(joint[v] for v in heads)
+                assert closed or not joint[heads[-1]]
+                assert (closed and chain[0] == min(chain)) or not joint[d.arcs[chain[0]][0]]
+                on = set(chain)
+                for _, ids in _cycle_walk(d, d.n):
+                    assert len(on.intersection(ids)) in (0, len(on))
+
+    def test_longer_than_the_recursion_limit(self):
+        n = 10**5
+        assert chains(directed_cycle(n)) == [tuple(range(n))]
+        assert chains(Digraph(n, [(i, i + 1) for i in range(n - 1)])) == [tuple(range(n - 1))]
 
 
 class TestComponents:
