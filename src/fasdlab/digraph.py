@@ -719,6 +719,21 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
     return CycleEnumeration(cycles, len(cycles) == cap, cap)
 
 
+class _Steps(dict):
+    """The (head, lowest arc id) pairs out of each vertex, in head order,
+    built the first time the walk steps onto it (``_out`` lists arcs in id
+    order, so the reversed dict keeps the lowest of parallel arcs)."""
+
+    __slots__ = ("out",)
+
+    def __init__(self, out):
+        self.out = out
+
+    def __missing__(self, v):
+        step = self[v] = sorted(dict(reversed(self.out[v])).items())
+        return step
+
+
 def _cycle_walk(d: _BaseDigraph, max_len: int):
     """Yield (cycle, arc ids) for each simple directed cycle of length <=
     max_len, in the order of ``enumerate_cycles``; arc ids[i] leaves cycle[i].
@@ -734,6 +749,7 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
     """
     if max_len < 2:
         return
+    steps = _Steps(d._out)
     for s in range(d.n):
         # Only vertices >= s may appear, so every cycle is found exactly once,
         # rooted at its minimum vertex.  ``dist`` maps s to 0 and each vertex
@@ -754,14 +770,12 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
             frontier = reached
         if not any(v in dist for v, _ in d._out[s]):
             continue
-        # The depth-first search keeps one iterator over the (head, lowest arc
-        # id) pairs of each path vertex, in head order (``_out`` lists arcs in
-        # id order, so the reversed dict keeps the lowest); ids[i] enters
-        # path[i + 1].
+        # The depth-first search keeps one iterator over the steps of each
+        # path vertex; ids[i] enters path[i + 1].
         path = [s]
         ids = []
         on_path = {s}
-        stack = [iter(sorted(dict(reversed(d._out[s])).items()))]
+        stack = [iter(steps[s])]
         while stack:
             for v, a in stack[-1]:
                 if v == s and len(path) >= 2:
@@ -770,7 +784,7 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
                     path.append(v)
                     ids.append(a)
                     on_path.add(v)
-                    stack.append(iter(sorted(dict(reversed(d._out[v])).items())))
+                    stack.append(iter(steps[v]))
                     break
             else:
                 stack.pop()
