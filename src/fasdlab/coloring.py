@@ -15,7 +15,7 @@ misses, like a t-cycle from the start) each color it carries is dead for its
 unassigned arcs.  Dead colors are never tried, and with all t colors in use a
 branch also dies when a later arc would have none left (forward checking).
 Both cut only subtrees without a good coloring and keep the branch order, so
-the search meets the same first good coloring as plain backtracking would.
+the search meets the same first good coloring as backtracking without them.
 Arcs are colored fail-first (Haralick & Elliott 1980): first those on the
 most t-cycles, each of which needs all t colors on its t arcs, then those on
 the most watched cycles.  The arcs of a chain through vertices of in- and
@@ -195,7 +195,8 @@ def good_coloring_search(
 
     # fail-first: arcs on the most t-cycles (slack 0 from the start) lead.
     # The arcs of a chain lie on the same cycles, so they tie on both keys
-    # and the tie-break keeps them together, in chain order
+    # and the tie-break keeps them together, in chain order: an arc at place
+    # j > 0 follows its chain predecessor, whose color is its least candidate
     place = [None] * m
     for chain in chains(d):
         for j, a in enumerate(chain):
@@ -205,9 +206,6 @@ def good_coloring_search(
         key=lambda a: (-(on_cycles[a] & ~s1).bit_count(), -on_cycles[a].bit_count(), place[a]),
     )
     rank = {a: r for r, a in enumerate(order)}
-    # follows[i]: arc order[i] comes after arc order[i - 1] on a chain, so its
-    # colour is at least that arc's
-    follows = [False] + [place[a][1] > 0 for a in order[1:]]
     near = [set() for _ in range(m)]
     for ids in watch:
         ids = sorted(ids, key=rank.__getitem__)
@@ -277,7 +275,7 @@ def good_coloring_search(
                 status = "sat"
                 break
             used[i] = max(used[i - 1], c)
-            cands[i] = candidates(order[i], c if follows[i] else 1, used[i], s1)
+            cands[i] = candidates(order[i], c if place[order[i]][1] else 1, used[i], s1)
             tried[i] = 0
     if status == "sat":
         coloring = {a: color[a] for a in order}
