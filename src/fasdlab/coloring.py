@@ -205,13 +205,14 @@ def good_coloring_search(
         range(m),
         key=lambda a: (-(on_cycles[a] & ~s1).bit_count(), -on_cycles[a].bit_count(), place[a]),
     )
-    rank = {a: r for r, a in enumerate(order)}
+    rank = [0] * m
+    for r, a in enumerate(order):
+        rank[a] = r
     near = [set() for _ in range(m)]
     for ids in watch:
-        ids = sorted(ids, key=rank.__getitem__)
-        for j, a in enumerate(ids):
-            near[a].update(ids[j + 1 :])
-    near = [[on_cycles[b] for b in bs] for bs in near]
+        for a in ids:
+            near[a].update(ids)
+    near = [[on_cycles[b] for b in bs if rank[b] > rank[a]] for a, bs in enumerate(near)]
     others = [tuple(k for k in range(1, t + 1) if k != c) for c in range(t + 1)]
 
     # all assigned arcs once, out[u][v] = inn[v][u] = color; the remainder
@@ -410,11 +411,13 @@ def refute_by_conflict_clique(d: Digraph) -> ConflictClique | None:
     target = t + 1
     for seed in sorted(a for a, s in neigh.items() if len(s) >= t):
         clique = [seed]
+        common = neigh[seed]  # the arcs adjacent to every arc taken so far
         for v in sorted(neigh[seed]):
-            if all(v in neigh[u] for u in clique):
+            if v in common:
                 clique.append(v)
                 if len(clique) == target:
                     break
+                common = common & neigh[v]
         if len(clique) == target:
             break
     else:

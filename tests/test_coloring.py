@@ -343,7 +343,7 @@ class TestFasdExact:
 
     def test_c39_many_watched_cycles(self):
         # c39(1, 4) watches thousands of cycles of length <= 15; the forward
-        # check's near-sets are built per cycle from rank-sorted arc ids
+        # check's near-sets are built per cycle, then kept to the later arcs
         d = circulant_digraph(39, [1, 4])
         cert = fasd_exact(d)
         assert (cert.value, cert.complete, cert.nodes) == (12, True, 83)
