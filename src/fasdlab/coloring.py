@@ -411,13 +411,13 @@ def refute_by_conflict_clique(d: Digraph) -> ConflictClique | None:
     target = t + 1
     for seed in sorted(a for a, s in neigh.items() if len(s) >= t):
         clique = [seed]
-        common = neigh[seed]  # the arcs adjacent to every arc taken so far
+        common = set(neigh[seed])  # the arcs adjacent to every arc taken so far
         for v in sorted(neigh[seed]):
             if v in common:
                 clique.append(v)
                 if len(clique) == target:
                     break
-                common = common & neigh[v]
+                common &= neigh[v]
         if len(clique) == target:
             break
     else:
