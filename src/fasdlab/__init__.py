@@ -45,7 +45,6 @@ from .digraph import (
     girth,
     is_acyclic,
     max_degree,
-    reduce_digons,
     strong_components,
 )
 from .ordering import (
@@ -68,9 +67,6 @@ from .spectral import (
 from .triples import (
     OrderingTriple,
     decompose3,
-    extend_along_antidirected,
-    good_triple_transitive,
-    good_vtriple_nonregular,
     verify_good_triple,
 )
 
@@ -99,7 +95,6 @@ __all__ = [
     "degrees",
     "enumerate_cycles",
     "eulerian_orient",
-    "extend_along_antidirected",
     "fas_brute",
     "fas_exact",
     "fas_sixth",
@@ -110,14 +105,11 @@ __all__ = [
     "girth",
     "good_coloring_search",
     "good_g_coloring",
-    "good_triple_transitive",
-    "good_vtriple_nonregular",
     "is_acyclic",
     "lambda_extremes",
     "max_degree",
     "mixing_check",
     "orientation_fas_lower_bound",
-    "reduce_digons",
     "refute_by_conflict_clique",
     "strong_components",
     "verify_good_coloring",

@@ -793,36 +793,6 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
                     ids.pop()
 
 
-def reduce_digons(d: Digraph):
-    """Cancel directed 2-cycles, returning (orgraph, extracted_weight).
-
-    Both arcs of each digon lose the smaller of the two weights and
-    zero-weight arcs of digons are dropped, so at most one arc of each digon
-    survives (none when the weights tie).  An unweighted digraph weighs 1 per
-    arc: both arcs of each digon go, the result is unweighted, and the amount
-    is the digon count.  The extracted amount is what any minimum feedback set
-    must pay inside the digons.
-    """
-    pair_of = {uv: a for a, uv in enumerate(d.arcs)}
-    # exact arithmetic on the weights' decimal text: (0.3, 0.1) leaves 0.2
-    w = exact_weights(d) if d.weighted else [Fraction(1)] * d.m
-    total = Fraction(0)
-    for (u, v), a in pair_of.items():
-        if u < v and (v, u) in pair_of:
-            b = pair_of[(v, u)]
-            m = min(w[a], w[b])
-            w[a] -= m
-            w[b] -= m
-            total += m
-    arcs, weights = [], []
-    for i, uv in enumerate(d.arcs):
-        if (uv[1], uv[0]) in pair_of and w[i] == 0:
-            continue
-        arcs.append(uv)
-        weights.append(float(w[i]))
-    return Digraph(d.n, arcs, weights if d.weighted else None), float(total)
-
-
 def eulerian_orient(g: Graph) -> Digraph:
     """Orient an even-degree graph so that every vertex has d+ = d-.
 

@@ -14,6 +14,9 @@ and growing anti-directed paths between its former neighbors.  Every case
 dispatch is deterministic (lowest eligible id), so certificates reproduce.
 The recursion runs as loops over one ``Peel``, so no input size exhausts the
 interpreter's stack.
+
+``decompose3`` is the module's one entry point: each lemma case of the proof
+is a private step that it dispatches to and nothing else calls.
 """
 
 from __future__ import annotations
@@ -39,25 +42,6 @@ def is_subordering(small, big) -> bool:
     """Subsequence test: ``small`` arises from ``big`` by deleting vertices."""
     it = iter(big)
     return all(any(x == y for y in it) for x in small)
-
-
-def is_antidirected_path(d: Digraph, path) -> bool:
-    """Distinct vertices forming an underlying path whose arc directions alternate.
-
-    Every interior vertex carries either both path arcs incoming or both
-    outgoing.
-    """
-    if len(path) < 2 or len(set(path)) != len(path):
-        return False
-    dirs = []
-    for x, y in zip(path, path[1:]):
-        if d.has_arc(x, y):
-            dirs.append(True)
-        elif d.has_arc(y, x):
-            dirs.append(False)
-        else:
-            return False
-    return all(a != b for a, b in zip(dirs, dirs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +158,6 @@ def _vtriple(pl: Peel, v: int):
     return t.lists()
 
 
-def good_vtriple_nonregular(d: Digraph, v: int) -> OrderingTriple:
-    """Good v-triple of a digon-free max-degree-4 digraph without 2-regular components.
-
-    v must be unbalanced.  The returned triple has v first in its first
-    ordering and last in the second.
-    """
-    require_orgraph(d, 4, 3)
-    for comp in connected_components(d):
-        if all(d.out_degree(u) == d.in_degree(u) == 2 for u in comp):
-            raise GraphError("a 2-regular component is out of scope for this routine")
-    pl = Peel(d)
-    if not _unbalanced(pl, v):
-        raise GraphError(f"vertex {v} is not unbalanced")
-    return OrderingTriple(tuple(tuple(o) for o in _vtriple(pl, v)))
-
-
 def _find_transitive_triangle(pl: Peel):
     for a1 in sorted(pl.out):
         outs = sorted(w for w, _ in pl.out[a1])
@@ -200,11 +168,10 @@ def _find_transitive_triangle(pl: Peel):
     return None
 
 
-def _triple_transitive(pl: Peel):
-    found = _find_transitive_triangle(pl)
-    if found is None:
-        raise GraphError("no transitive triangle present")
-    a1, a2, x = found
+def _triple_transitive(pl: Peel, triangle):
+    """Good triple of a 2-regular component from its transitive triangle
+    a1 -> a2 -> x, a1 -> x: delete a1 and x, then take a good a2-triple."""
+    a1, a2, x = triangle
     pl.delete(a1)
     pl.delete(x)
     s_first, s_last, s = _vtriple(pl, a2)
@@ -212,15 +179,6 @@ def _triple_transitive(pl: Peel):
     pi = [a1] + s_first
     pi.insert(2, x)  # x right after a1 and a2
     return [x] + s + [a1], s_last + [x], pi
-
-
-def good_triple_transitive(d: Digraph) -> OrderingTriple:
-    """Good triple of a connected 2-regular orgraph containing a transitive triangle."""
-    require_orgraph(d, 4, 3)
-    if any(d.out_degree(v) != 2 or d.in_degree(v) != 2 for v in range(d.n)):
-        raise GraphError("input must be 2-regular")
-    t = _triple_transitive(Peel(d))
-    return OrderingTriple(tuple(tuple(o) for o in t))
 
 
 def _extend_antidirected(pl: Peel, path, triple, pi_idx: int, variant: int):
@@ -275,34 +233,6 @@ def _extend_antidirected(pl: Peel, path, triple, pi_idx: int, variant: int):
         if flip:
             t.converse()
     return t.lists()
-
-
-def extend_along_antidirected(
-    d: Digraph, path, triple, pi_star: str = "first", variant: int = 1
-) -> OrderingTriple:
-    """Public wrapper for the anti-directed extension step.
-
-    ``path`` is an anti-directed path x1..xl in d whose start has its unique
-    out- or in-neighbor at x2; ``triple`` is a good xl-triple of
-    d - (path minus xl).  ``pi_star`` selects which of the xl-triple's first
-    two orderings must survive as a subordering, and ``variant`` whether it
-    lands in the first or second ordering of the produced x1-triple.
-    """
-    if len(path) < 3:
-        raise GraphError("the extension step needs |V(path)| >= 3")
-    if not is_antidirected_path(d, path):
-        raise GraphError("path is not anti-directed in the input digraph")
-    if pi_star not in ("first", "last"):
-        raise ValueError("pi_star must be 'first' or 'last'")
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    tri = triple.orderings if isinstance(triple, OrderingTriple) else triple
-    tri = tuple(list(o) for o in tri)
-    pl = Peel(d)
-    for x in path[:-1]:
-        pl.delete(x)
-    res = _extend_antidirected(pl, list(path), tri, 0 if pi_star == "first" else 1, variant)
-    return OrderingTriple(tuple(tuple(o) for o in res))
 
 
 def _grow_path(pl: Peel, path, stops):
@@ -432,8 +362,8 @@ def decompose3(h: Digraph, verify: bool = True) -> OrderingTriple:
         pl = Peel(h, comp)
         if any(len(pl.out[v]) != 2 or len(pl.inn[v]) != 2 for v in comp):
             t = _vtriple(pl, pl.lowest_unbalanced())
-        elif _find_transitive_triangle(pl) is not None:
-            t = _triple_transitive(pl)
+        elif (triangle := _find_transitive_triangle(pl)) is not None:
+            t = _triple_transitive(pl, triangle)
         else:
             t = _two_regular_triple(pl)
         for i in range(3):

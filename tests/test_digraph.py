@@ -20,7 +20,6 @@ from fasdlab.digraph import (
     eulerian_orient,
     girth,
     is_acyclic,
-    reduce_digons,
     shortest_cycle,
     strong_components,
 )
@@ -466,54 +465,6 @@ class TestEnumerateCycles:
 def _arc_on_cycle(arc, cycle):
     k = len(cycle)
     return any((cycle[i], cycle[(i + 1) % k]) == arc for i in range(k))
-
-
-class TestReduceDigons:
-    def test_weighted_digon(self):
-        d = Digraph(2, [(0, 1), (1, 0)], [3.0, 5.0])
-        r, extracted = reduce_digons(d)
-        assert extracted == 3.0
-        assert r.arcs == ((1, 0),)
-        assert r.weights == (2.0,)
-
-    def test_orgraph_unchanged(self):
-        d = Digraph(3, [(0, 1), (1, 2)], [1.0, 2.0])
-        r, extracted = reduce_digons(d)
-        assert extracted == 0.0
-        assert r.arcs == d.arcs
-
-    def test_stacked_digons(self):
-        # digons (0,1) weights 3,3 and (1,2) weights 1,4
-        d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)], [3.0, 3.0, 1.0, 4.0])
-        r, extracted = reduce_digons(d)
-        assert extracted == 4.0
-        assert r.arcs == ((2, 1),)
-        assert r.weights == (3.0,)
-
-    def test_unweighted_counts_digons(self):
-        d = Digraph(3, [(0, 1), (1, 0), (1, 2)])
-        r, extracted = reduce_digons(d)
-        assert extracted == 1.0
-        assert r.arcs == ((1, 2),)
-
-    def test_no_digons_remain_and_weight_bookkeeping(self):
-        import random
-
-        rng = random.Random(5)
-        for _ in range(20):
-            n = 6
-            arcs = []
-            seen = set()
-            for u in range(n):
-                for v in range(n):
-                    if u != v and rng.random() < 0.4 and (u, v) not in seen:
-                        arcs.append((u, v))
-                        seen.add((u, v))
-            w = [rng.randrange(0, 50) / 10 for _ in arcs]
-            d = Digraph(n, arcs, w)
-            r, extracted = reduce_digons(d)
-            assert not r.has_digon()
-            assert abs((d.total_weight() - r.total_weight()) - 2 * extracted) < 1e-9
 
 
 class TestEulerianOrient:

@@ -13,7 +13,6 @@ from fasdlab.digraph import (
     GraphError,
     MultiDigraph,
     is_acyclic,
-    reduce_digons,
     strong_components,
 )
 from fasdlab.generators import (
@@ -354,13 +353,10 @@ class TestFasDpBound:
 
 class TestFasWeighted:
     def test_digon_reduction_consistency(self):
-        from fasdlab.digraph import reduce_digons
-
+        # the digon pays its lighter arc, 3; what is left of it is acyclic
         d = Digraph(2, [(0, 1), (1, 0)], [3.0, 5.0])
-        reduced, extracted = reduce_digons(d)
-        assert fas_weighted_exact(reduced).value == 0
+        assert fas_weighted_exact(Digraph(2, [(1, 0)], [2.0])).value == 0
         assert fas_weighted_exact(d).value == Fraction(3)
-        assert extracted == 3.0
 
     def test_uniform_weights_match_unweighted(self):
         for seed in range(8):
@@ -403,14 +399,14 @@ class TestExactWeights:
         assert bas(d, fas_upper_heuristic(d)) == Fraction(1, 10**7)
 
     def test_digon_residue_is_exact(self):
+        # the digon pays its lighter arc, 0.1, and leaves 0.2 on (0, 1)
         d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)], [0.3, 0.1, 1.0, 1.0])
-        reduced, extracted = reduce_digons(d)
-        assert reduced.arcs == ((0, 1), (1, 2), (2, 0))
-        assert reduced.weights == (0.2, 1.0, 1.0) and extracted == 0.1
-        assert fas_weighted_exact(reduced).value == Fraction(1, 5)
-        # the extracted amounts sum exactly too
+        residue = Digraph(3, [(0, 1), (1, 2), (2, 0)], [0.2, 1.0, 1.0])
+        assert fas_weighted_exact(residue).value == Fraction(1, 5)
+        assert fas_weighted_exact(d).value == Fraction(1, 10) + Fraction(1, 5)
+        # two digons' lighter arcs sum exactly too
         stacked = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)], [0.1, 0.7, 0.2, 0.9])
-        assert reduce_digons(stacked)[1] == 0.3
+        assert fas_weighted_exact(stacked).value == Fraction(3, 10)
 
     def test_six_decimals_are_exact(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)], [0.000001, 2.5, 1e-6 * 3])

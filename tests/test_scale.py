@@ -20,12 +20,8 @@ from fasdlab.delta3 import fas_sixth, good_g_coloring
 from fasdlab.digraph import Digraph, is_acyclic
 from fasdlab.fileio import write_digraph
 from fasdlab.generators import random_orgraph, random_two_regular_orgraph
-from fasdlab.triples import (
-    decompose3,
-    extend_along_antidirected,
-    good_vtriple_nonregular,
-    verify_good_triple,
-)
+from fasdlab.triples import decompose3, verify_good_triple
+from test_triples import extend, vtriple
 
 N = 20_000
 
@@ -60,18 +56,18 @@ def test_extension_along_a_long_antidirected_path():
     L = 3000
     d = Digraph(L, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(L - 1)])
     xl = L - 1
-    triple = extend_along_antidirected(d, list(range(L)), ([xl], [xl], [xl]))
+    triple = extend(d, list(range(L)), ([xl], [xl], [xl]))
     assert verify_good_triple(d, triple) == (True, None)
-    assert triple.orderings[0][0] == 0 and triple.orderings[1][-1] == 0
+    assert triple[0][0] == 0 and triple[1][-1] == 0
 
 
 def test_vtriple_of_a_long_path_like_graph():
     # the square of a directed path: inner vertices are balanced (2, 2)
     n = 5000
     d = Digraph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
-    triple = good_vtriple_nonregular(d, 0)
+    triple = vtriple(d, 0)
     assert verify_good_triple(d, triple) == (True, None)
-    assert triple.orderings[0][0] == 0 and triple.orderings[1][-1] == 0
+    assert triple[0][0] == 0 and triple[1][-1] == 0
 
 
 def test_cli_decompose3_verify_at_n_20000(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from fasdlab.digraph import Digraph, GraphError, is_acyclic
+from fasdlab.digraph import Digraph, GraphError, Peel, is_acyclic
 from fasdlab.generators import (
     circulant_digraph,
     directed_cycle,
@@ -9,13 +9,37 @@ from fasdlab.generators import (
     rotational_tournament,
 )
 from fasdlab.triples import (
+    _extend_antidirected,
+    _find_transitive_triangle,
+    _triple_transitive,
+    _vtriple,
     decompose3,
-    extend_along_antidirected,
-    good_triple_transitive,
-    good_vtriple_nonregular,
     is_subordering,
     verify_good_triple,
 )
+
+
+# The lemma cases are private steps of decompose3 over one Peel; these run one
+# step on a whole digraph.
+
+
+def vtriple(d, v):
+    """Good v-triple of d, which has no 2-regular component; v is unbalanced."""
+    return _vtriple(Peel(d), v)
+
+
+def triple_transitive(d):
+    """Good triple of a connected 2-regular orgraph with a transitive triangle."""
+    pl = Peel(d)
+    return _triple_transitive(pl, _find_transitive_triangle(pl))
+
+
+def extend(d, path, triple, pi_idx=0, variant=1):
+    """Good path[0]-triple of d from a good path[-1]-triple of d - path[:-1]."""
+    pl = Peel(d)
+    for x in path[:-1]:
+        pl.delete(x)
+    return _extend_antidirected(pl, list(path), [list(o) for o in triple], pi_idx, variant)
 
 
 class TestVerifyGoodTriple:
@@ -38,14 +62,13 @@ class TestVerifyGoodTriple:
 class TestNonregularVTriple:
     def test_single_vertex(self):
         d = Digraph(1, [])
-        t = good_vtriple_nonregular(d, 0)
-        assert t.orderings == ((0,), (0,), (0,))
+        assert vtriple(d, 0) == ([0], [0], [0])
 
     def test_source_vertex_structure(self):
         # v = 0 has no in-neighbors: triple is (v.., ..v, v..)
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
-        t = good_vtriple_nonregular(d, 0)
-        s1, s2, s3 = t.orderings
+        t = vtriple(d, 0)
+        s1, s2, s3 = t
         assert s1[0] == 0 and s2[-1] == 0
         assert verify_good_triple(d, t)[0]
 
@@ -58,43 +81,22 @@ class TestNonregularVTriple:
             if not unbalanced:
                 continue
             v = unbalanced[0]
-            t = good_vtriple_nonregular(d, v)
-            s1, s2, _ = t.orderings
+            t = vtriple(d, v)
+            s1, s2, _ = t
             assert s1[0] == v and s2[-1] == v
             assert verify_good_triple(d, t)[0]
-
-    def test_rejects_balanced_vertex(self):
-        d = circulant_digraph(9, [1, 4])  # 2-regular
-        with pytest.raises(GraphError):
-            good_vtriple_nonregular(d, 0)
-
-    def test_rejects_2_regular_component(self):
-        d = circulant_digraph(9, [1, 4])
-        with pytest.raises(GraphError):
-            good_vtriple_nonregular(d, 0)
 
 
 class TestTransitiveTriangleCase:
     def test_tournament_based_2_regular(self):
         # the rotational 5-tournament is 2-regular and has transitive triangles
         d = rotational_tournament(5)
-        t = good_triple_transitive(d)
-        assert verify_good_triple(d, t)[0]
+        assert verify_good_triple(d, triple_transitive(d))[0]
 
     def test_circulant_with_transitive_triangle(self):
         # jumps {1, 2}: 0->1, 1->2(wait 1+1), 0->2 gives a transitive triangle
         d = circulant_digraph(7, [1, 2])
-        t = good_triple_transitive(d)
-        assert verify_good_triple(d, t)[0]
-
-    def test_rejects_triangle_free(self):
-        d = circulant_digraph(9, [1, 4])
-        with pytest.raises(GraphError):
-            good_triple_transitive(d)
-
-    def test_rejects_non_regular(self):
-        with pytest.raises(GraphError):
-            good_triple_transitive(directed_cycle(5))
+        assert verify_good_triple(d, triple_transitive(d))[0]
 
 
 class TestExtendAlongAntidirected:
@@ -106,23 +108,16 @@ class TestExtendAlongAntidirected:
     def test_base_case_both_variants(self):
         d = self._base_instance()
         rest = Digraph(6, [(3, 2), (2, 4), (4, 3), (3, 5), (5, 4)])
-        t = good_vtriple_nonregular(rest, 2)
-        inner = tuple(o for o in t.orderings)
-        inner = tuple(tuple(v for v in o if v not in (0, 1)) for o in inner)
-        for pi_star in ("first", "last"):
+        inner = tuple([v for v in o if v not in (0, 1)] for o in vtriple(rest, 2))
+        # pi* is the inner triple's first (0) or second (1) ordering; variant
+        # 1 keeps it in the result's first ordering, variant 2 in its second
+        for pi_idx in (0, 1):
             for variant in (1, 2):
-                res = extend_along_antidirected(d, [0, 1, 2], inner, pi_star, variant)
+                res = extend(d, [0, 1, 2], inner, pi_idx, variant)
                 assert verify_good_triple(d, res)[0]
-                s1, s2, _ = res.orderings
+                s1, s2, _ = res
                 assert s1[0] == 0 and s2[-1] == 0
-                target = res.orderings[0] if variant == 1 else res.orderings[1]
-                pick = inner[0] if pi_star == "first" else inner[1]
-                assert is_subordering(pick, target)
-
-    def test_rejects_short_path(self):
-        d = self._base_instance()
-        with pytest.raises(GraphError):
-            extend_along_antidirected(d, [0, 1], ((0,), (0,), (0,)), "first", 1)
+                assert is_subordering(inner[pi_idx], res[variant - 1])
 
 
 class TestDecompose3:
@@ -192,20 +187,3 @@ class TestDecompose3:
             t = decompose3(d)
             weights = [sum(d.weights[a] for a in ids) for ids in t.backward_classes(d)]
             assert min(weights) <= d.total_weight() / 3 + 1e-9
-
-
-class TestAntiDirectedPath:
-    def test_alternation_recognized(self):
-        from fasdlab.triples import is_antidirected_path
-
-        d = Digraph(4, [(0, 1), (2, 1), (2, 3)])
-        assert is_antidirected_path(d, [0, 1, 2, 3])
-        assert not is_antidirected_path(d, [0, 1, 3])  # 1-3 not adjacent
-        d2 = Digraph(3, [(0, 1), (1, 2)])
-        assert not is_antidirected_path(d2, [0, 1, 2])  # directed, not alternating
-        assert is_antidirected_path(d2, [0, 1])
-
-    def test_extension_rejects_directed_path(self):
-        d = Digraph(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(GraphError):
-            extend_along_antidirected(d, [0, 1, 2], ((3,), (3,), (3,)), "first", 1)
