@@ -759,9 +759,10 @@ class FvsCertificate:
 
 # fvs_exact refuses once its cycle searches times n would pass this, which
 # bounds its memo of removed sets, not time (a search may run a BFS per root).
-# fas_sixth's 119-pair core of the matching expansion of circulant_digraph(119,
-# [1, 5]) needs 9.3 M.  On CPython 3.11, 2 vCPUs, a refused search held at most
-# 482 MiB peak RSS, and took 5-10 s on those expansions at n = 149-174.
+# fas_sixth's 249-pair core of the matching expansion of circulant_digraph(249,
+# [1, 5]) needs 13.4 M and the 119-pair core 1.5 M.  On CPython 3.11, 2 vCPUs,
+# a refused search held at most 482 MiB peak RSS, and took 12 s on that
+# expansion at n = 299.
 _FVS_WORK_BUDGET = 2 * 10**7
 _FVS_BRUTE_MAX_N = 14
 
@@ -783,23 +784,34 @@ def fvs_exact(d) -> FvsCertificate:
     the same cycle for any floor up to the girth, so a removed set reached
     along different branches keeps one cycle and the memo stays valid.
 
-    Two cuts drop only subtrees that hold no solution within the budget, so
-    the search returns the same first solution as without them:
+    Child i, which removes ``cyc[i]``, keeps ``cyc[:i]``: it is popped only
+    after every earlier child failed, so no solution within the budget in its
+    subtree removes a kept vertex.  Two cuts drop only subtrees that hold no
+    solution within the budget, so the search returns the same first solution
+    as without them:
 
-    - a greedy packing of vertex-disjoint cycles (a shortest cycle, then the
-      packing of what its deletion leaves) needs one vertex per cycle, so a
-      node whose budget is below its packing's size is dead, and the
-      deepening starts at the root's packing size;
-    - child i, which removes ``cyc[i]``, keeps ``cyc[:i]``: it is popped
-      only after every earlier child failed, so no solution within the budget
-      removes one of them, and a node whose cycle is all kept is dead.
+    - a greedy packing of cycles that share only kept vertices (a shortest
+      cycle, then the packing of what deleting its other vertices leaves)
+      needs one removed vertex per cycle, so a node whose budget is below its
+      packing's size is dead, and the deepening starts at the root's packing
+      size; a packing cycle that is all kept, the node's own cycle among
+      them, makes the node dead;
+    - child i >= 1 is skipped when ``cyc[i]`` has one live in-neighbour,
+      necessarily ``cyc[i-1]``: every cycle through ``cyc[i]`` passes it, so
+      swapping ``cyc[i]`` for ``cyc[i-1]`` turns a solution of child i's
+      subtree into one of the same size that removes ``cyc[i-1]`` and keeps
+      ``cyc[:i-1]``, a subtree searched before (child i-1, or the earlier
+      child of an ancestor that kept ``cyc[i-1]``).  Child 0 is never
+      skipped, as its in-neighbour ``cyc[-1]`` is popped after it.
 
-    The bounded search trees for directed feedback sets of Chen, Liu, Lu,
-    O'Sullivan & Razgon (J. ACM 2008) use both ideas.
+    Undeletable vertices are from the bounded search trees for directed
+    feedback sets of Chen, Liu, Lu, O'Sullivan & Razgon (J. ACM 2008), and
+    the in-degree-one reduction from Levy & Low (J. Algorithms 1988).
     """
     simple = Digraph(d.n, sorted(set(d.arcs)))
+    inn = simple._in
     cycles = {}  # removed set -> its shortest cycle, shared by all levels
-    packings = {}  # a node's removed set -> the size of its greedy cycle packing
+    packings = {}  # a node's (removed, kept) -> the size of its greedy cycle packing
     searches = _FVS_WORK_BUDGET // max(d.n, 1)  # the most cycle searches allowed
 
     def cycle(removed, floor):
@@ -809,16 +821,20 @@ def fvs_exact(d) -> FvsCertificate:
             cycles[removed] = _shortest_cycle(simple, removed, floor)
         return cycles[removed]
 
-    def packing(removed, floor):
-        if removed not in packings:
+    def packing(removed, kept, floor):
+        if (removed, kept) not in packings:
             size, r = 0, removed
             while (cyc := cycle(r, floor)) is not None:
+                free = [v for v in cyc if v not in kept]
+                if not free:
+                    size = d.n + 1
+                    break
                 size += 1
-                r, floor = r | set(cyc), len(cyc)
-            packings[removed] = size
-        return packings[removed]
+                r, floor = r.union(free), len(cyc)
+            packings[removed, kept] = size
+        return packings[removed, kept]
 
-    for k in range(packing(frozenset(), 2), d.n + 1):
+    for k in range(packing(frozenset(), frozenset(), 2), d.n + 1):
         # child i of the node (removed, kept) with cycle cyc, built when popped; the root's cyc is ()
         stack = [(frozenset(), frozenset(), (), 0)]
         while stack:
@@ -831,11 +847,12 @@ def fvs_exact(d) -> FvsCertificate:
                 if not ok:  # pragma: no cover - would witness a search bug
                     raise AssertionError(f"fvs_exact returned {s}, but {what}")
                 return FvsCertificate(s, 2 * len(s) <= d.n, is_digon_odd_cycle(simple))
-            if kept.issuperset(cyc) or k - len(removed) < packing(removed, floor):
+            if k - len(removed) < packing(removed, kept, floor):
                 continue
             for i in reversed(range(len(cyc))):
-                if cyc[i] not in kept:
-                    stack.append((removed, kept, cyc, i))
+                if cyc[i] in kept or (i and sum(u not in removed for u, _ in inn[cyc[i]]) == 1):
+                    continue
+                stack.append((removed, kept, cyc, i))
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 
@@ -863,8 +880,8 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     out-heavy/in-heavy matching to a degree-4 multigraph whose minimum
     feedback vertex set picks the answer arcs.  Returns a tuple of arc ids.
     Raises BudgetError only when ``fvs_exact`` spends its work budget on the
-    core, as on the 149-pair core of the matching expansion of
-    circulant_digraph(149, [1, 5]).
+    core, as on the 299-pair core of the matching expansion of
+    circulant_digraph(299, [1, 5]).
     """
     require_orgraph(d, 3, 6)
     pl, fas = Peel(d), []

@@ -22,6 +22,7 @@ optimality claims never depend on float tolerance.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -243,7 +244,10 @@ def _greedy_order(in_items):
     """The greedy order of a digraph given as ``_fas_table``'s ``in_items``,
     after Eades, Lin & Smyth (IPL 1993): it repeatedly places the unplaced
     vertex of least in-weight from the other unplaced vertices, the lowest id
-    on a tie.
+    on a tie.  The unplaced vertices wait in a heap of (in-weight, id); an
+    entry is pushed again whenever its weight drops, and one whose vertex is
+    placed or whose weight is old is stale and skipped, so the whole order
+    costs O((n + m) log m), not a scan of the unplaced vertices per step.
 
     Returns (into, step, order).  ``into[v][u]`` is the weight of the arcs
     u -> v, and ``step[v]`` is the map ``_cheapest_slot`` takes for v: the
@@ -260,14 +264,20 @@ def _greedy_order(in_items):
             step[u][v] = step[u].get(v, 0) + hw
             step[v][u] = step[v].get(u, 0) - hw
     need = [sum(ws.values()) for ws in into]
-    left = list(range(k))
+    heap = [(w, v) for v, w in enumerate(need)]
+    heapq.heapify(heap)
+    placed = [False] * k
     order = []
-    while left:
-        v = min(left, key=need.__getitem__)
-        left.remove(v)
+    while heap:
+        w, v = heapq.heappop(heap)
+        if placed[v] or w != need[v]:
+            continue
+        placed[v] = True
         order.append(v)
         for u, hw in out[v].items():
-            need[u] -= hw
+            if not placed[u]:
+                need[u] -= hw
+                heapq.heappush(heap, (need[u], u))
     return into, step, order
 
 

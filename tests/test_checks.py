@@ -22,7 +22,7 @@ from fasdlab.checks import (
     check_triples,
     check_weighted,
 )
-from fasdlab.digraph import GraphError
+from fasdlab.digraph import BudgetError, GraphError
 from fasdlab.triples import OrderingTriple
 
 
@@ -146,3 +146,19 @@ def test_oracles_fail_when_either_exact_solver_is_one_off(monkeypatch):
             m.setattr(checks, name, off_by_one(getattr(checks, name)))
             result = check_oracles()
         assert result.passed is False and result.details[key] == count
+
+
+def test_triples_corpus_skips_a_refused_two_regular_instance(monkeypatch):
+    real, refused = checks.random_two_regular_orgraph, []
+
+    def refuse_once(n, seed):
+        if not refused:
+            refused.append(real(n, seed=seed).arcs)
+            raise BudgetError("refused")
+        return real(n, seed=seed)
+
+    full = [d.arcs for d in checks.triples_corpus(12, 0)]
+    monkeypatch.setattr(checks, "random_two_regular_orgraph", refuse_once)
+    corpus = [d.arcs for d in checks.triples_corpus(11, 0)]
+    full.remove(refused[0])
+    assert corpus == full[:11]

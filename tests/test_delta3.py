@@ -161,14 +161,14 @@ class TestFvsExact:
     def test_packing_bound_prunes_the_search(self, monkeypatch):
         cert, calls = self.counted_fvs_exact(monkeypatch, eulerian_orient(circulant_graph(24, [1, 2, 3])))
         assert len(cert.vertices) == 8
-        # 186 cycle searches with the packing bound and the kept vertices,
-        # 3 504 without them
+        # 187 cycle searches with the kept-aware packing bound, the kept
+        # vertices and the in-degree-one cut, 3 504 without them
         assert calls <= 400
 
     def test_cycle_searches_on_c24(self, monkeypatch):
         # the search tree is pinned, so a faster cycle search saves per call
         cert, calls = self.counted_fvs_exact(monkeypatch, circulant_digraph(24, [1, 5]))
-        assert (len(cert.vertices), calls) == (5, 1420)
+        assert (len(cert.vertices), calls) == (5, 652)
 
     def test_half_bound_or_exception(self):
         for seed in range(25):
@@ -199,7 +199,7 @@ class TestFvsExact:
         assert peak < 64 * 2**20
 
     def test_budget_refusal(self, monkeypatch):
-        # 1 420 cycle searches on 24 vertices; the budget allows 100
+        # 652 cycle searches on 24 vertices; the budget allows 100
         monkeypatch.setattr(delta3, "_FVS_WORK_BUDGET", 24 * 100)
         with pytest.raises(BudgetError):
             fvs_exact(circulant_digraph(24, [1, 5]))
@@ -253,8 +253,11 @@ class TestFasSixth:
 
     def test_matching_expansions_past_24_pairs(self):
         # vertex v becomes the arc 2v -> 2v+1 and arc u -> w the arc
-        # 2u+1 -> 2w; the cores have 30, 40 and 60 matching pairs
-        for n, jumps in ((30, [1, 2]), (40, [1, 3]), (60, [1, 4])):
+        # 2u+1 -> 2w; the cores have 30, 40, 60 and 149 matching pairs.  The
+        # 149-pair core's exact FVS fits the work budget only with the
+        # kept-aware packing and the in-degree-one cut: 19 933 cycle searches,
+        # against 134 228 and a refusal without them
+        for n, jumps in ((30, [1, 2]), (40, [1, 3]), (60, [1, 4]), (149, [1, 5])):
             arcs = [(2 * v, 2 * v + 1) for v in range(n)]
             arcs += [(2 * u + 1, 2 * w) for u, w in circulant_digraph(n, jumps).arcs]
             d = Digraph(2 * n, arcs)
