@@ -8,7 +8,8 @@ both print ``refused: ...`` on stderr).  All randomized commands take
 weighs its answer exactly when the file has weights, with or without
 --heuristic, which inserts the vertices in greedy order.  ``fasd
 --budget`` (default 10^8, a negative one is a usage error) caps the search
-nodes, which fasd spends as a total over all levels.
+nodes, which fasd spends as a total over all levels.  A negative ``mixing
+--samples`` and an unknown ``verify-paper --check`` id are usage errors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .checks import run_checks
 from .coloring import DEFAULT_NODE_BUDGET, fasd_exact, good_coloring_search
 from .delta3 import fas_sixth, fvs_exact, good_g_coloring
 from .digraph import BudgetError, Digraph, Graph
-from .fileio import _jsonable, certificate_json, format_digraph, read_digraph, to_dot
+from .fileio import _jsonable, certificate_json, format_digraph, read_digraph, to_dot, write_digraph
 from .generators import (
     directed_cycle,
     gadget_co,
@@ -69,12 +70,10 @@ FAMILIES = {
 
 def cmd_gen(args) -> int:
     d = FAMILIES[args.family](args)
-    text = format_digraph(d)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_digraph(args.output, d)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_digraph(d))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(d))
@@ -212,12 +211,7 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    selected = args.check if args.check else None
-    try:
-        results = run_checks(selected, seed=args.seed)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+    results = run_checks(args.check, seed=args.seed)
     for r in results:
         print(r.line())
     if args.json:
@@ -232,7 +226,7 @@ def cmd_verify_paper(args) -> int:
             for r in results
         ]
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, default=repr)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 

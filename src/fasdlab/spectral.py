@@ -139,7 +139,11 @@ def mixing_check(g: Graph, s, t, lam: float) -> MixingCheck:
 
 
 def mixing_violations(g: Graph, lam: float, samples: int, rng) -> int:
-    """How many of ``samples`` (S, T) pairs, drawn from rng as |S|, S, |T|, T, break the bound."""
+    """How many of ``samples`` (S, T) pairs, drawn from rng as |S|, S, |T|, T, break the bound.
+
+    A negative ``samples`` raises ValueError."""
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     violations = 0
     for _ in range(samples):
         s = rng.sample(range(g.n), rng.randrange(0, g.n + 1))

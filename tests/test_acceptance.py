@@ -7,25 +7,13 @@ runtime ceilings are asserted where the criterion carries one.
 
 import time
 
-from fasdlab.checks import (
-    check_colorings,
-    check_counting,
-    check_d8,
-    check_h4_h3,
-    check_h5,
-    check_inequalities,
-    check_lower_bound,
-    check_mixing,
-    check_oracles,
-    check_sixth,
-    check_triples,
-    check_weighted,
-)
+from fasdlab.checks import run_checks
 from fasdlab.coloring import refute_by_conflict_clique
 from fasdlab.generators import gadget_h3, gadget_h4
 
 
-def _report(n, result, limit=None):
+def _report(n, check_id, limit=None):
+    (result,) = run_checks([check_id])
     print(result.line())
     assert result.passed, f"criterion {n} failed: {result.details}"
     if limit is not None:
@@ -35,11 +23,11 @@ def _report(n, result, limit=None):
 
 
 def test_criterion_01_d8_exactness():
-    _report(1, check_d8(), limit=1.0)
+    _report(1, "d8", limit=1.0)
 
 
 def test_criterion_02_h5_unsat_at_4():
-    _report(2, check_h5(), limit=10.0)
+    _report(2, "h5", limit=10.0)
 
 
 def test_criterion_03_h4_h3_clique_refutations():
@@ -51,40 +39,40 @@ def test_criterion_03_h4_h3_clique_refutations():
     t3 = time.time() - t0
     assert c4 is not None and len(c4.arcs) == 7 and t4 < 60.0
     assert c3 is not None and len(c3.arcs) == 10 and t3 < 60.0
-    _report(3, check_h4_h3())
+    _report(3, "h4-h3")
 
 
 def test_criterion_04_triple_decomposition_corpus():
-    _report(4, check_triples())
+    _report(4, "triples")
 
 
 def test_criterion_05_weighted_third_bound():
-    _report(5, check_weighted())
+    _report(5, "weighted")
 
 
 def test_criterion_06_degree3_colorings():
-    _report(6, check_colorings())
+    _report(6, "colorings")
 
 
 def test_criterion_07_sixth_fraction_fas():
-    _report(7, check_sixth())
+    _report(7, "sixth")
 
 
 def test_criterion_08_counting_bounds_and_d8_search():
-    _report(8, check_counting(), limit=300.0)
+    _report(8, "counting", limit=300.0)
 
 
 def test_criterion_09_expander_mixing():
-    _report(9, check_mixing())
+    _report(9, "mixing")
 
 
 def test_criterion_10_orientation_lower_bound():
-    _report(10, check_lower_bound())
+    _report(10, "lower-bound")
 
 
 def test_criterion_11_inequality_suite():
-    _report(11, check_inequalities())
+    _report(11, "inequalities")
 
 
 def test_criterion_12_oracle_equivalence():
-    _report(12, check_oracles())
+    _report(12, "oracles")

@@ -252,6 +252,12 @@ class TestSpectralCommands:
         code, out, _ = run(["mixing", str(f), "--samples", "200"], capsys)
         assert code == 0 and "violations=0" in out
 
+    def test_negative_mixing_samples_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "paley.txt"
+        run(["gen", "paley", "-n", "13", "-o", str(f)], capsys)
+        code, out, err = run(["mixing", str(f), "--samples", "-5"], capsys)
+        assert code == 2 and out == "" and err.startswith("error:") and "samples" in err
+
     def test_spectral_cycles(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         run(["gen", "cycle", "-n", "13", "-o", str(f)], capsys)
@@ -285,6 +291,10 @@ class TestVerifyPaper:
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(["verify-paper", "--check", "nope"], capsys)
         assert code == 2 and "unknown check" in err
+
+    def test_unknown_check_among_known_ones_runs_none(self, capsys):
+        code, out, err = run(["verify-paper", "--check", "d8", "--check", "nope"], capsys)
+        assert code == 2 and out == "" and err.startswith("error: unknown check id 'nope'")
 
     def test_multiple_checks(self, capsys):
         code, out, _ = run(
