@@ -760,9 +760,9 @@ class FvsCertificate:
 # fvs_exact refuses once its cycle searches times n would pass this, which
 # bounds its memo of removed sets, not time (a search may run a BFS per root).
 # fas_sixth's 249-pair core of the matching expansion of circulant_digraph(249,
-# [1, 5]) needs 13.4 M and the 119-pair core 1.5 M.  On CPython 3.11, 2 vCPUs,
-# a refused search held at most 482 MiB peak RSS, and took 12 s on that
-# expansion at n = 299.
+# [1, 5]) needs 5.8 M and the 349-pair core 15.5 M.  On CPython 3.11, 2 vCPUs,
+# a refused search held at most 483 MiB peak RSS (on 750 disjoint directed
+# 4-cycles), and took 9 s on that expansion at n = 399.
 _FVS_WORK_BUDGET = 2 * 10**7
 _FVS_BRUTE_MAX_N = 14
 
@@ -786,16 +786,27 @@ def fvs_exact(d) -> FvsCertificate:
 
     Child i, which removes ``cyc[i]``, keeps ``cyc[:i]``: it is popped only
     after every earlier child failed, so no solution within the budget in its
-    subtree removes a kept vertex.  Two cuts drop only subtrees that hold no
-    solution within the budget, so the search returns the same first solution
-    as without them:
+    subtree removes a kept vertex.  A node's packing is its greedy chain: its
+    own cycle C_1, then the chain of what deleting the non-kept vertices of
+    C_1 leaves.  The chain's cycles share only kept vertices, so a solution
+    in the node's subtree removes one vertex of each.  Three cuts drop only
+    subtrees that hold no solution within the budget, so the search returns
+    the same first solution as without them:
 
-    - a greedy packing of cycles that share only kept vertices (a shortest
-      cycle, then the packing of what deleting its other vertices leaves)
-      needs one removed vertex per cycle, so a node whose budget is below its
-      packing's size is dead, and the deepening starts at the root's packing
-      size; a packing cycle that is all kept, the node's own cycle among
-      them, makes the node dead;
+    - the chain is walked, through the cycle memo, only until it holds more
+      cycles than the node's budget or a cycle that is all kept, the node's
+      own among them; either makes the node dead.  That is the decision the
+      full chain gives, with no search past it.  The deepening starts at the
+      size of the root's full chain, where nothing is kept;
+    - an alive node's chain is complete, C_1 to C_q with q at most its budget
+      b, and it hands its children q and the non-kept vertices U of C_2 to
+      C_q, one object for all of them.  Child i removes ``cyc[i]``, a
+      non-kept vertex of C_1, and keeps ``cyc[:i]``.  C_2 to C_q avoid every
+      non-kept vertex of C_1, so they are cycles of the child's digraph, U
+      is still not kept, and they still meet each other only in kept
+      vertices.  A child whose own shortest cycle has no non-kept vertex in U
+      adds that cycle to them: q cycles against a budget of b - 1, so when
+      q = b the child is dead without a walk of its own;
     - child i >= 1 is skipped when ``cyc[i]`` has one live in-neighbour,
       necessarily ``cyc[i-1]``: every cycle through ``cyc[i]`` passes it, so
       swapping ``cyc[i]`` for ``cyc[i-1]`` turns a solution of child i's
@@ -811,7 +822,6 @@ def fvs_exact(d) -> FvsCertificate:
     simple = Digraph(d.n, sorted(set(d.arcs)))
     inn = simple._in
     cycles = {}  # removed set -> its shortest cycle, shared by all levels
-    packings = {}  # a node's (removed, kept) -> the size of its greedy cycle packing
     searches = _FVS_WORK_BUDGET // max(d.n, 1)  # the most cycle searches allowed
 
     def cycle(removed, floor):
@@ -821,24 +831,27 @@ def fvs_exact(d) -> FvsCertificate:
             cycles[removed] = _shortest_cycle(simple, removed, floor)
         return cycles[removed]
 
-    def packing(removed, kept, floor):
-        if (removed, kept) not in packings:
-            size, r = 0, removed
-            while (cyc := cycle(r, floor)) is not None:
-                free = [v for v in cyc if v not in kept]
-                if not free:
-                    size = d.n + 1
-                    break
-                size += 1
-                r, floor = r.union(free), len(cyc)
-            packings[removed, kept] = size
-        return packings[removed, kept]
+    def packing(removed, kept, cyc, budget):
+        """The node's chain from its own cycle cyc, walked no further than budget:
+        None when it proves the node dead, else its size q and the non-kept
+        vertices of all its cycles but the first."""
+        q, r, first = 0, removed, removed
+        while cyc is not None:
+            free = [v for v in cyc if v not in kept]
+            if not free or q == budget:
+                return None
+            q, r = q + 1, r.union(free)
+            if q == 1:
+                first = r
+            cyc = cycle(r, len(cyc))
+        return q, r - first
 
-    for k in range(packing(frozenset(), frozenset(), 2), d.n + 1):
-        # child i of the node (removed, kept) with cycle cyc, built when popped; the root's cyc is ()
-        stack = [(frozenset(), frozenset(), (), 0)]
+    for k in range(packing(frozenset(), frozenset(), cycle(frozenset(), 2), d.n)[0], d.n + 1):
+        # child i of the node (removed, kept) with cycle cyc and packing (q, U),
+        # built when popped; the root's cyc is ()
+        stack = [(frozenset(), frozenset(), (), 0, None)]
         while stack:
-            removed, kept, cyc, i = stack.pop()
+            removed, kept, cyc, i, inherited = stack.pop()
             removed, kept, floor = removed.union(cyc[i : i + 1]), kept.union(cyc[:i]), len(cyc) or 2
             cyc = cycle(removed, floor)
             if cyc is None:
@@ -847,12 +860,16 @@ def fvs_exact(d) -> FvsCertificate:
                 if not ok:  # pragma: no cover - would witness a search bug
                     raise AssertionError(f"fvs_exact returned {s}, but {what}")
                 return FvsCertificate(s, 2 * len(s) <= d.n, is_digon_odd_cycle(simple))
-            if k - len(removed) < packing(removed, kept, floor):
+            budget = k - len(removed)
+            if inherited and inherited[0] > budget and inherited[1].isdisjoint([v for v in cyc if v not in kept]):
+                continue
+            inherited = packing(removed, kept, cyc, budget)
+            if inherited is None:
                 continue
             for i in reversed(range(len(cyc))):
                 if cyc[i] in kept or (i and sum(u not in removed for u, _ in inn[cyc[i]]) == 1):
                     continue
-                stack.append((removed, kept, cyc, i))
+                stack.append((removed, kept, cyc, i, inherited))
     raise AssertionError("unreachable: removing all vertices is acyclic")
 
 
@@ -880,8 +897,8 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     out-heavy/in-heavy matching to a degree-4 multigraph whose minimum
     feedback vertex set picks the answer arcs.  Returns a tuple of arc ids.
     Raises BudgetError only when ``fvs_exact`` spends its work budget on the
-    core, as on the 299-pair core of the matching expansion of
-    circulant_digraph(299, [1, 5]).
+    core, as on the 399-pair core of the matching expansion of
+    circulant_digraph(399, [1, 5]).
     """
     require_orgraph(d, 3, 6)
     pl, fas = Peel(d), []

@@ -31,7 +31,9 @@ from fasdlab.generators import (
     gadget_dg,
     gadget_h3,
     is_digon_odd_cycle,
+    paley_graph,
     random_orgraph,
+    random_two_regular_orgraph,
 )
 from fasdlab.ordering import fas_exact
 from fasdlab.triples import decompose3
@@ -155,20 +157,35 @@ class TestFvsExact:
             calls += 1
             return search(*args)
 
-        monkeypatch.setattr(delta3, "_shortest_cycle", counted)
-        return fvs_exact(d), calls
+        with monkeypatch.context() as patch:
+            patch.setattr(delta3, "_shortest_cycle", counted)
+            return fvs_exact(d), calls
 
     def test_packing_bound_prunes_the_search(self, monkeypatch):
         cert, calls = self.counted_fvs_exact(monkeypatch, eulerian_orient(circulant_graph(24, [1, 2, 3])))
         assert len(cert.vertices) == 8
-        # 187 cycle searches with the kept-aware packing bound, the kept
-        # vertices and the in-degree-one cut, 3 504 without them
-        assert calls <= 400
+        # 139 cycle searches with the budget-bounded, inherited packing, the
+        # kept vertices and the in-degree-one cut; 161 with the bounded walk
+        # alone, 187 with every node's full packing, 3 504 without them
+        assert calls <= 150
 
     def test_cycle_searches_on_c24(self, monkeypatch):
         # the search tree is pinned, so a faster cycle search saves per call
         cert, calls = self.counted_fvs_exact(monkeypatch, circulant_digraph(24, [1, 5]))
-        assert (len(cert.vertices), calls) == (5, 652)
+        assert (len(cert.vertices), calls) == (5, 410)
+
+    def test_cycle_searches_on_the_benchmark_inputs(self, monkeypatch):
+        # perfbench's five `exact` fvs inputs, built here: a ceiling on the
+        # searches in all, 924 now; 1 000 with the bounded walk alone and
+        # 1 361 with every node's full packing
+        inputs = [
+            circulant_digraph(24, [1, 5]),
+            eulerian_orient(circulant_graph(24, [1, 2, 3])),
+            eulerian_orient(paley_graph(17)),
+            random_two_regular_orgraph(24, seed=1),
+            random_two_regular_orgraph(24, seed=2),
+        ]
+        assert sum(self.counted_fvs_exact(monkeypatch, d)[1] for d in inputs) <= 924
 
     def test_half_bound_or_exception(self):
         for seed in range(25):
@@ -199,7 +216,7 @@ class TestFvsExact:
         assert peak < 64 * 2**20
 
     def test_budget_refusal(self, monkeypatch):
-        # 652 cycle searches on 24 vertices; the budget allows 100
+        # 410 cycle searches on 24 vertices; the budget allows 100
         monkeypatch.setattr(delta3, "_FVS_WORK_BUDGET", 24 * 100)
         with pytest.raises(BudgetError):
             fvs_exact(circulant_digraph(24, [1, 5]))
@@ -255,8 +272,9 @@ class TestFasSixth:
         # vertex v becomes the arc 2v -> 2v+1 and arc u -> w the arc
         # 2u+1 -> 2w; the cores have 30, 40, 60 and 149 matching pairs.  The
         # 149-pair core's exact FVS fits the work budget only with the
-        # kept-aware packing and the in-degree-one cut: 19 933 cycle searches,
-        # against 134 228 and a refusal without them
+        # kept-aware packing and the in-degree-one cut: 8 810 cycle searches
+        # with the budget-bounded, inherited packing, 19 933 with every node's
+        # full packing, and 134 228 and a refusal without those cuts
         for n, jumps in ((30, [1, 2]), (40, [1, 3]), (60, [1, 4]), (149, [1, 5])):
             arcs = [(2 * v, 2 * v + 1) for v in range(n)]
             arcs += [(2 * u + 1, 2 * w) for u, w in circulant_digraph(n, jumps).arcs]
