@@ -129,7 +129,7 @@ def _color_strong(pl: Peel, g: int, coloring, chains, start: int):
     """
     path = chains.best()
     if path is None:
-        _color_single_cycle(pl, g, coloring, start)
+        _color_single_cycle(pl, g, coloring, _bare_cycle(pl, start))
         return None
     l = len(path)
     if l >= g - 1:
@@ -141,19 +141,24 @@ def _color_strong(pl: Peel, g: int, coloring, chains, start: int):
     return _special_five(pl, coloring, path)
 
 
-def _color_single_cycle(pl: Peel, g: int, coloring, start: int) -> None:
-    # all degrees (1,1): the component is one directed cycle of length >= g,
-    # colored around from its lowest vertex
-    v = start
-    steps = []
-    while True:
-        if len(pl.out[v]) != 1 or len(pl.inn[v]) != 1:  # pragma: no cover - strong connectivity
-            raise AssertionError("no path between degree classes in a strong digraph")
+def _bare_cycle(pl: Peel, start: int):
+    """The (vertex, out-arc id) steps around a strong piece from ``start``
+    when the piece is one directed cycle, else None."""
+    v, steps = start, []
+    while not steps or v != start:
+        if len(pl.out[v]) != 1 or len(pl.inn[v]) != 1:
+            return None
         ((w, a),) = pl.out[v]
         steps.append((v, a))
         v = w
-        if v == start:
-            break
+    return steps
+
+
+def _color_single_cycle(pl: Peel, g: int, coloring, steps) -> None:
+    # the piece has no path between degree classes, so it is one directed
+    # cycle of length >= g, colored around from its lowest vertex
+    if steps is None:  # pragma: no cover - strong connectivity
+        raise AssertionError("no path between degree classes in a strong digraph")
     if len(steps) < g:  # pragma: no cover - girth precondition
         raise AssertionError("cycle shorter than g")
     i0 = steps.index(min(steps))
@@ -925,25 +930,25 @@ class _Reductions:
     """The first reduction of the proof that fits a strong piece.
 
     The proof scans, in this order: the balanced-class paths by lowest vertex
-    for a path of three or more with an in-heavy entry or an out-heavy exit,
-    then for an in-heavy entry and out-heavy exit; the out-heavy and then the
-    in-heavy class by lowest vertex for an arc inside the class; the paths
-    again for both attachments in one heavy class, and for an arc from exit
-    back to entry.  Each scan is a heap here, kept up to date as the piece
-    loses vertices: the path scans hold the lowest vertex of every path that
-    passed when last walked, the class scans every vertex with an arc inside
-    its class.  Classes only move to the balanced class, so a class scan never
-    gains an entry; a path changes only through vertices whose arcs changed,
-    and those paths are walked again.  Entries are checked at the top; one
-    whose vertex left the piece (``Peel.piece``) is stale.
+    for a path of three or more with an in-heavy entry or an out-heavy exit
+    (rule 0), then for an in-heavy entry and out-heavy exit (rule 1); the
+    out-heavy and then the in-heavy class by lowest vertex for an arc inside
+    the class; the paths again for both attachments in one heavy class (rule
+    2), and for an arc from exit back to entry (rule 3).  A piece no rule fits
+    is one bare cycle or else the irreducible core.  The scans are heaps kept
+    up to date as the piece loses vertices: the path heap holds (rule, lowest
+    vertex) for every rule a path passed when last walked, the class heaps
+    every vertex of the class.  Classes only move to the balanced class, so a
+    class heap never gains an entry; a path changes only through vertices
+    whose arcs changed, and those paths are walked again.  Entries are checked
+    at the top; one whose vertex left the piece (``Peel.piece``) is stale.
     """
 
-    __slots__ = ("pl", "heavy", "plus", "minus", "paths")
+    __slots__ = ("pl", "plus", "minus", "paths")
 
     def __init__(self, pl: Peel, verts):
         self.pl = pl
-        self.heavy, self.plus, self.minus = [], [], []
-        self.paths = ([], [], [], [])
+        self.plus, self.minus, self.paths = [], [], []
         self.update(verts)
 
     def _sig(self, v):
@@ -965,7 +970,6 @@ class _Reductions:
         for v in touched:
             sig = self._sig(v)
             if sig in ((2, 1), (1, 2)):
-                heapq.heappush(self.heavy, v)
                 heapq.heappush(self.plus if sig == (2, 1) else self.minus, v)
             for w in [v] + [u for u, _ in out[v]] + [u for u, _ in inn[v]]:
                 if w in seen or self._sig(w) != (1, 1):
@@ -973,30 +977,43 @@ class _Reductions:
                 path, x, y = _balanced_path(self.pl, w)
                 seen.update(path)
                 key = min(path)
-                for heap, ok in zip(self.paths, self._tests(path, x, y)):
+                for rule, ok in enumerate(self._tests(path, x, y)):
                     if ok:
-                        heapq.heappush(heap, key)
+                        heapq.heappush(self.paths, (rule, key))
 
-    def _top_path(self, rule: int):
-        heap = self.paths[rule]
-        while heap:
-            k = heap[0]
+    def _top_path(self, last: int):
+        """(rule, path, entry, exit) of the first path passing a rule up to
+        ``last``, or None."""
+        heap = self.paths
+        while heap and heap[0][0] <= last:
+            rule, k = heap[0]
             if k in self.pl.piece and self._sig(k) == (1, 1):
                 path, x, y = _balanced_path(self.pl, k)
                 if min(path) == k and self._tests(path, x, y)[rule]:
-                    return path, x, y
+                    return rule, path, x, y
             heapq.heappop(heap)
         return None
 
-    def _top_class(self, heap, sig, inside: bool):
-        out = self.pl.out
+    def _top_class(self, heap, sig):
+        """The lowest vertex of the class ``sig`` with an out-arc inside the
+        class, or None."""
         while heap:
             u = heap[0]
-            if u in self.pl.piece and self._sig(u) in sig:
-                if not inside or any(self._sig(w) == sig[0] for w, _ in out[u]):
+            if u in self.pl.piece and self._sig(u) == sig:
+                if any(self._sig(w) == sig for w, _ in self.pl.out[u]):
                     return u
             heapq.heappop(heap)
         return None
+
+    def _class_chain(self, v, sig, back, ahead):
+        """(v1, v2, v0): v1 starts the chain of arcs inside the class ``sig``
+        through v, read along ``ahead``, v2 follows v1 on it, and v0 is v1's
+        one neighbour along ``back``."""
+        while True:
+            pred = [w for w, _ in back[v] if self._sig(w) == sig]
+            if not pred:
+                return v, [w for w, _ in ahead[v] if self._sig(w) == sig][0], back[v][0][0]
+            v = pred[0]
 
     def first(self, start: int):
         """(answer arcs, vertices to remove) of the first reduction that fits;
@@ -1005,62 +1022,39 @@ class _Reductions:
         d, out, inn = pl.d, pl.out, pl.inn
         plus = lambda v: self._sig(v) == (2, 1)  # noqa: E731
         minus = lambda v: self._sig(v) == (1, 2)  # noqa: E731
-        if self._top_class(self.heavy, ((2, 1), (1, 2)), False) is None:
-            # a bare directed cycle: one arc suffices
-            arcs, v = [], start
-            while not arcs or v != start:
-                ((v, a),) = out[v]
-                arcs.append(a)
-            return [min(arcs)], None
-        # rule: attachment in the in-heavy class with a long middle path
-        found = self._top_path(0)
+        found = self._top_path(1)
         if found is not None:
-            p, x, y = found
+            rule, p, x, y = found
+            if rule == 1:  # both attachments heavy on the wrong side
+                return [d.arc_id(x, p[0])], p + [x, y]
+            # an attachment in the in-heavy class with a long middle path
             if minus(x):
                 return [d.arc_id(x, p[0])], p + [x]
             return [d.arc_id(p[-1], y)], p + [y]
-        # rule: both attachments heavy on the wrong side
-        found = self._top_path(1)
-        if found is not None:
-            p, x, y = found
-            return [d.arc_id(x, p[0])], p + [x, y]
-        # rule: the out-heavy class is not independent
-        v1 = self._top_class(self.plus, ((2, 1),), True)
-        if v1 is not None:
-            while True:
-                pred = [u for u, _ in inn[v1] if plus(u)]
-                if not pred:
-                    break
-                v1 = pred[0]
-            v2 = [u for u, _ in out[v1] if plus(u)][0]
-            vp = inn[v1][0][0]
+        # the out-heavy class is not independent
+        v = self._top_class(self.plus, (2, 1))
+        if v is not None:
+            v1, v2, vp = self._class_chain(v, (2, 1), inn, out)
             return [d.arc_id(vp, v1)], [v1, v2, vp]
         # mirror: the in-heavy class is not independent
-        u = self._top_class(self.minus, ((1, 2),), True)
-        if u is not None:
-            vend = out[u][0][0]
-            while True:
-                succ = [w for w, _ in out[vend] if minus(w)]
-                if not succ:
-                    break
-                vend = succ[0]
-            vprev = [w for w, _ in inn[vend] if minus(w)][0]
-            vn = out[vend][0][0]
+        v = self._top_class(self.minus, (1, 2))
+        if v is not None:
+            vend, vprev, vn = self._class_chain(v, (1, 2), out, inn)
             return [d.arc_id(vend, vn)], [vend, vprev, vn]
-        # rule: both attachments of some path in the out-heavy class
-        found = self._top_path(2)
+        found = self._top_path(3)
         if found is not None:
-            p, x, y = found
+            rule, p, x, y = found
+            if rule == 3:  # a path's exit arcs back into its entry
+                return [d.arc_id(y, x)], p + [x, y]
+            # both attachments of some path in the out-heavy class
             if plus(x):
                 pre = inn[x][0][0]
                 return [d.arc_id(pre, x)], p + [x, y, pre]
             nxt = out[y][0][0]
             return [d.arc_id(y, nxt)], p + [x, y, nxt]
-        # rule: a path's exit arcs back into its entry
-        found = self._top_path(3)
-        if found is not None:
-            p, x, y = found
-            return [d.arc_id(y, x)], p + [x, y]
+        steps = _bare_cycle(pl, start)
+        if steps is not None:  # one arc suffices
+            return [min(a for _, a in steps)], None
         # the irreducible core, read off in full once
         verts = sorted(pl.piece)
         xplus = [v for v in verts if plus(v)]

@@ -227,14 +227,12 @@ class Peel:
     ``inn[v]`` hold the live arcs at a live vertex v as (neighbour, arc id)
     pairs in arc order, so they read exactly like the arc lists of the induced
     subgraph on the live vertices; deleting a vertex or an arc costs
-    O(degree).  ``stamp[v]`` counts the vertices deleted before v: a step
-    that deleted a run of vertices can read, after later steps deleted the
-    rest, the neighbourhood each had when it went (``out_then``/``in_then``).
-    ``piece`` holds the vertices of the strong piece being worked on: the
+    O(degree), and ``delete`` returns the live out-arcs and in-arcs the
+    vertex had when it went.  ``piece`` holds the vertices of the strong piece being worked on: the
     component ``split`` certified last, or those a caller set there.
     """
 
-    __slots__ = ("d", "out", "inn", "stamp", "piece", "_unbalanced", "_trees", "_dead", "_near")
+    __slots__ = ("d", "out", "inn", "piece", "_trees", "_dead", "_near")
 
     def __init__(self, d: _BaseDigraph, vertices=None):
         self.d = d
@@ -245,8 +243,6 @@ class Peel:
             keep = set(vertices)
             self.out = {v: [e for e in d._out[v] if e[0] in keep] for v in sorted(keep)}
             self.inn = {v: [e for e in d._in[v] if e[0] in keep] for v in sorted(keep)}
-        self.stamp = {}
-        self._unbalanced = None
         # (parent, children, depth) of a reach-out tree and a reach-in tree of the
         # strong piece ``split`` certified last; its vertices deleted since,
         # and the vertices they had arcs to then
@@ -255,48 +251,17 @@ class Peel:
         self._near = []
         self.piece = {}
 
-    def delete(self, v: int) -> None:
+    def delete(self, v: int):
         out, inn = self.out, self.inn
         outs, ins = out.pop(v), inn.pop(v)
         for w, a in outs:
             inn[w].remove((v, a))
         for u, a in ins:
             out[u].remove((v, a))
-        self.stamp[v] = len(self.stamp)
         if v in self._trees[0][0]:
             self._dead.append(v)
             self._near += [w for w, _ in outs + ins]
-        heap = self._unbalanced
-        if heap is not None:
-            for w, _ in outs + ins:
-                if min(len(out[w]), len(inn[w])) <= 1:
-                    heapq.heappush(heap, w)
-
-    def lowest_unbalanced(self):
-        """Smallest live vertex with min(out-degree, in-degree) <= 1, or None.
-
-        The bucket is a heap filled on first use and fed by ``delete``; since
-        degrees only fall, a vertex stays unbalanced until it is deleted.
-        """
-        out, inn = self.out, self.inn
-        heap = self._unbalanced
-        if heap is None:
-            heap = self._unbalanced = [v for v in out if min(len(out[v]), len(inn[v])) <= 1]
-            heapq.heapify(heap)
-        while heap and heap[0] not in out:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def _alive_then(self, v: int, arcs):
-        stamp, s = self.stamp, self.stamp[v]
-        return [w for w, _ in arcs if stamp.get(w, s) >= s]
-
-    def out_then(self, v: int):
-        """Out-neighbours of a deleted vertex among the vertices live when it went."""
-        return self._alive_then(v, self.d._out[v])
-
-    def in_then(self, v: int):
-        return self._alive_then(v, self.d._in[v])
+        return outs, ins
 
     def split(self, piece, root=None):
         """Strong components of a piece of the live graph.

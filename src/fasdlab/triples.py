@@ -21,6 +21,7 @@ is a private step that it dispatches to and nothing else calls.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .certcheck import backward_arc_ids, check_triple as verify_good_triple
@@ -123,22 +124,34 @@ def _vtriple(pl: Peel, v: int):
 
     Each step deletes v, working on the converse when v has two in-arcs, and
     continues at v's in-neighbor or else at the lowest unbalanced vertex.
+    Those are a heap filled on first use and fed from the arcs each deletion
+    cut; since degrees only fall, a vertex stays unbalanced until it goes.
     """
+    out, heap = pl.out, None
     steps = []
     frame = 0  # 1 while the steps work on the converse
-    while len(pl.out) > 1:
-        flip = len((pl.out if frame else pl.inn)[v]) > 1
+    while len(out) > 1:
+        flip = len((out if frame else pl.inn)[v]) > 1
         frame ^= flip
-        ins = [u for u, _ in (pl.out if frame else pl.inn)[v]]
-        pl.delete(v)
+        cut = pl.delete(v)
+        ins = [u for u, _ in cut[1 - frame]]
+        if heap is not None:
+            for w, _ in cut[0] + cut[1]:
+                if _unbalanced(pl, w):
+                    heapq.heappush(heap, w)
         if ins:
             (u,) = ins
             if not _unbalanced(pl, u):  # pragma: no cover - degree <= 3 after deletion
                 raise GraphError("in-neighbor not unbalanced after deletion")
         else:
-            u = pl.lowest_unbalanced()
-            if u is None:  # pragma: no cover - would witness a precondition break
+            if heap is None:
+                heap = [w for w in out if _unbalanced(pl, w)]
+                heapq.heapify(heap)
+            while heap and heap[0] not in out:
+                heapq.heappop(heap)
+            if not heap:  # pragma: no cover - would witness a precondition break
                 raise GraphError("no unbalanced vertex available in recursion")
+            u = heap[0]
         steps.append((v, flip, bool(ins), u))
         v = u
     pl.delete(v)
@@ -181,12 +194,13 @@ def _triple_transitive(pl: Peel, triangle):
     return [x] + s + [a1], s_last + [x], pi
 
 
-def _extend_antidirected(pl: Peel, path, triple, pi_idx: int, variant: int):
+def _extend_antidirected(then, path, triple, pi_idx: int, variant: int):
     """Extension engine: grow an x1-triple from an x_l-triple along an anti-directed path.
 
-    ``triple`` is a good x_l-triple of the graph minus path[:-1], which pl
-    deleted in path order before any other vertex of that graph, so each
-    path[i] reads its neighbors in the graph minus path[:i] from its stamp.
+    ``triple`` is a good x_l-triple of the graph minus path[:-1], whose
+    vertices were deleted in path order before any other vertex of that
+    graph; ``then[i]`` is what ``Peel.delete`` returned for path[i], its
+    out-arcs and in-arcs in the graph minus path[:i].
     ``pi_idx`` picks pi* as the triple's first (0) or second (1) ordering;
     ``variant`` 1 demands pi* <= first ordering of the result, variant 2
     demands pi* <= second.  A step whose start has its sole in-neighbor on the
@@ -197,7 +211,7 @@ def _extend_antidirected(pl: Peel, path, triple, pi_idx: int, variant: int):
     frame = 0
     for i in range(len(path) - 2):
         x1, x2 = path[i], path[i + 1]
-        outs, ins = pl.out_then(x1), pl.in_then(x1)
+        outs, ins = ([w for w, _ in arcs] for arcs in then[i])
         if frame:
             outs, ins = ins, outs
         flip = outs != [x2]
@@ -272,20 +286,18 @@ def _two_regular_triple(pl: Peel):
     path = [a2, x1]
     case = _grow_path(pl, path, (a1, b1, b2))
     if case == "stuck":
-        for y in path:
-            pl.delete(y)
+        then = [pl.delete(y) for y in path]
         pa1_first, pa1_last, p = _vtriple(pl, a1)
         xl = path[-1]
         if d.has_arc(path[-2], xl):
             t = ([xl] + pa1_first, pa1_last + [xl], [xl] + p)
         else:
             t = ([xl] + pa1_first, pa1_last + [xl], p + [xl])
-        a2_triple = _extend_antidirected(pl, path, t, 0, 1)
+        a2_triple = _extend_antidirected(then, path, t, 0, 1)
     elif path[-1] == a1:
-        for y in path[:-1]:
-            pl.delete(y)
+        then = [pl.delete(y) for y in path[:-1]]
         t = _vtriple(pl, a1)
-        a2_triple = _extend_antidirected(pl, path, t, 0, 1)
+        a2_triple = _extend_antidirected(then, path, t, 0, 1)
     else:
         if path[-1] == b1:
             b1, b2 = b2, b1
@@ -303,13 +315,12 @@ def _two_regular_triple(pl: Peel):
 def _case_b2(pl: Peel, path, a1, b1, b2):
     """Path hit b2: the three subcases on the arcs at b2."""
     d = pl.d
-    for y in path[:-1]:
-        pl.delete(y)
+    then = [pl.delete(y) for y in path[:-1]]
     if d.has_arc(path[-2], b2):
         pl.delete(b2)
         pa1_first, pa1_last, p = _vtriple(pl, a1)
         t = ([b2] + pa1_last, pa1_first + [b2], [b2] + p)
-        return _extend_antidirected(pl, path, t, 1, 1)
+        return _extend_antidirected(then, path, t, 1, 1)
 
     s_out = [u for u, _ in pl.out[b2] if u != a1 and u != b2]
     if not s_out:
@@ -317,7 +328,7 @@ def _case_b2(pl: Peel, path, a1, b1, b2):
         pa1_first, pa1_last, p = _vtriple(pl, a1)
         pa1_last.insert(pa1_last.index(a1), b2)
         t = ([b2] + p, pa1_first + [b2], pa1_last)
-        return _extend_antidirected(pl, path, t, 1, 1)
+        return _extend_antidirected(then, path, t, 1, 1)
 
     s1 = min(s_out)
     if s1 == b1:  # pragma: no cover - excluded by triangle-freeness
@@ -327,25 +338,23 @@ def _case_b2(pl: Peel, path, a1, b1, b2):
 
     sk = q[-1]
     if qcase == "stuck":
-        for y in q:
-            pl.delete(y)
+        then_q = [pl.delete(y) for y in q]
         pa1_first, pa1_last, p = _vtriple(pl, a1)
         if len(q) >= 3:
             if d.has_arc(q[-2], sk):
                 t = ([sk] + pa1_first, pa1_last + [sk], [sk] + p)
             else:
                 t = ([sk] + pa1_first, pa1_last + [sk], p + [sk])
-            t_b2 = _extend_antidirected(pl, q, t, 0, 2)
+            t_b2 = _extend_antidirected(then_q, q, t, 0, 2)
         else:
             t_b2 = ([b2, s1] + p, [s1] + pa1_first + [b2], pa1_last + [b2, s1])
     else:
         if len(q) < 3:  # pragma: no cover - s1 differs from a1 and b1
             raise GraphError("hit path too short")
-        for y in q[:-1]:
-            pl.delete(y)
+        then_q = [pl.delete(y) for y in q[:-1]]
         t = _vtriple(pl, sk)
-        t_b2 = _extend_antidirected(pl, q, t, 0 if sk == a1 else 1, 2)
-    return _extend_antidirected(pl, path, t_b2, 1, 1)
+        t_b2 = _extend_antidirected(then_q, q, t, 0 if sk == a1 else 1, 2)
+    return _extend_antidirected(then, path, t_b2, 1, 1)
 
 
 def decompose3(h: Digraph, verify: bool = True) -> OrderingTriple:
@@ -361,7 +370,7 @@ def decompose3(h: Digraph, verify: bool = True) -> OrderingTriple:
     for comp in connected_components(h):
         pl = Peel(h, comp)
         if any(len(pl.out[v]) != 2 or len(pl.inn[v]) != 2 for v in comp):
-            t = _vtriple(pl, pl.lowest_unbalanced())
+            t = _vtriple(pl, min(v for v in comp if _unbalanced(pl, v)))
         elif (triangle := _find_transitive_triangle(pl)) is not None:
             t = _triple_transitive(pl, triangle)
         else:

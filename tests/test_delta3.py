@@ -306,6 +306,21 @@ class TestSharedInputCheck:
         assert getattr(d, "_cycle", None) is None
 
 
+class TestBareCycle:
+    """One walk tells both constructions whether a strong piece is a bare cycle."""
+
+    def test_steps_around_a_cycle_piece(self):
+        pl = Peel(directed_cycle(5))
+        assert delta3._bare_cycle(pl, 2) == [(2, 2), (3, 3), (4, 4), (0, 0), (1, 1)]
+
+    def test_none_on_a_piece_with_a_heavy_vertex(self):
+        # the chord 1 -> 3 makes 1 out-heavy and 3 in-heavy
+        pl = Peel(Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]))
+        assert (len(pl.out[1]), len(pl.inn[3])) == (2, 2)
+        assert delta3._bare_cycle(pl, 1) is None  # a heavy start
+        assert delta3._bare_cycle(pl, 2) is None  # a balanced start, walking into 3
+
+
 class TestPeelOverlapRegression:
     def test_class_path_closing_back_g3(self):
         # the peeled path's exit arc returns to its entry: p1 p2 p3 p1 cycle

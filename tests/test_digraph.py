@@ -24,7 +24,6 @@ from fasdlab.digraph import (
     strong_components,
 )
 from fasdlab.generators import (
-    circulant_digraph,
     directed_cycle,
     gadget_dg,
     gadget_h3,
@@ -233,26 +232,15 @@ class TestPeel:
         pl.delete(1)
         assert 1 not in pl.out and 1 not in pl.inn
         assert pl.out[0] == [(3, 5)] and pl.inn[2] == [] and pl.out[3] == []
-        assert pl.stamp == {4: 0, 1: 1}
 
     def test_neighbourhood_at_removal(self):
-        # each deleted vertex still reads the arcs it had when it went
+        # delete returns the live arcs each vertex had when it went
         d = Digraph(5, self.ARCS)
         pl = Peel(d)
-        for v in (3, 0, 1):
-            pl.delete(v)
-        assert pl.in_then(3) == [1, 0] and pl.out_then(3) == [4]
-        assert pl.out_then(0) == [1] and pl.in_then(0) == [2]
-        assert pl.out_then(1) == [2] and pl.in_then(1) == []
-
-    def test_lowest_unbalanced_follows_deletions(self):
-        d = circulant_digraph(7, [1, 2])  # 2-regular: nothing unbalanced
-        pl = Peel(d)
-        assert pl.lowest_unbalanced() is None
-        pl.delete(3)
-        assert pl.lowest_unbalanced() == 1
-        pl.delete(1)
-        assert pl.lowest_unbalanced() == 0
+        cut = {v: pl.delete(v) for v in (3, 0, 1)}
+        assert cut[3] == ([(4, 4)], [(1, 3), (0, 5)])
+        assert cut[0] == ([(1, 0)], [(2, 2)])
+        assert cut[1] == ([(2, 1)], [])
 
     def test_split_matches_strong_components(self):
         # a root's component is split again after each round of deletions,

@@ -37,9 +37,8 @@ def triple_transitive(d):
 def extend(d, path, triple, pi_idx=0, variant=1):
     """Good path[0]-triple of d from a good path[-1]-triple of d - path[:-1]."""
     pl = Peel(d)
-    for x in path[:-1]:
-        pl.delete(x)
-    return _extend_antidirected(pl, list(path), [list(o) for o in triple], pi_idx, variant)
+    then = [pl.delete(x) for x in path[:-1]]
+    return _extend_antidirected(then, list(path), [list(o) for o in triple], pi_idx, variant)
 
 
 class TestVerifyGoodTriple:
