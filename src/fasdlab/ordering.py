@@ -46,7 +46,6 @@ class FasCertificate:
     ``arc_ids``.
     """
 
-    kind: str  # "unweighted" | "weighted"
     value: object
     order: tuple
     arc_ids: tuple
@@ -81,7 +80,7 @@ def fas_exact(d: Digraph) -> FasCertificate:
     vertices.
     """
     value, order = _fas_dp(d, weighted=False)
-    return _certified(d, "unweighted", value, order)
+    return _certified(d, False, value, order)
 
 
 def fas_weighted_exact(d: Digraph) -> FasCertificate:
@@ -89,17 +88,17 @@ def fas_weighted_exact(d: Digraph) -> FasCertificate:
     if d.weights is None:
         raise ValueError("fas_weighted_exact needs a weighted digraph")
     value, order = _fas_dp(d, weighted=True)
-    return _certified(d, "weighted", value, order)
+    return _certified(d, True, value, order)
 
 
-def _certified(d: Digraph, kind: str, value, order) -> FasCertificate:
+def _certified(d: Digraph, weighted: bool, value, order) -> FasCertificate:
     """The DP's answer, once ``check_fas_order`` finds that the backward arcs
     of its order weigh its value (count them, for an unweighted answer)."""
-    counted = d if kind == "weighted" or d.weights is None else type(d)(d.n, d.arcs)
+    counted = d if weighted or d.weights is None else type(d)(d.n, d.arcs)
     ok, why = check_fas_order(counted, order, value)
     if not ok:  # pragma: no cover - would witness a DP bug
         raise AssertionError(f"fas DP value {value}: {why}")
-    return FasCertificate(kind, value, tuple(order), tuple(backward_arc_ids(d, order)))
+    return FasCertificate(value, tuple(order), tuple(backward_arc_ids(d, order)))
 
 
 def _fas_dp(d: Digraph, weighted: bool):
