@@ -73,7 +73,7 @@ class CheckResult:
         return f"[{status}] {self.check_id:<12} {self.seconds:7.2f}s  {self.claim}"
 
 
-def check_d8(seed: int = 0) -> tuple[str, bool, dict]:
+def check_d8(seed: int) -> tuple[str, bool, dict]:
     """The three-path girth-8 gadget has minimum FAS 2 over its 15 arcs."""
     d = gadget_dg(8)
     cert = fas_exact(d)
@@ -82,7 +82,7 @@ def check_d8(seed: int = 0) -> tuple[str, bool, dict]:
     return claim, ok, {"fas": cert.value, "arcs": d.m, "witness": list(cert.order)}
 
 
-def check_h5(seed: int = 0) -> tuple[str, bool, dict]:
+def check_h5(seed: int) -> tuple[str, bool, dict]:
     """No good 4-coloring of the oriented K5,5 gadget; the matching is a 5-clique."""
     h5 = gadget_h5()
     res = good_coloring_search(h5, 4)
@@ -99,7 +99,7 @@ def check_h5(seed: int = 0) -> tuple[str, bool, dict]:
     return claim, ok, {"search_status": res.status, "search_nodes": res.nodes, "clique": clique_arcs}
 
 
-def check_h4_h3(seed: int = 0) -> tuple[str, bool, dict]:
+def check_h4_h3(seed: int) -> tuple[str, bool, dict]:
     """Split-tournament gadgets refute 6 colors at girth 6 and 9 at girth 9."""
     h4, h3 = gadget_h4(), gadget_h3()
     c4 = refute_by_conflict_clique(h4)
@@ -156,7 +156,7 @@ def triples_corpus(count: int, seed: int):
     return out[:count]
 
 
-def check_triples(seed: int = 0) -> tuple[str, bool, dict]:
+def check_triples(seed: int) -> tuple[str, bool, dict]:
     """Every max-degree-4 digon-free instance splits into three feedback arc sets."""
     failures = 0
     done = 0
@@ -170,7 +170,7 @@ def check_triples(seed: int = 0) -> tuple[str, bool, dict]:
     return claim, failures == 0 and done >= TRIPLES_COUNT, {"instances": done, "failures": failures}
 
 
-def check_weighted(seed: int = 0) -> tuple[str, bool, dict]:
+def check_weighted(seed: int) -> tuple[str, bool, dict]:
     """Minimum weighted FAS is at most a third of the weight at max degree 4."""
     violations = 0
     exact_checked = 0
@@ -198,7 +198,7 @@ def check_weighted(seed: int = 0) -> tuple[str, bool, dict]:
     }
 
 
-def check_colorings(seed: int = 0) -> tuple[str, bool, dict]:
+def check_colorings(seed: int) -> tuple[str, bool, dict]:
     """Good g-colorings exist constructively for degree 3 and g in {3, 4, 5}."""
     failures = 0
     for g in (3, 4, 5):
@@ -222,7 +222,7 @@ def check_colorings(seed: int = 0) -> tuple[str, bool, dict]:
     }
 
 
-def check_sixth(seed: int = 0) -> tuple[str, bool, dict]:
+def check_sixth(seed: int) -> tuple[str, bool, dict]:
     """A sixth of the arcs suffices at degree 3 and girth 6."""
     failures = 0
     exact_checked = 0
@@ -249,7 +249,7 @@ def check_sixth(seed: int = 0) -> tuple[str, bool, dict]:
     }
 
 
-def check_counting(seed: int = 0) -> tuple[str, bool, dict]:
+def check_counting(seed: int) -> tuple[str, bool, dict]:
     """Counting bounds match the closed form; exhaustive search confirms the gadget."""
     ok = True
     bounds = {}
@@ -269,7 +269,7 @@ def check_counting(seed: int = 0) -> tuple[str, bool, dict]:
     return claim, ok, {"bounds": bounds, "d8_value": value, "d8_nodes": sum(r.nodes for r in runs)}
 
 
-def check_mixing(seed: int = 0) -> tuple[str, bool, dict]:
+def check_mixing(seed: int) -> tuple[str, bool, dict]:
     """Mixing inequality holds over sampled pairs on quadratic-residue graphs."""
     violations = 0
     eig_ok = True
@@ -288,7 +288,7 @@ def check_mixing(seed: int = 0) -> tuple[str, bool, dict]:
     }
 
 
-def check_lower_bound(seed: int = 0) -> tuple[str, bool, dict]:
+def check_lower_bound(seed: int) -> tuple[str, bool, dict]:
     """Eulerian-orientation FAS meets the spectral (d - lam) n / 8 bound on an even graph."""
     from .digraph import Graph
 
@@ -308,7 +308,7 @@ def check_lower_bound(seed: int = 0) -> tuple[str, bool, dict]:
     return claim, ob.holds is True, {"bound": ob.bound, "fas": ob.fas_value, "lam": rep.lam}
 
 
-def inequality_instances(seed: int = 0):
+def inequality_instances(seed: int):
     """Every desk-scale instance the harness touches, small enough for exact fas."""
     out = [
         ("cycle-3", directed_cycle(3)),
@@ -330,7 +330,7 @@ def inequality_instances(seed: int = 0):
     return out
 
 
-def check_inequalities(seed: int = 0) -> tuple[str, bool, dict]:
+def check_inequalities(seed: int) -> tuple[str, bool, dict]:
     """fasd <= girth, fas <= a / fasd, and fasd >= 2 on every processed instance."""
     violations = []
     processed = 0
@@ -378,7 +378,7 @@ def oracle_corpus_fasd(seed: int, count: int):
     return out
 
 
-def check_oracles(seed: int = 0) -> tuple[str, bool, dict]:
+def check_oracles(seed: int) -> tuple[str, bool, dict]:
     """Exact solvers agree with brute-force enumeration on small corpora."""
     fas_bad = 0
     for d in oracle_corpus_fas(seed, ORACLE_FAS_COUNT):
