@@ -1,9 +1,9 @@
 """A ratchet on the package's public names.
 
-A function or constant in ``fasdlab.__all__``, or a public module-level
-function of any module, that nothing in the package calls and the benchmark
-does not run exists only for its own tests: its input checks guard nothing
-the lab runs.  Each such name either gains a caller or goes, and its tests
+A function or constant in ``fasdlab.__all__``, a public module-level
+function of any module, or a public method or property of any class, that
+nothing in the package calls and the benchmark does not run exists only for
+its own tests: its input checks guard nothing the lab runs.  Each such name either gains a caller or goes, and its tests
 call the private step that stays.  ``UNCALLED`` names the few that stay
 anyway, each with its reason.
 """
@@ -21,6 +21,7 @@ UNCALLED = {
     "is_subordering": "a test's property helper (ROADMAP item 13)",
     "prime_in_progression": "the census of ROADMAP item 11 is to be its caller (item 13)",
     "split4_degree3": "the census of ROADMAP item 11 is to be its caller (item 13)",
+    "complete": "FasdCertificate.complete: the benchmark's gate_fasd reads it",
 }
 
 
@@ -40,12 +41,14 @@ def names_read_in_src() -> set:
 
 
 def public_functions() -> list:
-    """Every module-level function of the package whose name does not start
-    with an underscore."""
+    """Every module-level function of the package, and every method or
+    property of a module-level class, whose name does not start with an
+    underscore."""
+    tops = [node for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body]
+    defs = tops + [node for top in tops if isinstance(top, ast.ClassDef) for node in top.body]
     return [
         node.name
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
+        for node in defs
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
     ]
 
