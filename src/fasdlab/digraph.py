@@ -228,8 +228,9 @@ class Peel:
     pairs in arc order, so they read exactly like the arc lists of the induced
     subgraph on the live vertices; deleting a vertex or an arc costs
     O(degree), and ``delete`` returns the live out-arcs and in-arcs the
-    vertex had when it went.  ``piece`` holds the vertices of the strong piece being worked on: the
-    component ``split`` certified last, or those a caller set there.
+    vertex had when it went.  ``piece`` holds the vertices of the strong
+    piece being worked on: the component ``split`` certified last, or those a
+    caller set there.
     """
 
     __slots__ = ("d", "out", "inn", "piece", "_trees", "_dead", "_near")

@@ -124,14 +124,15 @@ def _vtriple(pl: Peel, v: int):
 
     Each step deletes v, working on the converse when v has two in-arcs, and
     continues at v's in-neighbor or else at the lowest unbalanced vertex.
-    Those are a heap filled on first use and fed from the arcs each deletion
-    cut; since degrees only fall, a vertex stays unbalanced until it goes.
+    The unbalanced vertices are kept in a heap, filled on first use and fed
+    from the arcs each deletion cut; since degrees only fall, a vertex stays
+    unbalanced until it goes.
     """
-    out, heap = pl.out, None
+    heap = None
     steps = []
     frame = 0  # 1 while the steps work on the converse
-    while len(out) > 1:
-        flip = len((out if frame else pl.inn)[v]) > 1
+    while len(pl.out) > 1:
+        flip = len((pl.out if frame else pl.inn)[v]) > 1
         frame ^= flip
         cut = pl.delete(v)
         ins = [u for u, _ in cut[1 - frame]]
@@ -145,9 +146,9 @@ def _vtriple(pl: Peel, v: int):
                 raise GraphError("in-neighbor not unbalanced after deletion")
         else:
             if heap is None:
-                heap = [w for w in out if _unbalanced(pl, w)]
+                heap = [w for w in pl.out if _unbalanced(pl, w)]
                 heapq.heapify(heap)
-            while heap and heap[0] not in out:
+            while heap and heap[0] not in pl.out:
                 heapq.heappop(heap)
             if not heap:  # pragma: no cover - would witness a precondition break
                 raise GraphError("no unbalanced vertex available in recursion")
