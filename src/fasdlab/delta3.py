@@ -1046,7 +1046,7 @@ class _Reductions:
             rule, p, x, y = found
             if rule == 3:  # a path's exit arcs back into its entry
                 return [d.arc_id(y, x)], p + [x, y]
-            # both attachments of some path in the out-heavy class
+            # both attachments of some path in one heavy class
             if plus(x):
                 pre = inn[x][0][0]
                 return [d.arc_id(pre, x)], p + [x, y, pre]
