@@ -11,7 +11,6 @@ vertices from.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,7 +229,8 @@ class Peel:
     O(degree), and ``delete`` returns the live out-arcs and in-arcs the
     vertex had when it went.  ``piece`` holds the vertices of the strong
     piece being worked on: the component ``split`` certified last, or those a
-    caller set there.
+    caller set there.  ``split`` keeps a reach-out and a reach-in tree of that
+    component, as parent and children maps, and repairs them after deletions.
     """
 
     __slots__ = ("d", "out", "inn", "piece", "_trees", "_dead", "_near")
@@ -244,10 +244,10 @@ class Peel:
             keep = set(vertices)
             self.out = {v: [e for e in d._out[v] if e[0] in keep] for v in sorted(keep)}
             self.inn = {v: [e for e in d._in[v] if e[0] in keep] for v in sorted(keep)}
-        # (parent, children, depth) of a reach-out tree and a reach-in tree of the
+        # (parent, children) of a reach-out tree and a reach-in tree of the
         # strong piece ``split`` certified last; its vertices deleted since,
         # and the vertices they had arcs to then
-        self._trees = (({}, {}, {}), ({}, {}, {}))
+        self._trees = ({}, {}), ({}, {})
         self._dead = []
         self._near = []
         self.piece = {}
@@ -283,43 +283,37 @@ class Peel:
         left in it whose arcs changed.  When the trees are grown afresh (no
         root, or it was deleted) the root changes and ``touched`` lists the
         whole component.  Between the two calls no other piece may be split.
+        The results depend only on the vertices lost, which any correct repair
+        finds, and on Tarjan over them in increasing order; the shape of the
+        trees is read only by the next repair.
         """
         out, inn = self.out, self.inn
-        ftree, btree = self._trees
-        fpar, bpar = ftree[0], btree[0]
+        fpar = self._trees[0][0]
         dead, near = self._dead, self._near
         self._dead, self._near = [], []
         if root is not None and root in out:
-            lost = set(_reattach(dead, out, inn, *ftree))
-            lost.update(_reattach(dead, inn, out, *btree))
-            for par, kids, depth in self._trees:
-                # a lost vertex only has lost vertices below it in either tree
-                for v in lost:
-                    if v in par:
-                        u = par.pop(v)
-                        if u is not None and u not in lost:
-                            kids[u].remove(v)
-                        del kids[v], depth[v]
+            lost = set(_reattach(dead, out, inn, *self._trees[0]))
+            lost.update(_reattach(dead, inn, out, *self._trees[1]))
             giant = None
         else:
             vs = [v for v in (sorted(fpar) if piece is None else piece) if v in out]
-            self._trees = ftree, btree = (({}, {}, {}), ({}, {}, {}))
-            fpar, bpar = ftree[0], btree[0]
             if not vs:
+                self._trees = ({}, {}), ({}, {})
                 return None, [], [], []
             root = vs[-1]  # peeling favours low ids, so the root lasts
-            _grow(root, out, *ftree)
-            _grow(root, inn, *btree)
+            self._trees = _grow(root, out), _grow(root, inn)
+            fpar, bpar = self._trees[0][0], self._trees[1][0]
             giant = [v for v in vs if v in fpar and v in bpar]
             lost = set(vs).difference(giant)
-            for par, kids, depth in self._trees:
-                for v in lost:
-                    par.pop(v, None)
-                    kids.pop(v, None)
-                    depth.pop(v, None)
-                for kids_v in kids.values():
-                    kids_v[:] = [w for w in kids_v if w not in lost]
-        comps = _tarjan(sorted(lost), {v: [e for e in out[v] if e[0] in lost] for v in lost})
+        for par, kids in self._trees:
+            # a lost vertex only has lost vertices below it in either tree
+            for v in lost:
+                if v in par:
+                    u = par.pop(v)
+                    if u not in lost:
+                        kids[u].remove(v)
+                    del kids[v]
+        comps = _tarjan(sorted(lost), out, lost)
         comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
         cut = sorted(
             [(a, v, w) for v in lost for w, a in out[v] if comp_of.get(w) != comp_of[v]]
@@ -337,75 +331,69 @@ class Peel:
             if len(comp) == 1:
                 self.delete(comp[0])
         if len(fpar) == 1:  # the root alone
-            self._trees = (({}, {}, {}), ({}, {}, {}))
+            self._trees = ({}, {}), ({}, {})
             self.delete(root)
             root, touched = None, []
         self.piece = self._trees[0][0]
         return root, [comp for comp in comps if len(comp) > 1], [a for a, _, _ in cut], touched
 
 
-def _grow(root, arcs, par, kids, depth):
-    """BFS tree from ``root`` along ``arcs``."""
-    par[root] = None
-    kids[root] = []
-    depth[root] = 0
+def _grow(root, arcs):
+    """BFS tree from ``root`` along ``arcs``, as (parent, children) maps."""
+    par, kids = {root: None}, {root: []}
     reach = [root]
     for x in reach:
         for w, _ in arcs[x]:
             if w not in par:
                 par[w] = x
                 kids[w] = []
-                depth[w] = depth[x] + 1
                 kids[x].append(w)
                 reach.append(w)
+    return par, kids
 
 
-def _reattach(dead, arcs, back, par, kids, depth):
+def _reattach(dead, arcs, back, par, kids):
     """Repair a search tree after deleting ``dead``; returns the vertices out of reach.
 
-    Only the branches below deleted vertices are searched: their vertices
-    hang back on, shallowest first, below the live tree vertex or the vertex
-    already hung back on that gives them the least depth, so the tree stays
-    close to a BFS tree and its branches stay small.
+    Only the branches below deleted vertices are searched.  Each of their
+    vertices hangs below the first of its neighbours along ``back`` that is
+    still in the tree, if it has one; a FIFO search along ``arcs`` from those
+    hangs back the rest it reaches, and the ones it does not reach are lost.
     """
     deadset = set(dead)
     orphans, orph = [], set()
     stack = [c for v in dead for c in kids.get(v, ())]
-    while stack:
+    while stack:  # each vertex has one parent, so it is met once
         c = stack.pop()
-        if c in deadset or c in orph:
-            continue
-        orph.add(c)
-        orphans.append(c)
-        stack.extend(kids[c])
+        if c not in deadset:
+            orph.add(c)
+            orphans.append(c)
+            stack.extend(kids[c])
     for v in dead:
         u = par.pop(v, None)
         if u is not None and u not in deadset and u not in orph:
             kids[u].remove(v)
         kids.pop(v, None)
-        depth.pop(v, None)
-    queue = []
+    hung = []
     for o in orphans:
         kids[o] = []
         for u, _ in back[o]:
             if u not in orph:
-                queue.append((depth[u] + 1, o, u))
-    heapq.heapify(queue)
-    found = set()
-    while queue:
-        k, o, u = heapq.heappop(queue)
-        if o in found:
-            continue
-        found.add(o)
-        par[o] = u
-        depth[o] = k
-        kids[u].append(o)
-        for w, _ in arcs[o]:
-            if w in orph and w not in found:
-                heapq.heappush(queue, (k + 1, w, o))
-    lost = [o for o in orphans if o not in found]
+                par[o] = u
+                kids[u].append(o)
+                hung.append(o)
+                break
+    orph.difference_update(hung)  # from here on, the orphans not hung back yet
+    for x in hung:
+        for w, _ in arcs[x]:
+            if w in orph:
+                orph.remove(w)
+                par[w] = x
+                kids[x].append(w)
+                hung.append(w)
+    lost = [o for o in orphans if o in orph]
     for o in lost:
-        del par[o], kids[o], depth[o]
+        del par[o], kids[o]
     return lost
 
 
@@ -544,53 +532,51 @@ def strong_components(d: _BaseDigraph):
     return _tarjan(range(d.n), d._out)
 
 
-def _tarjan(roots, out):
+def _tarjan(roots, out, within=None):
     """Tarjan over ``out[v]`` (pairs (head, arc id)) from ``roots`` in order.
 
-    Every head met must lie in the vertex set the roots span.
+    With ``within`` given, heads outside it are skipped, so the components
+    are those of the subgraph induced on ``within``; without it every head
+    met must lie in the vertex set the roots span.  The work stack keeps one
+    iterator over ``out[v]`` per vertex v on it.
     """
-    index = {}
+    index = {}  # visit numbers; ``done`` once a vertex's component is out
     low = {}
-    on_stack = set()
+    done = len(out)  # above every visit number, as each vertex visited keys out
     stack = []
     comps = []
     for root in roots:
         if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(out[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = len(index)
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            arcs = out[v]
-            while pi < len(arcs):
-                w = arcs[pi][0]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, arcs = work[-1]
+            for w, _ in arcs:
+                if w in index:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                elif within is None or w in within:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     comps.reverse()
     return comps
 

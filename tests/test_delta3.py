@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from fasdlab import delta3
+from fasdlab import delta3, digraph
 from fasdlab.certcheck import check_fas_sixth
 from fasdlab.coloring import verify_good_coloring
 from fasdlab.delta3 import (
@@ -349,6 +349,18 @@ class TestPeelOverlapRegression:
 # by its first case is never split.  These may fall but not grow.
 SPLITS_MAX = {3: 47, 4: 45, 5: 48, 6: 52}
 
+# Vertices the tree repair visits on the same grid, per girth: those whose
+# arcs or children it reads, summed over all repairs.  These may fall but
+# not grow, so a repair that searches the whole piece shows here.
+REATTACH_MAX = {3: 742, 4: 542, 5: 623, 6: 701}
+
+
+def _split_grid(g):
+    for n in (10, 30, 100):
+        for seed in range(5):
+            d = random_orgraph(n, 3, g, seed=seed, arc_target=(4 * n) // 3 if g == 6 else (3 * n) // 2)
+            fas_sixth(d) if g == 6 else good_g_coloring(d, g)
+
 
 def test_peel_splits_do_not_grow(monkeypatch):
     calls = []
@@ -356,8 +368,46 @@ def test_peel_splits_do_not_grow(monkeypatch):
     monkeypatch.setattr(Peel, "split", lambda pl, *args: calls.append(1) or real(pl, *args))
     for g, most in SPLITS_MAX.items():
         calls.clear()
-        for n in (10, 30, 100):
-            for seed in range(5):
-                d = random_orgraph(n, 3, g, seed=seed, arc_target=(4 * n) // 3 if g == 6 else (3 * n) // 2)
-                fas_sixth(d) if g == 6 else good_g_coloring(d, g)
+        _split_grid(g)
         assert len(calls) <= most, g
+
+
+class _Reads:
+    """A mapping that forwards to ``real`` and records each key read."""
+
+    def __init__(self, real, seen):
+        self.real, self.seen = real, seen
+
+    def __getitem__(self, v):
+        self.seen.add(v)
+        return self.real[v]
+
+    def get(self, v, default=None):
+        self.seen.add(v)
+        return self.real.get(v, default)
+
+    def __setitem__(self, v, value):
+        self.real[v] = value
+
+    def __delitem__(self, v):
+        del self.real[v]
+
+    def pop(self, v, *default):
+        return self.real.pop(v, *default)
+
+
+def test_peel_repairs_do_not_grow(monkeypatch):
+    visits = []
+    real = digraph._reattach
+
+    def counting(dead, arcs, back, par, kids):
+        seen = set()
+        lost = real(dead, _Reads(arcs, seen), _Reads(back, seen), par, _Reads(kids, seen))
+        visits.append(len(seen))
+        return lost
+
+    monkeypatch.setattr(digraph, "_reattach", counting)
+    for g, most in REATTACH_MAX.items():
+        visits.clear()
+        _split_grid(g)
+        assert sum(visits) <= most, (g, sum(visits))

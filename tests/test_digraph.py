@@ -13,6 +13,7 @@ from fasdlab.digraph import (
     Peel,
     _cycle_walk,
     _shortest_cycle,
+    _tarjan,
     chains,
     connected_components,
     degrees,
@@ -284,6 +285,97 @@ class TestPeel:
                 piece, before = giant, set(giant)
                 for v in rng.sample(piece, min(len(piece), rng.randrange(1, 4))):
                     pl.delete(v)
+
+    def test_deep_split_keeps_its_trees(self):
+        # at n = 300 the trees are deep and the root's piece can collapse; the
+        # deletions take the root itself, a whole path of in-degree-1,
+        # out-degree-1 vertices, or a few vertices, as the peeling does
+        rng = random.Random(36)
+        regrown = paths = 0
+        for seed in range(4):
+            d = random_orgraph(300, 3, 3 + seed % 2, seed=seed, arc_target=450)
+            pl = Peel(d)
+            todo, root = [sorted(pl.out)], None
+            while todo or root is not None:
+                if root is None:
+                    piece = todo.pop()
+                live = sorted(a for v in pl.out for _, a in pl.out[v])
+                alive = {v for v in piece if v in pl.out}
+                # the root stays while it lives; a new one is the highest vertex
+                want_root = root if root in alive else max(alive, default=None)
+                regrown += root != want_root
+                root, comps, cut, touched = pl.split(piece, root)
+                assert root in (want_root, None)
+                giant = set(pl.piece) | ({want_root} & alive)
+                lost = alive - giant
+                inside = Digraph(d.n, [d.arcs[a] for a in live if set(d.arcs[a]) <= lost])
+                assert comps == [c for c in strong_components(inside) if c[0] in lost and len(c) > 1]
+                todo += comps
+                if root is None:
+                    continue
+                before = Digraph(d.n, [d.arcs[a] for a in live if set(d.arcs[a]) <= alive])
+                assert [c for c in strong_components(before) if root in c] == [sorted(giant)]
+                self.assert_trees(pl, root, giant)
+                piece = sorted(giant)
+                step = rng.randrange(3)
+                if step == 0:
+                    doomed = [root]
+                else:
+                    doomed = self.bare_path(pl, piece) if step == 1 else []
+                    paths += len(doomed) > 1
+                    doomed = doomed or rng.sample(piece, min(len(piece), rng.randrange(1, 4)))
+                for v in doomed:
+                    pl.delete(v)
+        assert regrown > 4 and paths > 4
+
+    @staticmethod
+    def bare_path(pl, piece):
+        """A maximal path of in-degree-1, out-degree-1 vertices, or []."""
+        bare = [v for v in piece if len(pl.out[v]) == len(pl.inn[v]) == 1]
+        if not bare:
+            return []
+        path = [bare[len(bare) // 2]]
+        while len(pl.inn[path[0]]) == len(pl.out[path[0]]) == 1 and len(path) < len(piece):
+            u = pl.inn[path[0]][0][0]
+            if u in path or len(pl.inn[u]) != 1 or len(pl.out[u]) != 1:
+                break
+            path.insert(0, u)
+        while len(path) < len(piece):
+            w = pl.out[path[-1]][0][0]
+            if w in path or len(pl.inn[w]) != 1 or len(pl.out[w]) != 1:
+                break
+            path.append(w)
+        return path
+
+    @staticmethod
+    def assert_trees(pl, root, giant):
+        # the reach-out tree hangs each vertex below a live in-neighbour and
+        # the reach-in tree below a live out-neighbour; both span the piece
+        for (par, kids), arcs in zip(pl._trees, (pl.out, pl.inn)):
+            assert par.keys() == kids.keys() == giant and par[root] is None
+            hung = sorted((c, u) for u, cs in kids.items() for c in cs)
+            assert hung == sorted((v, u) for v, u in par.items() if u is not None)
+            assert all(any(w == v for w, _ in arcs[u]) for v, u in hung)
+            up = {root}
+            for v in giant:
+                chain = []
+                while v not in up:
+                    chain.append(v)
+                    v = par[v]
+                    assert len(chain) <= len(giant)
+                up.update(chain)
+
+
+class TestTarjan:
+    def test_within_gives_the_induced_components(self):
+        rng = random.Random(7)
+        for seed in range(60):
+            d = random_orgraph(40, 3 + seed % 2, 3, seed=seed, arc_target=55 + seed % 20)
+            for _ in range(5):
+                within = set(rng.sample(range(d.n), rng.randrange(1, d.n + 1)))
+                induced = Digraph(d.n, [(u, v) for u, v in d.arcs if u in within and v in within])
+                want = [c for c in strong_components(induced) if c[0] in within]
+                assert _tarjan(sorted(within), d._out, within) == want
 
 
 class TestShortestCycle:
