@@ -54,7 +54,7 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     if g not in (3, 4, 5):
         raise GraphError("g must be 3, 4, or 5")
     require_orgraph(d, 3, g)
-    pl, colors = Peel(d), _Colors()
+    pl, colors = Peel(d), {}
 
     def cut(arcs):
         # arcs between strong parts lie on no cycle
@@ -62,7 +62,7 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
             colors[a] = 1
 
     _strong_pieces(pl, _Chains, lambda chains, start: _color_strong(pl, g, colors, chains, start), cut)
-    coloring = colors.final()
+    coloring = {a: colors[a] for a in sorted(colors)}
     if len(coloring) != d.m:  # pragma: no cover - would witness a gap
         raise AssertionError("construction left arcs uncolored")
     if check:
@@ -275,11 +275,19 @@ def _peel_short_path(pl: Peel, g: int, coloring, path):
     """Path length g-2: three cases on the classes of the two in-neighbors of p1.
 
     Light in-neighbors (out-degree 1) go with the path; both heavy, only p1
-    and p2 go and the colors of the rest are permuted so the unique arcs into
-    w1 and w2 cover {1, 2}; mixed, the light one goes and the heavy one's
-    in-arc takes color 1.  For l = 3 in the heavy case the last path vertex
-    stays behind as a source, so its outgoing arcs lie on no remaining cycle
-    and take color 5 afterwards.
+    and p2 go and the proof permutes the colors of the rest by pi so the
+    unique arcs into w1 and w2 cover {1, 2}; mixed, the light one goes and pi
+    gives the heavy one's in-arc color 1.  For l = 3 in the heavy case the
+    last path vertex stays behind as a source, so its outgoing arcs lie on no
+    remaining cycle and take color 5 afterwards.
+
+    The permutation pi is never applied to the rest: when the fix runs, the
+    piece is a strong component whose arcs are the fix's own arcs and those
+    colored since, so every cycle through them stays inside it.  Relabelling
+    the whole piece by pi^-1 keeps its coloring good, and that is the rest as
+    colored with each fix color c written as pi^-1(c).  Cases higher up read
+    the colors they use when their own fix runs, so they need only that the
+    rest is good.
     """
     d = pl.d
     out, inn = pl.out, pl.inn
@@ -296,12 +304,11 @@ def _peel_short_path(pl: Peel, g: int, coloring, path):
         tail += [(a, 5) for _, a in out[path[2]]]
 
     if not heavy:
-        into = {w: _arc_ids(inn[w]) for w in (w1, w2)}
+        into = _arc_ids(inn[w1]) + _arc_ids(inn[w2])
         drop = list(path) + [w1, w2]
     elif len(heavy) == 2:
         z1_arc, z2_arc = inn[w1][0][1], inn[w2][0][1]
-        drop = path[:2]
-        node = coloring.open()
+        into, drop = [], path[:2]
     else:
         if heavy[0] == w1:
             w1, w2 = w2, w1
@@ -309,112 +316,31 @@ def _peel_short_path(pl: Peel, g: int, coloring, path):
         z2_arc = inn[w2][0][1]
         into = _arc_ids(inn[w1])
         drop = [w1] + list(path)
-        node = coloring.open()
     for v in drop:
         pl.delete(v)
 
     def fix():
-        if not heavy:
-            for w in (w1, w2):
-                for a in into[w]:
-                    coloring[a] = 1
-                coloring[d.arc_id(w, p1)] = 2
-        elif len(heavy) == 2:
-            _permute_colors(coloring, node, {z1_arc: 1}, g, soft={z2_arc: (1, 2)})
-            c2 = coloring[z2_arc]
-            coloring[d.arc_id(w1, p1)] = 2
-            coloring[d.arc_id(w2, p1)] = 3 - c2
-        else:
-            _permute_colors(coloring, node, {z2_arc: 1}, g)
-            for a in into:
-                coloring[a] = 1
-            coloring[d.arc_id(w1, p1)] = 2
-            coloring[d.arc_id(w2, p1)] = 2
-        for a, c in tail:
-            coloring[a] = c
+        pi, c2 = {c: c for c in range(1, g + 1)}, 2
+        if len(heavy) == 2:
+            pi = _permute_colors(coloring[z1_arc], coloring[z2_arc], g)
+            # w2's arc into p1 takes whichever of 1 and 2 its in-arc does not
+            c2 = 3 - pi[coloring[z2_arc]]
+        elif heavy:
+            pi = _permute_colors(coloring[z2_arc], None, g)
+        inv = {c: s for s, c in pi.items()}
+        fixed = [(a, 1) for a in into] + [(d.arc_id(w1, p1), 2), (d.arc_id(w2, p1), c2)]
+        for a, c in fixed + tail:
+            coloring[a] = inv[c]
 
     return fix
 
 
-def _permute_colors(coloring, node: int, want: dict, g: int, soft: dict | None = None):
-    """Relabel the colors of every arc colored under ``node`` so each
-    want[arc] == color holds, and close the node.
-
-    ``soft`` entries may name a pair of acceptable colors; the permutation is
-    extended to a full bijection on [1, g].
-    """
-    perm = {}
-    for a, c in want.items():
-        cur = coloring[a]
-        if cur in perm and perm[cur] != c:  # pragma: no cover
-            raise AssertionError("inconsistent color permutation request")
-        perm[cur] = c
-    if soft:
-        for a, allowed in soft.items():
-            cur = coloring[a]
-            if cur in perm:
-                continue
-            free = [c for c in allowed if c not in perm.values()]
-            if free:
-                perm[cur] = free[0]
-    used_src = set(perm)
-    used_dst = set(perm.values())
-    rest_src = [c for c in range(1, g + 1) if c not in used_src]
-    rest_dst = [c for c in range(1, g + 1) if c not in used_dst]
-    for s, t in zip(rest_src, rest_dst):
-        perm[s] = t
-    coloring.close(node, perm)
-
-
-class _Colors:
-    """Arc colors where relabelling everything a subtree colored costs O(g).
-
-    Two cases of the proof permute the colors of all arcs their recursion
-    colored.  Such a case ``open``s a node before its recursion and
-    ``close``s it with the permutation after; each write records the
-    innermost open node, and a read applies the permutations of the closed
-    nodes above the write, so a permutation never touches the arcs one by
-    one.  Chains of closed nodes are compressed as they are read.
-    """
-
-    __slots__ = ("raw", "up", "perm", "cur")
-
-    def __init__(self):
-        self.raw = {}  # arc -> (color as written, node open at the write)
-        self.up = [None]  # node -> enclosing node
-        self.perm = [None]  # node -> its permutation once closed
-        self.cur = 0
-
-    def __setitem__(self, a, c):
-        self.raw[a] = (c, self.cur)
-
-    def __getitem__(self, a):
-        c, x = self.raw[a]
-        up, perm = self.up, self.perm
-        path = []
-        while perm[x] is not None:
-            path.append(x)
-            c = perm[x][c]
-            x = up[x]
-        # point every closed node passed at the first open one above it
-        for y in reversed(path[:-1]):
-            perm[y] = {k: perm[up[y]][v] for k, v in perm[y].items()}
-            up[y] = x
-        return c
-
-    def open(self) -> int:
-        self.up.append(self.cur)
-        self.perm.append(None)
-        self.cur = len(self.up) - 1
-        return self.cur
-
-    def close(self, node: int, perm: dict) -> None:
-        self.perm[node] = perm
-        self.cur = self.up[node]
-
-    def final(self) -> dict:
-        """Every arc's color, in increasing arc id."""
-        return {a: self[a] for a in sorted(self.raw)}
+def _permute_colors(first: int, second: int | None, g: int) -> dict:
+    """The permutation of [1, g] taking ``first`` to 1, a different
+    ``second`` to 2, and the other colors to the rest in increasing order."""
+    src = [first] + ([second] if second not in (None, first) else [])
+    src += [c for c in range(1, g + 1) if c not in src]
+    return {s: t for t, s in enumerate(src, 1)}
 
 
 # ------------------------- the g = 5, l = 2 machinery ----------------------
