@@ -445,9 +445,9 @@ GOLDEN = {
     "fvs_grid": "372742d6b83f168b6573280eda08432cbfd455401ff67761e0c21523dd574e0b",
     "good_coloring_search": "d8907d34cba8ecf94f67403f868bbe83d9bf3d89c3fb45f17aa7b654b59794fb",
     "good_g_coloring_3": "354b0c9b17090504363e8a3a02f1fb7c8fb6be02462577be365684f0ca97e968",
-    "good_g_coloring_4": "11c32738f45ca0bfea177732bd8d2897cb6b616d6d643cf0986dab3af842fac5",
-    "good_g_coloring_5": "af377346a9abb559b5ae133a469b082b9afcb137f8e6014bbb935a69854dc141",
-    "large_g": "89d4f84356f3606335523f1a3b7c0db47b9eded704bc46e694433d677c99ea80",
+    "good_g_coloring_4": "4443c9f21baba199f5f867452f69e071933dfb3410a303e0ea94bbb20b02f8e4",
+    "good_g_coloring_5": "61c58f340f75d79d153138b4a26f9a79267efa586650c6d53a8aea048baef66c",
+    "large_g": "a280916be86edf0d4fc58217e615f2035494198c369b09a6a037669a5534dc2b",
     "large_triple": "d04d4e3ea1f6b710852410fa304c5ef3d5ebe78e20ef300aa161a78107ece9f5",
     "rare_cases": "d7694a2f07673f877b98123f384800a1b936d4cacfa73b14565f926540a10874",
     "search_outcomes": "da1bdfbb678d185ae80a284dbd637fd7b70932adf6aad1ef713622039abe8cc0",
