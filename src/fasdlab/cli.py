@@ -314,7 +314,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

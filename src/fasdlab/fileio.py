@@ -67,8 +67,6 @@ def parse_digraph(text: str) -> Digraph:
                 w = float(parts[2])
             except ValueError:
                 raise FormatError(lineno, f"bad weight in {line!r}") from None
-            if w < 0:
-                raise FormatError(lineno, f"negative weight {w}")
             weights.append(w)
         arcs.append((u, v))
         arc_lines.append(lineno)

@@ -15,7 +15,7 @@ from fasdlab.checks import (
     WEIGHTED_COUNT,
     run_checks,
 )
-from fasdlab.digraph import BudgetError, GraphError
+from fasdlab.digraph import BudgetError, Digraph, GraphError
 from fasdlab.triples import OrderingTriple
 
 
@@ -132,6 +132,29 @@ def test_colorings_fail_when_the_construction_raises(monkeypatch):
 
 def test_inequalities_fail_on_fasd_below_2(monkeypatch):
     monkeypatch.setattr(checks, "fasd_exact", lambda d: SimpleNamespace(value=1))
+    result = run("inequalities")
+    assert result.passed is False and len(result.details["violations"]) == result.details["processed"]
+
+
+ACYCLIC = [("path", Digraph(3, [(0, 1), (1, 2)]))]
+
+
+def test_inequalities_pass_on_an_acyclic_instance(monkeypatch):
+    monkeypatch.setattr(checks, "inequality_instances", lambda seed: ACYCLIC)
+    result = run("inequalities")
+    assert result.passed is True and result.details == {"processed": 1, "violations": []}
+
+
+def test_inequalities_fail_on_a_finite_fasd_of_an_acyclic_instance(monkeypatch):
+    monkeypatch.setattr(checks, "inequality_instances", lambda seed: ACYCLIC)
+    monkeypatch.setattr(checks, "fasd_exact", lambda d: SimpleNamespace(value=2))
+    result = run("inequalities")
+    assert result.passed is False and result.details == {"processed": 1, "violations": ["path"]}
+
+
+def test_inequalities_fail_on_a_fas_above_a_over_fasd(monkeypatch):
+    # every instance is cyclic, so fasd >= 2 and m > m // fasd
+    monkeypatch.setattr(checks, "fas_exact", lambda d: SimpleNamespace(value=d.m))
     result = run("inequalities")
     assert result.passed is False and len(result.details["violations"]) == result.details["processed"]
 

@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from fasdlab import delta3, digraph
-from fasdlab.certcheck import check_fas_sixth
+from fasdlab.certcheck import check_coloring, check_fas_sixth
+from fasdlab.checks import COLORINGS_COUNT
 from fasdlab.coloring import verify_good_coloring
 from fasdlab.delta3 import (
     fas_sixth,
@@ -97,6 +98,40 @@ class TestGoodGColoring:
             for target in (3, 4, 5):
                 c = good_g_coloring(d, target)
                 assert verify_good_coloring(d, c, target)[0]
+
+
+class TestRelabelling:
+    """The short-path fix writes pi^-1 of its colors onto its own arcs."""
+
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_permutation_takes_first_then_second_then_the_rest(self, g):
+        for first in range(1, g + 1):
+            for second in [None, *range(1, g + 1)]:
+                pi = delta3._permute_colors(first, second, g)
+                assert sorted(pi) == sorted(pi.values()) == list(range(1, g + 1))
+                assert pi[first] == 1
+                led = [first]
+                if second not in (None, first):
+                    assert pi[second] == 2
+                    led.append(second)
+                rest = [c for c in range(1, g + 1) if c not in led]
+                assert [pi[c] for c in rest] == list(range(len(led) + 1, g + 1))
+
+    def test_both_permutation_cases_give_good_colorings(self, monkeypatch):
+        taken = {"one heavy": 0, "two heavy": 0}
+        real = delta3._permute_colors
+
+        def counting(first, second, g):
+            taken["one heavy" if second is None else "two heavy"] += 1
+            return real(first, second, g)
+
+        monkeypatch.setattr(delta3, "_permute_colors", counting)
+        # the g = 4 instances of the colorings check at seed 0
+        for i in range(COLORINGS_COUNT):
+            n = 6 + i % 40
+            d = random_orgraph(n, 3, 4, seed=i * 3 + 4, arc_target=(3 * n) // 2)
+            assert check_coloring(d, good_g_coloring(d, 4, check=False), 4)[0]
+        assert taken["one heavy"] > 0 and taken["two heavy"] > 0, taken
 
 
 class TestFvsExact:

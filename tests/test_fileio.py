@@ -52,10 +52,32 @@ class TestTextFormat:
             ("3 2\n0 1\n1 3\n", 3, "arc (1,3) outside vertex range [0,3)"),
             ("3 2\n0 1 1.0\n1 2 inf\n", 3, "weights must be finite and >= 0, got inf"),
             ("3 2\n0 1 1.0\n1 2 nan\n", 3, "weights must be finite and >= 0, got nan"),
+            ("3 2\n0 1 1.0\n1 2 -2.0\n", 3, "weights must be finite and >= 0, got -2.0"),
             ("# a comment\n\n-3 1\n0 1\n", 3, "vertex count must be nonnegative"),
             ("# a comment\n3 1\n", 2, "declared 1 arcs, found 0"),
+            ("# only a comment\n", 0, "empty file"),
+            ("3\n", 1, "expected 'n m', got '3'"),
+            ("3 x\n", 1, "expected integers in header, got '3 x'"),
+            ("3 1\n0 1 2 3\n", 2, "expected 'u v' or 'u v w', got '0 1 2 3'"),
+            ("3 1\n0 a\n", 2, "bad endpoints in '0 a'"),
+            ("3 1\n0 1 x\n", 2, "bad weight in '0 1 x'"),
         ],
-        ids=["duplicate", "self-loop", "out-of-range", "inf", "nan", "negative-n", "no-arcs"],
+        ids=[
+            "duplicate",
+            "self-loop",
+            "out-of-range",
+            "inf",
+            "nan",
+            "negative-weight",
+            "negative-n",
+            "no-arcs",
+            "empty",
+            "header-fields",
+            "header-integers",
+            "arc-fields",
+            "endpoints",
+            "weight",
+        ],
     )
     def test_error_names_the_offending_line(self, text, line, message):
         with pytest.raises(FormatError) as exc:
