@@ -39,7 +39,6 @@ from .digraph import (
     Graph,
     GraphError,
     MultiDigraph,
-    degrees,
     enumerate_cycles,
     eulerian_orient,
     girth,
@@ -57,11 +56,9 @@ from .ordering import (
     fas_weighted_exact,
 )
 from .spectral import (
-    MixingCheck,
     OrientationBound,
     SpectralReport,
     lambda_extremes,
-    mixing_check,
     orientation_fas_lower_bound,
 )
 from .triples import (
@@ -82,7 +79,6 @@ __all__ = [
     "FvsCertificate",
     "Graph",
     "GraphError",
-    "MixingCheck",
     "MultiDigraph",
     "OrderingTriple",
     "OrientationBound",
@@ -92,7 +88,6 @@ __all__ = [
     "bas",
     "counting_bound",
     "decompose3",
-    "degrees",
     "enumerate_cycles",
     "eulerian_orient",
     "fas_brute",
@@ -108,7 +103,6 @@ __all__ = [
     "is_acyclic",
     "lambda_extremes",
     "max_degree",
-    "mixing_check",
     "orientation_fas_lower_bound",
     "refute_by_conflict_clique",
     "strong_components",

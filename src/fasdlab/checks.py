@@ -368,9 +368,7 @@ def oracle_corpus_fasd(seed: int, count: int):
     i = 0
     while len(out) < count:
         n = 5 + (i % 3)
-        d = random_orgraph(
-            n, 5, 3, seed=seed * 17 + i, arc_target=6 + i % 5, backbone=True
-        )
+        d = random_orgraph(n, 5, 3, seed=seed * 17 + i, arc_target=6 + i % 5)
         g = girth(d)
         if d.m <= 10 and (g is INFINITE or g <= 4):
             out.append(d)

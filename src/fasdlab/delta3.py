@@ -61,7 +61,8 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
         for a in arcs:
             colors[a] = 1
 
-    _strong_pieces(pl, _Chains, lambda chains, start: _color_strong(pl, g, colors, chains, start), cut)
+    chains = _Chains(pl)
+    _strong_pieces(pl, chains, lambda start: _color_strong(pl, g, colors, chains, start), cut)
     coloring = {a: colors[a] for a in sorted(colors)}
     if len(coloring) != d.m:  # pragma: no cover - would witness a gap
         raise AssertionError("construction left arcs uncolored")
@@ -72,53 +73,53 @@ def good_g_coloring(d: Digraph, g: int, check: bool = True) -> dict:
     return coloring
 
 
-def _strong_pieces(pl: Peel, new_scan, step, cut=None) -> None:
+def _strong_pieces(pl: Peel, scan, step, cut=None) -> None:
     """Run a proof's recursion into strong pieces as a loop over one Peel.
 
-    ``new_scan(pl, verts)`` builds a piece's case scan, and ``step(scan,
-    start)`` takes the first case that fits the piece and deletes that case's
-    vertices: it returns None when the piece is finished, else ``(fix,
-    watch)``.  What is left of the piece is then split again, ``cut`` gets
-    the ids of the arcs cut between its components, ``watch`` maps vertices
-    to whether they still lie on a cycle of their piece, and ``fix`` runs
-    once everything split off is done.  The component ``Peel.split``
-    certified goes last, so it is split again first; its scan is updated
-    where its arcs changed, and built again when its root moved.  Any other
-    component runs its first case before its first split, with
-    ``Peel.piece`` set to its vertices.
+    ``scan`` is the proof's case scan, one for the whole run, and
+    ``step(start)`` takes the first case that fits the piece and deletes that
+    case's vertices: it returns None when the piece is finished, else
+    ``(fix, watch)``.  What is left of the piece is then split again, ``cut``
+    gets the ids of the arcs cut between its components, ``watch`` maps
+    vertices to whether they still lie on a cycle of their piece, and ``fix``
+    runs once everything split off is done.  The component ``Peel.split``
+    certified goes last, so it is split again first, and the scan is updated
+    at the vertices whose arcs changed.  Any other component runs its first
+    case before its first split, with ``Peel.piece`` set to its vertices and
+    the scan updated at all of them.  The scan checks every entry at the top
+    (piece membership, version, the case's tests computed again), and a
+    piece starts by walking all its vertices again, so the least valid entry
+    is the one a scan built fresh for the piece would give.
     """
     todo = []
 
-    def split(verts, root, scan, watch):
+    def split(verts, root, watch):
         new_root, comps, arcs, touched = pl.split(verts, root)
         if cut is not None:
             cut(arcs)
         for x in watch or ():
             watch[x] = x in pl.out
-        todo.extend((comp, None, None) for comp in reversed(comps))
+        todo.extend((comp, None) for comp in reversed(comps))
         if new_root is not None:
-            if new_root == root:
-                scan.update(touched)
-            else:
-                scan = new_scan(pl, touched)
-            todo.append((None, new_root, scan))
+            scan.update(touched)
+            todo.append((None, new_root))
 
-    split(sorted(pl.out), None, None, None)
+    split(sorted(pl.out), None, None)
     while todo:
         piece = todo.pop()
         if callable(piece):
             piece()
             continue
-        verts, root, scan = piece
-        if scan is None:
+        verts, root = piece
+        if root is None:
             pl.piece = set(verts)
-            scan = new_scan(pl, verts)
-        done = step(scan, verts[0] if root is None else root)
+            scan.update(verts)
+        done = step(verts[0] if root is None else root)
         if done is not None:
             fix, watch = done
             if fix is not None:
                 todo.append(fix)
-            split(verts, root, scan, watch)
+            split(verts, root, watch)
 
 
 def _color_strong(pl: Peel, g: int, coloring, chains, start: int):
@@ -205,11 +206,10 @@ class _Chains:
 
     __slots__ = ("pl", "heap", "ver")
 
-    def __init__(self, pl: Peel, verts):
+    def __init__(self, pl: Peel):
         self.pl = pl
         self.heap = []
         self.ver = {}
-        self.update(verts)
 
     def update(self, touched) -> None:
         """Walk again the chains through ``touched``."""
@@ -833,8 +833,9 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
     """
     require_orgraph(d, 3, 6)
     pl, fas = Peel(d), []
+    red = _Reductions(pl)
 
-    def step(red, start):
+    def step(start):
         arcs, drop = red.first(start)
         fas.extend(arcs)
         if not drop:
@@ -843,7 +844,7 @@ def fas_sixth(d: Digraph, check: bool = True) -> tuple:
             pl.delete(v)
         return None, None
 
-    _strong_pieces(pl, _Reductions, step)
+    _strong_pieces(pl, red, step)
     fas.sort()
     if check:
         ok, why = check_fas_sixth(d, fas)
@@ -872,10 +873,9 @@ class _Reductions:
 
     __slots__ = ("pl", "plus", "minus", "paths")
 
-    def __init__(self, pl: Peel, verts):
+    def __init__(self, pl: Peel):
         self.pl = pl
         self.plus, self.minus, self.paths = [], [], []
-        self.update(verts)
 
     def _sig(self, v):
         return len(self.pl.out[v]), len(self.pl.inn[v])

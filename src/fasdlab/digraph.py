@@ -401,15 +401,9 @@ def _reattach(dead, arcs, back, par, kids):
 # structural queries
 
 
-def degrees(d: _BaseDigraph):
-    """Per-vertex (out-degree, in-degree) list together with the maximum degree."""
-    pairs = [(d.out_degree(v), d.in_degree(v)) for v in range(d.n)]
-    delta = max((a + b for a, b in pairs), default=0)
-    return pairs, delta
-
-
 def max_degree(d: _BaseDigraph) -> int:
-    return degrees(d)[1]
+    """The largest out-degree plus in-degree of a vertex, 0 on no vertices."""
+    return max((d.out_degree(v) + d.in_degree(v) for v in range(d.n)), default=0)
 
 
 def shortest_cycle(d):

@@ -146,7 +146,7 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def certificate_json(kind: str, payload: dict, claim: str = "") -> str:
+def certificate_json(kind: str, payload: dict, claim: str) -> str:
     """Versioned JSON envelope for any certificate object."""
     doc = {"schema": CERT_SCHEMA, "kind": kind, "claim": claim}
     doc.update({k: _jsonable(v) for k, v in payload.items()})

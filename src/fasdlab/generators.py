@@ -223,15 +223,14 @@ def random_orgraph(
     min_girth: int = 3,
     seed: int = 0,
     arc_target: int | None = None,
-    backbone: bool = True,
     weighted: bool = False,
 ) -> Digraph:
     """Seeded random digon-free digraph with degree and girth guarantees.
 
-    Starts (optionally) from a directed cycle backbone of length >= min_girth
-    so the instance actually contains cycles, then adds random arcs, rejecting
-    any that would exceed ``max_deg``, create a digon, or close a cycle of
-    length <= ``min_girth``.  Deterministic for a fixed seed.  Weights, when
+    Starts from a directed cycle backbone of length >= min_girth so the
+    instance actually contains cycles, then adds random arcs, rejecting any
+    that would exceed ``max_deg``, create a digon, or close a cycle of length
+    <= ``min_girth``.  Deterministic for a fixed seed.  Weights, when
     requested, are floats ``k / 100`` for k in 1..1000, so their repr has at
     most two decimals.
 
@@ -251,7 +250,7 @@ def random_orgraph(
     """
     if min_girth < 3:
         raise GraphError("orgraphs need min_girth >= 3")
-    if max_deg < 2 and n > 0 and backbone:
+    if max_deg < 2 and n > 0:
         raise GraphError("max_deg < 2 cannot carry a cycle backbone")
     rng = random.Random(seed)
     arcs = []
@@ -290,7 +289,7 @@ def random_orgraph(
                     return False
         return True
 
-    if backbone and n >= min_girth:
+    if n >= min_girth:
         cyc = list(range(n))
         rng.shuffle(cyc)
         length = rng.randrange(min_girth, n + 1)
@@ -353,8 +352,6 @@ def random_orgraph(
         # leave the stream just past the final attempt's v, where the weights start
         rng.setstate(state)
         rng.getrandbits(32 * (int(at[2 * last + 1 - len(carry)]) + 1))
-    if backbone and n >= min_girth and not arcs:
-        raise BudgetError(f"could not build any arcs for n={n}, max_deg={max_deg}")
     weights = None
     if weighted:
         weights = [rng.randrange(1, 1001) / 100 for _ in arcs]

@@ -67,7 +67,8 @@ def _bipartition(g: Graph):
 
 
 def lambda_extremes(g: Graph) -> SpectralReport:
-    """Second-largest absolute adjacency eigenvalue, read off ``dense_spectrum``.
+    """Second-largest absolute adjacency eigenvalue, read off the full dense
+    spectrum of the adjacency matrix (ascending).
 
     ``lam`` is the largest |mu| once the top entry (d) is dropped.
     ``lam_prime`` also drops the bottom entry (-d) when the graph is connected
@@ -79,76 +80,41 @@ def lambda_extremes(g: Graph) -> SpectralReport:
     if not g.is_regular():
         raise GraphError("input must be regular")
     bip, conn = _bipartition(g)
-    rest = np.abs(dense_spectrum(g)[:-1])
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    rest = np.abs(np.linalg.eigvalsh(a)[:-1])
     lam = float(rest.max(initial=0.0))
     lam_prime = float(rest[1:].max(initial=0.0)) if bip and conn else lam
     return SpectralReport(g.n, g.regular_degree(), lam, lam_prime, bip, conn)
 
 
-def dense_spectrum(g: Graph) -> np.ndarray:
-    """Full dense symmetric eigendecomposition of the adjacency matrix, ascending."""
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return np.linalg.eigvalsh(a)
-
-
-@dataclass(frozen=True)
-class MixingCheck:
-    """Both sides of the mixing inequality for one (S, T) pair."""
-
-    e_st: float
-    expected: float
-    deviation: float
-    rhs: float
-    holds: bool
-    equal_halves_lower: float | None
-
-
-def edge_count_between(g: Graph, s, t) -> int:
-    """e(S, T): ordered pairs (u, v), u in S, v in T, uv an edge.
-
-    Edges inside the overlap count twice, making e(V, V) = d * n on d-regular
-    graphs, which is the convention the mixing bound is stated for.
-    """
-    sset, tset = set(s), set(t)
-    return sum((u in sset and v in tset) + (v in sset and u in tset) for u, v in g.edges)
-
-
-def mixing_check(g: Graph, s, t, lam: float) -> MixingCheck:
-    """Evaluate |e(S,T) - d|S||T|/n| <= lam * sqrt(|S||T|(1-|S|/n)(1-|T|/n)).
-
-    Also evaluates the equal-halves corollary e(S,T) >= (d - lam) n / 4 when
-    |S| = |T| = n/2.
-    """
-    if not g.is_regular():
-        raise GraphError("mixing bound needs a regular graph")
-    d = g.regular_degree()
-    n = g.n
-    e_st = float(edge_count_between(g, s, t))
-    expected = d * len(s) * len(t) / n
-    deviation = abs(e_st - expected)
-    rhs = lam * math.sqrt(
-        len(s) * len(t) * (1 - len(s) / n) * (1 - len(t) / n)
-    )
-    lower = None
-    if len(s) == len(t) == n // 2 and n % 2 == 0:
-        lower = (d - lam) * n / 4
-    return MixingCheck(e_st, expected, deviation, rhs, deviation <= rhs + 1e-9, lower)
-
-
 def mixing_violations(g: Graph, lam: float, samples: int, rng) -> int:
-    """How many of ``samples`` (S, T) pairs, drawn from rng as |S|, S, |T|, T, break the bound.
+    """How many of ``samples`` (S, T) pairs, drawn from rng as |S|, S, |T|, T,
+    break |e(S,T) - d|S||T|/n| <= lam * sqrt(|S||T|(1-|S|/n)(1-|T|/n)).
 
-    A negative ``samples`` raises ValueError."""
+    e(S, T) counts ordered pairs (u, v), u in S, v in T, uv an edge.  Edges
+    inside the overlap count twice, making e(V, V) = d * n on d-regular
+    graphs, which is the convention the mixing bound is stated for.  A
+    negative ``samples`` raises ValueError; a non-regular graph raises
+    GraphError when samples > 0.
+    """
     if samples < 0:
         raise ValueError("samples must be >= 0")
+    if samples == 0:
+        return 0
+    if not g.is_regular():
+        raise GraphError("mixing bound needs a regular graph")
+    n, d = g.n, g.regular_degree()
     violations = 0
     for _ in range(samples):
-        s = rng.sample(range(g.n), rng.randrange(0, g.n + 1))
-        t = rng.sample(range(g.n), rng.randrange(0, g.n + 1))
-        if not mixing_check(g, s, t, lam).holds:
+        s = set(rng.sample(range(n), rng.randrange(0, n + 1)))
+        t = set(rng.sample(range(n), rng.randrange(0, n + 1)))
+        e_st = float(sum((u in s and v in t) + (v in s and u in t) for u, v in g.edges))
+        deviation = abs(e_st - d * len(s) * len(t) / n)
+        rhs = lam * math.sqrt(len(s) * len(t) * (1 - len(s) / n) * (1 - len(t) / n))
+        if not deviation <= rhs + 1e-9:
             violations += 1
     return violations
 
@@ -157,9 +123,6 @@ def mixing_violations(g: Graph, lam: float, samples: int, rng) -> int:
 class OrientationBound:
     """Ordering lower bound for an Eulerian orientation of a regular graph."""
 
-    n: int
-    d: int
-    lam: float
     bound: float  # (d - lam) n / 8
     fas_value: object | None
     holds: bool | None
@@ -187,5 +150,5 @@ def orientation_fas_lower_bound(d: Digraph, lam: float) -> OrientationBound:
         fas_value = holds = None
     else:
         holds = fas_value >= math.ceil(bound - 1e-6)
-    return OrientationBound(d.n, reg, lam, bound, fas_value, holds)
+    return OrientationBound(bound, fas_value, holds)
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fasdlab import checks, spectral
+from fasdlab import checks
 from fasdlab.checks import (
     COLORINGS_COUNT,
     MIXING_SAMPLES,
@@ -50,7 +50,7 @@ def test_lower_bound_fails_unless_the_bound_holds(monkeypatch):
 
 
 def test_mixing_fails_on_violated_pairs(monkeypatch):
-    monkeypatch.setattr(spectral, "mixing_check", lambda g, s, t, lam: SimpleNamespace(holds=False))
+    monkeypatch.setattr(checks, "mixing_violations", lambda g, lam, samples, rng: samples)
     result = run("mixing")
     assert result.passed is False and result.details["violations"] == 2 * MIXING_SAMPLES
 

@@ -123,7 +123,7 @@ class TestCertificates:
         from fasdlab.digraph import INFINITE
 
         doc = json.loads(
-            certificate_json("x", {"a": INFINITE, "b": Fraction(3, 7)})
+            certificate_json("x", {"a": INFINITE, "b": Fraction(3, 7)}, "")
         )
         assert doc["a"] == "infinite"
         assert doc["b"] == {"num": 3, "den": 7}

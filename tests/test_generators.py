@@ -159,7 +159,8 @@ class TestPaley:
 
 # A verbatim copy of random_orgraph as it was before it kept adjacency
 # incrementally, stopped at saturation and drew bits directly; the current
-# generator must return the same arcs and weights for every argument tuple.
+# generator, which always lays the backbone, must return the same arcs and
+# weights as the reference with backbone=True for every argument tuple.
 def reference_random_orgraph(
     n: int,
     max_deg: int,
@@ -253,26 +254,27 @@ def reference_dist(arcset, n, src, dst, limit):
 
 
 def orgraph_grid():
-    """Seeded argument tuples: n = 1..40 and a few at 200, every degree, girth and flag."""
-    flags = list(itertools.product((False, True), (False, True), (False, True)))
+    """Seeded argument tuples (n, max_deg, min_girth, seed, arc_target,
+    weighted): n = 1..40 and a few at 200, every degree, girth and flag."""
+    flags = list(itertools.product((False, True), (False, True)))
     out = []
     for n in range(1, 41):
         for max_deg in range(2, 7):
             for min_girth in range(3, 8):
-                weighted, backbone, explicit = flags[(n + 3 * max_deg + min_girth) % 8]
+                weighted, explicit = flags[(n + 3 * max_deg + min_girth) % 4]
                 target = (n * max_deg) // 2 + n % 3 if explicit else None
-                out.append((n, max_deg, min_girth, len(out), target, backbone, weighted))
+                out.append((n, max_deg, min_girth, len(out), target, weighted))
     out += [
-        (200, 3, 4, 1, None, True, False),
-        (200, 4, 3, 2, 400, True, True),
-        (200, 3, 6, 3, 266, True, False),
-        (200, 6, 7, 4, None, False, True),
-        (200, 2, 5, 5, 200, False, False),
+        (200, 3, 4, 1, None, False),
+        (200, 4, 3, 2, 400, True),
+        (200, 3, 6, 3, 266, False),
+        (200, 6, 7, 4, None, True),
+        (200, 2, 5, 5, 200, False),
     ]
     return out
 
 
-def build(generator, args):
+def build(generator, *args):
     try:
         d = generator(*args)
     except (BudgetError, GraphError, ValueError) as exc:
@@ -315,8 +317,9 @@ class TestRandomOrgraph:
 
 
     def test_matches_reference_on_grid(self):
-        for args in orgraph_grid():
-            assert build(random_orgraph, args) == build(reference_random_orgraph, args), args
+        for *args, weighted in orgraph_grid():
+            got = build(random_orgraph, *args, weighted)
+            assert got == build(reference_random_orgraph, *args, True, weighted), args
 
     def test_saturation_stops_unweighted_draws_only(self, monkeypatch):
         draws = []

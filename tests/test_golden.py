@@ -54,6 +54,7 @@ from fasdlab.generators import (
 )
 from fasdlab.ordering import fas_exact, fas_weighted_exact
 from fasdlab.triples import decompose3, verify_good_triple
+from test_generators import reference_random_orgraph
 
 SMALL = (8, 12, 17, 24, 31, 40, 52, 60)
 
@@ -233,7 +234,8 @@ def fas_bounded_corpus():
 
 def structure_corpus():
     out = deg4_corpus() + fvs_corpus() + fasd_corpus()
-    out += [random_orgraph(n, 5, 3, seed=s, arc_target=2 * n, backbone=False) for s, n in enumerate(SMALL)]
+    # random_orgraph always lays a backbone cycle; the reference can leave it out
+    out += [reference_random_orgraph(n, 5, 3, seed=s, arc_target=2 * n, backbone=False) for s, n in enumerate(SMALL)]
     return out
 
 

@@ -15,7 +15,7 @@ from fasdlab.cli import build_parser
 
 SRC = Path(fasdlab.__file__).resolve().parent
 
-DEFAULTED_PARAMETERS_MAX = 19
+DEFAULTED_PARAMETERS_MAX = 17
 CLI_OPTIONS_MAX = 21
 
 

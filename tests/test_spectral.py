@@ -10,10 +10,8 @@ import pytest
 from fasdlab.digraph import Digraph, Graph, GraphError, eulerian_orient
 from fasdlab.generators import circulant_graph, paley_graph
 from fasdlab.ordering import fas_exact
-from fasdlab import spectral
 from fasdlab.spectral import (
     lambda_extremes,
-    mixing_check,
     mixing_violations,
     orientation_fas_lower_bound,
 )
@@ -111,48 +109,100 @@ class TestLambdaExtremes:
             lambda_extremes(Graph(3, [(0, 1)]))
 
 
+class Pairs:
+    """An rng that draws the given sets in turn, as |S|, S, |T|, T."""
+
+    def __init__(self, *sets):
+        self.sets = iter(sets)
+        self.drawn = None
+
+    def randrange(self, lo, hi):
+        self.drawn = list(next(self.sets))
+        assert lo <= len(self.drawn) < hi
+        return len(self.drawn)
+
+    def sample(self, population, k):
+        assert k == len(self.drawn) and set(self.drawn) <= set(population)
+        return self.drawn
+
+
+class Recording(random.Random):
+    """A seeded rng that logs every randrange and sample call with its result."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randrange(self, *args):
+        out = super().randrange(*args)
+        self.calls.append(("randrange", args, out))
+        return out
+
+    def sample(self, population, k):
+        out = super().sample(population, k)
+        self.calls.append(("sample", (population, k), out))
+        return out
+
+
+def e_between(g, s, t):
+    """e(S, T) as ordered pairs, an edge inside the overlap counted twice."""
+    return sum((u in s and v in t) + (v in s and u in t) for u, v in g.edges)
+
+
 class TestMixingCheck:
     def test_full_sets_zero_deviation(self):
-        g = complete_graph(4)
-        rep = lambda_extremes(g)
-        chk = mixing_check(g, range(4), range(4), rep.lam)
-        assert chk.e_st == 12.0  # d * n with both-endpoint pairs counted twice
-        assert chk.deviation < 1e-9 and chk.holds
+        # e(V, V) = d n meets d |V| |V| / n exactly with a zero right side;
+        # counting each edge once would be off by d n / 2, a violation
+        for g in (complete_graph(4), paley_graph(13)):
+            assert mixing_violations(g, 0.0, 1, Pairs(range(g.n), range(g.n))) == 0
 
     def test_empty_set(self):
-        g = complete_graph(4)
-        chk = mixing_check(g, [], [0, 1], 1.0)
-        assert chk.e_st == 0.0 and chk.holds
+        assert mixing_violations(complete_graph(4), 0.0, 1, Pairs([], [0, 1])) == 0
 
     def test_never_violated_on_paley(self):
         for q in (13, 17):
             g = paley_graph(q)
             assert mixing_violations(g, lambda_extremes(g).lam, 400, random.Random(q)) == 0
 
-    def test_sampled_pairs_draw_size_then_set(self, monkeypatch):
+    def test_sampled_pairs_draw_size_then_set(self):
         """Pairs come from the rng as |S|, S, |T|, T, so seeded mixing output stays fixed."""
-        g = paley_graph(13)
-        failing = mixing_check(g, [0], [0], -1.0)  # a negative lam fails every pair
-        seen = []
-        monkeypatch.setattr(spectral, "mixing_check", lambda g, s, t, lam: seen.append((s, t)) or failing)
-        assert mixing_violations(g, 1.0, 5, random.Random(3)) == 5
-        rng = random.Random(3)
-        want = []
-        for _ in range(5):
-            s = rng.sample(range(13), rng.randrange(0, 14))
-            want.append((s, rng.sample(range(13), rng.randrange(0, 14))))
-        assert seen == want
+        rng = Recording(3)
+        mixing_violations(paley_graph(13), 1.0, 5, rng)
+        plain, want = random.Random(3), []
+        for _ in range(2 * 5):
+            k = plain.randrange(0, 14)
+            want.append(("randrange", (0, 14), k))
+            want.append(("sample", (range(13), k), plain.sample(range(13), k)))
+        assert rng.calls == want
+
+    def test_nonzero_counts_pinned(self):
+        # measured with 3 000 samples and a fresh Random(7) per call
+        cases = [
+            (paley_graph(13), 1.0, 153),
+            (paley_graph(17), 1.0, 87),
+            (circulant_graph(12, [1, 2]), 0.0, 1851),
+            (circulant_graph(12, [1, 2]), 1.0, 108),
+        ]
+        for g, lam, want in cases:
+            assert mixing_violations(g, lam, 3000, random.Random(7)) == want, (g, lam)
+
+    def test_errors_negative_count_first_then_non_regular(self):
+        path = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            mixing_violations(path, 1.0, -1, random.Random(0))
+        with pytest.raises(GraphError):
+            mixing_violations(path, 1.0, 1, random.Random(0))
+        assert mixing_violations(path, 1.0, 0, random.Random(0)) == 0
 
     def test_equal_halves_corollary(self):
         g = complete_minus_matching(10)
         lam = lambda_extremes(g).lam
         rng = random.Random(0)
         for _ in range(100):
-            s = rng.sample(range(10), 5)
-            t = [v for v in range(10) if v not in s]
-            chk = mixing_check(g, s, t, lam)
-            assert chk.holds
-            assert chk.e_st >= chk.equal_halves_lower - 1e-9
+            s = set(rng.sample(range(10), 5))
+            t = set(range(10)) - s
+            assert mixing_violations(g, lam, 1, Pairs(s, t)) == 0
+            assert e_between(g, s, t) >= (g.regular_degree() - lam) * g.n / 4 - 1e-9
 
 
 class TestOrientationBound:
