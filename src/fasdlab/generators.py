@@ -215,6 +215,9 @@ def circulant_graph(n: int, jumps) -> Graph:
 # Candidate words per block in random_orgraph: small enough that the degree
 # screen, taken at the block's start, stays close to the live degrees.
 _BLOCK_WORDS = 8192
+# Attempt budgets from which random_orgraph draws its blocks from numpy's
+# MT19937 rather than from random.Random (see its docstring).
+_NUMPY_ATTEMPTS = 1 << 17
 
 
 def random_orgraph(
@@ -240,13 +243,31 @@ def random_orgraph(
     holds the next B words little-endian, word i being what the i-th
     ``getrandbits(32)`` call would return, so a block yields the same values
     in the same order (n < 2**32).  Every rejection test can only turn true
-    as arcs are added, so an attempt with u == v, or whose u or v was at
-    ``max_deg`` when its block was drawn, would be rejected anyway and is
-    dropped in bulk; each other attempt runs every test, in attempt order.
-    Once no pair can take an arc, the remaining attempts cannot change the
-    arcs.  Weights come after the last attempt: at the arc target or at the
-    end of the attempt budget, so a weighted instance then counts the words
-    the remaining attempts would draw and puts the stream exactly there.
+    as arcs are added, so an attempt whose u or v was at ``max_deg`` when its
+    block was drawn would be rejected anyway and is dropped in bulk; each
+    other attempt runs every test, in attempt order.  Once no pair can take
+    an arc, the remaining attempts cannot change the arcs.  Weights come
+    after the last attempt: at the arc target or at the end of the attempt
+    budget, so a weighted instance then counts the words the remaining
+    attempts would draw and puts the stream exactly there.
+
+    With a budget of at least ``_NUMPY_ATTEMPTS`` attempts the blocks come
+    from ``numpy.random.MT19937`` instead.  ``random.Random`` is the same
+    Mersenne Twister (Matsumoto and Nishimura, 1998): its state, the 624
+    key words and the position ``getstate()`` ends with, loads unchanged
+    into numpy's, and ``random_raw(B)`` then returns the same B words that
+    ``getrandbits(32 * B)`` would, in about a quarter of the time.  A
+    weighted instance turns the state at its last block's start back into
+    ``random.Random``'s and draws the skip from there.  The budget decides,
+    not the arcs made, because the instances that stop short of their target
+    draw all of it.  On a shared 2-vCPU VM (CPython 3.11, numpy 2.4) a
+    handoff costs about 0.15 ms, as much as two blocks save, and the first
+    one in a process imports ``numpy.random`` (11-17 ms and a few MiB),
+    which only a few hundred thousand attempts earn back.  So the threshold
+    lies above every budget of verify-paper and the tests' grids (at most
+    80 500) and below those of the benchmark's n = 3000 instances (800 500
+    and more): small instances keep the stdlib stream and never import
+    ``numpy.random``.
     """
     if min_girth < 3:
         raise GraphError("orgraphs need min_girth >= 3")
@@ -256,7 +277,7 @@ def random_orgraph(
     arcs = []
     arcset = set()
     deg = [0] * n
-    full = np.zeros(n, dtype=bool)  # deg >= max_deg
+    free = np.ones(n, dtype=bool)  # deg < max_deg
     out = [[] for _ in range(n)]
     limit = min_girth - 1
 
@@ -265,8 +286,8 @@ def random_orgraph(
         arcset.add((u, v))
         deg[u] += 1
         deg[v] += 1
-        full[u] = deg[u] >= max_deg
-        full[v] = deg[v] >= max_deg
+        free[u] = deg[u] < max_deg
+        free[v] = deg[v] < max_deg
         out[u].append(v)
 
     def near(src):
@@ -281,10 +302,10 @@ def random_orgraph(
 
     def saturated():
         """Whether no ordered pair can take an arc any more, so every draw is rejected."""
-        free = [v for v in range(n) if deg[v] < max_deg]
-        for v in free:
+        spare = np.flatnonzero(free).tolist()
+        for v in spare:
             blocked = near(v)
-            for u in free:
+            for u in spare:
                 if u not in blocked and (u, v) not in arcset:
                     return False
         return True
@@ -301,6 +322,25 @@ def random_orgraph(
     budget = 200 * max(arc_target, 1) + 500 if len(arcs) < arc_target else 0
     if budget and n == 0:  # getrandbits(0) is always 0: the draw would never end
         raise ValueError("empty range for randrange()")
+    if budget >= _NUMPY_ATTEMPTS:
+        from numpy.random import MT19937
+
+        key = rng.getstate()[1]
+        mt = MT19937(0)
+        mt.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
+
+        words = mt.random_raw
+        def snapshot():
+            state = mt.state["state"]
+            return (3, tuple(state["key"].tolist()) + (state["pos"],), None)
+
+    else:
+
+        def words(size):
+            return np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4")
+
+        snapshot = rng.getstate
+
     shift = 32 - n.bit_length()
     # the saturation test belongs after the n-th rejection in a row, the
     # attempt check_at, so at most once per added arc; nothing changes until
@@ -311,15 +351,17 @@ def random_orgraph(
     carry = np.zeros(0, dtype=np.uint32)  # a u whose v is in the next block
     size = min(_BLOCK_WORDS, max(64, 16 * n))
     while made < budget:
-        state = rng.getstate() if weighted else None
-        vals = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4") >> shift
+        state = snapshot() if weighted else None
+        vals = words(size) >> shift
         at = np.flatnonzero(vals < n)  # the word each value was drawn from
         cand = np.concatenate((carry, vals[at]))
         pairs = min(len(cand) // 2, budget - made)
         last = pairs - 1 if made + pairs == budget else None  # the loop's final attempt
-        us, vs = cand[0 : 2 * pairs : 2], cand[1 : 2 * pairs : 2]
-        keep = np.flatnonzero(~full[us] & ~full[vs] & (us != vs) & live)  # none once saturated
-        for i, u, v in zip(keep.tolist(), us[keep].tolist(), vs[keep].tolist()):
+        keep = at[:0]  # once saturated, only a weighted instance draws on, to count words
+        if live:
+            ok = free[cand[: 2 * pairs]]
+            keep = np.flatnonzero(ok[0::2] & ok[1::2])
+        for i, u, v in zip(keep.tolist(), cand[2 * keep].tolist(), cand[2 * keep + 1].tolist()):
             if check_at < made + i:
                 check_at = budget
                 live = not saturated()

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from fasdlab import generators
@@ -321,24 +325,79 @@ class TestRandomOrgraph:
             got = build(random_orgraph, *args, weighted)
             assert got == build(reference_random_orgraph, *args, True, weighted), args
 
-    def test_saturation_stops_unweighted_draws_only(self, monkeypatch):
-        draws = []
+    def test_handoff_matches_reference_on_grid_slice(self, monkeypatch):
+        # every fifth grid tuple, all drawn from numpy's MT19937: 201 tuples,
+        # 100 of them weighted, about half saturating and half carrying a u
+        # into the next block
+        monkeypatch.setattr(generators, "_NUMPY_ATTEMPTS", 0)
+        grid = orgraph_grid()[::5]
+        assert any(weighted for *_, weighted in grid)
+        for *args, weighted in grid:
+            got = build(random_orgraph, *args, weighted)
+            assert got == build(reference_random_orgraph, *args, True, weighted), args
+
+    def test_handoff_fires_only_on_large_budgets(self):
+        # the largest budgets of the benchmark's sweep (24 500 attempts) and
+        # of the grid (80 500) stay on the stdlib stream; n = 3000 does not
+        script = "\n".join(
+            [
+                "import sys",
+                "from fasdlab.generators import random_orgraph",
+                "random_orgraph(60, 4, 3, seed=1, arc_target=120, weighted=True)",
+                "random_orgraph(45, 3, 5, seed=2, arc_target=67)",
+                "random_orgraph(200, 4, 3, seed=2, arc_target=400, weighted=True)",
+                "print('numpy.random' in sys.modules)",
+                "random_orgraph(3000, 3, 5, seed=2, arc_target=4500)",
+                "print('numpy.random' in sys.modules)",
+            ]
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False", "True"]
+
+    @staticmethod
+    def saturated_draws(monkeypatch):
+        """Build the saturating instance unweighted, then weighted, and return
+        the 32-bit words each drew, per stream: ``getrandbits`` and numpy's
+        ``random_raw``."""
+        words = {False: {"stdlib": 0, "numpy": 0}, True: {"stdlib": 0, "numpy": 0}}
+        weighted = False
 
         class Counting(random.Random):
             def getrandbits(self, k):
-                draws.append((k + 31) // 32)  # 32-bit words of the stream
+                words[weighted]["stdlib"] += (k + 31) // 32
                 return super().getrandbits(k)
 
+        class MT19937(np.random.MT19937):  # the state setter checks the class name
+            def random_raw(self, size=None, output=True):
+                words[weighted]["numpy"] += size
+                return super().random_raw(size, output)
+
         monkeypatch.setattr(generators.random, "Random", Counting)
+        monkeypatch.setattr(np.random, "MT19937", MT19937)
         # the girth-7 backbone leaves at most one vertex below degree 2
         budget = 200 * 12 + 500
         d = random_orgraph(8, 2, 7, seed=3, arc_target=12)
-        assert sum(draws) < budget // 20
-        draws.clear()
+        assert sum(words[False].values()) < budget // 20
+        weighted = True
         w = random_orgraph(8, 2, 7, seed=3, arc_target=12, weighted=True)
-        assert sum(draws) > 2 * budget
+        assert sum(words[True].values()) > 2 * budget
         ref = reference_random_orgraph(8, 2, 7, seed=3, arc_target=12, weighted=True)
         assert w.arcs == d.arcs == ref.arcs and w.weights == ref.weights
+        return words, budget
+
+    def test_saturation_stops_unweighted_draws_only(self, monkeypatch):
+        words, _ = self.saturated_draws(monkeypatch)
+        assert words[False]["numpy"] == words[True]["numpy"] == 0
+
+    def test_saturation_stops_unweighted_draws_only_after_handoff(self, monkeypatch):
+        monkeypatch.setattr(generators, "_NUMPY_ATTEMPTS", 0)
+        words, budget = self.saturated_draws(monkeypatch)
+        # both instances draw their blocks from numpy; the weighted one, every block
+        assert 0 < words[False]["numpy"] and words[True]["numpy"] > 2 * budget
 
     def test_no_vertices_with_a_target_raises(self):
         with pytest.raises(ValueError):
@@ -347,6 +406,49 @@ class TestRandomOrgraph:
     def test_single_vertex_has_no_arcs(self):
         d = random_orgraph(1, 3, arc_target=2)
         assert d.n == 1 and d.arcs == ()
+
+
+class TestMersenneTwisterHandoff:
+    """random.Random and numpy's MT19937 are the same generator: a state
+    moved from one to the other gives the same 32-bit words, which is what
+    random_orgraph's handoff and its weighted rewind rest on."""
+
+    @staticmethod
+    def at_position(seed, pos):
+        """A random.Random whose state has ``pos`` words of its key used."""
+        rng = random.Random(seed)
+        rng.getrandbits(32 * 624)  # one full twist: pos is 624 again
+        if pos == 0:  # never reached by drawing, but a state setstate accepts
+            key = rng.getstate()[1]
+            rng.setstate((3, key[:-1] + (0,), None))
+        elif pos < 624:
+            rng.getrandbits(32 * pos)
+        assert rng.getstate()[1][-1] == pos
+        return rng
+
+    @staticmethod
+    def words(rng, k):
+        return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    @pytest.mark.parametrize("pos", [0, 1, 311, 623, 624])
+    def test_same_words_both_ways(self, seed, pos):
+        rng = self.at_position(seed, pos)
+        key = rng.getstate()[1]
+        mt = np.random.MT19937(0)
+        mt.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
+        single = random.Random()
+        single.setstate(rng.getstate())
+        k = 1500  # crosses two twists
+        block = self.words(rng, k)
+        assert block.tolist() == [single.getrandbits(32) for _ in range(k)]
+        assert mt.random_raw(k).tolist() == block.tolist()
+        # the rewind: numpy's state back into random.Random, mid-key
+        mt.random_raw(pos + 1)
+        state = mt.state["state"]
+        back = random.Random()
+        back.setstate((3, tuple(state["key"].tolist()) + (state["pos"],), None))
+        assert self.words(back, k).tolist() == mt.random_raw(k).tolist()
 
 
 def sieve_oracle(p, k, limit=2_000_000):
