@@ -448,24 +448,33 @@ def _shortest_cycle(d: _BaseDigraph, removed, floor: int = 2):
     level in the order a FIFO queue would hold it, so the parents and the
     first arc back to s are unchanged; a level whose cycles could not be
     shorter than the best so far ends the root.
+
+    One call keeps its marks in two lists indexed by vertex: ``mark[v]`` is
+    the root whose BFS reached v, or n for a removed vertex, and ``parent[v]``
+    the vertex it was reached from.  Roots rise, so the BFS from s enters v
+    exactly when ``v > s and mark[v] < s``: v is above s, live and not yet
+    reached from s.
     """
-    out, inn = d._out, d._in
+    out, inn, n = d._out, d._in, d.n
+    mark = [-1] * n
+    for v in removed:
+        mark[v] = n
+    parent = [0] * n
     best = None
-    bound = d.n + 1  # the length of the best cycle so far, n + 1 before one
-    for s in range(d.n):
-        if s in removed:
+    bound = n + 1  # the length of the best cycle so far, n + 1 before one
+    for s in range(n):
+        if mark[s] == n:
             continue
         for v, _ in out[s]:
-            if v > s and v not in removed:
+            if v > s and mark[v] < n:
                 break
         else:
             continue
         for u, _ in inn[s]:
-            if u > s and u not in removed:
+            if u > s and mark[u] < n:
                 break
         else:
             continue
-        parent = {s: None}
         level, depth = [s], 0
         while level and depth + 1 < bound:
             nxt = []
@@ -478,7 +487,8 @@ def _shortest_cycle(d: _BaseDigraph, removed, floor: int = 2):
                         best.reverse()
                         bound = len(best)
                         break
-                    if v > s and v not in removed and v not in parent:
+                    if v > s and mark[v] < s:
+                        mark[v] = s
                         parent[v] = u
                         nxt.append(v)
                 if bound == depth + 1:
@@ -657,7 +667,9 @@ def enumerate_cycles(d: _BaseDigraph, max_len: int, cap: int = 100000) -> CycleE
     Each cycle is reported once, as the vertex tuple starting at its smallest
     vertex, and the overall list is in lexicographic order of those rotations.
     When the cap is hit, the result carries an explicit truncation flag;
-    truncation is never silent.
+    truncation is never silent.  A digraph whose girth is known (its
+    ``shortest_cycle`` has run) and above ``max_len`` returns no cycles at
+    once.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -692,29 +704,56 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
     and a path that cannot close in time is not extended.  Such a path would
     report no cycle, so the cycles and their order are those of the plain
     search.
+
+    Only vertices above s appear on a cycle rooted at s, so, as in
+    ``_shortest_cycle``, a root without an out-neighbour and an in-neighbour
+    above it is skipped.  A digraph that keeps its shortest cycle (once
+    ``shortest_cycle`` has run on it) yields nothing, without a search, when
+    it is acyclic or that cycle is longer than ``max_len``.
     """
     if max_len < 2:
         return
-    steps = _Steps(d._out)
+    kept = getattr(d, "_cycle", None)
+    if kept is not None and not 0 < len(kept) <= max_len:
+        return
+    out, inn = d._out, d._in
+    steps = _Steps(out)
+    # seen[v] is the root whose backward BFS reached v, and dist[v] the
+    # distance from v to that root
+    seen = [-1] * d.n
+    dist = [0] * d.n
     for s in range(d.n):
+        for v, _ in out[s]:
+            if v > s:
+                break
+        else:
+            continue
+        for u, _ in inn[s]:
+            if u > s:
+                break
+        else:
+            continue
         # Only vertices >= s may appear, so every cycle is found exactly once,
-        # rooted at its minimum vertex.  ``dist`` maps s to 0 and each vertex
-        # above s that reaches s within max_len - 1 arcs over such vertices to
-        # its distance; no other vertex can be next on a path from s, so
-        # without an out-neighbour in ``dist`` s is on no cycle searched here.
-        dist = {s: 0}
+        # rooted at its minimum vertex.  The BFS stamps each vertex above s
+        # that reaches s within max_len - 1 arcs over such vertices; no other
+        # vertex can be next on a path from s, so without a stamped
+        # out-neighbour s is on no cycle searched here.
         frontier = [s]
         for k in range(1, max_len):
             reached = []
             for x in frontier:
-                for u, _ in d._in[x]:
-                    if u > s and u not in dist:
+                for u, _ in inn[x]:
+                    if u > s and seen[u] != s:
+                        seen[u] = s
                         dist[u] = k
                         reached.append(u)
             if not reached:
                 break
             frontier = reached
-        if not any(v in dist for v, _ in d._out[s]):
+        for v, _ in out[s]:
+            if seen[v] == s:
+                break
+        else:
             continue
         # The depth-first search keeps one iterator over the steps of each
         # path vertex; ids[i] enters path[i + 1].
@@ -726,7 +765,7 @@ def _cycle_walk(d: _BaseDigraph, max_len: int):
             for v, a in stack[-1]:
                 if v == s and len(path) >= 2:
                     yield tuple(path), (*ids, a)
-                elif v not in on_path and len(path) + dist.get(v, max_len) <= max_len:
+                elif v not in on_path and seen[v] == s and len(path) + dist[v] <= max_len:
                     path.append(v)
                     ids.append(a)
                     on_path.add(v)

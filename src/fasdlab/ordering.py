@@ -194,9 +194,10 @@ def _fas_table(in_items, bound):
     g = np.full(1 << k, never, dtype=dt)
     g[0] = 0
     layer = np.zeros(1, dtype=np.int32)
-    # (set, vertex) pairs scored at once: a quarter as many as the table has
-    # entries, but at least 64 and at most 2^15, so the temporaries stay small
-    rows = max(1, min(1 << 15, max(1 << 6, 1 << k >> 2)) // k)
+    # (set, vertex) pairs scored at once: at most 2^15, so the temporaries
+    # stay small, and no more sets than a layer can hold, C(k, k // 2), so a
+    # small table allocates no more than it scores
+    rows = max(1, min(math.comb(k, k // 2), (1 << 15) // k))
     # the pairs' positions, which fit in dt, and the bit of each pair's
     # vertex, the vertex running fastest
     slots = np.arange(rows * k, dtype=dt)

@@ -434,6 +434,13 @@ class TestShortestCycle:
             d = random_orgraph(60, 4, 3 + seed % 3, seed=seed, arc_target=110)
             removed = set(range(0, 60, 7 + seed))
             assert _shortest_cycle(d, removed) == reference_shortest_cycle(d, removed)
+        # at size, root ids run far ahead of the marks earlier roots left
+        rng = random.Random(12)
+        for n, deg, g in ((100, 3, 3), (150, 4, 4), (200, 3, 5), (300, 4, 6), (250, 4, 3), (120, 3, 6)):
+            d = random_orgraph(n, deg, g, seed=n + g, arc_target=n * deg // 2)
+            for size in (0, n // 20, n // 10, n // 4):
+                removed = set(rng.sample(range(n), size))
+                assert _shortest_cycle(d, removed) == reference_shortest_cycle(d, removed)
 
     @pytest.mark.parametrize(
         "d, removed, want",
@@ -494,6 +501,30 @@ class TestEnumerateCycles:
                     res = enumerate_cycles(d, max_len, cap=cap)
                     assert res.cycles == full.cycles[:cap]
                     assert res.truncated == (len(full) >= cap)
+
+    def test_kept_girth_gives_the_fresh_walk(self):
+        # a digraph that keeps its shortest cycle walks nothing below it; at
+        # every bound and cap the answer is a fresh digraph's, which keeps none
+        acyclic = Digraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 3)])
+        for d in [*seeded_digraphs(150, 4), acyclic]:
+            kept = type(d)(d.n, d.arcs)
+            g = girth(kept)
+            bounds = set(range(2, 9)) if g is INFINITE else {*range(2, 9), g - 1, g, g + 1}
+            for max_len in sorted(bounds):
+                assert list(_cycle_walk(kept, max_len)) == list(_cycle_walk(d, max_len))
+                for cap in (1, 2, 5):
+                    res, want = enumerate_cycles(kept, max_len, cap=cap), enumerate_cycles(d, max_len, cap=cap)
+                    assert (res.cycles, res.truncated) == (want.cycles, want.truncated)
+            assert getattr(d, "_cycle", None) is None
+
+    def test_walk_trusts_the_kept_cycle(self):
+        d = Digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)])
+        assert enumerate_cycles(d, 3).cycles == ((0, 1, 2), (2, 3))
+        object.__setattr__(d, "_cycle", (0, 1, 2))  # not the real girth, 2
+        assert enumerate_cycles(d, 2).cycles == ()
+        assert enumerate_cycles(d, 3).cycles == ((0, 1, 2), (2, 3))
+        object.__setattr__(d, "_cycle", ())
+        assert enumerate_cycles(d, 3).cycles == ()
 
     def test_parallel_arcs_give_one_cycle(self):
         triangle = MultiDigraph(3, [(0, 1), (0, 1), (1, 2), (2, 0)])
